@@ -1,13 +1,14 @@
 // Shared workload builders and printing helpers for the paper-reproduction
 // benches. Each bench binary prints the corresponding paper table/figure's
-// rows; EXPERIMENTS.md records paper-vs-measured values side by side.
+// rows.
 //
 // Scale note: the paper's datasets are Gbp-scale on up to 15,360 Cray cores;
-// here genomes are Mbp-scale and ranks are threads with a LogGP cost model
-// (see DESIGN.md "Substitutions"). Improvement *factors* and scaling *shapes*
-// are the reproduced quantities, not absolute seconds.
+// here genomes are Mbp-scale and ranks are threads with a LogGP cost model.
+// Improvement *factors* and scaling *shapes* are the reproduced quantities,
+// not absolute seconds.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -143,7 +144,9 @@ class JsonSummary {
     rows_.back().metrics.emplace_back(key, value);
   }
 
-  /// Writes BENCH_<name>.json (or an explicit path); returns success.
+  /// Writes BENCH_<name>.json (or an explicit path); returns success. A
+  /// non-finite metric has no JSON spelling: it is written as null and the
+  /// call returns false.
   bool write(std::string path = "") const {
     if (path.empty()) path = "BENCH_" + name_ + ".json";
     std::ofstream out(path);
@@ -151,11 +154,15 @@ class JsonSummary {
         << "  \"description\": \"" << escaped(description_) << "\",\n"
         << "  \"hardware_concurrency\": "
         << std::thread::hardware_concurrency() << ",\n  \"configs\": [\n";
+    bool all_finite = true;
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       out << "    {\"name\": \"" << escaped(rows_[i].name) << "\"";
       for (const auto& [key, value] : rows_[i].metrics) {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.9g", value);
+        char buf[64] = "null";
+        if (std::isfinite(value))
+          std::snprintf(buf, sizeof buf, "%.9g", value);
+        else
+          all_finite = false;
         out << ", \"" << escaped(key) << "\": " << buf;
       }
       out << (i + 1 < rows_.size() ? "},\n" : "}\n");
@@ -163,7 +170,10 @@ class JsonSummary {
     out << "  ]\n}\n";
     out.flush();
     if (out) std::printf("\nJSON summary written: %s\n", path.c_str());
-    return static_cast<bool>(out);
+    if (!all_finite)
+      std::fprintf(stderr, "JSON summary %s: non-finite metric written as null\n",
+                   path.c_str());
+    return out && all_finite;
   }
 
  private:

@@ -9,8 +9,8 @@
 // read embedded in flanking sequence, plus a few decoys), scored by
 //
 //   a. per-pair striped   — one StripedSmithWaterman profile per read,
-//                           align() once per candidate (the kStriped
-//                           extension path's engine cost), and
+//                           align() once per candidate (intra-pair SIMD),
+//                           and
 //   b. BatchSwScorer      — same candidates, one flush per read, at every
 //                           dispatch tier the host supports.
 //

@@ -74,9 +74,9 @@ enum class SwIsa : std::uint8_t { kAuto = 0, kScalar, kSse2, kAvx2, kAvx512 };
 /// and W-F wasted lanes plus one octile-histogram sample of F/W. Per-pair
 /// fallbacks (scalar tier, exotic scoring) record nothing — occupancy
 /// describes vector sweeps only. These feed the mera_sw_lane_* obs series;
-/// they live outside PipelineStats because pooled and per-read flushing
-/// produce identical PipelineStats by contract but different lane shapes by
-/// design.
+/// they live outside PipelineStats because every kernel produces identical
+/// PipelineStats by contract while lane shapes depend on flush timing and
+/// ISA tier.
 struct LaneStats {
   static constexpr std::size_t kOccBuckets = 8;
   std::uint64_t flushes = 0;       ///< flush() calls scoring >= 1 candidate

@@ -1,7 +1,6 @@
 #include "align/extension.hpp"
 
 #include <algorithm>
-#include <optional>
 
 namespace mera::align {
 
@@ -25,8 +24,7 @@ SeedWindow project_seed_window(std::size_t query_len,
 Extension extend_seed(std::span<const std::uint8_t> query,
                       const seq::PackedSeq& target, std::size_t q_off,
                       std::size_t t_off, int k, const ExtensionConfig& cfg,
-                      int screen_min_score,
-                      const StripedSmithWaterman* striped_profile) {
+                      int screen_min_score) {
   Extension ext;
   const std::size_t m = query.size();
   if (m == 0 || target.empty() || k <= 0) return ext;
@@ -49,27 +47,12 @@ Extension extend_seed(std::span<const std::uint8_t> query,
                                       cfg.scoring);
       break;
     }
-    case SwKernel::kStriped: {
-      // Score-only screen: the striped kernel returns the exact local-maximum
-      // score, so thresholding here rejects precisely the candidates the full
-      // DP would reject — survivors get an identical traceback alignment.
-      std::optional<StripedSmithWaterman> local;
-      if (!striped_profile)
-        local.emplace(query, cfg.scoring);  // one-off caller: build here
-      const StripedResult sr =
-          (striped_profile ? *striped_profile : *local).align(window);
-      if (sr.score < screen_min_score) {
-        ext.aln.score = sr.score;  // empty alignment: screened out
-        return ext;
-      }
-      ext.aln = smith_waterman(query, window, cfg.scoring);
-      break;
-    }
     case SwKernel::kBatch: {
-      // Single-candidate route through the batch engine: same screen
-      // semantics as kStriped, scores proven bit-identical by the tier-sweep
-      // equivalence tests. Callers with many candidates should prefer
-      // extend_candidates, which actually fills the SIMD lanes.
+      // Single-candidate route through the batch engine. The screen score is
+      // exact (proven bit-identical to the scalar reference by the tier-sweep
+      // tests), so thresholding here rejects precisely the candidates the
+      // full DP would reject. Callers with many candidates should pool them
+      // through a PooledExtensionQueue, which actually fills the SIMD lanes.
       BatchSwScorer scorer(query, cfg.scoring, cfg.isa);
       scorer.add(window);
       const StripedResult sr = scorer.flush().front();
@@ -87,64 +70,6 @@ Extension extend_seed(std::span<const std::uint8_t> query,
   ext.aln.t_begin += w.begin;
   ext.aln.t_end += w.begin;
   return ext;
-}
-
-std::vector<Extension> extend_candidates(std::span<const std::uint8_t> query,
-                                         std::span<const SeedCandidate> cands,
-                                         int k, const ExtensionConfig& cfg,
-                                         int screen_min_score,
-                                         LaneStats* lane_stats) {
-  std::vector<Extension> out(cands.size());
-  if (cands.empty()) return out;
-
-  if (cfg.kernel != SwKernel::kBatch) {
-    // kStriped screens with a query-only profile: build it once here instead
-    // of once per candidate inside extend_seed.
-    std::optional<StripedSmithWaterman> profile;
-    if (cfg.kernel == SwKernel::kStriped && !query.empty())
-      profile.emplace(query, cfg.scoring);
-    for (std::size_t c = 0; c < cands.size(); ++c)
-      out[c] = extend_seed(query, *cands[c].target, cands[c].q_off,
-                           cands[c].t_off, k, cfg, screen_min_score,
-                           profile ? &*profile : nullptr);
-    return out;
-  }
-
-  const std::size_t m = query.size();
-  BatchSwScorer scorer(query, cfg.scoring, cfg.isa);
-
-  // Project every candidate's window and enqueue the live ones. `slot[c]`
-  // is the candidate's lane index in the flush, or npos when extend_seed
-  // would have bailed before scoring (empty inputs / empty window).
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> slot(cands.size(), kNone);
-  std::vector<std::vector<std::uint8_t>> windows(cands.size());
-  for (std::size_t c = 0; c < cands.size(); ++c) {
-    const seq::PackedSeq& target = *cands[c].target;
-    if (m == 0 || target.empty() || k <= 0) continue;
-    const SeedWindow w = project_seed_window(m, target, cands[c].q_off,
-                                             cands[c].t_off, cfg.window_pad);
-    out[c].window_begin = w.begin;
-    out[c].window_end = w.end;
-    if (w.begin >= w.end) continue;
-    windows[c] = dna_codes(target, w.begin, w.end - w.begin);
-    slot[c] = scorer.add(windows[c]);
-  }
-
-  const std::vector<StripedResult> screened = scorer.flush();
-  if (lane_stats) *lane_stats += scorer.lane_stats();
-  for (std::size_t c = 0; c < cands.size(); ++c) {
-    if (slot[c] == kNone) continue;
-    const StripedResult& sr = screened[slot[c]];
-    if (sr.score < screen_min_score) {
-      out[c].aln.score = sr.score;  // screened out, same as extend_seed
-      continue;
-    }
-    out[c].aln = smith_waterman(query, windows[c], cfg.scoring);
-    out[c].aln.t_begin += out[c].window_begin;
-    out[c].aln.t_end += out[c].window_begin;
-  }
-  return out;
 }
 
 }  // namespace mera::align

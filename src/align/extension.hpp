@@ -4,8 +4,8 @@
 // The seed fixes the alignment's diagonal, so only a small target window
 // around the implied query placement needs to be examined: the window is the
 // query's projected span padded by `window_pad` bases on each side. Within
-// the window the full-DP kernel produces score + CIGAR; the striped SIMD
-// kernel can pre-screen candidates when a query aligns against many targets.
+// the window the full-DP kernel produces score + CIGAR; the batch SIMD engine
+// can pre-screen candidates so only survivors pay for the traceback.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +15,6 @@
 #include "align/banded_sw.hpp"
 #include "align/batch_sw.hpp"
 #include "align/smith_waterman.hpp"
-#include "align/striped_sw.hpp"
 #include "seq/packed_seq.hpp"
 
 namespace mera::align {
@@ -29,14 +28,12 @@ enum class SwKernel : std::uint8_t {
   kFullDP = 0,
   /// Banded DP around the seed diagonal (band = max(window_pad, 8)).
   kBanded,
-  /// Farrar striped SIMD score pass (striped_sw) as a pre-screen; candidates
-  /// scoring below the caller's report threshold are rejected without a
-  /// traceback, survivors re-run the full DP for an identical alignment.
-  kStriped,
-  /// Inter-candidate batch SIMD score pass (batch_sw) as a pre-screen: all of
-  /// a query's candidate windows are packed one-per-lane and screened in one
-  /// DP sweep on the widest available ISA (see ExtensionConfig::isa).
-  /// Screening decisions and scores are bit-identical to kStriped.
+  /// Inter-candidate batch SIMD score pass (batch_sw) as a pre-screen:
+  /// candidate windows are packed one-per-lane and screened in one DP sweep
+  /// on the widest available ISA (see ExtensionConfig::isa). The screen
+  /// score is exact, so candidates below the caller's report threshold are
+  /// rejected without a traceback and survivors re-run the full DP for an
+  /// alignment identical to kFullDP's.
   kBatch,
 };
 
@@ -66,10 +63,9 @@ struct SeedWindow {
   std::size_t end = 0;
 };
 
-/// Compute the seed's target window — the same projection extend_seed /
-/// extend_candidates perform internally, exposed so deferred-extension
-/// callers (core::AlignSession's pooled path) can mirror window extents and
-/// sw_cells accounting without scoring yet.
+/// Compute the seed's target window — the same projection extend_seed
+/// performs internally, exposed so callers (core::AlignSession) can account
+/// sw_cells and extract window codes for deferred scoring.
 [[nodiscard]] SeedWindow project_seed_window(std::size_t query_len,
                                              const seq::PackedSeq& target,
                                              std::size_t q_off,
@@ -81,7 +77,6 @@ struct SeedWindow {
   switch (k) {
     case SwKernel::kFullDP: return "full_dp";
     case SwKernel::kBanded: return "banded";
-    case SwKernel::kStriped: return "striped";
     case SwKernel::kBatch: return "batch";
   }
   return "unknown";
@@ -89,40 +84,13 @@ struct SeedWindow {
 
 /// Extend a seed match: query[q_off..q_off+k) == target[t_off..t_off+k).
 /// Returns an alignment whose t_begin/t_end are in full-target coordinates.
-/// `screen_min_score` is the caller's reporting threshold: the kStriped
-/// backend skips the traceback DP for candidates whose (exact) striped score
+/// `screen_min_score` is the caller's reporting threshold: the kBatch
+/// backend skips the traceback DP for candidates whose (exact) screen score
 /// falls below it — such results carry the score but an empty alignment.
-/// `striped_profile`, when given, must be the profile of `query` under
-/// `cfg.scoring`; it lets a caller extending one query against many
-/// candidates build the striped profile once instead of per call (the
-/// profile is query-only state). Ignored by the other kernels.
-[[nodiscard]] Extension extend_seed(
-    std::span<const std::uint8_t> query, const seq::PackedSeq& target,
-    std::size_t q_off, std::size_t t_off, int k,
-    const ExtensionConfig& cfg = {}, int screen_min_score = 0,
-    const StripedSmithWaterman* striped_profile = nullptr);
-
-/// One buffered candidate extension for extend_candidates: the seed's target
-/// sequence plus the query/target offsets that fix its diagonal. `target`
-/// must outlive the extend_candidates call.
-struct SeedCandidate {
-  const seq::PackedSeq* target = nullptr;
-  std::size_t q_off = 0;
-  std::size_t t_off = 0;
-};
-
-/// Batch form of extend_seed: extend one query against many candidates at
-/// once, screening every window in a single inter-candidate SIMD sweep
-/// (SwKernel::kBatch; kStriped builds the query's striped profile once and
-/// screens per candidate with it; the exact kernels fall back to
-/// per-candidate extend_seed). Results are positionally parallel to
-/// `candidates` and bit-identical to calling extend_seed on each candidate
-/// with the same config. When `lane_stats` is non-null the kBatch sweep's
-/// lane occupancy is accumulated into it (other kernels record nothing).
-[[nodiscard]] std::vector<Extension> extend_candidates(
-    std::span<const std::uint8_t> query,
-    std::span<const SeedCandidate> candidates, int k,
-    const ExtensionConfig& cfg = {}, int screen_min_score = 0,
-    LaneStats* lane_stats = nullptr);
+[[nodiscard]] Extension extend_seed(std::span<const std::uint8_t> query,
+                                    const seq::PackedSeq& target,
+                                    std::size_t q_off, std::size_t t_off, int k,
+                                    const ExtensionConfig& cfg = {},
+                                    int screen_min_score = 0);
 
 }  // namespace mera::align

@@ -1,10 +1,10 @@
 // Cross-read candidate pooling for the inter-candidate batch SW engine.
 //
-// BatchSwScorer fills lanes with whatever one flush holds — and the per-read
-// extension path flushes per read per strand, so a read with 3 candidates
-// wastes 61 of 64 AVX-512 lanes. This queue decouples flush granularity from
-// read boundaries: candidates from MANY reads accumulate in buckets keyed by
-// query-length class (bounding the row-padding a mixed group pays), and a
+// BatchSwScorer fills lanes with whatever one flush holds — flushing per read
+// per strand, a read with 3 candidates would waste 61 of 64 AVX-512 lanes.
+// This queue decouples flush granularity from read boundaries: candidates
+// from MANY reads accumulate in buckets keyed by query-length class
+// (bounding the row-padding a mixed group pays), and a
 // bucket flushes through its multi-query BatchSwScorer only once it can fill
 // the resolved tier's 8-bit lane width. mmseqs2's prescreen keeps its SIMD
 // matcher saturated the same way.
@@ -13,7 +13,7 @@
 // candidate and receive (tag, StripedResult) callbacks as flushes happen —
 // in bucket-insertion order within a flush, but in no particular order
 // ACROSS buckets. Emission ordering is the caller's job (AlignSession keeps
-// a slot/cursor structure that replays results in exact per-read order; see
+// a slot/cursor log that replays results in candidate-discovery order; see
 // align_session.cpp). drain() force-flushes every bucket — call it at batch
 // end, after which every enqueued tag has been called back exactly once.
 //

@@ -56,11 +56,9 @@ struct Shared {
   ReplicaIndex index;  // built by rank 0, read-only replica afterwards
   std::vector<seq::PackedSeq> packed_targets;
   std::vector<core::PipelineStats> stats;
-  std::vector<align::LaneStats> lane_stats;  // kBatch lane occupancy, per rank
 };
 
-void map_read(pgas::Rank& rank, Shared& sh, const seq::SeqRecord& read,
-              core::PipelineStats& st, align::LaneStats& ls) {
+void map_read(Shared& sh, const seq::SeqRecord& read, core::PipelineStats& st) {
   ++st.reads_processed;
   std::size_t found = 0;
   std::unordered_set<std::uint64_t> seen;
@@ -68,16 +66,10 @@ void map_read(pgas::Rank& rank, Shared& sh, const seq::SeqRecord& read,
   const int min_score = sh.cfg.min_report_score >= 0
                             ? sh.cfg.min_report_score
                             : sh.cfg.extension.scoring.match * k;
-  std::vector<align::SeedCandidate> cands;
   for (int strand = 0; strand < 2; ++strand) {
     const std::string oriented =
         strand == 0 ? read.seq : seq::reverse_complement(read.seq);
     const auto qcodes = align::dna_codes(oriented);
-    // Buffer every deduplicated candidate of this strand, then extend them
-    // in one sweep: kStriped builds the query profile once for the whole
-    // strand, kBatch screens all windows in inter-candidate SIMD sweeps.
-    // Bit-identical to extending each candidate as it is discovered.
-    cands.clear();
     seq::for_each_seed(
         std::string_view(oriented), k,
         [&](std::size_t q_off, const seq::Kmer& m) {
@@ -98,21 +90,17 @@ void map_read(pgas::Rank& rank, Shared& sh, const seq::SeqRecord& read,
                 (static_cast<std::uint64_t>(diag + (1ll << 28)) >> 3);
             if (!seen.insert(key).second) continue;
             ++st.target_fetches;  // replica-local: no communication
-            cands.push_back(
-                {&sh.packed_targets[h.target_id], q_off, h.t_pos});
+            const auto ext = align::extend_seed(
+                std::span<const std::uint8_t>(qcodes),
+                sh.packed_targets[h.target_id], q_off, h.t_pos, k,
+                sh.cfg.extension, min_score);
+            ++st.sw_calls;
+            if (ext.aln.score >= min_score && !ext.aln.empty()) {
+              ++found;
+              ++st.alignments_reported;
+            }
           }
-          (void)rank;
         });
-    const auto exts = align::extend_candidates(
-        std::span<const std::uint8_t>(qcodes), cands, k, sh.cfg.extension,
-        min_score, &ls);
-    st.sw_calls += cands.size();
-    for (const auto& ext : exts) {
-      if (ext.aln.score >= min_score && !ext.aln.empty()) {
-        ++found;
-        ++st.alignments_reported;
-      }
-    }
   }
   if (found > 0) ++st.reads_aligned;
 }
@@ -173,7 +161,7 @@ void rank_body(pgas::Rank& rank, Shared& sh) {
     const std::size_t hi = n * (me + 1) / static_cast<std::size_t>(nranks);
     const double t0 = rank.cpu_seconds();
     for (std::size_t i = lo; i < hi; ++i)
-      map_read(rank, sh, sh.reads[i], st, sh.lane_stats[me]);
+      map_read(sh, sh.reads[i], st);
     const double map_cpu = rank.cpu_seconds() - t0;
     if (sh.cfg.map_time_multiplier > 1.0)
       rank.charge_time((sh.cfg.map_time_multiplier - 1.0) * map_cpu);
@@ -189,15 +177,13 @@ ReplicatedIndexAligner::ReplicatedIndexAligner(BaselineConfig cfg)
 BaselineResult ReplicatedIndexAligner::align(
     pgas::Runtime& rt, const std::vector<seq::SeqRecord>& targets,
     const std::vector<seq::SeqRecord>& reads) const {
-  Shared sh{cfg_, targets, reads, {}, {}, {}, {}};
+  Shared sh{cfg_, targets, reads, {}, {}, {}};
   sh.packed_targets.resize(targets.size());
   sh.stats.assign(static_cast<std::size_t>(rt.nranks()), {});
-  sh.lane_stats.assign(static_cast<std::size_t>(rt.nranks()), {});
   rt.run([&sh](pgas::Rank& rank) { rank_body(rank, sh); });
   BaselineResult res;
   res.report = rt.report();
   for (const auto& s : sh.stats) res.stats += s;
-  for (const auto& ls : sh.lane_stats) res.lane_stats += ls;
   res.index_entries = 0;
   for (const auto& [k, v] : sh.index) res.index_entries += v.size();
   res.index_replica_bytes = replica_bytes(sh.index);

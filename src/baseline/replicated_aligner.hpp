@@ -44,7 +44,7 @@ struct BaselineConfig {
   bool include_read_partition = false;
   std::size_t max_hits_per_seed = 32;
   /// Seed-extension settings; extension.kernel selects the SW backend
-  /// (full-DP / banded / striped), same selector the session API exposes.
+  /// (full-DP / banded / batch), same selector the session API exposes.
   align::ExtensionConfig extension{};
   int min_report_score = -1;  ///< -1 = auto (match * k)
 
@@ -63,9 +63,6 @@ struct BaselineResult {
   /// Bytes one replica of the index occupies (the per-instance memory cost
   /// that forces pMap to run fewer instances per node).
   std::size_t index_replica_bytes = 0;
-  /// SIMD lane occupancy of the mapping phase's SwKernel::kBatch sweeps,
-  /// summed over ranks (all-zero for other kernels).
-  align::LaneStats lane_stats;
 
   [[nodiscard]] double total_time_s() const { return report.total_time_s(); }
   [[nodiscard]] double serial_index_time_s() const {

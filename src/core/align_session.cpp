@@ -1,5 +1,6 @@
 #include "core/align_session.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -40,27 +41,23 @@ struct BatchShared {
   std::span<const std::uint64_t> file_perm;
 };
 
-/// One deferred-emission event of the cross-read pooled path, in the exact
-/// order the per-read path would have produced it. kPending slots hold a
-/// candidate's provenance until its PooledExtensionQueue callback resolves
-/// them; kRecord slots (exact matches and anything else emitted inline) are
-/// born resolved; kReadEnd marks a read boundary so reads_aligned can be
-/// counted at replay time. A cursor emits the resolved prefix, which keeps
-/// sink order — and therefore SAM bytes — bit-identical to per-read
-/// flushing even though scoring happens out of order across reads.
-struct PooledSlot {
-  enum class Kind : std::uint8_t { kPending, kRecord, kReadEnd };
-  Kind kind = Kind::kPending;
-  bool resolved = false;
-  bool has_record = false;
-  const seq::SeqRecord* read = nullptr;
-  AlignmentRecord rec;  ///< valid when has_record
-  // Candidate provenance (kPending only, meaningful until resolved).
-  const seq::PackedSeq* target = nullptr;
-  std::uint32_t target_id = 0;
+/// One entry of a rank's emission log. Every candidate that reaches a
+/// kernel, every exact match and every read boundary takes a slot, in
+/// discovery order; a cursor replays the resolved prefix into the sink. The
+/// kernel only decides WHEN a candidate's slot resolves — immediately
+/// (kFullDP/kBanded) or when the pooled batch engine scores it (kBatch) — so
+/// sink order, stats and SAM bytes are the same for every kernel.
+struct Slot {
+  enum class State : std::uint8_t { kPending, kResolved, kReadEnd };
+  State state = State::kPending;
   bool reverse = false;
+  std::uint32_t target_id = 0;
+  const seq::SeqRecord* read = nullptr;
+  std::optional<AlignmentRecord> rec;  ///< set when resolved and reportable
+  // Deferred (kBatch) candidates only: what the survivor traceback needs.
+  const seq::PackedSeq* target = nullptr;
   std::size_t qid = 0;  ///< query id inside the rank's pooled queue
-  std::size_t window_begin = 0, window_end = 0;
+  std::size_t q_off = 0, t_off = 0;
 };
 
 /// Per-rank aligning-phase worker (seed-and-extend with caches, the Lemma-1
@@ -72,15 +69,15 @@ class RankAligner {
     min_score_ = sh.cfg.min_report_score >= 0
                      ? sh.cfg.min_report_score
                      : sh.cfg.extension.scoring.match * sh.k;
-    if (sh.cfg.extension.kernel == align::SwKernel::kBatch &&
-        sh.cfg.sw_pooling > 0) {
+    traceback_cfg_ = sh.cfg.extension;
+    traceback_cfg_.kernel = align::SwKernel::kFullDP;
+    if (sh.cfg.extension.kernel == align::SwKernel::kBatch) {
       align::PooledQueueConfig qcfg;
       qcfg.scoring = sh.cfg.extension.scoring;
       qcfg.isa = sh.cfg.extension.isa;
-      qcfg.flush_lanes = sh.cfg.sw_pooling == 1 ? 0 : sh.cfg.sw_pooling;
       pool_.emplace(qcfg,
                     [this](std::uint64_t tag, const align::StripedResult& sr) {
-                      resolve_slot(static_cast<std::size_t>(tag), sr);
+                      screened(static_cast<std::size_t>(tag), sr);
                     });
     }
   }
@@ -88,32 +85,23 @@ class RankAligner {
   void align_read(const seq::SeqRecord& read) {
     ++st_.reads_processed;
     read_ = &read;
-    records_this_read_ = 0;
     seen_.clear();
     const bool done = align_strand(read.name, read.seq, /*reverse=*/false);
     if (!done) {
       const std::string rc = seq::reverse_complement(read.seq);
       align_strand(read.name, rc, /*reverse=*/true);
     }
-    if (pool_) {
-      PooledSlot marker;
-      marker.kind = PooledSlot::Kind::kReadEnd;
-      slots_.push_back(std::move(marker));
-      advance_cursor();
-    } else if (records_this_read_ > 0) {
-      ++st_.reads_aligned;
-    }
+    slots_.emplace_back().state = Slot::State::kReadEnd;
+    advance_cursor();
   }
 
   /// Batch end: force-score everything still pending, replay the tail of the
   /// emission log, and hand the rank's lane occupancy to the batch result.
   void finish() {
-    if (pool_) {
-      pool_->drain();
-      advance_cursor();
-      lane_stats_ += pool_->lane_stats();
-    }
-    sh_.lane_stats[static_cast<std::size_t>(rank_.id())] += lane_stats_;
+    if (!pool_) return;
+    pool_->drain();
+    advance_cursor();
+    sh_.lane_stats[static_cast<std::size_t>(rank_.id())] = pool_->lane_stats();
   }
 
  private:
@@ -126,21 +114,10 @@ class RankAligner {
     const bool has_n = oriented.find('N') != std::string::npos;
     const seq::PackedSeq qpacked(oriented);
     const auto qcodes = align::dna_codes(oriented);
-    // The striped profile is query-only state: built at most once per
-    // oriented query (lazily, on the first candidate — most junk reads never
-    // produce one) and reused across every candidate this strand probes.
-    std::optional<align::StripedSmithWaterman> striped;
-    // kBatch mode: candidates are buffered across the whole strand and
-    // screened in one inter-candidate SIMD sweep after the seed loop, so the
-    // lanes actually fill. Emission happens in buffer order, which is the
-    // per-candidate emission order — output is bit-identical to kStriped.
-    const bool batch_mode =
-        sh_.cfg.extension.kernel == align::SwKernel::kBatch;
-    std::vector<align::SeedCandidate> pending;
-    std::vector<std::uint32_t> pending_target_ids;
-    // Pooled mode: this strand's query id in the rank queue, registered
-    // lazily on the first candidate (duplicate query bytes dedup inside the
-    // queue and share one striped profile).
+    const std::span<const std::uint8_t> query(qcodes);
+    // This strand's query id in the pooled queue, registered lazily on the
+    // first candidate (duplicate query bytes dedup inside the queue and
+    // share one striped profile).
     std::optional<std::size_t> pooled_qid;
 
     bool exact_done = false;
@@ -198,103 +175,38 @@ class RankAligner {
             (static_cast<std::uint64_t>(diag + (1ll << 28)) >> 3);
         if (!seen_.insert(key).second) continue;
         const Target& t = fetch_target_cached(h.target_id);
-        if (batch_mode && pool_) {
-          // Cross-read pooling: account the candidate now (sw_calls at
-          // buffer time and sw_cells over the projected window, exactly as
-          // the per-read flush below does), then defer scoring into the
-          // rank's length-class-bucketed queue. Window codes are extracted
-          // here; the traceback re-reads the target at resolve time, and
-          // only for screen survivors.
-          ++st_.sw_calls;
-          if (!t.seq.empty()) {
-            const align::SeedWindow w = align::project_seed_window(
-                qcodes.size(), t.seq, q_off, h.t_pos,
-                sh_.cfg.extension.window_pad);
-            st_.sw_cells +=
-                static_cast<std::uint64_t>(w.end - w.begin) * qcodes.size();
-            if (w.begin < w.end) {
-              if (!pooled_qid)
-                pooled_qid = pool_->add_query(
-                    std::span<const std::uint8_t>(qcodes));
-              PooledSlot s;
-              s.read = read_;
-              s.target = &t.seq;
-              s.target_id = h.target_id;
-              s.reverse = reverse;
-              s.qid = *pooled_qid;
-              s.window_begin = w.begin;
-              s.window_end = w.end;
-              const auto tag = static_cast<std::uint64_t>(slots_.size());
-              slots_.push_back(std::move(s));
-              const auto window =
-                  align::dna_codes(t.seq, w.begin, w.end - w.begin);
-              pool_->enqueue(*pooled_qid, window, tag);
-            }
-          }
-          continue;
-        }
-        if (batch_mode) {
-          // Target sequences live in the session-lifetime TargetStore, so
-          // holding pointers across the seed loop is safe.
-          pending.push_back({&t.seq, q_off, h.t_pos});
-          pending_target_ids.push_back(h.target_id);
-          ++st_.sw_calls;
-          continue;
-        }
-        if (sh_.cfg.extension.kernel == align::SwKernel::kStriped && !striped)
-          striped.emplace(std::span<const std::uint8_t>(qcodes),
-                          sh_.cfg.extension.scoring);
-        const auto ext =
-            align::extend_seed(std::span<const std::uint8_t>(qcodes), t.seq,
-                               q_off, h.t_pos, k, sh_.cfg.extension,
-                               min_score_, striped ? &*striped : nullptr);
         ++st_.sw_calls;
-        st_.sw_cells += static_cast<std::uint64_t>(
-                            ext.window_end - ext.window_begin) *
-                        qcodes.size();
-        if (ext.aln.score >= min_score_ && !ext.aln.empty()) {
-          AlignmentRecord rec;
-          rec.query_name = name;
-          rec.target_id = h.target_id;
-          rec.reverse = reverse;
-          rec.score = ext.aln.score;
-          rec.q_begin = ext.aln.q_begin;
-          rec.q_end = ext.aln.q_end;
-          rec.t_begin = ext.aln.t_begin;
-          rec.t_end = ext.aln.t_end;
-          rec.cigar = ext.aln.cigar.to_string();
-          rec.mismatches = ext.aln.mismatches;
-          emit(std::move(rec));
+        if (t.seq.empty()) continue;
+        const align::SeedWindow w = align::project_seed_window(
+            qcodes.size(), t.seq, q_off, h.t_pos, sh_.cfg.extension.window_pad);
+        st_.sw_cells +=
+            static_cast<std::uint64_t>(w.end - w.begin) * qcodes.size();
+        if (w.begin >= w.end) continue;
+
+        const std::size_t idx = slots_.size();
+        Slot& s = slots_.emplace_back();
+        s.read = read_;
+        s.target_id = h.target_id;
+        s.reverse = reverse;
+        if (!pool_) {
+          resolve(s, align::extend_seed(query, t.seq, q_off, h.t_pos, k,
+                                        sh_.cfg.extension, min_score_)
+                         .aln);
+          continue;
         }
+        // kBatch: defer scoring into the rank's length-class-bucketed queue.
+        // Window codes are extracted now; the traceback re-reads the target
+        // when the screen resolves the slot, and only for survivors. (The
+        // enqueue may flush, so `s` is not touched after it.)
+        if (!pooled_qid) pooled_qid = pool_->add_query(query);
+        s.target = &t.seq;
+        s.qid = *pooled_qid;
+        s.q_off = q_off;
+        s.t_off = h.t_pos;
+        pool_->enqueue(*pooled_qid,
+                       align::dna_codes(t.seq, w.begin, w.end - w.begin), idx);
       }
     });
-    if (!pending.empty()) {
-      // (Exact-match success short-circuits before any candidate is
-      // buffered, so a non-empty queue implies the fast path didn't fire.)
-      const auto exts = align::extend_candidates(
-          std::span<const std::uint8_t>(qcodes), pending, k,
-          sh_.cfg.extension, min_score_, &lane_stats_);
-      for (std::size_t c = 0; c < exts.size(); ++c) {
-        const align::Extension& ext = exts[c];
-        st_.sw_cells += static_cast<std::uint64_t>(
-                            ext.window_end - ext.window_begin) *
-                        qcodes.size();
-        if (ext.aln.score >= min_score_ && !ext.aln.empty()) {
-          AlignmentRecord rec;
-          rec.query_name = name;
-          rec.target_id = pending_target_ids[c];
-          rec.reverse = reverse;
-          rec.score = ext.aln.score;
-          rec.q_begin = ext.aln.q_begin;
-          rec.q_end = ext.aln.q_end;
-          rec.t_begin = ext.aln.t_begin;
-          rec.t_end = ext.aln.t_end;
-          rec.cigar = ext.aln.cigar.to_string();
-          rec.mismatches = ext.aln.mismatches;
-          emit(std::move(rec));
-        }
-      }
-    }
     return exact_done;
   }
 
@@ -339,72 +251,65 @@ class RankAligner {
     return t;
   }
 
+  /// A record produced without a kernel (the exact-match fast path) takes a
+  /// born-resolved slot, so it interleaves with candidates in discovery order.
   void emit(AlignmentRecord rec) {
-    if (pool_) {
-      // Pooled mode: inline emissions (exact matches) join the slot log so
-      // they interleave with deferred candidates in the original order.
-      PooledSlot s;
-      s.kind = PooledSlot::Kind::kRecord;
-      s.resolved = true;
-      s.has_record = true;
-      s.read = read_;
-      s.rec = std::move(rec);
-      slots_.push_back(std::move(s));
-      return;
-    }
-    ++records_this_read_;
-    ++st_.alignments_reported;
-    sh_.sink.emit(rank_.id(), *read_, std::move(rec));
+    Slot& s = slots_.emplace_back();
+    s.state = Slot::State::kResolved;
+    s.read = read_;
+    s.rec = std::move(rec);
+  }
+
+  /// Resolve a candidate's slot with its extension; the one place an
+  /// AlignmentRecord is filled from a LocalAlignment.
+  void resolve(Slot& s, const align::LocalAlignment& aln) {
+    s.state = Slot::State::kResolved;
+    if (aln.score < min_score_ || aln.empty()) return;
+    AlignmentRecord& rec = s.rec.emplace();
+    rec.query_name = s.read->name;
+    rec.target_id = s.target_id;
+    rec.reverse = s.reverse;
+    rec.score = aln.score;
+    rec.q_begin = aln.q_begin;
+    rec.q_end = aln.q_end;
+    rec.t_begin = aln.t_begin;
+    rec.t_end = aln.t_end;
+    rec.cigar = aln.cigar.to_string();
+    rec.mismatches = aln.mismatches;
   }
 
   /// PooledExtensionQueue callback: a deferred candidate got its screening
-  /// score. Survivors pay the full-DP traceback now (same kernel, window and
-  /// thresholds as the per-read flush, so the record bytes are identical).
-  void resolve_slot(std::size_t idx, const align::StripedResult& sr) {
-    PooledSlot& s = slots_[idx];
-    s.resolved = true;
-    if (sr.score < min_score_) return;  // screened out, no traceback
-    const auto window =
-        align::dna_codes(*s.target, s.window_begin,
-                         s.window_end - s.window_begin);
-    auto aln = align::smith_waterman(pool_->query_codes(s.qid), window,
-                                     sh_.cfg.extension.scoring);
-    aln.t_begin += s.window_begin;
-    aln.t_end += s.window_begin;
-    if (aln.score < min_score_ || aln.empty()) return;
-    s.has_record = true;
-    s.rec.query_name = s.read->name;
-    s.rec.target_id = s.target_id;
-    s.rec.reverse = s.reverse;
-    s.rec.score = aln.score;
-    s.rec.q_begin = aln.q_begin;
-    s.rec.q_end = aln.q_end;
-    s.rec.t_begin = aln.t_begin;
-    s.rec.t_end = aln.t_end;
-    s.rec.cigar = aln.cigar.to_string();
-    s.rec.mismatches = aln.mismatches;
+  /// score. Survivors pay the full-DP traceback now, over the same window
+  /// extend_seed(kFullDP) uses, so the record bytes match the other kernels.
+  void screened(std::size_t idx, const align::StripedResult& sr) {
+    Slot& s = slots_[idx];
+    if (sr.score < min_score_) {  // screened out, no traceback
+      s.state = Slot::State::kResolved;
+      return;
+    }
+    resolve(s, align::extend_seed(pool_->query_codes(s.qid), *s.target,
+                                  s.q_off, s.t_off, sh_.k, traceback_cfg_)
+                   .aln);
   }
 
-  /// Emit the resolved prefix of the slot log, counting reads_aligned and
-  /// alignments_reported exactly where the per-read path would have.
+  /// Emit the resolved prefix of the emission log — the only place records
+  /// reach the sink and alignments_reported/reads_aligned are counted.
   void advance_cursor() {
     while (cursor_ < slots_.size()) {
-      PooledSlot& s = slots_[cursor_];
-      if (s.kind == PooledSlot::Kind::kReadEnd) {
+      Slot& s = slots_[cursor_];
+      if (s.state == Slot::State::kPending) break;
+      if (s.state == Slot::State::kReadEnd) {
         if (cursor_records_ > 0) ++st_.reads_aligned;
         cursor_records_ = 0;
-      } else {
-        if (!s.resolved) break;
-        if (s.has_record) {
-          ++cursor_records_;
-          ++st_.alignments_reported;
-          sh_.sink.emit(rank_.id(), *s.read, std::move(s.rec));
-        }
+      } else if (s.rec) {
+        ++cursor_records_;
+        ++st_.alignments_reported;
+        sh_.sink.emit(rank_.id(), *s.read, std::move(*s.rec));
       }
       ++cursor_;
     }
     // Fully replayed: drop the log (pointers into reads/targets with it).
-    if (cursor_ == slots_.size() && !slots_.empty()) {
+    if (cursor_ == slots_.size()) {
       slots_.clear();
       cursor_ = 0;
     }
@@ -415,14 +320,12 @@ class RankAligner {
   PipelineStats& st_;
   const seq::SeqRecord* read_ = nullptr;
   std::unordered_set<std::uint64_t> seen_;
-  std::size_t records_this_read_ = 0;
   int min_score_ = 0;
-  // Cross-read pooling state (SwKernel::kBatch with cfg.sw_pooling > 0).
-  std::optional<align::PooledExtensionQueue> pool_;
-  std::vector<PooledSlot> slots_;   ///< deferred emission log
+  align::ExtensionConfig traceback_cfg_;  ///< extension with kFullDP
+  std::optional<align::PooledExtensionQueue> pool_;  ///< kBatch only
+  std::vector<Slot> slots_;         ///< emission log
   std::size_t cursor_ = 0;          ///< first unreplayed slot
   std::size_t cursor_records_ = 0;  ///< replayed records since last kReadEnd
-  align::LaneStats lane_stats_;     ///< this rank's kBatch lane occupancy
 };
 
 /// The per-batch SPMD body: io.reads + align against the prebuilt index.
@@ -511,13 +414,11 @@ void add_batch_metrics(const BatchResult& res, const SessionConfig& cfg) {
         .set(static_cast<double>(res.stats.sw_cells) / 1e9 / align_s);
 
   // Lane occupancy of the inter-candidate engine: how full its SIMD sweeps
-  // ran. The mode label separates cross-read pooled flushing from the
-  // per-read baseline so the pooling win is a one-query PromQL ratio.
+  // ran.
   if (cfg.extension.kernel == align::SwKernel::kBatch) {
     const align::LaneStats& ls = res.lane_stats;
     const obs::Labels lane_labels{
-        {"isa", align::isa_name(align::resolve_isa(cfg.extension.isa))},
-        {"mode", cfg.sw_pooling > 0 ? "pooled" : "per_read"}};
+        {"isa", align::isa_name(align::resolve_isa(cfg.extension.isa))}};
     reg.counter("mera_sw_lanes_filled_total", lane_labels,
                 "SIMD lanes carrying a live candidate in batch SW sweeps")
         .add(static_cast<double>(ls.lanes_filled));
@@ -534,7 +435,7 @@ void add_batch_metrics(const BatchResult& res, const SessionConfig& cfg) {
     for (std::size_t i = 0; i < align::LaneStats::kOccBuckets; ++i)
       occ.observe_n((static_cast<double>(i) + 1.0) /
                         static_cast<double>(align::LaneStats::kOccBuckets),
-                    res.lane_stats.occupancy[i]);
+                    ls.occupancy[i]);
   }
 }
 

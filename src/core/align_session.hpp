@@ -76,15 +76,6 @@ struct SessionConfig {
   /// Minimum score to report; -1 = auto (match score * k, i.e. at least the
   /// seed region must align).
   int min_report_score = -1;
-  /// Cross-read candidate pooling for SwKernel::kBatch (ignored by the other
-  /// kernels): 0 = off (flush per read per strand, the pre-pooling
-  /// behaviour); 1 = on with the auto flush threshold (the resolved tier's
-  /// 8-bit lane width); N >= 2 = on, flush a length-class bucket at N
-  /// pending candidates. Pooling defers scoring into a per-rank
-  /// align::PooledExtensionQueue and replays results in exact per-read
-  /// order, so records, stats and SAM bytes are bit-identical to 0 — only
-  /// lane occupancy (BatchResult::lane_stats) and seconds change.
-  std::size_t sw_pooling = 1;
 };
 
 /// Outcome of one align_batch() call.
@@ -98,8 +89,8 @@ struct BatchResult {
   cache::CacheCounters target_cache;
   /// SIMD lane occupancy of this batch's SwKernel::kBatch sweeps, summed
   /// over ranks (all-zero for other kernels). Deliberately outside
-  /// PipelineStats: pooled and per-read flushing produce identical
-  /// PipelineStats by contract but different lane shapes by design.
+  /// PipelineStats: every kernel produces identical PipelineStats by
+  /// contract, while lane shapes depend on the engine and ISA tier.
   align::LaneStats lane_stats;
 
   [[nodiscard]] double total_time_s() const { return report.total_time_s(); }

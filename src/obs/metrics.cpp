@@ -113,7 +113,7 @@ MetricsRegistry& MetricsRegistry::global() {
 
 MetricsRegistry::Series& MetricsRegistry::find_or_create(
     const std::string& name, const Labels& labels, Kind kind,
-    const std::string& help) {
+    const std::string& help, std::vector<double> bounds) {
   const std::string key = name + render_labels(labels);
   const std::scoped_lock lk(mu_);
   const auto it = series_.find(key);
@@ -128,30 +128,35 @@ MetricsRegistry::Series& MetricsRegistry::find_or_create(
   s.labels = labels;
   s.kind = kind;
   s.help = help;
+  // The instrument is born with its series, under the lock: two threads
+  // registering the same new series must not both construct it.
+  switch (kind) {
+    case Kind::kCounter: s.counter = std::make_unique<Counter>(); break;
+    case Kind::kGauge: s.gauge = std::make_unique<Gauge>(); break;
+    case Kind::kHistogram:
+      s.histogram = std::make_unique<Histogram>(std::move(bounds));
+      break;
+  }
   return series_.emplace(key, std::move(s)).first->second;
 }
 
 Counter& MetricsRegistry::counter(const std::string& name, const Labels& labels,
                                   const std::string& help) {
-  Series& s = find_or_create(name, labels, Kind::kCounter, help);
-  if (!s.counter) s.counter = std::make_unique<Counter>();
-  return *s.counter;
+  return *find_or_create(name, labels, Kind::kCounter, help).counter;
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels,
                               const std::string& help) {
-  Series& s = find_or_create(name, labels, Kind::kGauge, help);
-  if (!s.gauge) s.gauge = std::make_unique<Gauge>();
-  return *s.gauge;
+  return *find_or_create(name, labels, Kind::kGauge, help).gauge;
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       std::vector<double> bounds,
                                       const Labels& labels,
                                       const std::string& help) {
-  Series& s = find_or_create(name, labels, Kind::kHistogram, help);
-  if (!s.histogram) s.histogram = std::make_unique<Histogram>(std::move(bounds));
-  return *s.histogram;
+  return *find_or_create(name, labels, Kind::kHistogram, help,
+                         std::move(bounds))
+              .histogram;
 }
 
 bool MetricsRegistry::value_of(const std::string& name, const Labels& labels,
@@ -174,8 +179,11 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     std::string out = "{";
     for (std::size_t i = 0; i < labels.size(); ++i) {
       if (i) out += ", ";
-      out += "\"" + escape(labels[i].first) + "\": \"" +
-             escape(labels[i].second) + "\"";
+      out += '"';
+      out += escape(labels[i].first);
+      out += "\": \"";
+      out += escape(labels[i].second);
+      out += '"';
     }
     return out + "}";
   };

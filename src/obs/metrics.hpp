@@ -166,7 +166,8 @@ class MetricsRegistry {
   };
 
   Series& find_or_create(const std::string& name, const Labels& labels,
-                         Kind kind, const std::string& help);
+                         Kind kind, const std::string& help,
+                         std::vector<double> bounds = {});
 
   mutable std::mutex mu_;
   /// Key = name + rendered labels; map gives the deterministic export order.

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 
@@ -65,9 +66,12 @@ std::optional<Frame> read_frame(int fd, std::uint64_t max_payload) {
   } h{};
   static_assert(sizeof(Header) == 16);
   if (!read_exact(fd, &h, sizeof h)) return std::nullopt;
-  if (h.magic != kFrameMagic)
-    throw FramingError("bad frame magic 0x" + std::to_string(h.magic) +
+  if (h.magic != kFrameMagic) {
+    char hex[16];
+    std::snprintf(hex, sizeof hex, "0x%08x", static_cast<unsigned>(h.magic));
+    throw FramingError(std::string("bad frame magic ") + hex +
                        " — peer is not speaking the meralignerd protocol");
+  }
   if (h.len > max_payload)
     throw FramingError("frame payload of " + std::to_string(h.len) +
                        " bytes exceeds the " + std::to_string(max_payload) +

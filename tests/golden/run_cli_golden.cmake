@@ -6,10 +6,10 @@
 #   WORKDIR - scratch directory for this run
 #
 # Scenarios:
-#   1. single batch, one run per --sw kernel (full/banded/striped/batch): all
-#      four must produce the SAME golden SAM — the banded, striped and batch
-#      kernels are exact over their windows, so kernel choice must not change
-#      output; --sw batch additionally runs once per pinned --sw-isa tier
+#   1. single batch, one run per --sw kernel (full/banded/batch): all three
+#      must produce the SAME golden SAM — the banded and batch kernels are
+#      exact over their windows, so kernel choice must not change output;
+#      --sw batch additionally runs pinned to the scalar --sw-isa tier
 #   2. multi batch:   --reads reads_a --reads reads_b (one index, two batches)
 #                     -> the SAME record set, since per-read results depend
 #                     only on the prebuilt index, not on batch boundaries
@@ -71,8 +71,8 @@ function(check_sam produced label)
   check_sam_against(${produced} ${GOLDEN} "${label}")
 endfunction()
 
-# --- 1. single batch, all four SW kernel selectors ---------------------------
-foreach(sw full banded striped batch)
+# --- 1. single batch, all three SW kernel selectors --------------------------
+foreach(sw full banded batch)
   execute_process(
     COMMAND ${CLI}
       --targets ${WORKDIR}/contigs.fa
@@ -105,55 +105,24 @@ if(NOT rc EQUAL 0)
 endif()
 check_sam(${WORKDIR}/out_batch_scalar.sam "single-batch --sw batch --sw-isa scalar")
 
-# Cross-read pooling is on by default for --sw batch; disabling it and
-# forcing an odd explicit flush threshold must both still hit the golden
-# bytes — pooling changes flush timing, never output.
-foreach(pool off 5)
+# Removed selectors are usage errors (exit 2 + usage), not silent aliases:
+# the striped kernel and the --sw-pool knob no longer exist.
+foreach(removed "--sw;striped" "--sw;batch;--sw-pool;on")
   execute_process(
     COMMAND ${CLI}
       --targets ${WORKDIR}/contigs.fa
       --reads ${WORKDIR}/reads.fastq
-      --out ${WORKDIR}/out_batch_pool_${pool}.sam
-      --k 31 --ranks 4 --ppn 2 --no-permute --sw batch --sw-pool ${pool}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "--sw batch --sw-pool ${pool} exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
-  endif()
-  check_sam(${WORKDIR}/out_batch_pool_${pool}.sam
-            "single-batch --sw batch --sw-pool ${pool}")
-endforeach()
-
-# --sw-pool validation: malformed thresholds are usage errors (exit 2 +
-# usage), and the flag is rejected outside --sw batch runs.
-foreach(bad 0 -4 lots)
-  execute_process(
-    COMMAND ${CLI}
-      --targets ${WORKDIR}/contigs.fa
-      --reads ${WORKDIR}/reads.fastq
-      --k 31 --ranks 4 --ppn 2 --sw batch --sw-pool ${bad}
+      --k 31 --ranks 4 --ppn 2 ${removed}
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
   if(NOT rc EQUAL 2)
-    message(FATAL_ERROR "--sw-pool ${bad} exited ${rc}, expected usage error 2")
+    message(FATAL_ERROR "'${removed}' exited ${rc}, expected usage error 2")
   endif()
-  if(NOT err MATCHES "sw-pool" OR NOT err MATCHES "meraligner --targets")
-    message(FATAL_ERROR "--sw-pool ${bad} did not print the usage message:\n${err}")
+  if(NOT err MATCHES "meraligner --targets")
+    message(FATAL_ERROR "'${removed}' did not print the usage message:\n${err}")
   endif()
 endforeach()
-execute_process(
-  COMMAND ${CLI}
-    --targets ${WORKDIR}/contigs.fa
-    --reads ${WORKDIR}/reads.fastq
-    --k 31 --ranks 4 --ppn 2 --sw striped --sw-pool on
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 2 OR NOT err MATCHES "requires --sw batch")
-  message(FATAL_ERROR "--sw-pool outside --sw batch was not rejected (rc=${rc}):\n${err}")
-endif()
 
 # --sw-isa help is a first-class query: print the tier table and exit 0,
 # before any input validation.
@@ -189,7 +158,7 @@ execute_process(
   COMMAND ${CLI}
     --targets ${WORKDIR}/contigs.fa
     --reads ${WORKDIR}/reads.fastq
-    --k 31 --ranks 4 --ppn 2 --sw striped --sw-isa scalar
+    --k 31 --ranks 4 --ppn 2 --sw banded --sw-isa scalar
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)

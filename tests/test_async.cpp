@@ -105,7 +105,7 @@ TEST(ParallelShards, BitIdenticalToSerialForEveryKAndKernel) {
   const auto w = make_workload(25'000, 1.0);
 
   for (const SwKernel kernel :
-       {SwKernel::kFullDP, SwKernel::kBanded, SwKernel::kStriped}) {
+       {SwKernel::kFullDP, SwKernel::kBanded, SwKernel::kBatch}) {
     core::SessionConfig sc = cacheless_session();
     sc.extension.kernel = kernel;
 

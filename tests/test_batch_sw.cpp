@@ -250,46 +250,57 @@ TEST(SwIsaDispatch, UnsupportedExplicitTierThrows) {
   GTEST_SKIP() << "every SIMD tier is supported on this host";
 }
 
-// extend_candidates(kBatch) must reproduce per-candidate extend_seed
-// (kStriped) exactly: same screening decisions, scores, coordinates.
-TEST(BatchExtension, MatchesPerCandidateExtendSeed) {
+// extend_seed(kBatch, screen) must reproduce extend_seed(kFullDP) exactly on
+// every tier: survivors get the identical alignment, and a candidate is
+// screened out (empty alignment carrying its score) precisely when its
+// full-DP score falls below the screen.
+TEST(BatchExtension, MatchesFullDpExtendSeed) {
   std::mt19937_64 rng(76);
   const std::string g = random_dna(rng, 4000);
   const PackedSeq target(g);
   for (SwIsa isa : supported_tiers()) {
-    ExtensionConfig striped_cfg;
-    striped_cfg.kernel = SwKernel::kStriped;
+    ExtensionConfig full_cfg;
     ExtensionConfig batch_cfg;
     batch_cfg.kernel = SwKernel::kBatch;
     batch_cfg.isa = isa;
+    std::size_t screened_out = 0, survived = 0;
     for (int trial = 0; trial < 10; ++trial) {
       std::string q = g.substr(rng() % 3800, 100);
       for (int e = 0; e < 4; ++e) q[rng() % q.size()] = "ACGT"[rng() & 3u];
       const auto qc = dna_codes(q);
-      std::vector<SeedCandidate> cands;
-      for (int c = 0; c < 30; ++c)
-        cands.push_back({&target, 20 + rng() % 40, rng() % 3900});
+      const std::span<const std::uint8_t> query(qc);
       const int screen = 30 + static_cast<int>(rng() % 100);
-      const auto got =
-          extend_candidates(std::span<const std::uint8_t>(qc), cands, 21,
-                            batch_cfg, screen);
-      ASSERT_EQ(got.size(), cands.size());
-      for (std::size_t c = 0; c < cands.size(); ++c) {
+      for (int c = 0; c < 30; ++c) {
+        const std::size_t q_off = 20 + rng() % 40;
+        const std::size_t t_off = rng() % 3900;
+        const auto got =
+            extend_seed(query, target, q_off, t_off, 21, batch_cfg, screen);
         const auto want =
-            extend_seed(std::span<const std::uint8_t>(qc), *cands[c].target,
-                        cands[c].q_off, cands[c].t_off, 21, striped_cfg,
-                        screen);
-        ASSERT_EQ(got[c].aln.score, want.aln.score)
-            << isa_name(isa) << " trial=" << trial << " c=" << c;
-        ASSERT_EQ(got[c].aln.t_begin, want.aln.t_begin);
-        ASSERT_EQ(got[c].aln.t_end, want.aln.t_end);
-        ASSERT_EQ(got[c].aln.q_begin, want.aln.q_begin);
-        ASSERT_EQ(got[c].aln.q_end, want.aln.q_end);
-        ASSERT_EQ(got[c].aln.empty(), want.aln.empty());
-        ASSERT_EQ(got[c].window_begin, want.window_begin);
-        ASSERT_EQ(got[c].window_end, want.window_end);
+            extend_seed(query, target, q_off, t_off, 21, full_cfg, screen);
+        const std::string where = std::string(isa_name(isa)) +
+                                  " trial=" + std::to_string(trial) +
+                                  " c=" + std::to_string(c);
+        ASSERT_EQ(got.aln.score, want.aln.score) << where;
+        ASSERT_EQ(got.window_begin, want.window_begin) << where;
+        ASSERT_EQ(got.window_end, want.window_end) << where;
+        if (want.aln.score < screen) {
+          ASSERT_TRUE(got.aln.empty()) << where;
+          ++screened_out;
+          continue;
+        }
+        ++survived;
+        ASSERT_EQ(got.aln.t_begin, want.aln.t_begin) << where;
+        ASSERT_EQ(got.aln.t_end, want.aln.t_end) << where;
+        ASSERT_EQ(got.aln.q_begin, want.aln.q_begin) << where;
+        ASSERT_EQ(got.aln.q_end, want.aln.q_end) << where;
+        ASSERT_EQ(got.aln.cigar.to_string(), want.aln.cigar.to_string())
+            << where;
+        ASSERT_EQ(got.aln.mismatches, want.aln.mismatches) << where;
       }
     }
+    // Both branches of the screen were exercised.
+    EXPECT_GT(screened_out, 0u) << isa_name(isa);
+    EXPECT_GT(survived, 0u) << isa_name(isa);
   }
 }
 

@@ -620,7 +620,7 @@ TEST_F(WarmStartTest, MonolithicWarmStartIsBitIdenticalAllKernels) {
   const auto ref = core::IndexedReference::build(rt, w.contigs, small_index());
 
   for (const SwKernel kernel :
-       {SwKernel::kFullDP, SwKernel::kBanded, SwKernel::kStriped}) {
+       {SwKernel::kFullDP, SwKernel::kBanded, SwKernel::kBatch}) {
     SCOPED_TRACE("kernel=" + std::to_string(static_cast<int>(kernel)));
     const std::string snap = path("k" + std::to_string(static_cast<int>(kernel)));
 
@@ -686,7 +686,7 @@ TEST_F(WarmStartTest, ShardedWarmStartIsBitIdenticalAllKernelsAllK) {
         shard::ShardedReference::build(rt, w.contigs, K, small_index());
     ASSERT_EQ(ref.num_shards(), K);
     for (const SwKernel kernel :
-         {SwKernel::kFullDP, SwKernel::kBanded, SwKernel::kStriped}) {
+         {SwKernel::kFullDP, SwKernel::kBanded, SwKernel::kBatch}) {
       SCOPED_TRACE("K=" + std::to_string(K) +
                    " kernel=" + std::to_string(static_cast<int>(kernel)));
       const std::string snap = path("K" + std::to_string(K) + "_k" +

@@ -9,11 +9,11 @@
 //      per-pair fallback);
 //   2. the queue calls every tag back exactly once with the reference score,
 //      whatever the length-class bucketing and flush thresholds do; and
-//   3. a pooled session (sw_pooling on) emits byte-identical records, SAM
-//      and stats to a per-read session (sw_pooling off), for K in {1,2,4}
-//      shards, on every ISA tier, on mixed-length query sets — compared in
-//      EMISSION ORDER, so any reordering by the deferred-replay machinery
-//      would fail the test.
+//   3. a pooled kBatch session emits byte-identical records, SAM and stats
+//      to a kFullDP session on the same reference, for K in {1,2,4} shards,
+//      on every ISA tier, on mixed-length query sets — compared in EMISSION
+//      ORDER, so any reordering by the deferred-replay machinery would fail
+//      the test.
 #include "align/pooled_queue.hpp"
 
 #include "test_util.hpp"
@@ -214,7 +214,7 @@ TEST(PooledQueue, AutoFlushThresholdIsTheTiersLaneWidth) {
 }
 
 // ---------------------------------------------------------------------------
-// Session-level pooled vs per-read bit-identity
+// Session-level pooled kBatch vs kFullDP bit-identity
 // ---------------------------------------------------------------------------
 
 struct Workload {
@@ -258,14 +258,19 @@ mera::core::IndexConfig small_index(int k = 21) {
   return ic;
 }
 
-mera::core::SessionConfig batch_session(SwIsa isa, std::size_t pooling) {
+/// kFullDP, the reference every pooled kBatch run must reproduce.
+mera::core::SessionConfig full_session() {
   mera::core::SessionConfig sc;
   sc.seed_cache_capacity = 1u << 14;
   sc.target_cache_bytes = 8u << 20;
   sc.exact_match = false;  // force every candidate through the SW kernel
+  return sc;
+}
+
+mera::core::SessionConfig batch_session(SwIsa isa) {
+  mera::core::SessionConfig sc = full_session();
   sc.extension.kernel = SwKernel::kBatch;
   sc.extension.isa = isa;
-  sc.sw_pooling = pooling;
   return sc;
 }
 
@@ -292,7 +297,7 @@ std::string sam_of(const mera::core::IndexedReference& ref, Runtime& rt,
   return os.str();
 }
 
-TEST(PooledSession, PooledEqualsPerReadOnEveryTier) {
+TEST(PooledSession, PooledBatchEqualsFullDpOnEveryTier) {
   const auto w = make_mixed_workload(25'000, 1.2);
   // One reference for every comparison: the index build is SPMD over real
   // threads, so per-seed hit-list order — and therefore candidate discovery
@@ -302,103 +307,85 @@ TEST(PooledSession, PooledEqualsPerReadOnEveryTier) {
   Runtime rt0(Topology(4, 2));
   const auto ref =
       mera::core::IndexedReference::build(rt0, w.contigs, small_index());
-  for (const SwIsa isa : supported_tiers()) {
-    // Per-read flushing (the pre-pooling behaviour) is the reference.
-    Runtime rt1(Topology(4, 2));
-    mera::core::AlignSession s1(ref, batch_session(isa, 0));
-    mera::core::BatchResult b1;
-    const std::string sam1 = sam_of(ref, rt1, s1, w.reads, b1);
+  Runtime rt1(Topology(4, 2));
+  mera::core::AlignSession s1(ref, full_session());
+  mera::core::BatchResult b1;
+  const std::string sam1 = sam_of(ref, rt1, s1, w.reads, b1);
+  ASSERT_GT(b1.stats.alignments_reported, 0u);
 
-    // Pooled, auto threshold AND a deliberately odd explicit threshold —
-    // flush timing must never leak into the output.
-    for (const std::size_t pooling : {std::size_t{1}, std::size_t{5}}) {
-      Runtime rt2(Topology(4, 2));
-      mera::core::AlignSession s2(ref, batch_session(isa, pooling));
-      mera::core::BatchResult b2;
-      const std::string sam2 = sam_of(ref, rt2, s2, w.reads, b2);
-      const std::string what = std::string(isa_name(isa)) +
-                               " pooling=" + std::to_string(pooling);
-      EXPECT_EQ(sam1, sam2) << what;
-      expect_same_stats(b1.stats, b2.stats, what);
-    }
+  for (const SwIsa isa : supported_tiers()) {
+    Runtime rt2(Topology(4, 2));
+    mera::core::AlignSession s2(ref, batch_session(isa));
+    mera::core::BatchResult b2;
+    const std::string sam2 = sam_of(ref, rt2, s2, w.reads, b2);
+    EXPECT_EQ(sam1, sam2) << isa_name(isa);
+    expect_same_stats(b1.stats, b2.stats, isa_name(isa));
+    // The pooled engine really ran: its sweeps are on the lane ledger.
+    EXPECT_GT(b2.lane_stats.flushes, 0u) << isa_name(isa);
   }
 }
 
 TEST(PooledSession, EmissionOrderIsPreservedNotJustTheRecordSet) {
   // VectorSink::take() returns records in emission order; comparing the
-  // vectors UNSORTED proves the pooled replay machinery reproduces the
-  // per-read path's exact per-read / per-strand / per-candidate order.
+  // vectors UNSORTED proves the pooled replay machinery reproduces kFullDP's
+  // exact per-read / per-strand / per-candidate order.
   const auto w = make_mixed_workload(20'000, 1.0, /*seed=*/21);
   // Shared index: candidate discovery order is only defined relative to one
   // concrete build (the SPMD index build makes hit-list order run-specific).
-  Runtime rt1(Topology(4, 2)), rt2(Topology(4, 2));
+  Runtime rt1(Topology(4, 2));
   const auto ref =
       mera::core::IndexedReference::build(rt1, w.contigs, small_index());
-  mera::core::AlignSession s1(ref, batch_session(SwIsa::kAuto, 0));
-  mera::core::AlignSession s2(ref, batch_session(SwIsa::kAuto, 1));
-  mera::core::VectorSink sink1(rt1.nranks()), sink2(rt2.nranks());
+  mera::core::AlignSession s1(ref, full_session());
+  mera::core::VectorSink sink1(rt1.nranks());
   const auto r1 = s1.align_batch(rt1, w.reads, sink1);
-  const auto r2 = s2.align_batch(rt2, w.reads, sink2);
   const auto v1 = sink1.take();
-  const auto v2 = sink2.take();
   ASSERT_GT(v1.size(), 0u);
-  ASSERT_EQ(v1.size(), v2.size());
-  for (std::size_t i = 0; i < v1.size(); ++i) EXPECT_EQ(v1[i], v2[i]) << i;
-  expect_same_stats(r1.stats, r2.stats, "emission order");
+  for (const SwIsa isa : supported_tiers()) {
+    Runtime rt2(Topology(4, 2));
+    mera::core::AlignSession s2(ref, batch_session(isa));
+    mera::core::VectorSink sink2(rt2.nranks());
+    const auto r2 = s2.align_batch(rt2, w.reads, sink2);
+    const auto v2 = sink2.take();
+    ASSERT_EQ(v1.size(), v2.size()) << isa_name(isa);
+    for (std::size_t i = 0; i < v1.size(); ++i)
+      EXPECT_EQ(v1[i], v2[i]) << isa_name(isa) << " i=" << i;
+    expect_same_stats(r1.stats, r2.stats, isa_name(isa));
+  }
 }
 
-TEST(PooledSession, PooledEqualsPerReadAcrossShardCounts) {
+TEST(PooledSession, PooledBatchEqualsFullDpAcrossShardCounts) {
   const auto w = make_mixed_workload(25'000, 1.2, /*seed=*/31);
   for (const int shards : {1, 2, 4}) {
-    // One sharded reference per K, shared by the per-read and pooled runs:
-    // at K=1 records flow through in discovery order, which is only
-    // reproducible against the same built index.
+    // One sharded reference per K, shared by every run: at K=1 records flow
+    // through in discovery order, which is only reproducible against the
+    // same built index.
     Runtime rt0(Topology(4, 2));
     mera::shard::ShardPlanOptions popt;
     popt.shards = shards;
     popt.k = small_index().k;
     const auto ref = mera::shard::ShardedReference::build(
         rt0, w.contigs, plan_shards(w.contigs, popt), small_index());
-    std::string sam_perread;
-    mera::core::PipelineStats stats_perread;
-    for (const std::size_t pooling : {std::size_t{0}, std::size_t{1}}) {
+    const auto run = [&](mera::core::SessionConfig scfg,
+                         mera::core::PipelineStats& stats) {
       Runtime rt(Topology(4, 2));
-      mera::core::SessionConfig scfg = batch_session(SwIsa::kAuto, pooling);
       scfg.max_hits_per_seed = 4096;  // exhaustive: shard-composable regime
       mera::shard::ShardedAlignSession session(ref, scfg);
       std::ostringstream os;
       mera::core::SamStreamSink sam(os, ref.sam_targets(), rt.nranks());
-      const auto res = session.align_batch(rt, w.reads, sam);
-      if (pooling == 0) {
-        sam_perread = os.str();
-        stats_perread = res.stats;
-        ASSERT_FALSE(sam_perread.empty());
-      } else {
-        EXPECT_EQ(sam_perread, os.str()) << "K=" << shards;
-        expect_same_stats(stats_perread, res.stats,
-                          "K=" + std::to_string(shards));
-      }
+      stats = session.align_batch(rt, w.reads, sam).stats;
+      return os.str();
+    };
+    mera::core::PipelineStats full_stats;
+    const std::string full_sam = run(full_session(), full_stats);
+    ASSERT_GT(full_stats.alignments_reported, 0u);
+    for (const SwIsa isa : supported_tiers()) {
+      const std::string what =
+          "K=" + std::to_string(shards) + " " + isa_name(isa);
+      mera::core::PipelineStats stats;
+      EXPECT_EQ(full_sam, run(batch_session(isa), stats)) << what;
+      expect_same_stats(full_stats, stats, what);
     }
   }
-}
-
-TEST(PooledSession, PoolingRaisesLaneOccupancyOnSimdTiers) {
-  if (isa_lanes8(SwIsa::kAuto) <= 1)
-    GTEST_SKIP() << "scalar-only host: no lanes to fill";
-  const auto w = make_mixed_workload(25'000, 1.2, /*seed=*/41);
-  Runtime rt1(Topology(4, 2)), rt2(Topology(4, 2));
-  const auto ref =
-      mera::core::IndexedReference::build(rt1, w.contigs, small_index());
-  mera::core::AlignSession s1(ref, batch_session(SwIsa::kAuto, 0));
-  mera::core::AlignSession s2(ref, batch_session(SwIsa::kAuto, 1));
-  mera::core::CountingSink c1, c2;
-  const auto r1 = s1.align_batch(rt1, w.reads, c1);
-  const auto r2 = s2.align_batch(rt2, w.reads, c2);
-  // The per-read path must have run SIMD sweeps for the comparison to mean
-  // anything; the pooled path must then fill lanes strictly better.
-  ASSERT_GT(r1.lane_stats.groups, 0u);
-  ASSERT_GT(r2.lane_stats.groups, 0u);
-  EXPECT_GT(r2.lane_stats.mean_occupancy(), r1.lane_stats.mean_occupancy());
 }
 
 }  // namespace

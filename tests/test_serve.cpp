@@ -243,7 +243,14 @@ TEST(ServeFraming, BadMagicIsAFramingError) {
   const std::uint32_t bad[4] = {0xDEADBEEF, 1, 0, 0};
   serve::write_all(sp.fds[0], bad, sizeof(bad));
   sp.close_writer();
-  EXPECT_THROW(serve::read_frame(sp.fds[1]), FramingError);
+  try {
+    (void)serve::read_frame(sp.fds[1]);
+    FAIL() << "bad magic was accepted";
+  } catch (const FramingError& e) {
+    // The offending magic is reported in hex, as the protocol spells it.
+    EXPECT_NE(std::string(e.what()).find("0xdeadbeef"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ServeFraming, OversizedFrameIsRejectedBeforeAllocation) {

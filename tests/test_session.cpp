@@ -210,42 +210,17 @@ TEST(Session, SinksAgreeAndSamStreamsEveryBatch) {
   EXPECT_EQ(body, count.records());
 }
 
-TEST(Session, StripedBackendReportsIdenticalRecords) {
-  const auto w = make_workload(25'000, 1.2, /*error=*/0.01);
-  Runtime rt1(Topology(4, 2)), rt2(Topology(4, 2));
-  const auto ref1 = IndexedReference::build(rt1, w.contigs, small_index());
-  const auto ref2 = IndexedReference::build(rt2, w.contigs, small_index());
-
-  SessionConfig full = small_session();
-  full.exact_match = false;  // force every candidate through the SW kernel
-  SessionConfig striped = full;
-  striped.extension.kernel = SwKernel::kStriped;
-
-  AlignSession s1(ref1, full), s2(ref2, striped);
-  VectorSink sink1(rt1.nranks()), sink2(rt2.nranks());
-  (void)s1.align_batch(rt1, w.reads, sink1);
-  (void)s2.align_batch(rt2, w.reads, sink2);
-
-  auto r1 = sink1.take();
-  auto r2 = sink2.take();
-  sort_records(r1);
-  sort_records(r2);
-  ASSERT_EQ(r1.size(), r2.size());
-  for (std::size_t i = 0; i < r1.size(); ++i) EXPECT_EQ(r1[i], r2[i]);
-}
-
 TEST(Session, BatchBackendReportsIdenticalRecordsOnEveryIsaTier) {
-  // The inter-candidate batch engine must be a drop-in for the per-pair
-  // striped screen: same records, same number of SW screens, on every
-  // dispatch tier this host supports.
+  // The inter-candidate batch engine must be a drop-in for the full-DP
+  // reference: same records, same number of SW screens, on every dispatch
+  // tier this host supports.
   const auto w = make_workload(25'000, 1.2, /*error=*/0.01);
   Runtime rt1(Topology(4, 2));
   const auto ref1 = IndexedReference::build(rt1, w.contigs, small_index());
 
-  SessionConfig striped = small_session();
-  striped.exact_match = false;  // force every candidate through the SW kernel
-  striped.extension.kernel = SwKernel::kStriped;
-  AlignSession s1(ref1, striped);
+  SessionConfig full = small_session();
+  full.exact_match = false;  // force every candidate through the SW kernel
+  AlignSession s1(ref1, full);
   VectorSink sink1(rt1.nranks());
   const auto res1 = s1.align_batch(rt1, w.reads, sink1);
   auto r1 = sink1.take();
@@ -258,7 +233,7 @@ TEST(Session, BatchBackendReportsIdenticalRecordsOnEveryIsaTier) {
     if (!mera::align::isa_supported(isa)) continue;
     Runtime rt2(Topology(4, 2));
     const auto ref2 = IndexedReference::build(rt2, w.contigs, small_index());
-    SessionConfig batch = striped;
+    SessionConfig batch = full;
     batch.extension.kernel = SwKernel::kBatch;
     batch.extension.isa = isa;
     AlignSession s2(ref2, batch);
@@ -269,8 +244,8 @@ TEST(Session, BatchBackendReportsIdenticalRecordsOnEveryIsaTier) {
     ASSERT_EQ(r1.size(), r2.size()) << mera::align::isa_name(isa);
     for (std::size_t i = 0; i < r1.size(); ++i)
       ASSERT_EQ(r1[i], r2[i]) << mera::align::isa_name(isa) << " i=" << i;
-    // Batch mode buffers candidates instead of extending inline, but must
-    // screen exactly the same candidate set.
+    // Batch mode defers scoring instead of extending inline, but must screen
+    // exactly the same candidate set.
     EXPECT_EQ(res1.stats.sw_calls, res2.stats.sw_calls)
         << mera::align::isa_name(isa);
   }

@@ -280,7 +280,7 @@ TEST(ShardedSession, OutputBitIdenticalToMonolithicSessionAllKernelsAllK) {
   const auto w = make_workload(30'000, 1.5, /*error=*/0.005);
 
   for (const SwKernel kernel :
-       {SwKernel::kFullDP, SwKernel::kBanded, SwKernel::kStriped}) {
+       {SwKernel::kFullDP, SwKernel::kBanded, SwKernel::kBatch}) {
     core::SessionConfig sc = exhaustive_session();
     sc.extension.kernel = kernel;
 

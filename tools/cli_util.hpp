@@ -1,4 +1,6 @@
-// Minimal flag parsing shared by the command-line tools.
+// Minimal flag parsing shared by the command-line tools, plus the one
+// mapping from aligner flags to IndexConfig/SessionConfig that meraligner
+// and meralignerd both use.
 #pragma once
 
 #include <cstdlib>
@@ -8,6 +10,12 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "align/batch_sw.hpp"
+#include "align/extension.hpp"
+#include "core/align_session.hpp"
+#include "core/indexed_reference.hpp"
+#include "shard/shard_planner.hpp"
 
 namespace mera::tools {
 
@@ -89,5 +97,122 @@ class Args {
   std::map<std::string, std::vector<std::string>> flags_;
   std::vector<std::string> positional_;
 };
+
+inline align::SwKernel parse_kernel(const std::string& name) {
+  using align::SwKernel;
+  if (name == "full") return SwKernel::kFullDP;
+  if (name == "banded") return SwKernel::kBanded;
+  if (name == "batch") return SwKernel::kBatch;
+  throw UsageError("--sw expects full|banded|batch, got '" + name + "'");
+}
+
+/// --sw-isa: validated here so a typo or a tier this machine can't run is a
+/// usage error up front, not a mid-run exception from the first batch.
+inline align::SwIsa parse_sw_isa(const std::string& name) {
+  const auto isa = align::parse_isa(name);
+  if (!isa)
+    throw UsageError("--sw-isa expects auto|scalar|sse2|avx2|avx512, got '" +
+                     name + "'");
+  if (!align::isa_supported(*isa))
+    throw UsageError(
+        "--sw-isa " + name +
+        ": tier not available (not compiled in or not supported by this CPU)");
+  return *isa;
+}
+
+inline shard::ShardWeight parse_shard_weight(const std::string& name) {
+  using shard::ShardWeight;
+  if (name == "cost") return ShardWeight::kCostModel;
+  if (name == "bases") return ShardWeight::kBases;
+  throw UsageError("--shard-by expects cost|bases, got '" + name + "'");
+}
+
+/// The @PG CL field: the invocation verbatim, space-separated.
+inline std::string command_line_of(int argc, char** argv) {
+  std::string cl;
+  for (int i = 0; i < argc; ++i) {
+    if (i) cl += ' ';
+    cl += argv[i];
+  }
+  return cl;
+}
+
+/// Index and session configuration of an aligner invocation.
+struct AlignerFlags {
+  core::IndexConfig index;
+  core::SessionConfig session;
+};
+
+/// Map the index/session flags meraligner and meralignerd share (--k, --S,
+/// --fragment-len, --max-hits, --sw, --sw-isa, the --no-* switches and
+/// --cache-admission) onto their configs, with the tools' defaults.
+inline AlignerFlags aligner_flags(const Args& args) {
+  AlignerFlags f;
+  core::IndexConfig& icfg = f.index;
+  icfg.k = static_cast<int>(args.get_int("k", 51));
+  icfg.buffer_S = static_cast<std::size_t>(args.get_int("S", 1000));
+  icfg.fragment_len =
+      static_cast<std::size_t>(args.get_int("fragment-len", 1024));
+  icfg.exact_match = !args.has("no-exact");
+  icfg.aggregating_stores = !args.has("no-aggregation");
+
+  core::SessionConfig& scfg = f.session;
+  scfg.max_hits_per_seed =
+      static_cast<std::size_t>(args.get_int("max-hits", 32));
+  scfg.exact_match = icfg.exact_match;
+  scfg.seed_cache = !args.has("no-seed-cache");
+  scfg.target_cache = !args.has("no-target-cache");
+  scfg.permute_queries = !args.has("no-permute");
+  scfg.extension.kernel = parse_kernel(args.get("sw", "full"));
+  if (args.has("sw-isa")) {
+    // Only the batch kernel dispatches on ISA; elsewhere the flag would be a
+    // silent no-op.
+    if (scfg.extension.kernel != align::SwKernel::kBatch)
+      throw UsageError("--sw-isa requires --sw batch");
+    scfg.extension.isa = parse_sw_isa(args.get("sw-isa"));
+  }
+  scfg.cache_admission = args.has("cache-admission");
+  return f;
+}
+
+/// What --shards / repeated --targets / --shard-parallel ask for.
+struct ShardFlags {
+  long shards = 0;         ///< --shards K as given (0 = absent)
+  bool sharded = false;    ///< K >= 2 or more than one --targets file
+  int parallel = 0;        ///< --shard-parallel J (0 = auto)
+};
+
+inline ShardFlags shard_flags(const Args& args, std::size_t target_files) {
+  ShardFlags f;
+  f.shards = args.get_int("shards", 0);
+  if (args.has("shards") && f.shards < 1)
+    throw UsageError("--shards must be >= 1");
+  if (target_files > 1 && f.shards != 0 &&
+      f.shards != static_cast<long>(target_files))
+    throw UsageError(
+        "--shards conflicts with repeated --targets (one shard per file)");
+  f.sharded = target_files > 1 || f.shards > 1;
+  // --shard-by steers the planner, which only runs when one collection is
+  // being split; anywhere else the flag would be a silent no-op.
+  if (args.has("shard-by") && (target_files > 1 || f.shards < 2))
+    throw UsageError(
+        "--shard-by requires --shards K (K >= 2) with a single --targets "
+        "collection");
+  // --shard-parallel sizes the shard executor; without shards it would be a
+  // silent no-op. 0/negative (and non-numeric, via get_int) are errors — "no
+  // parallelism" is spelled --shard-parallel 1.
+  if (args.has("shard-parallel")) {
+    if (!f.sharded)
+      throw UsageError(
+          "--shard-parallel requires a sharded reference (--shards K or "
+          "repeated --targets)");
+    const long j = args.get_int("shard-parallel", 0);
+    if (j < 1)
+      throw UsageError("--shard-parallel must be >= 1, got " +
+                       args.get("shard-parallel"));
+    f.parallel = static_cast<int>(j);
+  }
+  return f;
+}
 
 }  // namespace mera::tools

@@ -4,8 +4,8 @@
 //   meraligner --targets contigs.fa --reads batch1.{fastq,sdb}
 //              [--reads batch2.fastq ...] [--out out.sam] [--k 51]
 //              [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]
-//              [--fragment-len 1024] [--sw full|banded|striped|batch]
-//              [--sw-isa auto|...|help] [--sw-pool on|off|N] [--no-exact]
+//              [--fragment-len 1024] [--sw full|banded|batch]
+//              [--sw-isa auto|...|help] [--no-exact]
 //              [--no-seed-cache] [--no-target-cache] [--no-aggregation]
 //              [--no-permute] [--stats]
 //              [--shards K] [--shard-by cost|bases] [--shard-parallel J]
@@ -83,9 +83,8 @@ constexpr const char* kUsage =
     "meraligner --targets contigs.fa --reads batch1.{fastq,sdb}\n"
     "           [--reads batch2.fastq ...] [--out out.sam] [--k 51]\n"
     "           [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]\n"
-    "           [--fragment-len 1024] [--sw full|banded|striped|batch]\n"
+    "           [--fragment-len 1024] [--sw full|banded|batch]\n"
     "           [--sw-isa auto|scalar|sse2|avx2|avx512|help]\n"
-    "           [--sw-pool on|off|N]\n"
     "           [--no-exact] [--no-seed-cache] [--no-target-cache]\n"
     "           [--no-aggregation] [--no-permute] [--stats]\n"
     "           [--shards K] [--shard-by cost|bases] [--shard-parallel J]\n"
@@ -107,68 +106,17 @@ constexpr const char* kUsage =
     "--load-cache DIR warm-starts from such a snapshot (same reference,\n"
     "topology and cost model required). Warm runs emit the same SAM bytes\n"
     "as cold ones — only the remote-lookup work changes.\n"
-    "--sw batch screens each read's candidates in one inter-candidate SIMD\n"
-    "sweep; --sw-isa (or MERA_SW_ISA in the environment) pins its dispatch\n"
-    "tier — the default auto picks the widest the CPU supports. Every tier\n"
-    "emits bit-identical SAM. --sw-isa help (or MERA_SW_ISA=help) prints the\n"
-    "tiers this build and CPU actually support, then exits.\n"
-    "--sw-pool pools candidates ACROSS reads into query-length-class buckets\n"
-    "and flushes a bucket through the batch engine only once it can fill the\n"
-    "tier's SIMD lanes (on = default for --sw batch, auto threshold; off =\n"
-    "flush per read, the pre-pooling behaviour; N = explicit per-bucket\n"
-    "flush threshold). Pooling replays results in exact per-read order, so\n"
-    "SAM bytes and stats are identical at every setting — only lane\n"
-    "occupancy (mera_sw_lane_* metrics) and seconds change.\n"
+    "--sw batch pools candidates across reads into query-length-class\n"
+    "buckets and screens a bucket in one inter-candidate SIMD sweep once it\n"
+    "fills the tier's lanes; only survivors pay the full-DP traceback.\n"
+    "--sw-isa (or MERA_SW_ISA in the environment) pins its dispatch tier —\n"
+    "the default auto picks the widest the CPU supports. Every kernel and\n"
+    "tier emits bit-identical SAM. --sw-isa help (or MERA_SW_ISA=help)\n"
+    "prints the tiers this build and CPU actually support, then exits.\n"
     "--trace FILE.json records a Chrome Trace Event timeline (open in\n"
     "chrome://tracing or ui.perfetto.dev); --metrics FILE dumps the metrics\n"
     "registry as JSON (--metrics-format prom for Prometheus text). Neither\n"
     "changes a SAM byte. --quiet silences informational stderr lines.";
-
-mera::align::SwKernel parse_kernel(const std::string& name) {
-  using mera::align::SwKernel;
-  if (name == "full") return SwKernel::kFullDP;
-  if (name == "banded") return SwKernel::kBanded;
-  if (name == "striped") return SwKernel::kStriped;
-  if (name == "batch") return SwKernel::kBatch;
-  throw mera::tools::UsageError(
-      "--sw expects full|banded|striped|batch, got '" + name + "'");
-}
-
-/// --sw-isa: validated here so a typo or a tier this machine can't run is a
-/// usage error up front, not a mid-run exception from the first batch.
-mera::align::SwIsa parse_sw_isa(const std::string& name) {
-  const auto isa = mera::align::parse_isa(name);
-  if (!isa)
-    throw mera::tools::UsageError(
-        "--sw-isa expects auto|scalar|sse2|avx2|avx512, got '" + name + "'");
-  if (!mera::align::isa_supported(*isa))
-    throw mera::tools::UsageError(
-        "--sw-isa " + name +
-        ": tier not available (not compiled in or not supported by this CPU)");
-  return *isa;
-}
-
-/// --sw-pool: cross-read candidate pooling for --sw batch. on = the auto
-/// flush threshold (the resolved tier's 8-bit lane width), off = flush per
-/// read, N >= 1 = explicit per-bucket flush threshold (1 == on).
-std::size_t parse_sw_pool(const std::string& v) {
-  if (v == "on") return 1;
-  if (v == "off") return 0;
-  char* end = nullptr;
-  const long n = std::strtol(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || n < 1)
-    throw mera::tools::UsageError("--sw-pool expects on|off|N (N >= 1), got '" +
-                                  v + "'");
-  return static_cast<std::size_t>(n);
-}
-
-mera::shard::ShardWeight parse_shard_weight(const std::string& name) {
-  using mera::shard::ShardWeight;
-  if (name == "cost") return ShardWeight::kCostModel;
-  if (name == "bases") return ShardWeight::kBases;
-  throw mera::tools::UsageError("--shard-by expects cost|bases, got '" + name +
-                                "'");
-}
 
 /// FASTQ batches get the one-time lossless SeqDB conversion.
 std::string ensure_seqdb(const std::string& reads) {
@@ -179,16 +127,6 @@ std::string ensure_seqdb(const std::string& reads) {
     return db;
   }
   return reads;
-}
-
-/// The @PG CL field: the invocation verbatim, space-separated.
-std::string command_line_of(int argc, char** argv) {
-  std::string cl;
-  for (int i = 0; i < argc; ++i) {
-    if (i) cl += ' ';
-    cl += argv[i];
-  }
-  return cl;
 }
 
 void print_batch_line(std::size_t b, std::size_t nbatches,
@@ -321,7 +259,7 @@ int main(int argc, char** argv) {
   }
   try {
     args.check_known({"targets", "reads", "out", "k", "ranks", "ppn", "S",
-                      "max-hits", "fragment-len", "sw", "sw-isa", "sw-pool",
+                      "max-hits", "fragment-len", "sw", "sw-isa",
                       "no-exact", "no-seed-cache", "no-target-cache",
                       "no-aggregation", "no-permute", "stats", "shards",
                       "shard-by", "shard-parallel", "no-prefetch",
@@ -349,37 +287,7 @@ int main(int argc, char** argv) {
     if (batches.empty()) throw tools::UsageError("missing required flag --reads");
     const std::string out = args.get("out");
 
-    core::IndexConfig icfg;
-    icfg.k = static_cast<int>(args.get_int("k", 51));
-    icfg.buffer_S = static_cast<std::size_t>(args.get_int("S", 1000));
-    icfg.fragment_len =
-        static_cast<std::size_t>(args.get_int("fragment-len", 1024));
-    icfg.exact_match = !args.has("no-exact");
-    icfg.aggregating_stores = !args.has("no-aggregation");
-
-    core::SessionConfig scfg;
-    scfg.max_hits_per_seed =
-        static_cast<std::size_t>(args.get_int("max-hits", 32));
-    scfg.exact_match = icfg.exact_match;
-    scfg.seed_cache = !args.has("no-seed-cache");
-    scfg.target_cache = !args.has("no-target-cache");
-    scfg.permute_queries = !args.has("no-permute");
-    scfg.extension.kernel = parse_kernel(args.get("sw", "full"));
-    if (args.has("sw-isa")) {
-      // Only the batch kernel dispatches on ISA; elsewhere the flag would be
-      // a silent no-op.
-      if (scfg.extension.kernel != align::SwKernel::kBatch)
-        throw tools::UsageError("--sw-isa requires --sw batch");
-      scfg.extension.isa = parse_sw_isa(args.get("sw-isa"));
-    }
-    if (args.has("sw-pool")) {
-      // Pooling only exists inside the batch engine; elsewhere the flag
-      // would be a silent no-op.
-      if (scfg.extension.kernel != align::SwKernel::kBatch)
-        throw tools::UsageError("--sw-pool requires --sw batch");
-      scfg.sw_pooling = parse_sw_pool(args.get("sw-pool"));
-    }
-    scfg.cache_admission = args.has("cache-admission");
+    const auto [icfg, scfg] = tools::aligner_flags(args);
 
     const std::string save_cache_dir = args.get("save-cache");
     const std::string load_cache_dir = args.get("load-cache");
@@ -398,40 +306,13 @@ int main(int argc, char** argv) {
 
     core::SamProgram pg;
     pg.name = "meraligner";
-    pg.command_line = command_line_of(argc, argv);
+    pg.command_line = tools::command_line_of(argc, argv);
 
-    const long shards_flag = args.get_int("shards", 0);
-    if (args.has("shards") && shards_flag < 1)
-      throw tools::UsageError("--shards must be >= 1");
-    if (target_files.size() > 1 && shards_flag != 0 &&
-        shards_flag != static_cast<long>(target_files.size()))
-      throw tools::UsageError(
-          "--shards conflicts with repeated --targets (one shard per file)");
-    const bool sharded = target_files.size() > 1 || shards_flag > 1;
-    // --shard-by steers the planner, which only runs when one collection is
-    // being split; anywhere else the flag would be a silent no-op.
-    if (args.has("shard-by") && (target_files.size() > 1 || shards_flag < 2))
-      throw tools::UsageError(
-          "--shard-by requires --shards K (K >= 2) with a single --targets "
-          "collection");
-    // --shard-parallel sizes the shard executor; without shards it would be
-    // a silent no-op. 0/negative (and non-numeric, via get_int) are errors —
-    // "no parallelism" is spelled --shard-parallel 1.
-    int shard_parallel = 0;  // 0 = auto: min(K, hardware threads / ranks)
-    if (args.has("shard-parallel")) {
-      if (!sharded)
-        throw tools::UsageError(
-            "--shard-parallel requires a sharded reference (--shards K or "
-            "repeated --targets)");
-      const long j = args.get_int("shard-parallel", 0);
-      if (j < 1)
-        throw tools::UsageError("--shard-parallel must be >= 1, got " +
-                                args.get("shard-parallel"));
-      shard_parallel = static_cast<int>(j);
-    }
+    const tools::ShardFlags shard_cfg =
+        tools::shard_flags(args, target_files.size());
     const bool prefetch = !args.has("no-prefetch");
 
-    if (!sharded) {
+    if (!shard_cfg.sharded) {
       // ---- single-index path ---------------------------------------------
       const auto ref =
           core::IndexedReference::build_from_fasta(rt, target_files[0], icfg);
@@ -497,8 +378,8 @@ int main(int argc, char** argv) {
       ref = shard::ShardedReference::build_from_fastas(rt, target_files, icfg);
     } else {
       shard::ShardPlanOptions popt;
-      popt.shards = static_cast<int>(shards_flag);
-      popt.weight = parse_shard_weight(args.get("shard-by", "cost"));
+      popt.shards = static_cast<int>(shard_cfg.shards);
+      popt.weight = tools::parse_shard_weight(args.get("shard-by", "cost"));
       popt.k = icfg.k;
       const auto targets = seq::read_fasta(target_files[0]);
       ref = shard::ShardedReference::build(
@@ -524,13 +405,13 @@ int main(int argc, char** argv) {
           ref->shard(s).build_report().total_time_s());
     if (args.has("stats")) ref->build_report().print(std::cerr);
 
-    shard::ShardedSessionConfig sscfg{scfg, shard_parallel};
+    shard::ShardedSessionConfig sscfg{scfg, shard_cfg.parallel};
     shard::ShardedAlignSession session(*ref, sscfg);
     obs::Log::info(
         "shard executor: %d of %d shards in parallel "
         "per batch (%s)",
         session.effective_parallelism(rt.nranks()), session.num_shards(),
-        shard_parallel > 0 ? "--shard-parallel" : "auto");
+        shard_cfg.parallel > 0 ? "--shard-parallel" : "auto");
     if (!load_cache_dir.empty())
       load_caches_or_usage_error(session, rt, load_cache_dir, load_cache_dir);
     std::optional<core::SamFileSink> sam;

@@ -3,8 +3,8 @@
 // Usage:
 //   meralignerd --targets contigs.fa --socket /run/mera.sock
 //               [--k 51] [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]
-//               [--fragment-len 1024] [--sw full|banded|striped|batch]
-//               [--sw-isa auto|...] [--sw-pool on|off|N] [--no-exact]
+//               [--fragment-len 1024] [--sw full|banded|batch]
+//               [--sw-isa auto|...] [--no-exact]
 //               [--no-seed-cache] [--no-target-cache] [--no-aggregation]
 //               [--no-permute] [--cache-admission]
 //               [--shards K] [--shard-by cost|bases] [--shard-parallel J]
@@ -55,8 +55,8 @@ namespace {
 constexpr const char* kUsage =
     "meralignerd --targets contigs.fa --socket /run/mera.sock\n"
     "            [--k 51] [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]\n"
-    "            [--fragment-len 1024] [--sw full|banded|striped|batch]\n"
-    "            [--sw-isa auto|scalar|sse2|avx2|avx512] [--sw-pool on|off|N]\n"
+    "            [--fragment-len 1024] [--sw full|banded|batch]\n"
+    "            [--sw-isa auto|scalar|sse2|avx2|avx512]\n"
     "            [--no-exact] [--no-seed-cache] [--no-target-cache]\n"
     "            [--no-aggregation] [--no-permute] [--cache-admission]\n"
     "            [--shards K] [--shard-by cost|bases] [--shard-parallel J]\n"
@@ -75,56 +75,6 @@ constexpr const char* kUsage =
     "Clients can scrape the Prometheus metrics (incl. tenant= series) with\n"
     "a MetricsReq frame: meraligner_client --socket S --metrics -.";
 
-mera::align::SwKernel parse_kernel(const std::string& name) {
-  using mera::align::SwKernel;
-  if (name == "full") return SwKernel::kFullDP;
-  if (name == "banded") return SwKernel::kBanded;
-  if (name == "striped") return SwKernel::kStriped;
-  if (name == "batch") return SwKernel::kBatch;
-  throw mera::tools::UsageError(
-      "--sw expects full|banded|striped|batch, got '" + name + "'");
-}
-
-mera::align::SwIsa parse_sw_isa(const std::string& name) {
-  const auto isa = mera::align::parse_isa(name);
-  if (!isa)
-    throw mera::tools::UsageError(
-        "--sw-isa expects auto|scalar|sse2|avx2|avx512, got '" + name + "'");
-  if (!mera::align::isa_supported(*isa))
-    throw mera::tools::UsageError(
-        "--sw-isa " + name +
-        ": tier not available (not compiled in or not supported by this CPU)");
-  return *isa;
-}
-
-std::size_t parse_sw_pool(const std::string& v) {
-  if (v == "on") return 1;
-  if (v == "off") return 0;
-  char* end = nullptr;
-  const long n = std::strtol(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || n < 1)
-    throw mera::tools::UsageError("--sw-pool expects on|off|N (N >= 1), got '" +
-                                  v + "'");
-  return static_cast<std::size_t>(n);
-}
-
-mera::shard::ShardWeight parse_shard_weight(const std::string& name) {
-  using mera::shard::ShardWeight;
-  if (name == "cost") return ShardWeight::kCostModel;
-  if (name == "bases") return ShardWeight::kBases;
-  throw mera::tools::UsageError("--shard-by expects cost|bases, got '" + name +
-                                "'");
-}
-
-std::string command_line_of(int argc, char** argv) {
-  std::string cl;
-  for (int i = 0; i < argc; ++i) {
-    if (i) cl += ' ';
-    cl += argv[i];
-  }
-  return cl;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -137,7 +87,7 @@ int main(int argc, char** argv) {
   }
   try {
     args.check_known({"targets", "socket", "k", "ranks", "ppn", "S",
-                      "max-hits", "fragment-len", "sw", "sw-isa", "sw-pool",
+                      "max-hits", "fragment-len", "sw", "sw-isa",
                       "no-exact", "no-seed-cache", "no-target-cache",
                       "no-aggregation", "no-permute", "cache-admission",
                       "shards", "shard-by", "shard-parallel", "cache-dir",
@@ -151,33 +101,7 @@ int main(int argc, char** argv) {
     if (socket_path.empty() || socket_path == "1")
       throw tools::UsageError("missing required flag --socket PATH");
 
-    core::IndexConfig icfg;
-    icfg.k = static_cast<int>(args.get_int("k", 51));
-    icfg.buffer_S = static_cast<std::size_t>(args.get_int("S", 1000));
-    icfg.fragment_len =
-        static_cast<std::size_t>(args.get_int("fragment-len", 1024));
-    icfg.exact_match = !args.has("no-exact");
-    icfg.aggregating_stores = !args.has("no-aggregation");
-
-    core::SessionConfig scfg;
-    scfg.max_hits_per_seed =
-        static_cast<std::size_t>(args.get_int("max-hits", 32));
-    scfg.exact_match = icfg.exact_match;
-    scfg.seed_cache = !args.has("no-seed-cache");
-    scfg.target_cache = !args.has("no-target-cache");
-    scfg.permute_queries = !args.has("no-permute");
-    scfg.extension.kernel = parse_kernel(args.get("sw", "full"));
-    if (args.has("sw-isa")) {
-      if (scfg.extension.kernel != align::SwKernel::kBatch)
-        throw tools::UsageError("--sw-isa requires --sw batch");
-      scfg.extension.isa = parse_sw_isa(args.get("sw-isa"));
-    }
-    if (args.has("sw-pool")) {
-      if (scfg.extension.kernel != align::SwKernel::kBatch)
-        throw tools::UsageError("--sw-pool requires --sw batch");
-      scfg.sw_pooling = parse_sw_pool(args.get("sw-pool"));
-    }
-    scfg.cache_admission = args.has("cache-admission");
+    const auto [icfg, scfg] = tools::aligner_flags(args);
 
     serve::DaemonConfig dcfg;
     dcfg.socket_path = socket_path;
@@ -211,32 +135,10 @@ int main(int argc, char** argv) {
     pgas::Runtime build_rt(topo);
 
     dcfg.program.name = "meralignerd";
-    dcfg.program.command_line = command_line_of(argc, argv);
+    dcfg.program.command_line = tools::command_line_of(argc, argv);
 
-    const long shards_flag = args.get_int("shards", 0);
-    if (args.has("shards") && shards_flag < 1)
-      throw tools::UsageError("--shards must be >= 1");
-    if (target_files.size() > 1 && shards_flag != 0 &&
-        shards_flag != static_cast<long>(target_files.size()))
-      throw tools::UsageError(
-          "--shards conflicts with repeated --targets (one shard per file)");
-    const bool sharded = target_files.size() > 1 || shards_flag > 1;
-    if (args.has("shard-by") && (target_files.size() > 1 || shards_flag < 2))
-      throw tools::UsageError(
-          "--shard-by requires --shards K (K >= 2) with a single --targets "
-          "collection");
-    int shard_parallel = 0;
-    if (args.has("shard-parallel")) {
-      if (!sharded)
-        throw tools::UsageError(
-            "--shard-parallel requires a sharded reference (--shards K or "
-            "repeated --targets)");
-      const long j = args.get_int("shard-parallel", 0);
-      if (j < 1)
-        throw tools::UsageError("--shard-parallel must be >= 1, got " +
-                                args.get("shard-parallel"));
-      shard_parallel = static_cast<int>(j);
-    }
+    const tools::ShardFlags shard_cfg =
+        tools::shard_flags(args, target_files.size());
 
     // ---- build the warm engine once ----------------------------------------
     // The shard executor (when any) is created HERE, sized once, and handed
@@ -244,7 +146,7 @@ int main(int argc, char** argv) {
     // process-wide budget, however many clients connect.
     std::optional<exec::ThreadPool> pool;
     std::optional<serve::Backend> backend;
-    if (!sharded) {
+    if (!shard_cfg.sharded) {
       auto ref =
           core::IndexedReference::build_from_fasta(build_rt, target_files[0],
                                                    icfg);
@@ -258,8 +160,8 @@ int main(int argc, char** argv) {
                                                          target_files, icfg);
       } else {
         shard::ShardPlanOptions popt;
-        popt.shards = static_cast<int>(shards_flag);
-        popt.weight = parse_shard_weight(args.get("shard-by", "cost"));
+        popt.shards = static_cast<int>(shard_cfg.shards);
+        popt.weight = tools::parse_shard_weight(args.get("shard-by", "cost"));
         popt.k = icfg.k;
         const auto targets = seq::read_fasta(target_files[0]);
         ref = shard::ShardedReference::build(
@@ -268,9 +170,9 @@ int main(int argc, char** argv) {
       obs::Log::info("sharded index built: %d shards, %u targets, %zu entries",
                      ref->num_shards(), ref->num_targets(),
                      ref->index_entries());
-      shard::ShardedSessionConfig sscfg{scfg, shard_parallel, nullptr};
-      const int J = shard_parallel > 0
-                        ? shard_parallel
+      shard::ShardedSessionConfig sscfg{scfg, shard_cfg.parallel, nullptr};
+      const int J = shard_cfg.parallel > 0
+                        ? shard_cfg.parallel
                         : exec::ThreadPool::default_parallelism(
                               ref->num_shards(), nranks);
       if (J > 1) {
