@@ -20,6 +20,12 @@
 // auto-dispatch reaches AVX2 or wider the run fails unless the widest tier
 // clears 2x the per-pair striped baseline.
 //
+// A second section aligns the same candidates end to end — smith_waterman
+// per pair (the --sw full reference) vs the traced sweep (the default
+// --sw batch kernel) at every tier — and aborts on any field mismatch; its
+// speedup_vs_full_dp rows are what CI gates on AVX2+ runners. A third
+// compares per-read against pooled flushing of the traced sweep.
+//
 // Output: paper-style stdout rows + BENCH_fig15.json. Pass --smoke for the
 // CI-sized workload.
 #include <cstdio>
@@ -32,12 +38,14 @@
 #include "align/batch_sw.hpp"
 #include "align/pooled_queue.hpp"
 #include "align/scoring.hpp"
+#include "align/smith_waterman.hpp"
 #include "align/striped_sw.hpp"
 #include "bench_common.hpp"
 
 namespace {
 
 using mera::align::BatchSwScorer;
+using mera::align::LocalAlignment;
 using mera::align::Scoring;
 using mera::align::StripedResult;
 using mera::align::StripedSmithWaterman;
@@ -200,15 +208,97 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // ---- traced sweep vs scalar full DP: whole alignments --------------------
+  // What the aligner's default kernel actually runs: every candidate of the
+  // workload above aligned end to end (score, spans, CIGAR, mismatches, gap
+  // columns) — by smith_waterman one pair at a time, and by the traced
+  // sweep one lane group at a time. Any field mismatch aborts.
+  std::vector<LocalAlignment> full_dp;
+  full_dp.reserve(nreads * ncand);
+  double full_best_s = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    std::vector<LocalAlignment> out;
+    out.reserve(nreads * ncand);
+    const double t0 = now_s();
+    for (const auto& rc : cases)
+      for (const auto& t : rc.targets)
+        out.push_back(mera::align::smith_waterman(
+            std::span<const std::uint8_t>(rc.query),
+            std::span<const std::uint8_t>(t), sc));
+    const double dt = now_s() - t0;
+    if (rep == 0 || dt < full_best_s) full_best_s = dt;
+    if (rep == 0) full_dp = std::move(out);
+  }
+  std::printf("\ntraced alignment (score + CIGAR), %.0f pairs\n", npairs);
+  std::printf("%-10s %12s %16s %10s\n", "engine", "best(s)", "candidates/s",
+              "speedup");
+  std::printf("%-10s %12.4f %16.0f %9.2fx\n", "full_dp", full_best_s,
+              npairs / full_best_s, 1.0);
+  json.config("full_dp_per_pair");
+  json.metric("best_s", full_best_s);
+  json.metric("candidates_per_s", npairs / full_best_s);
+
+  double widest_traced_speedup = 0.0;
+  mera::align::TraceScratch scratch;
+  for (const SwIsa isa : {SwIsa::kScalar, SwIsa::kSse2, SwIsa::kAvx2,
+                          SwIsa::kAvx512}) {
+    if (!mera::align::isa_supported(isa)) continue;
+    double best_s = 0.0;
+    std::vector<LocalAlignment> out;
+    for (int rep = 0; rep < reps; ++rep) {
+      const double t0 = now_s();
+      BatchSwScorer scorer(sc, isa);
+      for (const auto& rc : cases) {
+        const auto qid =
+            scorer.add_query(std::span<const std::uint8_t>(rc.query));
+        for (const auto& t : rc.targets)
+          scorer.add(qid, std::span<const std::uint8_t>(t));
+      }
+      out = scorer.flush_aligned(scratch);
+      const double dt = now_s() - t0;
+      if (rep == 0 || dt < best_s) best_s = dt;
+    }
+    for (std::size_t i = 0; i < full_dp.size(); ++i) {
+      const LocalAlignment& a = out[i];
+      const LocalAlignment& b = full_dp[i];
+      if (a.score != b.score || a.q_begin != b.q_begin ||
+          a.q_end != b.q_end || a.t_begin != b.t_begin ||
+          a.t_end != b.t_end || a.mismatches != b.mismatches ||
+          a.gap_columns != b.gap_columns ||
+          a.cigar.to_string() != b.cigar.to_string()) {
+        std::fprintf(stderr,
+                     "FATAL: traced[%s] pair %zu diverged from full DP "
+                     "(score %d vs %d, cigar %s vs %s)\n",
+                     mera::align::isa_name(isa), i, a.score, b.score,
+                     a.cigar.to_string().c_str(), b.cigar.to_string().c_str());
+        return 1;
+      }
+    }
+    const double speedup = full_best_s / best_s;
+    if (isa == widest) widest_traced_speedup = speedup;
+    std::printf("%-10s %12.4f %16.0f %9.2fx\n", mera::align::isa_name(isa),
+                best_s, npairs / best_s, speedup);
+    json.config(std::string("traced_") + mera::align::isa_name(isa));
+    json.metric("best_s", best_s);
+    json.metric("candidates_per_s", npairs / best_s);
+    json.metric("speedup_vs_full_dp", speedup);
+  }
+  std::printf("(every tier's alignments equal smith_waterman field for "
+              "field)\n");
+  json.config("traced_auto_tier");
+  json.metric("speedup_vs_full_dp", widest_traced_speedup);
+  json.metric("lane_width",
+              static_cast<double>(mera::align::isa_lanes16(widest)));
+
   // ---- cross-read pooling: per-read flushes vs PooledExtensionQueue -------
   // The aligning phase's real workload is the OPPOSITE of the one above:
   // most reads produce only a handful of candidates, so a per-read flush
-  // fills 3 of 64 AVX-512 lanes. Pooling accumulates candidates across reads
-  // in length-class buckets and flushes only full lane groups. Same scores
-  // by contract; the lane-occupancy ratio is the figure of merit.
+  // fills 3 of 32 AVX-512 trace lanes. Pooling accumulates candidates across
+  // reads in length-class buckets and flushes only full lane groups. Same
+  // alignments by contract; the lane-occupancy ratio is the figure of merit.
   const std::size_t nreads2 = smoke ? 192 : 768;
   const std::size_t ncand2 = 3;
-  const std::size_t lane_width = mera::align::isa_lanes8(SwIsa::kAuto);
+  const std::size_t lane_width = mera::align::isa_lanes16(SwIsa::kAuto);
   // Mixed read lengths (81..121) spread the pool over two length classes
   // (width 32: classes 2 and 3), so pooling has to merge across reads AND
   // keep classes apart — the shape the session's pooled path sees.
@@ -228,11 +318,11 @@ int main(int argc, char** argv) {
       nreads2, ncand2, lane_width);
 
   // (a) per-read flushing: one flush per read, lanes mostly idle.
-  std::vector<StripedResult> perread;
+  std::vector<LocalAlignment> perread;
   mera::align::LaneStats perread_ls;
   double perread_best_s = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
-    std::vector<StripedResult> out;
+    std::vector<LocalAlignment> out;
     out.reserve(nreads2 * ncand2);
     mera::align::LaneStats ls;
     const double t0 = now_s();
@@ -240,7 +330,7 @@ int main(int argc, char** argv) {
       BatchSwScorer scorer(std::span<const std::uint8_t>(rc.query), sc);
       for (const auto& t : rc.targets)
         scorer.add(std::span<const std::uint8_t>(t));
-      auto res = scorer.flush();
+      auto res = scorer.flush_aligned(scratch);
       out.insert(out.end(), res.begin(), res.end());
       ls += scorer.lane_stats();
     }
@@ -254,16 +344,17 @@ int main(int argc, char** argv) {
 
   // (b) pooled flushing: candidates from every read share one queue; tags
   // carry provenance so results land back at their global candidate index.
-  std::vector<StripedResult> pooled(nreads2 * ncand2);
+  std::vector<LocalAlignment> pooled(nreads2 * ncand2);
   mera::align::LaneStats pooled_ls;
   double pooled_best_s = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
-    std::vector<StripedResult> out(nreads2 * ncand2);
+    std::vector<LocalAlignment> out(nreads2 * ncand2);
     mera::align::PooledQueueConfig qcfg;
     qcfg.scoring = sc;
+    qcfg.scratch = &scratch;
     mera::align::PooledExtensionQueue queue(
-        qcfg, [&out](std::uint64_t tag, const StripedResult& r) {
-          out[tag] = r;
+        qcfg, [&out](std::uint64_t tag, const LocalAlignment& aln) {
+          out[tag] = aln;
         });
     const double t0 = now_s();
     for (std::size_t i = 0; i < nreads2; ++i) {
@@ -283,11 +374,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Bit-identity gate: pooling changes when candidates are scored, never
-  // what their scores are.
+  // Bit-identity gate: pooling changes when candidates are aligned, never
+  // what their alignments are.
   for (std::size_t i = 0; i < perread.size(); ++i) {
     if (pooled[i].score != perread[i].score ||
-        pooled[i].t_end != perread[i].t_end) {
+        pooled[i].t_end != perread[i].t_end ||
+        pooled[i].cigar.to_string() != perread[i].cigar.to_string()) {
       std::fprintf(stderr,
                    "FATAL: pooled pair %zu diverged from per-read "
                    "(score %d vs %d, t_end %zu vs %zu)\n",

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "align/batch_sw_detail.hpp"
+#include "align/sw_engine.hpp"
 
 namespace mera::align {
 
@@ -33,6 +34,20 @@ const detail::BatchKernel* kernel_for(SwIsa isa) noexcept {
     default:
       return nullptr;
   }
+}
+
+/// Can one traced sweep of an m x nmax group stay exact in int16? A cell's H
+/// is a path score: at most min(m, nmax) substitutions of at most smax each
+/// (gap penalties only subtract). E/F never drop below -2 * (gap_open +
+/// gap_extend) and must stay clear of kTraceNegInf; the 1-based row/column
+/// of the best cell is carried in int16 too.
+bool trace16_fits(const Scoring& sc, std::size_t m, std::size_t nmax) {
+  const int go = sc.gap_open + sc.gap_extend;
+  const long smax = std::max({sc.match, sc.mismatch, 0});
+  return sc.gap_open >= 0 && sc.gap_extend >= 0 &&
+         go <= detail::kTraceMaxGapOpen && sc.mismatch > -20000 &&
+         m <= 32767 && nmax <= 32767 &&
+         smax * static_cast<long>(std::min(m, nmax)) <= 32767;
 }
 
 std::string supported_tier_list() {
@@ -120,6 +135,13 @@ std::size_t isa_lanes8(SwIsa isa) {
   const detail::BatchKernel* k =
       resolved == SwIsa::kScalar ? nullptr : kernel_for(resolved);
   return k == nullptr ? 1 : static_cast<std::size_t>(k->lanes8);
+}
+
+std::size_t isa_lanes16(SwIsa isa) {
+  const SwIsa resolved = resolve_isa(isa);
+  const detail::BatchKernel* k =
+      resolved == SwIsa::kScalar ? nullptr : kernel_for(resolved);
+  return k == nullptr ? 1 : static_cast<std::size_t>(k->lanes16);
 }
 
 std::string isa_support_summary() {
@@ -394,6 +416,103 @@ std::vector<StripedResult> BatchSwScorer::flush() {
           out[c] = {best[l], t_end[l], true};
         }
       }
+    }
+  }
+
+  pool_.clear();
+  offs_.clear();
+  lens_.clear();
+  qids_.clear();
+  return out;
+}
+
+std::vector<LocalAlignment> BatchSwScorer::flush_aligned(TraceScratch& s) {
+  const std::size_t n = lens_.size();
+  // Empty query/target lanes keep the default result, as smith_waterman
+  // returns for empty inputs.
+  std::vector<LocalAlignment> out(n);
+  std::vector<std::size_t> live;
+  for (std::size_t c = 0; c < n; ++c)
+    if (lens_[c] > 0 && !queries_[qids_[c]].empty()) live.push_back(c);
+  if (!live.empty()) ++lane_stats_.flushes;
+
+  const auto target_span = [&](std::size_t c) {
+    return std::span<const std::uint8_t>(pool_.data() + offs_[c], lens_[c]);
+  };
+  const auto align_per_pair = [&](std::size_t c) {
+    out[c] = smith_waterman(queries_[qids_[c]], target_span(c), sc_);
+  };
+
+  const detail::BatchKernel* kernel =
+      isa_ == SwIsa::kScalar ? nullptr : kernel_for(isa_);
+  const std::size_t L =
+      kernel == nullptr ? 1 : static_cast<std::size_t>(kernel->lanes16);
+  int best[64];  // >= every tier's lanes16
+  std::size_t best_i[64], best_j[64];
+  for (std::size_t g = 0; g < live.size(); g += L) {
+    const std::size_t gn = std::min(L, live.size() - g);
+    std::size_t nmax = 0, nmin = SIZE_MAX, mmax = 0, mmin = SIZE_MAX;
+    for (std::size_t l = 0; l < gn; ++l) {
+      const std::size_t c = live[g + l];
+      nmax = std::max(nmax, lens_[c]);
+      nmin = std::min(nmin, lens_[c]);
+      mmax = std::max(mmax, queries_[qids_[c]].size());
+      mmin = std::min(mmin, queries_[qids_[c]].size());
+    }
+    // Padding is only provably inert for pad-safe scoring; an exotic
+    // scheme sweeps only groups with no padded cells in live lanes.
+    const bool padded = mmin != mmax || nmin != nmax;
+    if (kernel == nullptr || (!pad_safe_ && padded) ||
+        !trace16_fits(sc_, mmax, nmax) ||
+        mmax * nmax * L > TraceScratch::kTraceProvBudget) {
+      for (std::size_t l = 0; l < gn; ++l) align_per_pair(live[g + l]);
+      continue;
+    }
+    s.tbuf.assign(nmax * L, static_cast<std::int16_t>(detail::kTargetPadCode));
+    s.qbuf.assign(mmax * L, static_cast<std::int16_t>(detail::kQueryPadCode));
+    for (std::size_t l = 0; l < gn; ++l) {
+      const std::size_t c = live[g + l];
+      const std::uint8_t* src = pool_.data() + offs_[c];
+      for (std::size_t j = 0; j < lens_[c]; ++j)
+        s.tbuf[j * L + l] = static_cast<std::int16_t>(src[j]);
+      const auto& q = queries_[qids_[c]];
+      for (std::size_t i = 0; i < q.size(); ++i)
+        s.qbuf[i * L + l] = static_cast<std::int16_t>(q[i]);
+    }
+    if (s.h.size() < nmax * L) {
+      s.h.resize(nmax * L);
+      s.f.resize(nmax * L);
+    }
+    if (s.prov.size() < mmax * nmax * L) s.prov.resize(mmax * nmax * L);
+
+    detail::BatchTrace16Args args;
+    args.qbuf = s.qbuf.data();
+    args.m = mmax;
+    args.tbuf = s.tbuf.data();
+    args.nmax = nmax;
+    args.match = sc_.match;
+    args.mismatch = sc_.mismatch;
+    args.gap_open_total = sc_.gap_open + sc_.gap_extend;
+    args.gap_extend = sc_.gap_extend;
+    args.h = s.h.data();
+    args.f = s.f.data();
+    args.prov = s.prov.data();
+    args.best = best;
+    args.best_i = best_i;
+    args.best_j = best_j;
+    kernel->trace16(args);
+    lane_stats_.record_group(gn, L);
+
+    const std::uint8_t* const prov = s.prov.data();
+    for (std::size_t l = 0; l < gn; ++l) {
+      const std::size_t c = live[g + l];
+      detail::sw_traceback(
+          std::span<const std::uint8_t>(queries_[qids_[c]]), target_span(c),
+          best[l], best_i[l], best_j[l],
+          [prov, nmax, L, l](std::size_t i, std::size_t j) {
+            return prov[((i - 1) * nmax + (j - 1)) * L + l];
+          },
+          out[c]);
     }
   }
 

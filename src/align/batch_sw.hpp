@@ -21,6 +21,12 @@
 // tests/test_batch_sw.cpp and tests/test_pooled_sw.cpp across all tiers the
 // host supports.
 //
+// flush_aligned() is the traced variant the aligner runs by default: one
+// 16-bit sweep per lane group that also stores a provenance byte per lane
+// per cell, then a per-lane traceback walk shared with smith_waterman, so
+// each candidate's whole alignment (score, spans, CIGAR, mismatches, gap
+// columns) equals smith_waterman's.
+//
 // Dispatch: the widest ISA the CPU supports is probed once per scorer
 // (cpuid via __builtin_cpu_supports); `MERA_SW_ISA` in the environment (or
 // --sw-isa on the CLI) pins a specific tier for testing. Under
@@ -38,6 +44,7 @@
 #include <vector>
 
 #include "align/scoring.hpp"
+#include "align/smith_waterman.hpp"
 #include "align/striped_sw.hpp"
 
 namespace mera::align {
@@ -65,6 +72,9 @@ enum class SwIsa : std::uint8_t { kAuto = 0, kScalar, kSse2, kAvx2, kAvx512 };
 /// 8-bit lane width of a concrete tier (16 / 32 / 64); 1 for kScalar.
 /// Resolves kAuto first.
 [[nodiscard]] std::size_t isa_lanes8(SwIsa isa);
+/// 16-bit lane width — the trace pass's — of a concrete tier (8 / 16 / 32);
+/// 1 for kScalar. Resolves kAuto first.
+[[nodiscard]] std::size_t isa_lanes16(SwIsa isa);
 /// Human-readable per-tier support report for this binary on this CPU —
 /// what `--sw-isa help` / `MERA_SW_ISA=help` print.
 [[nodiscard]] std::string isa_support_summary();
@@ -91,6 +101,18 @@ struct LaneStats {
   /// lanes_filled / (lanes_filled + lanes_wasted); 0 when no sweeps ran.
   [[nodiscard]] double mean_occupancy() const noexcept;
   LaneStats& operator+=(const LaneStats& o) noexcept;
+};
+
+/// Buffers of the traced sweep: interleaved int16 queries/targets, the H and
+/// F rows and the provenance bytes (rows x columns x lanes). Grown on demand
+/// and never shrunk, so a caller that keeps one alive across flushes — the
+/// session keeps one per rank for its whole lifetime — allocates them once.
+/// Provenance is capped at kTraceProvBudget bytes per lane group; larger
+/// groups (long reads) align per pair instead.
+struct TraceScratch {
+  static constexpr std::size_t kTraceProvBudget = std::size_t{8} << 20;
+  std::vector<std::int16_t> qbuf, tbuf, h, f;
+  std::vector<std::uint8_t> prov;
 };
 
 /// Scores query/target candidate pairs in SIMD lane groups.
@@ -132,18 +154,19 @@ class BatchSwScorer {
   /// add() order and bit-identical to StripedSmithWaterman::align per pair.
   [[nodiscard]] std::vector<StripedResult> flush();
 
+  /// Align every pending candidate and clear the queue: one 16-bit traced
+  /// sweep per lane group, then a per-lane traceback walk. Results are in
+  /// add() order and equal smith_waterman(query, target, scoring) field for
+  /// field. Candidates align per pair through smith_waterman instead on the
+  /// scalar tier, in pad-unsafe groups of unequal lengths, when a group's
+  /// values could overflow int16, or when its provenance would exceed
+  /// TraceScratch::kTraceProvBudget. `scratch` holds the sweep's buffers.
+  [[nodiscard]] std::vector<LocalAlignment> flush_aligned(
+      TraceScratch& scratch);
+
   [[nodiscard]] std::size_t pending() const noexcept { return lens_.size(); }
   [[nodiscard]] std::size_t num_queries() const noexcept {
     return queries_.size();
-  }
-  /// Codes of a registered query (valid for the scorer's lifetime).
-  [[nodiscard]] std::span<const std::uint8_t> query_codes(
-      std::size_t qid) const {
-    return queries_[qid];
-  }
-  /// Length of query id 0 (the single-query form's query); 0 if none.
-  [[nodiscard]] std::size_t query_len() const noexcept {
-    return queries_.empty() ? 0 : queries_.front().size();
   }
   [[nodiscard]] const Scoring& scoring() const noexcept { return sc_; }
   /// The concrete tier this scorer dispatches to (never kAuto).

@@ -45,11 +45,28 @@ struct Avx2Traits {
     // byte-granular blend selects whole 16-bit elements.
     return _mm256_blendv_epi8(b, a, _mm256_cmpeq_epi16(t, q));
   }
+
+  // Trace pass: compares yield all-ones / all-zero 16-bit elements.
+  using M = V;
+  static M gt16(V a, V b) { return _mm256_cmpgt_epi16(a, b); }
+  static V blend16(V a, V b, M m) { return _mm256_blendv_epi8(a, b, m); }
+  static V keep16(M m, V v) { return _mm256_and_si256(m, v); }
+  static V drop16(M m, V v) { return _mm256_andnot_si256(m, v); }
+  static V or_(V a, V b) { return _mm256_or_si256(a, b); }
+  static void store_narrow16(void* p, V v) {
+    // packus works per 128-bit half: [v0..7 v0..7 | v8..15 v8..15] as
+    // bytes; qwords 0 and 2 are the 16 low bytes in lane order.
+    const V packed =
+        _mm256_permute4x64_epi64(_mm256_packus_epi16(v, v), 0xD8);
+    _mm_storeu_si128(static_cast<__m128i*>(p),
+                     _mm256_castsi256_si128(packed));
+  }
 };
 
 const BatchKernel kKernel = {Avx2Traits::kLanes8, Avx2Traits::kLanes16,
                              &batch_pass8<Avx2Traits>,
-                             &batch_pass16<Avx2Traits>};
+                             &batch_pass16<Avx2Traits>,
+                             &batch_trace16<Avx2Traits>};
 
 }  // namespace
 

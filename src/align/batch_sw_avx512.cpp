@@ -41,11 +41,28 @@ struct Avx512Traits {
   static V sel_eq16(V t, V q, V a, V b) {
     return _mm512_mask_blend_epi16(_mm512_cmpeq_epi16_mask(t, q), b, a);
   }
+
+  // Trace pass: compares land in a mask register.
+  using M = __mmask32;
+  static M gt16(V a, V b) { return _mm512_cmpgt_epi16_mask(a, b); }
+  static V blend16(V a, V b, M m) { return _mm512_mask_blend_epi16(m, a, b); }
+  static V keep16(M m, V v) { return _mm512_maskz_mov_epi16(m, v); }
+  static V drop16(M m, V v) {
+    return _mm512_maskz_mov_epi16(static_cast<M>(~m), v);
+  }
+  static V or_(V a, V b) { return _mm512_or_si512(a, b); }
+  static void store_narrow16(void* p, V v) {
+    // The zero-masked form: the plain one leaves its pass-through operand
+    // undefined, which GCC flags as maybe-uninitialized.
+    _mm256_storeu_si256(static_cast<__m256i*>(p),
+                        _mm512_maskz_cvtepi16_epi8(~__mmask32{0}, v));
+  }
 };
 
 const BatchKernel kKernel = {Avx512Traits::kLanes8, Avx512Traits::kLanes16,
                              &batch_pass8<Avx512Traits>,
-                             &batch_pass16<Avx512Traits>};
+                             &batch_pass16<Avx512Traits>,
+                             &batch_trace16<Avx512Traits>};
 
 }  // namespace
 

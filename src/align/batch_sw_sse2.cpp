@@ -43,11 +43,25 @@ struct Sse2Traits {
     const V eq = _mm_cmpeq_epi16(t, q);
     return _mm_or_si128(_mm_and_si128(eq, a), _mm_andnot_si128(eq, b));
   }
+
+  // Trace pass: compares yield all-ones / all-zero 16-bit elements.
+  using M = V;
+  static M gt16(V a, V b) { return _mm_cmpgt_epi16(a, b); }
+  static V blend16(V a, V b, M m) {
+    return _mm_or_si128(_mm_and_si128(m, b), _mm_andnot_si128(m, a));
+  }
+  static V keep16(M m, V v) { return _mm_and_si128(m, v); }
+  static V drop16(M m, V v) { return _mm_andnot_si128(m, v); }
+  static V or_(V a, V b) { return _mm_or_si128(a, b); }
+  static void store_narrow16(void* p, V v) {
+    _mm_storel_epi64(static_cast<__m128i*>(p), _mm_packus_epi16(v, v));
+  }
 };
 
 const BatchKernel kKernel = {Sse2Traits::kLanes8, Sse2Traits::kLanes16,
                              &batch_pass8<Sse2Traits>,
-                             &batch_pass16<Sse2Traits>};
+                             &batch_pass16<Sse2Traits>,
+                             &batch_trace16<Sse2Traits>};
 
 }  // namespace
 

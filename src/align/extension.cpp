@@ -1,6 +1,7 @@
 #include "align/extension.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace mera::align {
 
@@ -23,8 +24,7 @@ SeedWindow project_seed_window(std::size_t query_len,
 
 Extension extend_seed(std::span<const std::uint8_t> query,
                       const seq::PackedSeq& target, std::size_t q_off,
-                      std::size_t t_off, int k, const ExtensionConfig& cfg,
-                      int screen_min_score) {
+                      std::size_t t_off, int k, const ExtensionConfig& cfg) {
   Extension ext;
   const std::size_t m = query.size();
   if (m == 0 || target.empty() || k <= 0) return ext;
@@ -48,19 +48,14 @@ Extension extend_seed(std::span<const std::uint8_t> query,
       break;
     }
     case SwKernel::kBatch: {
-      // Single-candidate route through the batch engine. The screen score is
-      // exact (proven bit-identical to the scalar reference by the tier-sweep
-      // tests), so thresholding here rejects precisely the candidates the
-      // full DP would reject. Callers with many candidates should pool them
-      // through a PooledExtensionQueue, which actually fills the SIMD lanes.
+      // Single-candidate route through the batch engine's traced sweep (one
+      // live lane). Callers with many candidates should pool them through a
+      // PooledExtensionQueue, which actually fills the SIMD lanes. The
+      // sweep's buffers are per thread, like the scalar engine's.
       BatchSwScorer scorer(query, cfg.scoring, cfg.isa);
       scorer.add(window);
-      const StripedResult sr = scorer.flush().front();
-      if (sr.score < screen_min_score) {
-        ext.aln.score = sr.score;
-        return ext;
-      }
-      ext.aln = smith_waterman(query, window, cfg.scoring);
+      thread_local TraceScratch scratch;
+      ext.aln = std::move(scorer.flush_aligned(scratch).front());
       break;
     }
     case SwKernel::kFullDP:

@@ -4,8 +4,8 @@
 // The seed fixes the alignment's diagonal, so only a small target window
 // around the implied query placement needs to be examined: the window is the
 // query's projected span padded by `window_pad` bases on each side. Within
-// the window the full-DP kernel produces score + CIGAR; the batch SIMD engine
-// can pre-screen candidates so only survivors pay for the traceback.
+// the window every kernel produces score + CIGAR; the batch SIMD engine
+// computes the full DP's alignment for many candidates per sweep.
 #pragma once
 
 #include <cstdint>
@@ -20,20 +20,18 @@
 namespace mera::align {
 
 /// Which Smith-Waterman kernel performs the in-window alignment. Selectable
-/// per ExtensionConfig (and therefore per aligning batch): sessions can probe
-/// a batch with the cheap screening kernel and re-run hard batches with the
-/// exact one without rebuilding anything.
+/// per ExtensionConfig (and therefore per aligning batch) without rebuilding
+/// anything.
 enum class SwKernel : std::uint8_t {
   /// Exact full-window DP with affine-gap traceback (sw_engine) — reference.
   kFullDP = 0,
   /// Banded DP around the seed diagonal (band = max(window_pad, 8)).
   kBanded,
-  /// Inter-candidate batch SIMD score pass (batch_sw) as a pre-screen:
-  /// candidate windows are packed one-per-lane and screened in one DP sweep
-  /// on the widest available ISA (see ExtensionConfig::isa). The screen
-  /// score is exact, so candidates below the caller's report threshold are
-  /// rejected without a traceback and survivors re-run the full DP for an
-  /// alignment identical to kFullDP's.
+  /// Inter-candidate batch SIMD traced sweep (batch_sw): candidate windows
+  /// are packed one-per-lane and aligned in one 16-bit DP sweep on the
+  /// widest available ISA (see ExtensionConfig::isa), which records a
+  /// provenance byte per lane per cell; each lane's traceback then yields
+  /// the alignment kFullDP produces, field for field. The default.
   kBatch,
 };
 
@@ -43,7 +41,7 @@ struct ExtensionConfig {
   /// (allows for indels near the read ends).
   std::size_t window_pad = 16;
   /// In-window alignment kernel.
-  SwKernel kernel = SwKernel::kFullDP;
+  SwKernel kernel = SwKernel::kBatch;
   /// Dispatch tier for SwKernel::kBatch (kAuto = MERA_SW_ISA env override or
   /// the widest the CPU supports). Ignored by the other kernels.
   SwIsa isa = SwIsa::kAuto;
@@ -84,13 +82,9 @@ struct SeedWindow {
 
 /// Extend a seed match: query[q_off..q_off+k) == target[t_off..t_off+k).
 /// Returns an alignment whose t_begin/t_end are in full-target coordinates.
-/// `screen_min_score` is the caller's reporting threshold: the kBatch
-/// backend skips the traceback DP for candidates whose (exact) screen score
-/// falls below it — such results carry the score but an empty alignment.
 [[nodiscard]] Extension extend_seed(std::span<const std::uint8_t> query,
                                     const seq::PackedSeq& target,
                                     std::size_t q_off, std::size_t t_off, int k,
-                                    const ExtensionConfig& cfg = {},
-                                    int screen_min_score = 0);
+                                    const ExtensionConfig& cfg = {});
 
 }  // namespace mera::align

@@ -6,16 +6,19 @@
 namespace mera::align {
 
 PooledExtensionQueue::PooledExtensionQueue(const PooledQueueConfig& cfg,
-                                           ScoreFn on_score)
-    : cfg_(cfg), isa_(resolve_isa(cfg.isa)), on_score_(std::move(on_score)) {
+                                           AlignFn on_align)
+    : cfg_(cfg),
+      isa_(resolve_isa(cfg.isa)),
+      on_align_(std::move(on_align)),
+      scratch_(cfg.scratch != nullptr ? cfg.scratch : &own_scratch_) {
   cfg_.length_class_width = std::max<std::size_t>(1, cfg_.length_class_width);
   if (cfg_.flush_lanes != 0) {
     flush_lanes_ = cfg_.flush_lanes;
   } else {
-    // Auto: one full 8-bit lane group per flush. The scalar tier sweeps one
+    // Auto: one full trace lane group per flush. The scalar tier aligns one
     // candidate at a time whatever we buffer; 16 just amortizes the
     // per-flush bookkeeping.
-    const std::size_t lanes = isa_lanes8(isa_);
+    const std::size_t lanes = isa_lanes16(isa_);
     flush_lanes_ = lanes > 1 ? lanes : 16;
   }
 }
@@ -35,12 +38,6 @@ std::size_t PooledExtensionQueue::add_query(
   return queries_.size() - 1;
 }
 
-std::span<const std::uint8_t> PooledExtensionQueue::query_codes(
-    std::size_t qid) const {
-  const QueryRef& ref = queries_.at(qid);
-  return buckets_.at(ref.cls)->scorer.query_codes(ref.local);
-}
-
 void PooledExtensionQueue::enqueue(std::size_t qid,
                                    std::span<const std::uint8_t> window_codes,
                                    std::uint64_t tag) {
@@ -54,13 +51,13 @@ void PooledExtensionQueue::enqueue(std::size_t qid,
 
 void PooledExtensionQueue::flush_bucket(Bucket& b) {
   if (b.tags.empty()) return;
-  const auto results = b.scorer.flush();
+  const auto results = b.scorer.flush_aligned(*scratch_);
   pending_ -= b.tags.size();
   // Swap the tag list out first: a callback may re-enter enqueue() on this
   // same bucket (it won't in the aligner, but the queue shouldn't care).
   std::vector<std::uint64_t> tags;
   tags.swap(b.tags);
-  for (std::size_t i = 0; i < tags.size(); ++i) on_score_(tags[i], results[i]);
+  for (std::size_t i = 0; i < tags.size(); ++i) on_align_(tags[i], results[i]);
 }
 
 void PooledExtensionQueue::drain() {

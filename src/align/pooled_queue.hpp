@@ -1,25 +1,25 @@
 // Cross-read candidate pooling for the inter-candidate batch SW engine.
 //
 // BatchSwScorer fills lanes with whatever one flush holds — flushing per read
-// per strand, a read with 3 candidates would waste 61 of 64 AVX-512 lanes.
-// This queue decouples flush granularity from read boundaries: candidates
-// from MANY reads accumulate in buckets keyed by query-length class
-// (bounding the row-padding a mixed group pays), and a
-// bucket flushes through its multi-query BatchSwScorer only once it can fill
-// the resolved tier's 8-bit lane width. mmseqs2's prescreen keeps its SIMD
+// per strand, a read with 3 candidates would waste 29 of 32 AVX-512 trace
+// lanes. This queue decouples flush granularity from read boundaries:
+// candidates from MANY reads accumulate in buckets keyed by query-length
+// class (bounding the row-padding a mixed group pays), and a bucket flushes
+// through its multi-query BatchSwScorer's traced sweep only once it can fill
+// the resolved tier's trace lane width. mmseqs2's prescreen keeps its SIMD
 // matcher saturated the same way.
 //
-// Scoring is deferred, so callers attach an opaque provenance tag to every
-// candidate and receive (tag, StripedResult) callbacks as flushes happen —
+// Alignment is deferred, so callers attach an opaque provenance tag to every
+// candidate and receive (tag, LocalAlignment) callbacks as flushes happen —
 // in bucket-insertion order within a flush, but in no particular order
 // ACROSS buckets. Emission ordering is the caller's job (AlignSession keeps
 // a slot/cursor log that replays results in candidate-discovery order; see
 // align_session.cpp). drain() force-flushes every bucket — call it at batch
 // end, after which every enqueued tag has been called back exactly once.
 //
-// Results are bit-identical to scoring each pair alone on any tier (the
-// BatchSwScorer contract); pooling changes WHEN a candidate is scored, never
-// WHAT its score is.
+// Results equal smith_waterman(query, window) field for field on any tier
+// (the BatchSwScorer::flush_aligned contract); pooling changes WHEN a
+// candidate is aligned, never WHAT its alignment is.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +37,8 @@ namespace mera::align {
 struct PooledQueueConfig {
   Scoring scoring{};
   SwIsa isa = SwIsa::kAuto;
-  /// Candidates a bucket accumulates before it flushes through the SIMD
-  /// scorer. 0 = auto: the resolved tier's 8-bit lane width (so every
+  /// Candidates a bucket accumulates before it flushes through the traced
+  /// sweep. 0 = auto: the resolved tier's 16-bit lane width (so every
   /// non-drain flush can fill a full lane group); 16 on the scalar tier.
   std::size_t flush_lanes = 0;
   /// Queries whose lengths fall in the same class of this width share a
@@ -47,36 +47,40 @@ struct PooledQueueConfig {
   /// one cache line of rows. Minimum 1 (every distinct length is its own
   /// bucket).
   std::size_t length_class_width = 32;
+  /// Sweep buffers shared by every bucket (flushes are sequential). Not
+  /// owned; must outlive the queue. Null = the queue keeps its own.
+  TraceScratch* scratch = nullptr;
 };
 
 /// Batch-scoped deferred-extension queue: enqueue candidate windows from any
-/// number of reads, get scores back by tag once a length-class bucket fills
-/// a SIMD lane group (or at drain()).
+/// number of reads, get alignments back by tag once a length-class bucket
+/// fills a SIMD lane group (or at drain()).
 class PooledExtensionQueue {
  public:
-  using ScoreFn = std::function<void(std::uint64_t tag, const StripedResult&)>;
+  using AlignFn =
+      std::function<void(std::uint64_t tag, const LocalAlignment& aln)>;
 
-  PooledExtensionQueue(const PooledQueueConfig& cfg, ScoreFn on_score);
+  PooledExtensionQueue(const PooledQueueConfig& cfg, AlignFn on_align);
+  // Pinned in place: scratch_ may point at own_scratch_.
+  PooledExtensionQueue(const PooledExtensionQueue&) = delete;
+  PooledExtensionQueue& operator=(const PooledExtensionQueue&) = delete;
 
-  /// Register a query (codes copied; duplicates share one id and one lazily
-  /// built striped profile inside the bucket scorer). Ids are process-local
-  /// to this queue and stable for its lifetime.
+  /// Register a query (codes copied; duplicates share one id inside the
+  /// bucket scorer). Ids are process-local to this queue and stable for its
+  /// lifetime.
   std::size_t add_query(std::span<const std::uint8_t> query_codes);
 
   /// Enqueue one candidate window against query `qid`. May trigger a bucket
-  /// flush (and therefore on_score callbacks) before returning.
+  /// flush (and therefore on_align callbacks) before returning.
   void enqueue(std::size_t qid, std::span<const std::uint8_t> window_codes,
                std::uint64_t tag);
 
   /// Force-flush every bucket (ascending length-class order). After drain()
-  /// every enqueued tag has been scored exactly once.
+  /// every enqueued tag has been aligned exactly once.
   void drain();
 
-  /// Candidates enqueued but not yet scored.
+  /// Candidates enqueued but not yet aligned.
   [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
-  /// Codes of a registered query (valid for the queue's lifetime).
-  [[nodiscard]] std::span<const std::uint8_t> query_codes(
-      std::size_t qid) const;
   /// Concrete dispatch tier every bucket scorer uses (never kAuto).
   [[nodiscard]] SwIsa isa() const noexcept { return isa_; }
   /// Resolved per-bucket flush threshold (auto turns into a lane width).
@@ -103,7 +107,9 @@ class PooledExtensionQueue {
   PooledQueueConfig cfg_;
   SwIsa isa_;
   std::size_t flush_lanes_;
-  ScoreFn on_score_;
+  AlignFn on_align_;
+  TraceScratch own_scratch_;  ///< used when cfg.scratch is null
+  TraceScratch* scratch_;
   // std::map: drain() walks buckets in ascending class order, keeping the
   // cross-bucket callback order deterministic for a given enqueue sequence.
   std::map<std::size_t, std::unique_ptr<Bucket>> buckets_;

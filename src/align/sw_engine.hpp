@@ -4,6 +4,11 @@
 // DNA match/mismatch scoring and protein substitution matrices (BLOSUM62) —
 // the paper's conclusion notes the approach extends to protein alphabets
 // with "minor changes to the underlying protocols".
+//
+// The traceback walk is a separate template over a provenance accessor, so
+// the scalar fill below and the batch engine's SIMD trace pass (one
+// provenance byte per lane per cell, batch_sw_kernel.hpp) share one CIGAR /
+// mismatch / gap-column accounting.
 #pragma once
 
 #include <algorithm>
@@ -38,72 +43,28 @@ struct SwOut {
   int gap_columns = 0;
 };
 
-template <typename SubstFn>
-SwOut sw_align(std::span<const std::uint8_t> query,
-               std::span<const std::uint8_t> target, SubstFn&& sub,
-               int gap_open, int gap_extend) {
-  const std::size_t m = query.size(), n = target.size();
-  SwOut out;
-  if (m == 0 || n == 0) return out;
-
-  const int go = gap_open + gap_extend;  // cost of a gap's first base
-  const int ge = gap_extend;
-
-  std::vector<int> H(n + 1, 0), Hprev(n + 1, 0), Fv(n + 1, kNegInf);
-  std::vector<std::uint8_t> prov((m + 1) * (n + 1), 0);
-
-  int best = 0;
-  std::size_t best_i = 0, best_j = 0;
-
-  for (std::size_t i = 1; i <= m; ++i) {
-    std::swap(Hprev, H);
-    H[0] = 0;
-    int E = kNegInf;
-    for (std::size_t j = 1; j <= n; ++j) {
-      std::uint8_t p = 0;
-      const int e_open = H[j - 1] - go;
-      const int e_ext = E - ge;
-      if (e_ext >= e_open) {
-        E = e_ext;
-        p |= kEExt;
-      } else {
-        E = e_open;
-      }
-      const int f_open = Hprev[j] - go;
-      const int f_ext = Fv[j] - ge;
-      if (f_ext >= f_open) {
-        Fv[j] = f_ext;
-        p |= kFExt;
-      } else {
-        Fv[j] = f_open;
-      }
-      const int diag = Hprev[j - 1] + sub(query[i - 1], target[j - 1]);
-      int h = 0;
-      std::uint8_t hsrc = 0;
-      if (diag > h) { h = diag; hsrc = kHDiag; }
-      if (E > h) { h = E; hsrc = kHFromE; }
-      if (Fv[j] > h) { h = Fv[j]; hsrc = kHFromF; }
-      H[j] = h;
-      prov[i * (n + 1) + j] = static_cast<std::uint8_t>(p | hsrc);
-      if (h > best) {
-        best = h;
-        best_i = i;
-        best_j = j;
-      }
-    }
-  }
-
+/// Walk the affine traceback back from the best cell (best_i, best_j),
+/// 1-based, and fill `out` (SwOut or LocalAlignment — same field names).
+/// prov(i, j) returns the provenance byte of cell (i, j) for i, j >= 1; the
+/// walk only ever reads cells up-left of the best one. A zero score yields
+/// the all-soft-clip alignment.
+template <typename Out, typename ProvFn>
+void sw_traceback(std::span<const std::uint8_t> query,
+                  std::span<const std::uint8_t> target, int best,
+                  std::size_t best_i, std::size_t best_j, ProvFn&& prov,
+                  Out& out) {
+  const std::size_t m = query.size();
   out.score = best;
   if (best == 0) {
     out.cigar.push(CigarOp::kSoftClip, static_cast<std::uint32_t>(m));
-    return out;
+    return;
   }
 
   Cigar rev;
   std::size_t i = best_i, j = best_j;
   enum class State { kH, kE, kF } state = State::kH;
   while (i > 0 && j > 0) {
-    const std::uint8_t p = prov[i * (n + 1) + j];
+    const std::uint8_t p = prov(i, j);
     if (state == State::kH) {
       const std::uint8_t hsrc = p & 3u;
       if (hsrc == 0) break;
@@ -140,6 +101,87 @@ SwOut sw_align(std::span<const std::uint8_t> query,
   rev.reverse();
   for (const auto& e : rev.elems()) out.cigar.push(e.op, e.len);
   out.cigar.push(CigarOp::kSoftClip, static_cast<std::uint32_t>(m - best_i));
+}
+
+/// Per-thread fill buffers, grown on demand and never shrunk: one H row, one
+/// F row and the m x n provenance bytes (every cell the walk reads is
+/// written first, so nothing needs zeroing between calls).
+struct SwScratch {
+  std::vector<int> h, f;
+  std::vector<std::uint8_t> prov;
+};
+
+template <typename SubstFn>
+SwOut sw_align(std::span<const std::uint8_t> query,
+               std::span<const std::uint8_t> target, SubstFn&& sub,
+               int gap_open, int gap_extend) {
+  const std::size_t m = query.size(), n = target.size();
+  SwOut out;
+  if (m == 0 || n == 0) return out;
+
+  const int go = gap_open + gap_extend;  // cost of a gap's first base
+  const int ge = gap_extend;
+
+  thread_local SwScratch scratch;
+  scratch.h.assign(n + 1, 0);  // H(0, j) = 0: the local-alignment boundary
+  scratch.f.assign(n + 1, kNegInf);
+  if (scratch.prov.size() < m * n) scratch.prov.resize(m * n);
+  int* const H = scratch.h.data();
+  int* const F = scratch.f.data();
+  std::uint8_t* const prov = scratch.prov.data();
+
+  int best = 0;
+  std::size_t best_i = 0, best_j = 0;
+
+  // Row-major sweep. The cell comparisons are data-dependent coin flips, so
+  // they are max and selects rather than branches. H[j] holds H(i-1, j)
+  // until cell (i, j) overwrites it with H(i, j).
+  for (std::size_t i = 1; i <= m; ++i) {
+    const std::uint8_t qc = query[i - 1];
+    std::uint8_t* const prow = prov + (i - 1) * n;
+    int hdiag = 0;  // H(i-1, j-1)
+    int hleft = 0;  // H(i, j-1)
+    int E = kNegInf;
+    for (std::size_t j = 1; j <= n; ++j) {
+      const int hup = H[j];
+      const int e_open = hleft - go;
+      const int e_ext = E - ge;
+      const unsigned e_is_ext = e_ext >= e_open;
+      E = std::max(e_open, e_ext);
+      const int f_open = hup - go;
+      const int f_ext = F[j] - ge;
+      const unsigned f_is_ext = f_ext >= f_open;
+      const int f = std::max(f_open, f_ext);
+      F[j] = f;
+      const int diag = hdiag + sub(qc, target[j - 1]);
+      // H source: strict `>` in diag -> E -> F order (ties keep the earlier).
+      const int h0 = std::max(diag, 0);
+      const unsigned e_wins = E > h0;
+      const int h1 = std::max(h0, E);
+      const unsigned f_wins = f > h1;
+      const int h = std::max(h1, f);
+      unsigned src = f_wins ? kHFromF : e_wins ? kHFromE : diag > 0;
+      prow[j - 1] = static_cast<std::uint8_t>(src | (e_is_ext << 2) |
+                                              (f_is_ext << 3));
+      H[j] = h;
+      hdiag = hup;
+      hleft = h;
+      // First row-major best cell: strict `>` against the running best. A
+      // real branch: it is taken about once per row, so it predicts well.
+      if (h > best) {
+        best = h;
+        best_i = i;
+        best_j = j;
+      }
+    }
+  }
+
+  sw_traceback(
+      query, target, best, best_i, best_j,
+      [prov, n](std::size_t i, std::size_t j) {
+        return prov[(i - 1) * n + (j - 1)];
+      },
+      out);
   return out;
 }
 

@@ -93,7 +93,7 @@ void map_read(Shared& sh, const seq::SeqRecord& read, core::PipelineStats& st) {
             const auto ext = align::extend_seed(
                 std::span<const std::uint8_t>(qcodes),
                 sh.packed_targets[h.target_id], q_off, h.t_pos, k,
-                sh.cfg.extension, min_score);
+                sh.cfg.extension);
             ++st.sw_calls;
             if (ext.aln.score >= min_score && !ext.aln.empty()) {
               ++found;

@@ -32,6 +32,9 @@ struct BatchShared {
   AlignmentSink& sink;
   std::vector<PipelineStats> stats;
   std::vector<align::LaneStats> lane_stats;  ///< per rank, kBatch only
+  /// Per-rank traced-sweep buffers, owned by the session so they are
+  /// allocated once and reused by every batch (kBatch only).
+  std::span<align::TraceScratch> trace_scratch;
 
   // Input plumbing: exactly one of the two is used.
   std::span<const seq::SeqRecord> mem_reads;
@@ -45,7 +48,7 @@ struct BatchShared {
 /// kernel, every exact match and every read boundary takes a slot, in
 /// discovery order; a cursor replays the resolved prefix into the sink. The
 /// kernel only decides WHEN a candidate's slot resolves — immediately
-/// (kFullDP/kBanded) or when the pooled batch engine scores it (kBatch) — so
+/// (kFullDP/kBanded) or when the pooled batch engine aligns it (kBatch) — so
 /// sink order, stats and SAM bytes are the same for every kernel.
 struct Slot {
   enum class State : std::uint8_t { kPending, kResolved, kReadEnd };
@@ -54,10 +57,9 @@ struct Slot {
   std::uint32_t target_id = 0;
   const seq::SeqRecord* read = nullptr;
   std::optional<AlignmentRecord> rec;  ///< set when resolved and reportable
-  // Deferred (kBatch) candidates only: what the survivor traceback needs.
-  const seq::PackedSeq* target = nullptr;
-  std::size_t qid = 0;  ///< query id inside the rank's pooled queue
-  std::size_t q_off = 0, t_off = 0;
+  /// Deferred (kBatch) candidates only: the window's target offset, which
+  /// turns the window-local alignment into target coordinates.
+  std::size_t window_begin = 0;
 };
 
 /// Per-rank aligning-phase worker (seed-and-extend with caches, the Lemma-1
@@ -69,16 +71,16 @@ class RankAligner {
     min_score_ = sh.cfg.min_report_score >= 0
                      ? sh.cfg.min_report_score
                      : sh.cfg.extension.scoring.match * sh.k;
-    traceback_cfg_ = sh.cfg.extension;
-    traceback_cfg_.kernel = align::SwKernel::kFullDP;
     if (sh.cfg.extension.kernel == align::SwKernel::kBatch) {
       align::PooledQueueConfig qcfg;
       qcfg.scoring = sh.cfg.extension.scoring;
       qcfg.isa = sh.cfg.extension.isa;
-      pool_.emplace(qcfg,
-                    [this](std::uint64_t tag, const align::StripedResult& sr) {
-                      screened(static_cast<std::size_t>(tag), sr);
-                    });
+      qcfg.scratch = &sh.trace_scratch[static_cast<std::size_t>(rank.id())];
+      pool_.emplace(qcfg, [this](std::uint64_t tag,
+                                 const align::LocalAlignment& aln) {
+        Slot& s = slots_[static_cast<std::size_t>(tag)];
+        resolve(s, aln, s.window_begin);
+      });
     }
   }
 
@@ -116,8 +118,7 @@ class RankAligner {
     const auto qcodes = align::dna_codes(oriented);
     const std::span<const std::uint8_t> query(qcodes);
     // This strand's query id in the pooled queue, registered lazily on the
-    // first candidate (duplicate query bytes dedup inside the queue and
-    // share one striped profile).
+    // first candidate (duplicate query bytes dedup inside the queue).
     std::optional<std::size_t> pooled_qid;
 
     bool exact_done = false;
@@ -190,19 +191,15 @@ class RankAligner {
         s.reverse = reverse;
         if (!pool_) {
           resolve(s, align::extend_seed(query, t.seq, q_off, h.t_pos, k,
-                                        sh_.cfg.extension, min_score_)
+                                        sh_.cfg.extension)
                          .aln);
           continue;
         }
-        // kBatch: defer scoring into the rank's length-class-bucketed queue.
-        // Window codes are extracted now; the traceback re-reads the target
-        // when the screen resolves the slot, and only for survivors. (The
-        // enqueue may flush, so `s` is not touched after it.)
+        // kBatch: defer the alignment into the rank's length-class-bucketed
+        // queue; the traced sweep resolves the slot when its bucket flushes.
+        // (The enqueue may flush, so `s` is not touched after it.)
         if (!pooled_qid) pooled_qid = pool_->add_query(query);
-        s.target = &t.seq;
-        s.qid = *pooled_qid;
-        s.q_off = q_off;
-        s.t_off = h.t_pos;
+        s.window_begin = w.begin;
         pool_->enqueue(*pooled_qid,
                        align::dna_codes(t.seq, w.begin, w.end - w.begin), idx);
       }
@@ -261,8 +258,11 @@ class RankAligner {
   }
 
   /// Resolve a candidate's slot with its extension; the one place an
-  /// AlignmentRecord is filled from a LocalAlignment.
-  void resolve(Slot& s, const align::LocalAlignment& aln) {
+  /// AlignmentRecord is filled from a LocalAlignment. `t_shift` moves a
+  /// window-local alignment (the pooled queue's) into target coordinates,
+  /// exactly as extend_seed does for the immediate kernels.
+  void resolve(Slot& s, const align::LocalAlignment& aln,
+               std::size_t t_shift = 0) {
     s.state = Slot::State::kResolved;
     if (aln.score < min_score_ || aln.empty()) return;
     AlignmentRecord& rec = s.rec.emplace();
@@ -272,24 +272,10 @@ class RankAligner {
     rec.score = aln.score;
     rec.q_begin = aln.q_begin;
     rec.q_end = aln.q_end;
-    rec.t_begin = aln.t_begin;
-    rec.t_end = aln.t_end;
+    rec.t_begin = aln.t_begin + t_shift;
+    rec.t_end = aln.t_end + t_shift;
     rec.cigar = aln.cigar.to_string();
     rec.mismatches = aln.mismatches;
-  }
-
-  /// PooledExtensionQueue callback: a deferred candidate got its screening
-  /// score. Survivors pay the full-DP traceback now, over the same window
-  /// extend_seed(kFullDP) uses, so the record bytes match the other kernels.
-  void screened(std::size_t idx, const align::StripedResult& sr) {
-    Slot& s = slots_[idx];
-    if (sr.score < min_score_) {  // screened out, no traceback
-      s.state = Slot::State::kResolved;
-      return;
-    }
-    resolve(s, align::extend_seed(pool_->query_codes(s.qid), *s.target,
-                                  s.q_off, s.t_off, sh_.k, traceback_cfg_)
-                   .aln);
   }
 
   /// Emit the resolved prefix of the emission log — the only place records
@@ -321,7 +307,6 @@ class RankAligner {
   const seq::SeqRecord* read_ = nullptr;
   std::unordered_set<std::uint64_t> seen_;
   int min_score_ = 0;
-  align::ExtensionConfig traceback_cfg_;  ///< extension with kFullDP
   std::optional<align::PooledExtensionQueue> pool_;  ///< kBatch only
   std::vector<Slot> slots_;         ///< emission log
   std::size_t cursor_ = 0;          ///< first unreplayed slot
@@ -442,7 +427,9 @@ void add_batch_metrics(const BatchResult& res, const SessionConfig& cfg) {
 }  // namespace
 
 AlignSession::AlignSession(IndexedReference ref, SessionConfig cfg)
-    : ref_(std::move(ref)), cfg_(std::move(cfg)) {
+    : ref_(std::move(ref)),
+      cfg_(std::move(cfg)),
+      trace_scratch_(static_cast<std::size_t>(ref_.topology().nranks())) {
   const pgas::Topology& topo = ref_.topology();
   if (cfg_.seed_cache)
     scache_.emplace(topo,
@@ -526,6 +513,7 @@ BatchResult AlignSession::run_batch(pgas::Runtime& rt,
       sink,
       std::vector<PipelineStats>(static_cast<std::size_t>(rt.nranks())),
       std::vector<align::LaneStats>(static_cast<std::size_t>(rt.nranks())),
+      trace_scratch_,
       mem_reads,
       seqdb_path,
       file_perm,

@@ -211,6 +211,9 @@ class AlignSession {
   SessionConfig cfg_;
   std::optional<cache::SeedIndexCache> scache_;
   std::optional<cache::TargetCache> tcache_;
+  /// One per rank: the kBatch traced sweep's buffers, reused by every batch
+  /// instead of being allocated per flush on the per-batch rank threads.
+  std::vector<align::TraceScratch> trace_scratch_;
   cache::CacheCounters seed_base_;    // snapshot at last batch end
   cache::CacheCounters target_base_;
   std::size_t batches_done_ = 0;

@@ -6,10 +6,11 @@
 #   WORKDIR - scratch directory for this run
 #
 # Scenarios:
-#   1. single batch, one run per --sw kernel (full/banded/batch): all three
-#      must produce the SAME golden SAM — the banded and batch kernels are
-#      exact over their windows, so kernel choice must not change output;
-#      --sw batch additionally runs pinned to the scalar --sw-isa tier
+#   1. single batch, one run per --sw kernel (full/banded/batch) and one with
+#      no --sw flag: all must produce the SAME golden SAM — the banded and
+#      batch kernels are exact over their windows, so kernel choice must not
+#      change output; the default (batch) kernel additionally runs pinned to
+#      the scalar --sw-isa tier
 #   2. multi batch:   --reads reads_a --reads reads_b (one index, two batches)
 #                     -> the SAME record set, since per-read results depend
 #                     only on the prebuilt index, not on batch boundaries
@@ -88,22 +89,38 @@ foreach(sw full banded batch)
   check_sam(${WORKDIR}/out_${sw}.sam "single-batch --sw ${sw}")
 endforeach()
 
-# The batch engine pinned to its scalar tier must still hit the golden bytes
-# (the SIMD tiers are covered by the loop above via auto-dispatch; scalar is
-# the one tier auto never picks on SIMD-capable CI hosts).
+# No --sw flag: the default kernel (batch) must hit the same golden bytes.
+execute_process(
+  COMMAND ${CLI}
+    --targets ${WORKDIR}/contigs.fa
+    --reads ${WORKDIR}/reads.fastq
+    --out ${WORKDIR}/out_default.sam
+    --k 31 --ranks 4 --ppn 2 --no-permute
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "meraligner_cli without --sw exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+endif()
+check_sam(${WORKDIR}/out_default.sam "single-batch default kernel")
+
+# The default batch engine pinned to its scalar tier must still hit the
+# golden bytes (the SIMD tiers are covered above via auto-dispatch; scalar is
+# the one tier auto never picks on SIMD-capable CI hosts). --sw-isa needs no
+# --sw flag now that batch is the default.
 execute_process(
   COMMAND ${CLI}
     --targets ${WORKDIR}/contigs.fa
     --reads ${WORKDIR}/reads.fastq
     --out ${WORKDIR}/out_batch_scalar.sam
-    --k 31 --ranks 4 --ppn 2 --no-permute --sw batch --sw-isa scalar
+    --k 31 --ranks 4 --ppn 2 --no-permute --sw-isa scalar
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--sw batch --sw-isa scalar exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+  message(FATAL_ERROR "--sw-isa scalar exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
 endif()
-check_sam(${WORKDIR}/out_batch_scalar.sam "single-batch --sw batch --sw-isa scalar")
+check_sam(${WORKDIR}/out_batch_scalar.sam "single-batch --sw-isa scalar")
 
 # Removed selectors are usage errors (exit 2 + usage), not silent aliases:
 # the striped kernel and the --sw-pool knob no longer exist.
@@ -139,7 +156,7 @@ if(NOT out MATCHES "scalar" OR NOT out MATCHES "sse2")
 endif()
 
 # --sw-isa validation: unknown tier names are usage errors (exit 2 + usage),
-# and the flag is rejected outside --sw batch runs.
+# and the flag is rejected with an explicit non-batch --sw kernel.
 execute_process(
   COMMAND ${CLI}
     --targets ${WORKDIR}/contigs.fa

@@ -1,7 +1,9 @@
 // Equivalence and dispatch tests for the inter-candidate batch SW engine.
-// The central contract: on EVERY dispatch tier this host supports, the batch
-// scorer's score / t_end (smallest-t_end tie-break) are bit-identical to the
-// scalar reference and to the per-pair striped kernel.
+// The central contracts, on EVERY dispatch tier this host supports: the
+// score passes' score / t_end (smallest-t_end tie-break) are bit-identical to
+// the scalar reference and to the per-pair striped kernel, and the traced
+// sweep's alignments equal smith_waterman's field for field — including
+// every per-pair fallback it takes.
 #include "align/batch_sw.hpp"
 
 #include "test_util.hpp"
@@ -11,6 +13,7 @@
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "align/extension.hpp"
@@ -20,6 +23,7 @@
 
 namespace {
 
+using mera::testutil::alignment_diff;
 using mera::testutil::random_dna;
 
 using namespace mera::align;
@@ -250,58 +254,187 @@ TEST(SwIsaDispatch, UnsupportedExplicitTierThrows) {
   GTEST_SKIP() << "every SIMD tier is supported on this host";
 }
 
-// extend_seed(kBatch, screen) must reproduce extend_seed(kFullDP) exactly on
-// every tier: survivors get the identical alignment, and a candidate is
-// screened out (empty alignment carrying its score) precisely when its
-// full-DP score falls below the screen.
+// extend_seed(kBatch) must reproduce extend_seed(kFullDP) exactly on every
+// tier — the single-candidate route through the traced sweep, with
+// candidates on and off the true diagonal (high and near-zero scores).
 TEST(BatchExtension, MatchesFullDpExtendSeed) {
   std::mt19937_64 rng(76);
   const std::string g = random_dna(rng, 4000);
   const PackedSeq target(g);
   for (SwIsa isa : supported_tiers()) {
     ExtensionConfig full_cfg;
+    full_cfg.kernel = SwKernel::kFullDP;
     ExtensionConfig batch_cfg;
-    batch_cfg.kernel = SwKernel::kBatch;
     batch_cfg.isa = isa;
-    std::size_t screened_out = 0, survived = 0;
+    ASSERT_EQ(batch_cfg.kernel, SwKernel::kBatch);  // the default
     for (int trial = 0; trial < 10; ++trial) {
-      std::string q = g.substr(rng() % 3800, 100);
+      const std::size_t pos = rng() % 3800;
+      std::string q = g.substr(pos, 100);
       for (int e = 0; e < 4; ++e) q[rng() % q.size()] = "ACGT"[rng() & 3u];
       const auto qc = dna_codes(q);
       const std::span<const std::uint8_t> query(qc);
-      const int screen = 30 + static_cast<int>(rng() % 100);
       for (int c = 0; c < 30; ++c) {
         const std::size_t q_off = 20 + rng() % 40;
-        const std::size_t t_off = rng() % 3900;
+        const std::size_t t_off = c % 3 == 0 ? pos + q_off : rng() % 3900;
         const auto got =
-            extend_seed(query, target, q_off, t_off, 21, batch_cfg, screen);
+            extend_seed(query, target, q_off, t_off, 21, batch_cfg);
         const auto want =
-            extend_seed(query, target, q_off, t_off, 21, full_cfg, screen);
+            extend_seed(query, target, q_off, t_off, 21, full_cfg);
         const std::string where = std::string(isa_name(isa)) +
                                   " trial=" + std::to_string(trial) +
                                   " c=" + std::to_string(c);
-        ASSERT_EQ(got.aln.score, want.aln.score) << where;
         ASSERT_EQ(got.window_begin, want.window_begin) << where;
         ASSERT_EQ(got.window_end, want.window_end) << where;
-        if (want.aln.score < screen) {
-          ASSERT_TRUE(got.aln.empty()) << where;
-          ++screened_out;
-          continue;
-        }
-        ++survived;
-        ASSERT_EQ(got.aln.t_begin, want.aln.t_begin) << where;
-        ASSERT_EQ(got.aln.t_end, want.aln.t_end) << where;
-        ASSERT_EQ(got.aln.q_begin, want.aln.q_begin) << where;
-        ASSERT_EQ(got.aln.q_end, want.aln.q_end) << where;
-        ASSERT_EQ(got.aln.cigar.to_string(), want.aln.cigar.to_string())
-            << where;
-        ASSERT_EQ(got.aln.mismatches, want.aln.mismatches) << where;
+        ASSERT_EQ(alignment_diff(got.aln, want.aln), "") << where;
       }
     }
-    // Both branches of the screen were exercised.
-    EXPECT_GT(screened_out, 0u) << isa_name(isa);
-    EXPECT_GT(survived, 0u) << isa_name(isa);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Traced sweep: flush_aligned() == smith_waterman, field for field
+// ---------------------------------------------------------------------------
+
+/// Runs one flush_aligned over (query, target) pairs and checks every result
+/// against smith_waterman. Returns the lane groups the sweep ran, so callers
+/// can tell a SIMD sweep from a per-pair fallback.
+std::uint64_t expect_traced_equals_scalar(
+    const std::vector<std::vector<std::uint8_t>>& queries,
+    const std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>>&
+        cands,
+    const Scoring& sc, SwIsa isa, const std::string& what) {
+  BatchSwScorer scorer(sc, isa);
+  std::vector<std::size_t> qids;
+  for (const auto& q : queries)
+    qids.push_back(scorer.add_query(std::span<const std::uint8_t>(q)));
+  for (const auto& [qi, t] : cands)
+    scorer.add(qids[qi], std::span<const std::uint8_t>(t));
+  TraceScratch scratch;
+  const auto got = scorer.flush_aligned(scratch);
+  EXPECT_EQ(got.size(), cands.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const auto want = smith_waterman(
+        std::span<const std::uint8_t>(queries[cands[i].first]),
+        std::span<const std::uint8_t>(cands[i].second), sc);
+    EXPECT_EQ(alignment_diff(got[i], want), "")
+        << what << " " << isa_name(isa) << " i=" << i;
+  }
+  EXPECT_EQ(scorer.pending(), 0u);
+  return scorer.lane_stats().groups;
+}
+
+/// A read's window: `q` mutated by substitutions and short indels, inside
+/// random flanks of `flank` bases each side.
+std::vector<std::uint8_t> mutated_window(std::mt19937_64& rng,
+                                         const std::string& q,
+                                         std::size_t flank) {
+  std::string body = q;
+  for (int e = 0; e < 3; ++e) body[rng() % body.size()] = "ACGT"[rng() & 3u];
+  if (rng() % 2) body.erase(rng() % body.size(), 1 + rng() % 3);
+  if (rng() % 2) body.insert(rng() % body.size(), random_dna(rng, 1 + rng() % 3));
+  return dna_codes(random_dna(rng, flank) + body + random_dna(rng, flank));
+}
+
+TEST_P(BatchSwTiers, TracedRandomPairsWithIndelsAndMixedLengths) {
+  const SwIsa isa = GetParam();
+  if (!isa_supported(isa)) GTEST_SKIP() << "tier not supported on this host";
+  std::mt19937_64 rng(81);
+  std::vector<std::vector<std::uint8_t>> queries;
+  std::vector<std::string> qstr;
+  for (int q = 0; q < 7; ++q) {  // mixed query lengths: pad rows per group
+    qstr.push_back(random_dna(rng, 40 + rng() % 120));
+    queries.push_back(dna_codes(qstr.back()));
+  }
+  std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> cands;
+  for (int c = 0; c < 90; ++c) {
+    const std::size_t qi = rng() % queries.size();
+    if (c % 5 == 4) {  // unrelated window: low score
+      cands.emplace_back(qi, dna_codes(random_dna(rng, 30 + rng() % 200)));
+    } else if (c % 5 == 3) {  // clipped window: target shorter than query
+      auto w = mutated_window(rng, qstr[qi], 16);
+      w.resize(w.size() / 3 + 1);
+      cands.emplace_back(qi, std::move(w));
+    } else {
+      cands.emplace_back(qi, mutated_window(rng, qstr[qi], rng() % 20));
+    }
+  }
+  for (const Scoring& sc : {Scoring{}, Scoring{1, -3, 5, 2},
+                            Scoring{3, -1, 1, 1}, Scoring{1, -1, 0, 1}}) {
+    const auto groups =
+        expect_traced_equals_scalar(queries, cands, sc, isa, "random");
+    if (isa != SwIsa::kScalar) EXPECT_GT(groups, 0u) << "no SIMD sweep ran";
+  }
+}
+
+TEST_P(BatchSwTiers, TracedTiesZeroScoresAndQueriesLongerThanWindows) {
+  const SwIsa isa = GetParam();
+  if (!isa_supported(isa)) GTEST_SKIP() << "tier not supported on this host";
+  std::mt19937_64 rng(82);
+  // Tandem repeats: many cells tie the maximum; the first in row-major order
+  // must win, as in the scalar engine.
+  std::string acac;
+  for (int i = 0; i < 20; ++i) acac += "AC";
+  std::vector<std::vector<std::uint8_t>> queries{
+      dna_codes(acac), dna_codes(std::string(30, 'A')),
+      dna_codes(random_dna(rng, 120))};
+  std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> cands;
+  cands.emplace_back(0, dna_codes(acac + acac + "GG" + acac));
+  cands.emplace_back(0, dna_codes("CACACA" + acac.substr(0, 10)));
+  cands.emplace_back(1, dna_codes(std::string(10, 'A') + "C" +
+                                  std::string(10, 'A')));
+  // Score 0: no base in common, so the result is the all-soft-clip
+  // alignment.
+  cands.emplace_back(1, dna_codes(std::string(50, 'G')));
+  // Queries longer than their windows (clipped at a contig end).
+  cands.emplace_back(2, std::vector<std::uint8_t>(queries[2].begin() + 30,
+                                                  queries[2].begin() + 70));
+  cands.emplace_back(2, dna_codes(random_dna(rng, 5)));
+  for (int c = 0; c < 10; ++c)
+    cands.emplace_back(c % 3, dna_codes(random_dna(rng, 1 + rng() % 60)));
+  expect_traced_equals_scalar(queries, cands, Scoring{}, isa, "ties");
+}
+
+TEST_P(BatchSwTiers, TracedFallbacksStayExact) {
+  const SwIsa isa = GetParam();
+  if (!isa_supported(isa)) GTEST_SKIP() << "tier not supported on this host";
+  std::mt19937_64 rng(83);
+  const auto q = random_dna(rng, 100);
+  const std::vector<std::vector<std::uint8_t>> mixed{dna_codes(q),
+                                                     dna_codes(q.substr(0, 70))};
+  std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> cands;
+  for (int c = 0; c < 20; ++c)
+    cands.emplace_back(c % 2, mutated_window(rng, q, 10));
+
+  // Pad-unsafe scheme (mismatch > 0): mixed-length groups align per pair.
+  Scoring unsafe;
+  unsafe.mismatch = 1;
+  EXPECT_EQ(expect_traced_equals_scalar(mixed, cands, unsafe, isa, "unsafe"),
+            0u);
+  // ... but a pad-unsafe group with no padding still sweeps.
+  std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> uniform;
+  for (int c = 0; c < 5; ++c)
+    uniform.emplace_back(0, dna_codes(random_dna(rng, 90)));
+  const auto uniform_groups =
+      expect_traced_equals_scalar(mixed, uniform, unsafe, isa, "uniform");
+  if (isa != SwIsa::kScalar) EXPECT_GT(uniform_groups, 0u);
+
+  // 16-bit headroom: match 400 x 100 columns could overflow int16.
+  Scoring big;
+  big.match = 400;
+  EXPECT_EQ(expect_traced_equals_scalar(mixed, cands, big, isa, "headroom"),
+            0u);
+
+  // Byte budget: a long read's provenance exceeds kTraceProvBudget.
+  const auto longq = random_dna(rng, 2000);
+  const std::vector<std::vector<std::uint8_t>> longs{dna_codes(longq)};
+  std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> long_cands;
+  long_cands.emplace_back(0, mutated_window(rng, longq, 16));
+  long_cands.emplace_back(0, mutated_window(rng, longq, 16));
+  const auto long_groups =
+      expect_traced_equals_scalar(longs, long_cands, Scoring{}, isa, "budget");
+  const std::size_t lanes = isa_lanes16(isa);
+  if (2000 * 2032 * lanes > TraceScratch::kTraceProvBudget)
+    EXPECT_EQ(long_groups, 0u);
 }
 
 TEST(BatchExtension, SingleCandidateKernelRoute) {
@@ -311,15 +444,15 @@ TEST(BatchExtension, SingleCandidateKernelRoute) {
   const PackedSeq target(g);
   const std::string q = g.substr(300, 90);
   const auto qc = dna_codes(q);
-  ExtensionConfig batch_cfg;
-  batch_cfg.kernel = SwKernel::kBatch;
-  const auto got = extend_seed(std::span<const std::uint8_t>(qc), target, 20,
-                               320, 21, batch_cfg);
-  const auto want =
+  ExtensionConfig full_cfg;
+  full_cfg.kernel = SwKernel::kFullDP;
+  const auto got =
       extend_seed(std::span<const std::uint8_t>(qc), target, 20, 320, 21, {});
-  EXPECT_EQ(got.aln.score, want.aln.score);
-  EXPECT_EQ(got.aln.t_begin, want.aln.t_begin);
-  EXPECT_EQ(got.aln.t_end, want.aln.t_end);
+  const auto want = extend_seed(std::span<const std::uint8_t>(qc), target, 20,
+                                320, 21, full_cfg);
+  EXPECT_EQ(alignment_diff(got.aln, want.aln), "");
+  EXPECT_EQ(got.aln.t_begin, 300u);
+  EXPECT_EQ(got.aln.t_end, 390u);
 }
 
 }  // namespace

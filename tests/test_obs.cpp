@@ -479,12 +479,14 @@ TEST(ObsEndToEnd, ShardedBatchPopulatesRegistry) {
     (void)reg.value_of(name, labels, v);  // absent series reads as 0
     return v;
   };
-  const double calls_before =
-      value_or_zero("mera_sw_calls_total",
-                    {{"kernel", "full_dp"}, {"isa", "native"}});
-  const double cells_before =
-      value_or_zero("mera_sw_cells_total",
-                    {{"kernel", "full_dp"}, {"isa", "native"}});
+  // The configured (default) kernel's series: its name and resolved tier.
+  const core::SessionConfig defaults;
+  const Labels sw_labels{
+      {"kernel", align::kernel_name(defaults.extension.kernel)},
+      {"isa", align::isa_name(align::resolve_isa(defaults.extension.isa))}};
+  ASSERT_EQ(sw_labels.front().second, "batch");
+  const double calls_before = value_or_zero("mera_sw_calls_total", sw_labels);
+  const double cells_before = value_or_zero("mera_sw_cells_total", sw_labels);
   const double hits_before =
       value_or_zero("mera_cache_hits_total", {{"cache", "seed"}}) +
       value_or_zero("mera_cache_misses_total", {{"cache", "seed"}});
@@ -507,12 +509,8 @@ TEST(ObsEndToEnd, ShardedBatchPopulatesRegistry) {
   EXPECT_EQ(v, 2.0);
 
   // Per-kernel SW work flowed through the bridge.
-  const double calls_after =
-      value_or_zero("mera_sw_calls_total",
-                    {{"kernel", "full_dp"}, {"isa", "native"}});
-  const double cells_after =
-      value_or_zero("mera_sw_cells_total",
-                    {{"kernel", "full_dp"}, {"isa", "native"}});
+  const double calls_after = value_or_zero("mera_sw_calls_total", sw_labels);
+  const double cells_after = value_or_zero("mera_sw_cells_total", sw_labels);
   EXPECT_GT(calls_after, calls_before);
   EXPECT_GT(cells_after, cells_before);
 

@@ -1,14 +1,15 @@
 // Cross-read candidate pooling: the multi-query batch scorer, the
 // PooledExtensionQueue, and the session-level pooled extension path.
 //
-// The central contract: pooling changes WHEN a candidate is scored — never
-// WHAT its score is, and never the order results are emitted in. So
+// The central contract: pooling changes WHEN a candidate is aligned — never
+// WHAT its alignment is, and never the order results are emitted in. So
 //   1. the multi-query BatchSwScorer is bit-identical to the scalar striped
 //      reference for every (query, target) pair, on every dispatch tier and
 //      under every scoring scheme (including pad-unsafe ones that force the
 //      per-pair fallback);
-//   2. the queue calls every tag back exactly once with the reference score,
-//      whatever the length-class bucketing and flush thresholds do; and
+//   2. the queue calls every tag back exactly once with smith_waterman's
+//      alignment, whatever the length-class bucketing and flush thresholds
+//      do; and
 //   3. a pooled kBatch session emits byte-identical records, SAM and stats
 //      to a kFullDP session on the same reference, for K in {1,2,4} shards,
 //      on every ISA tier, on mixed-length query sets — compared in EMISSION
@@ -40,6 +41,7 @@
 
 namespace {
 
+using mera::testutil::alignment_diff;
 using mera::testutil::random_dna;
 
 using namespace mera::align;
@@ -156,10 +158,10 @@ TEST(PooledSw, AddQueryDedupsIdenticalBytes) {
 
 // Property: whatever the length-class width and flush threshold do to
 // bucketing and flush timing, every enqueued tag is called back EXACTLY once
-// and its score is the scalar reference score. Randomized over class widths
-// that put everything in one bucket (1000), one bucket per length (1), and
-// odd in-between splits.
-TEST(PooledQueue, EveryTagScoredExactlyOnceAtAnyBucketing) {
+// and its alignment is smith_waterman's. Randomized over class widths that
+// put everything in one bucket (1000), one bucket per length (1), and odd
+// in-between splits.
+TEST(PooledQueue, EveryTagAlignedExactlyOnceAtAnyBucketing) {
   std::mt19937_64 rng(4099);
   for (const std::size_t width : {std::size_t{1}, std::size_t{7},
                                   std::size_t{32}, std::size_t{1000}}) {
@@ -168,11 +170,11 @@ TEST(PooledQueue, EveryTagScoredExactlyOnceAtAnyBucketing) {
       PooledQueueConfig cfg;
       cfg.length_class_width = width;
       cfg.flush_lanes = flush;
-      std::map<std::uint64_t, StripedResult> got;
+      std::map<std::uint64_t, LocalAlignment> got;
       PooledExtensionQueue queue(
-          cfg, [&](std::uint64_t tag, const StripedResult& r) {
-            ASSERT_TRUE(got.emplace(tag, r).second)
-                << "tag " << tag << " scored twice (width=" << width
+          cfg, [&](std::uint64_t tag, const LocalAlignment& aln) {
+            ASSERT_TRUE(got.emplace(tag, aln).second)
+                << "tag " << tag << " aligned twice (width=" << width
                 << " flush=" << flush << ")";
           });
       std::vector<std::vector<std::uint8_t>> queries;
@@ -195,21 +197,20 @@ TEST(PooledQueue, EveryTagScoredExactlyOnceAtAnyBucketing) {
       ASSERT_EQ(got.size(), cand_target.size())
           << "width=" << width << " flush=" << flush;
       for (std::uint64_t tag = 0; tag < cand_target.size(); ++tag) {
-        const auto ref = striped_scalar_score(queries[cand_query[tag]],
-                                              cand_target[tag], Scoring{});
-        ASSERT_EQ(got[tag].score, ref.score)
-            << "tag=" << tag << " width=" << width << " flush=" << flush;
-        ASSERT_EQ(got[tag].t_end, ref.t_end)
+        const auto ref = smith_waterman(
+            std::span<const std::uint8_t>(queries[cand_query[tag]]),
+            std::span<const std::uint8_t>(cand_target[tag]));
+        ASSERT_EQ(alignment_diff(got[tag], ref), "")
             << "tag=" << tag << " width=" << width << " flush=" << flush;
       }
     }
   }
 }
 
-TEST(PooledQueue, AutoFlushThresholdIsTheTiersLaneWidth) {
+TEST(PooledQueue, AutoFlushThresholdIsTheTraceLaneWidth) {
   PooledQueueConfig cfg;  // flush_lanes = 0 = auto
-  PooledExtensionQueue queue(cfg, [](std::uint64_t, const StripedResult&) {});
-  const std::size_t lanes = isa_lanes8(SwIsa::kAuto);
+  PooledExtensionQueue queue(cfg, [](std::uint64_t, const LocalAlignment&) {});
+  const std::size_t lanes = isa_lanes16(SwIsa::kAuto);
   EXPECT_EQ(queue.flush_lanes(), lanes > 1 ? lanes : 16u);
 }
 
@@ -258,8 +259,8 @@ mera::core::IndexConfig small_index(int k = 21) {
   return ic;
 }
 
-/// kFullDP, the reference every pooled kBatch run must reproduce.
-mera::core::SessionConfig full_session() {
+/// The default kernel (kBatch) at auto ISA, every candidate through SW.
+mera::core::SessionConfig default_session() {
   mera::core::SessionConfig sc;
   sc.seed_cache_capacity = 1u << 14;
   sc.target_cache_bytes = 8u << 20;
@@ -267,8 +268,15 @@ mera::core::SessionConfig full_session() {
   return sc;
 }
 
+/// kFullDP, the reference every pooled kBatch run must reproduce.
+mera::core::SessionConfig full_session() {
+  mera::core::SessionConfig sc = default_session();
+  sc.extension.kernel = SwKernel::kFullDP;
+  return sc;
+}
+
 mera::core::SessionConfig batch_session(SwIsa isa) {
-  mera::core::SessionConfig sc = full_session();
+  mera::core::SessionConfig sc = default_session();
   sc.extension.kernel = SwKernel::kBatch;
   sc.extension.isa = isa;
   return sc;
@@ -385,6 +393,67 @@ TEST(PooledSession, PooledBatchEqualsFullDpAcrossShardCounts) {
       EXPECT_EQ(full_sam, run(batch_session(isa), stats)) << what;
       expect_same_stats(full_stats, stats, what);
     }
+  }
+}
+
+// Repeat-rich 150 bp reads (a quarter of the genome is repeat copies, like
+// the wheat workload): many candidates per read, tied windows across repeat
+// copies and truncated hit lists. The DEFAULT session — no kernel named —
+// must reproduce kFullDP exactly: unsorted SAM bytes, VectorSink emission
+// order and PipelineStats, for K in {1,2,4} shards.
+TEST(PooledSession, DefaultKernelEqualsFullDpOnRepeatRichReads) {
+  mera::seq::GenomeParams gp;
+  gp.length = 40'000;
+  gp.repeat_fraction = 0.25;
+  gp.rng_seed = 99;
+  const std::string genome = simulate_genome(gp);
+  mera::seq::ContigParams cp;
+  cp.rng_seed = 100;
+  const auto contigs = chop_into_contigs(genome, cp);
+  mera::seq::ReadSimParams rp;
+  rp.read_len = 150;
+  rp.depth = 0.6;
+  rp.error_rate = 0.01;
+  rp.n_rate = 0.0;
+  rp.rng_seed = 101;
+  const auto reads = simulate_reads(genome, rp);
+  ASSERT_EQ(default_session().extension.kernel, SwKernel::kBatch);
+
+  for (const int shards : {1, 2, 4}) {
+    Runtime rt0(Topology(4, 2));
+    mera::shard::ShardPlanOptions popt;
+    popt.shards = shards;
+    popt.k = small_index().k;
+    const auto ref = mera::shard::ShardedReference::build(
+        rt0, contigs, plan_shards(contigs, popt), small_index());
+    const auto sam_run = [&](const mera::core::SessionConfig& scfg,
+                             mera::core::PipelineStats& stats) {
+      Runtime rt(Topology(4, 2));
+      mera::shard::ShardedAlignSession session(ref, scfg);
+      std::ostringstream os;
+      mera::core::SamStreamSink sam(os, ref.sam_targets(), rt.nranks());
+      stats = session.align_batch(rt, reads, sam).stats;
+      return os.str();
+    };
+    const auto vector_run = [&](const mera::core::SessionConfig& scfg) {
+      Runtime rt(Topology(4, 2));
+      mera::shard::ShardedAlignSession session(ref, scfg);
+      mera::core::VectorSink sink(rt.nranks());
+      (void)session.align_batch(rt, reads, sink);
+      return sink.take();
+    };
+    const std::string what = "K=" + std::to_string(shards);
+    mera::core::PipelineStats full_stats, default_stats;
+    const std::string full_sam = sam_run(full_session(), full_stats);
+    ASSERT_GT(full_stats.alignments_reported, full_stats.reads_processed)
+        << what << ": expected several records per read";
+    EXPECT_EQ(full_sam, sam_run(default_session(), default_stats)) << what;
+    expect_same_stats(full_stats, default_stats, what);
+    const auto v_full = vector_run(full_session());
+    const auto v_default = vector_run(default_session());
+    ASSERT_EQ(v_full.size(), v_default.size()) << what;
+    for (std::size_t i = 0; i < v_full.size(); ++i)
+      EXPECT_EQ(v_full[i], v_default[i]) << what << " i=" << i;
   }
 }
 

@@ -11,10 +11,35 @@
 #include <string_view>
 #include <vector>
 
+#include "align/smith_waterman.hpp"
 #include "seq/kmer.hpp"
 #include "seq/protein.hpp"
 
 namespace mera::testutil {
+
+/// "" when two alignments agree on every field, else the first difference —
+/// the kernel-equivalence tests' field-for-field comparison.
+inline std::string alignment_diff(const align::LocalAlignment& got,
+                                  const align::LocalAlignment& want) {
+  const auto field = [](const char* name, auto g, auto w) {
+    return std::string(name) + " " + std::to_string(g) + " vs " +
+           std::to_string(w);
+  };
+  if (got.score != want.score) return field("score", got.score, want.score);
+  if (got.q_begin != want.q_begin)
+    return field("q_begin", got.q_begin, want.q_begin);
+  if (got.q_end != want.q_end) return field("q_end", got.q_end, want.q_end);
+  if (got.t_begin != want.t_begin)
+    return field("t_begin", got.t_begin, want.t_begin);
+  if (got.t_end != want.t_end) return field("t_end", got.t_end, want.t_end);
+  if (got.mismatches != want.mismatches)
+    return field("mismatches", got.mismatches, want.mismatches);
+  if (got.gap_columns != want.gap_columns)
+    return field("gap_columns", got.gap_columns, want.gap_columns);
+  if (got.cigar.to_string() != want.cigar.to_string())
+    return "cigar " + got.cigar.to_string() + " vs " + want.cigar.to_string();
+  return "";
+}
 
 /// Uniform random DNA over {A,C,G,T}.
 inline std::string random_dna(std::mt19937_64& rng, std::size_t len) {

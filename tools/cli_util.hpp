@@ -163,10 +163,10 @@ inline AlignerFlags aligner_flags(const Args& args) {
   scfg.seed_cache = !args.has("no-seed-cache");
   scfg.target_cache = !args.has("no-target-cache");
   scfg.permute_queries = !args.has("no-permute");
-  scfg.extension.kernel = parse_kernel(args.get("sw", "full"));
+  scfg.extension.kernel = parse_kernel(args.get("sw", "batch"));
   if (args.has("sw-isa")) {
-    // Only the batch kernel dispatches on ISA; elsewhere the flag would be a
-    // silent no-op.
+    // Only the batch kernel (the default) dispatches on ISA; with --sw full
+    // or banded the flag would be a silent no-op.
     if (scfg.extension.kernel != align::SwKernel::kBatch)
       throw UsageError("--sw-isa requires --sw batch");
     scfg.extension.isa = parse_sw_isa(args.get("sw-isa"));

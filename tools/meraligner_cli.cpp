@@ -4,7 +4,7 @@
 //   meraligner --targets contigs.fa --reads batch1.{fastq,sdb}
 //              [--reads batch2.fastq ...] [--out out.sam] [--k 51]
 //              [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]
-//              [--fragment-len 1024] [--sw full|banded|batch]
+//              [--fragment-len 1024] [--sw batch|full|banded]
 //              [--sw-isa auto|...|help] [--no-exact]
 //              [--no-seed-cache] [--no-target-cache] [--no-aggregation]
 //              [--no-permute] [--stats]
@@ -83,7 +83,7 @@ constexpr const char* kUsage =
     "meraligner --targets contigs.fa --reads batch1.{fastq,sdb}\n"
     "           [--reads batch2.fastq ...] [--out out.sam] [--k 51]\n"
     "           [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]\n"
-    "           [--fragment-len 1024] [--sw full|banded|batch]\n"
+    "           [--fragment-len 1024] [--sw batch|full|banded]\n"
     "           [--sw-isa auto|scalar|sse2|avx2|avx512|help]\n"
     "           [--no-exact] [--no-seed-cache] [--no-target-cache]\n"
     "           [--no-aggregation] [--no-permute] [--stats]\n"
@@ -106,9 +106,10 @@ constexpr const char* kUsage =
     "--load-cache DIR warm-starts from such a snapshot (same reference,\n"
     "topology and cost model required). Warm runs emit the same SAM bytes\n"
     "as cold ones — only the remote-lookup work changes.\n"
-    "--sw batch pools candidates across reads into query-length-class\n"
-    "buckets and screens a bucket in one inter-candidate SIMD sweep once it\n"
-    "fills the tier's lanes; only survivors pay the full-DP traceback.\n"
+    "--sw batch (the default) pools candidates across reads into\n"
+    "query-length-class buckets and aligns a bucket in one inter-candidate\n"
+    "SIMD sweep with traceback once it fills the tier's lanes; --sw full is\n"
+    "the scalar reference DP, --sw banded a band around the seed diagonal.\n"
     "--sw-isa (or MERA_SW_ISA in the environment) pins its dispatch tier —\n"
     "the default auto picks the widest the CPU supports. Every kernel and\n"
     "tier emits bit-identical SAM. --sw-isa help (or MERA_SW_ISA=help)\n"

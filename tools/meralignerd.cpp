@@ -3,7 +3,7 @@
 // Usage:
 //   meralignerd --targets contigs.fa --socket /run/mera.sock
 //               [--k 51] [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]
-//               [--fragment-len 1024] [--sw full|banded|batch]
+//               [--fragment-len 1024] [--sw batch|full|banded]
 //               [--sw-isa auto|...] [--no-exact]
 //               [--no-seed-cache] [--no-target-cache] [--no-aggregation]
 //               [--no-permute] [--cache-admission]
@@ -55,7 +55,7 @@ namespace {
 constexpr const char* kUsage =
     "meralignerd --targets contigs.fa --socket /run/mera.sock\n"
     "            [--k 51] [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]\n"
-    "            [--fragment-len 1024] [--sw full|banded|batch]\n"
+    "            [--fragment-len 1024] [--sw batch|full|banded]\n"
     "            [--sw-isa auto|scalar|sse2|avx2|avx512]\n"
     "            [--no-exact] [--no-seed-cache] [--no-target-cache]\n"
     "            [--no-aggregation] [--no-permute] [--cache-admission]\n"
@@ -72,6 +72,9 @@ constexpr const char* kUsage =
     "snapshots there on shutdown (and every --autosave SECS while serving,\n"
     "atomically - a crash never loses the last good snapshot); --load-cache\n"
     "warm-starts from that directory. SIGINT/SIGTERM drain gracefully.\n"
+    "--sw batch (the default) aligns candidates in pooled SIMD sweeps with\n"
+    "traceback; --sw full is the scalar reference; every kernel and\n"
+    "--sw-isa tier emits the same SAM bytes.\n"
     "Clients can scrape the Prometheus metrics (incl. tenant= series) with\n"
     "a MetricsReq frame: meraligner_client --socket S --metrics -.";
 
