@@ -11,8 +11,9 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "core/align_session.hpp"
 #include "core/evaluation.hpp"
-#include "core/pipeline.hpp"
+#include "core/indexed_reference.hpp"
 #include "seq/genome_sim.hpp"
 #include "seq/read_sim.hpp"
 
@@ -44,14 +45,15 @@ int main() {
   std::printf("%10s %12s %12s %14s %12s %12s %12s\n", "max_hits", "align(s)",
               "SW calls", "truncated", "aligned%", "precision%", "recall%");
   for (std::size_t max_hits : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
-    core::AlignerConfig cfg;
-    cfg.k = 51;
-    cfg.fragment_len = 1024;
+    core::SessionConfig cfg;
     cfg.max_hits_per_seed = max_hits;
     pgas::Runtime rt(pgas::Topology(8, 4));
-    const auto res = core::MerAligner(cfg).align(rt, contigs, reads);
-    const auto ev = core::evaluate_alignments(contigs, reads, res.alignments,
-                                              {cfg.k, 5});
+    const auto ref = core::IndexedReference::build(rt, contigs);
+    core::AlignSession session(ref, cfg);
+    core::VectorSink sink(rt.nranks());
+    const auto res = session.align_batch(rt, reads, sink);
+    const auto ev = core::evaluate_alignments(contigs, reads, sink.take(),
+                                              {ref.config().k, 5});
     std::printf("%10zu %12.3f %12llu %14llu %11.1f%% %11.1f%% %11.1f%%\n",
                 max_hits, res.report.time_of("align"),
                 static_cast<unsigned long long>(res.stats.sw_calls),

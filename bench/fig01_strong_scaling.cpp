@@ -11,20 +11,12 @@
 
 #include "baseline/replicated_aligner.hpp"
 #include "bench_common.hpp"
-#include "core/pipeline.hpp"
+#include "core/align_session.hpp"
+#include "core/indexed_reference.hpp"
 
 namespace {
 
 using namespace mera;
-
-core::AlignerConfig aligner_config() {
-  core::AlignerConfig cfg;
-  cfg.k = 51;
-  cfg.buffer_S = 1000;
-  cfg.fragment_len = 1024;
-  cfg.collect_alignments = false;
-  return cfg;
-}
 
 void run_curve(const bench::Workload& w, const std::vector<int>& rank_counts,
                int ppn) {
@@ -36,9 +28,11 @@ void run_curve(const bench::Workload& w, const std::vector<int>& rank_counts,
   int c0 = rank_counts.front();
   for (int nranks : rank_counts) {
     pgas::Runtime rt(pgas::Topology(nranks, ppn));
-    const auto res =
-        core::MerAligner(aligner_config()).align(rt, w.contigs, w.reads);
-    const double t = res.total_time_s();
+    const auto ref = core::IndexedReference::build(rt, w.contigs);
+    core::AlignSession session(ref);
+    core::CountingSink sink;
+    const auto batch = session.align_batch(rt, w.reads, sink);
+    const double t = ref.build_report().total_time_s() + batch.total_time_s();
     if (t0 < 0) t0 = t;
     const double ideal = t0 * c0 / nranks;
     const double speedup = t0 * c0 / nranks / t;  // vs linear from first point

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/pipeline.hpp"
+#include "core/indexed_reference.hpp"
 
 namespace {
 
@@ -17,15 +17,11 @@ using namespace mera;
 double index_build_time(const bench::Workload& w, int nranks, int ppn,
                         bool aggregating, std::uint64_t* msgs,
                         std::uint64_t* atomics) {
-  core::AlignerConfig cfg;
-  cfg.k = 51;
+  core::IndexConfig cfg;
   cfg.aggregating_stores = aggregating;
-  cfg.buffer_S = 1000;
-  cfg.fragment_len = 1024;
-  cfg.collect_alignments = false;
   pgas::Runtime rt(pgas::Topology(nranks, ppn));
-  const auto res = core::MerAligner(cfg).align(rt, w.contigs, w.reads);
-  const auto* ph = res.report.find("index.build");
+  const auto ref = core::IndexedReference::build(rt, w.contigs, cfg);
+  const auto* ph = ref.build_report().find("index.build");
   if (msgs) *msgs = ph->traffic.remote_msgs();
   if (atomics) *atomics = ph->traffic.atomics;
   return ph->time_s();

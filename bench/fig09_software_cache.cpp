@@ -11,7 +11,8 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/pipeline.hpp"
+#include "core/align_session.hpp"
+#include "core/indexed_reference.hpp"
 
 namespace {
 
@@ -25,16 +26,15 @@ struct CommSplit {
 
 CommSplit align_comm(const bench::Workload& w, int nranks, int ppn,
                      bool caches) {
-  core::AlignerConfig cfg;
-  cfg.k = 51;
-  cfg.buffer_S = 1000;
-  cfg.fragment_len = 1024;
+  core::SessionConfig cfg;
   cfg.seed_cache = caches;
   cfg.target_cache = caches;
   cfg.exact_match = false;  // keep lookup volume identical across configs
-  cfg.collect_alignments = false;
   pgas::Runtime rt(pgas::Topology(nranks, ppn));
-  const auto res = core::MerAligner(cfg).align(rt, w.contigs, w.reads);
+  const auto ref = core::IndexedReference::build(rt, w.contigs);
+  core::AlignSession session(ref, cfg);
+  core::CountingSink sink;
+  const auto res = session.align_batch(rt, w.reads, sink);
   CommSplit out;
   for (const auto& st : res.per_rank) {
     out.lookup_s = std::max(out.lookup_s, st.comm_lookup_s);

@@ -7,9 +7,11 @@
 // ~59% of aligned reads took the fast path; optimized aligning phase scales
 // 15.9x from 480 -> 7680 cores.
 #include <cstdio>
+#include <limits>
 
 #include "bench_common.hpp"
-#include "core/pipeline.hpp"
+#include "core/align_session.hpp"
+#include "core/indexed_reference.hpp"
 
 namespace {
 
@@ -23,14 +25,16 @@ struct PhaseSplit {
 
 PhaseSplit align_phase(const bench::Workload& w, int nranks, int ppn,
                        bool exact, std::size_t fragment_len) {
-  core::AlignerConfig cfg;
-  cfg.k = 51;
-  cfg.buffer_S = 1000;
+  // An unmarked reference (exact_match off) disables the session's
+  // Lemma-1 path, so the index knob alone switches the optimization.
+  core::IndexConfig cfg;
   cfg.exact_match = exact;
   cfg.fragment_len = fragment_len;
-  cfg.collect_alignments = false;
   pgas::Runtime rt(pgas::Topology(nranks, ppn));
-  const auto res = core::MerAligner(cfg).align(rt, w.contigs, w.reads);
+  const auto ref = core::IndexedReference::build(rt, w.contigs, cfg);
+  core::AlignSession session(ref);
+  core::CountingSink sink;
+  const auto res = session.align_batch(rt, w.reads, sink);
   const auto* ph = res.report.find("align");
   PhaseSplit out;
   out.comm_s = ph->comm_max();

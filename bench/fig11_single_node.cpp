@@ -9,21 +9,22 @@
 
 #include "baseline/replicated_aligner.hpp"
 #include "bench_common.hpp"
-#include "core/pipeline.hpp"
+#include "core/align_session.hpp"
+#include "core/indexed_reference.hpp"
 
 namespace {
 
 using namespace mera;
 
 double mer_time(const bench::Workload& w, int nranks) {
-  core::AlignerConfig cfg;
+  core::IndexConfig cfg;
   cfg.k = 19;
-  cfg.buffer_S = 1000;
-  cfg.fragment_len = 1024;
-  cfg.collect_alignments = false;
   pgas::Runtime rt(pgas::Topology(nranks, 24));  // one 24-core node
-  const auto res = core::MerAligner(cfg).align(rt, w.contigs, w.reads);
-  return res.total_time_s();
+  const auto ref = core::IndexedReference::build(rt, w.contigs, cfg);
+  core::AlignSession session(ref);
+  core::CountingSink sink;
+  const auto batch = session.align_batch(rt, w.reads, sink);
+  return ref.build_report().total_time_s() + batch.total_time_s();
 }
 
 double baseline_time(const bench::Workload& w, int nranks,

@@ -14,7 +14,8 @@
 #include <random>
 
 #include "bench_common.hpp"
-#include "core/pipeline.hpp"
+#include "core/align_session.hpp"
+#include "core/indexed_reference.hpp"
 
 namespace {
 
@@ -27,14 +28,13 @@ struct Row {
 };
 
 Row run(const bench::Workload& w, bool permute, int nranks, int ppn) {
-  core::AlignerConfig cfg;
-  cfg.k = 51;
-  cfg.buffer_S = 1000;
-  cfg.fragment_len = 1024;
+  core::SessionConfig cfg;
   cfg.permute_queries = permute;
-  cfg.collect_alignments = false;
   pgas::Runtime rt(pgas::Topology(nranks, ppn));
-  const auto res = core::MerAligner(cfg).align(rt, w.contigs, w.reads);
+  const auto ref = core::IndexedReference::build(rt, w.contigs);
+  core::AlignSession session(ref, cfg);
+  core::CountingSink sink;
+  const auto res = session.align_batch(rt, w.reads, sink);
   const auto* ph = res.report.find("align");
   Row row{};
   row.comp_min = ph->cpu_min();

@@ -11,7 +11,8 @@
 
 #include "baseline/replicated_aligner.hpp"
 #include "bench_common.hpp"
-#include "core/pipeline.hpp"
+#include "core/align_session.hpp"
+#include "core/indexed_reference.hpp"
 
 int main() {
   using namespace mera;
@@ -26,16 +27,15 @@ int main() {
               w.reads.size(), w.contigs.size(), nranks, ppn);
 
   // merAligner.
-  core::AlignerConfig mcfg;
-  mcfg.k = 51;
-  mcfg.buffer_S = 1000;
-  mcfg.fragment_len = 1024;
-  mcfg.collect_alignments = false;
   pgas::Runtime rt(pgas::Topology(nranks, ppn));
-  const auto mer = core::MerAligner(mcfg).align(rt, w.contigs, w.reads);
-  const double mer_index = mer.report.time_of("io.targets") +
-                           mer.report.time_of("index.build") +
-                           mer.report.time_of("index.mark");
+  const auto ref = core::IndexedReference::build(rt, w.contigs);
+  core::AlignSession session(ref);
+  core::CountingSink sink;
+  const auto mer = session.align_batch(rt, w.reads, sink);
+  const auto& build = ref.build_report();
+  const double mer_index = build.time_of("io.targets") +
+                           build.time_of("index.build") +
+                           build.time_of("index.mark");
   const double mer_map =
       mer.report.time_of("io.reads") + mer.report.time_of("align");
   const double mer_total = mer_index + mer_map;

@@ -14,7 +14,9 @@
 #include <string>
 #include <vector>
 
-#include "core/pipeline.hpp"
+#include "core/align_session.hpp"
+#include "core/alignment_sink.hpp"
+#include "core/indexed_reference.hpp"
 #include "core/scaffold.hpp"
 #include "dbg/contig_builder.hpp"
 #include "dbg/kmer_spectrum.hpp"
@@ -75,20 +77,25 @@ int main() {
               spectrum.total_distinct());
 
   // ---- stage 2: align the reads back onto the contigs ---------------------
-  core::AlignerConfig cfg;
-  cfg.k = k;
-  cfg.fragment_len = 2048;
-  cfg.permute_queries = false;  // mates stay pairable by index
+  core::IndexConfig icfg;
+  icfg.k = k;
+  icfg.fragment_len = 2048;
+  core::SessionConfig scfg;
+  scfg.permute_queries = false;  // mates stay pairable by index
   pgas::Runtime rt2(pgas::Topology(nranks, ppn));
-  const auto res = core::MerAligner(cfg).align(rt2, contigs, reads);
+  const auto ref = core::IndexedReference::build(rt2, contigs, icfg);
+  core::AlignSession session(ref, scfg);
+  core::VectorSink sink(rt2.nranks());
+  const auto res = session.align_batch(rt2, reads, sink);
   std::printf("alignment: %.1f%% of reads mapped (%.1f%% exact fast path), "
               "%.3f simulated s\n",
               100.0 * res.stats.aligned_fraction(),
-              100.0 * res.stats.exact_fraction(), res.total_time_s());
+              100.0 * res.stats.exact_fraction(),
+              ref.build_report().total_time_s() + res.total_time_s());
 
   // ---- stage 3: scaffolding ------------------------------------------------
   std::map<std::string, core::AlignmentRecord> best;
-  for (const auto& a : res.alignments) {
+  for (const auto& a : sink.take()) {
     auto it = best.find(a.query_name);
     if (it == best.end() || a.score > it->second.score)
       best[a.query_name] = a;

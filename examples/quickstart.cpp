@@ -4,15 +4,19 @@
 //   2. sample error-bearing reads from it (the queries),
 //   3. write them to FASTA / SeqDB files,
 //   4. run the fully parallel merAligner pipeline on a simulated 8-rank
-//      PGAS machine, and
-//   5. write the alignments as SAM and print the pipeline report.
+//      PGAS machine: build the distributed seed index once
+//      (core::IndexedReference), then align the reads file as one batch
+//      (core::AlignSession), and
+//   5. stream the alignments to SAM and print the pipeline report.
 //
 // Usage: quickstart [nranks] [ranks_per_node]
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 
-#include "core/pipeline.hpp"
+#include "core/align_session.hpp"
+#include "core/alignment_sink.hpp"
+#include "core/indexed_reference.hpp"
 #include "seq/fasta.hpp"
 #include "seq/genome_sim.hpp"
 #include "seq/read_sim.hpp"
@@ -43,27 +47,36 @@ int main(int argc, char** argv) {
   seq::write_seqdb("quickstart_reads.sdb", reads, /*store_quality=*/false);
 
   // --- 4: align on the simulated PGAS machine ------------------------------
-  core::AlignerConfig cfg;
-  cfg.k = 31;             // seed length
-  cfg.buffer_S = 1000;    // aggregating-stores buffer (paper default)
-  cfg.fragment_len = 1024;
   pgas::Runtime rt(pgas::Topology(nranks, ppn));
-  const auto res = core::MerAligner(cfg).align_files(
-      rt, "quickstart_contigs.fa", "quickstart_reads.sdb", "quickstart.sam");
+  core::IndexConfig icfg;
+  icfg.k = 31;  // seed length
+  const auto ref = core::IndexedReference::build_from_fasta(
+      rt, "quickstart_contigs.fa", icfg);
+  core::SessionConfig scfg;
+  scfg.permute_queries = false;  // align the reads file in its natural order
+  core::AlignSession session(ref, scfg);
+  core::SamFileSink sam("quickstart.sam", ref);
+  const auto batch = session.align_batch_file(rt, "quickstart_reads.sdb", sam);
 
   // --- 5: report ------------------------------------------------------------
+  // The build report holds the index phases, the batch report the aligning
+  // phases; appended they are the end-to-end run.
+  pgas::PhaseReport report = ref.build_report();
+  report.append(batch.report);
+  core::PipelineStats stats = batch.stats;
+  for (const auto& s : ref.build_stats()) stats += s;  // seeds indexed
   std::printf("\nper-phase simulated times (%d ranks, %d per node):\n", nranks,
               ppn);
-  res.report.print(std::cout);
+  report.print(std::cout);
   std::printf("\npipeline statistics (summed over ranks):\n");
-  res.stats.print(std::cout);
+  stats.print(std::cout);
   std::printf("\nseed cache hit rate:   %.1f%%\n",
-              100.0 * res.seed_cache.hit_rate());
+              100.0 * batch.seed_cache.hit_rate());
   std::printf("target cache hit rate: %.1f%%\n",
-              100.0 * res.target_cache.hit_rate());
+              100.0 * batch.target_cache.hit_rate());
   std::printf("single-copy fragments: %.1f%%\n",
-              100.0 * res.single_copy_fraction);
-  std::printf("\nwrote %zu alignments to quickstart.sam\n",
-              res.alignments.size());
+              100.0 * ref.single_copy_fraction());
+  std::printf("\nwrote %llu alignments to quickstart.sam\n",
+              static_cast<unsigned long long>(sam.records_written()));
   return 0;
 }

@@ -16,7 +16,9 @@
 #include <string>
 #include <vector>
 
-#include "core/pipeline.hpp"
+#include "core/align_session.hpp"
+#include "core/alignment_sink.hpp"
+#include "core/indexed_reference.hpp"
 #include "core/scaffold.hpp"
 #include "seq/genome_sim.hpp"
 #include "seq/read_sim.hpp"
@@ -51,19 +53,23 @@ int main() {
               contigs.size(), reads.size());
 
   // Align reads onto contigs (the rate-limiting Meraculous step).
-  core::AlignerConfig cfg;
-  cfg.k = 31;
-  cfg.fragment_len = 2048;
-  cfg.permute_queries = false;  // mates must stay pairable by index
+  core::IndexConfig icfg;
+  icfg.k = 31;
+  icfg.fragment_len = 2048;
+  core::SessionConfig scfg;
+  scfg.permute_queries = false;  // mates must stay pairable by index
   pgas::Runtime rt(pgas::Topology(8, 4));
-  const auto res = core::MerAligner(cfg).align(rt, contigs, reads);
+  const auto ref = core::IndexedReference::build(rt, contigs, icfg);
+  core::AlignSession session(ref, scfg);
+  core::VectorSink sink(rt.nranks());
+  const auto res = session.align_batch(rt, reads, sink);
   std::printf("aligned %.1f%% of reads (%.1f%% via exact-match fast path)\n",
               100.0 * res.stats.aligned_fraction(),
               100.0 * res.stats.exact_fraction());
 
   // Best alignment per read, then hand mate pairs to the scaffolder.
   std::map<std::string, core::AlignmentRecord> best;
-  for (const auto& a : res.alignments) {
+  for (const auto& a : sink.take()) {
     auto it = best.find(a.query_name);
     if (it == best.end() || a.score > it->second.score)
       best[a.query_name] = a;

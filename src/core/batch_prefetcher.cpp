@@ -40,11 +40,7 @@ std::vector<seq::SeqRecord> load_read_batch(const std::string& path) {
                              "': no such file or directory");
   if (looks_like_fastq(path)) return seq::read_fastq(path);
   try {
-    seq::SeqDBReader db(path);
-    std::vector<seq::SeqRecord> records;
-    records.reserve(db.size());
-    for (std::size_t i = 0; i < db.size(); ++i) records.push_back(db.read(i));
-    return records;
+    return seq::SeqDBReader(path).read_all();
   } catch (const std::exception& e) {
     throw std::runtime_error("load_read_batch: '" + path +
                              "' failed to load as SeqDB (extension does not "

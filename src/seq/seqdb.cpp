@@ -1,6 +1,7 @@
 #include "seq/seqdb.hpp"
 
 #include <cstring>
+#include <sstream>
 #include <stdexcept>
 
 #include "seq/fastq.hpp"
@@ -20,7 +21,7 @@ void write_pod(std::ofstream& out, const T& v) {
 }
 
 template <typename T>
-T read_pod(std::ifstream& in) {
+T read_pod(std::istream& in) {
   T v{};
   in.read(reinterpret_cast<char*>(&v), sizeof(T));
   if (!in) throw std::runtime_error("SeqDB: truncated file");
@@ -97,22 +98,55 @@ void SeqDBWriter::finish() {
 // SeqDBReader
 // ---------------------------------------------------------------------------
 
-SeqDBReader::SeqDBReader(const std::string& path) : in_(path, std::ios::binary) {
-  if (!in_) throw std::runtime_error("SeqDB: cannot open for reading: " + path);
+SeqDBReader::SeqDBReader(const std::string& path)
+    : SeqDBReader(std::make_unique<std::ifstream>(path, std::ios::binary),
+                  path) {}
+
+SeqDBReader SeqDBReader::from_bytes(std::string bytes) {
+  return SeqDBReader(std::make_unique<std::istringstream>(std::move(bytes)),
+                     "<in-memory SeqDB>");
+}
+
+SeqDBReader::SeqDBReader(std::unique_ptr<std::istream> in,
+                         const std::string& source)
+    : in_(std::move(in)) {
+  if (!*in_)
+    throw std::runtime_error("SeqDB: cannot open for reading: " + source);
+  in_->seekg(0, std::ios::end);
+  const auto total = static_cast<std::uint64_t>(in_->tellg());
+  in_->seekg(0);
   char magic[8];
-  in_.read(magic, sizeof(magic));
-  if (!in_ || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-    throw std::runtime_error("SeqDB: bad magic (not a SeqDB file): " + path);
-  const auto version = read_pod<std::uint32_t>(in_);
+  in_->read(magic, sizeof(magic));
+  if (!*in_ || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
+    throw std::runtime_error("SeqDB: bad magic (not a SeqDB file): " + source);
+  if (total < kHeaderBytes)
+    throw std::runtime_error("SeqDB: truncated header (" +
+                             std::to_string(total) + " bytes): " + source);
+  const auto version = read_pod<std::uint32_t>(*in_);
   if (version != kVersion)
     throw std::runtime_error("SeqDB: unsupported version");
-  const auto flags = read_pod<std::uint32_t>(in_);
+  const auto flags = read_pod<std::uint32_t>(*in_);
   store_quality_ = (flags & kFlagQuality) != 0;
-  const auto nrecords = read_pod<std::uint64_t>(in_);
-  const auto index_offset = read_pod<std::uint64_t>(in_);
-  in_.seekg(static_cast<std::streamoff>(index_offset));
+  const auto nrecords = read_pod<std::uint64_t>(*in_);
+  const auto index_offset = read_pod<std::uint64_t>(*in_);
+  if (index_offset < kHeaderBytes || index_offset > total)
+    throw std::runtime_error("SeqDB: index_offset " +
+                             std::to_string(index_offset) + " outside the " +
+                             std::to_string(total) + "-byte image: " + source);
+  if (nrecords > (total - index_offset) / sizeof(std::uint64_t))
+    throw std::runtime_error(
+        "SeqDB: nrecords " + std::to_string(nrecords) + " exceeds the " +
+        std::to_string(total - index_offset) + "-byte record index: " + source);
+  records_end_ = index_offset;
+  in_->seekg(static_cast<std::streamoff>(index_offset));
   offsets_.resize(nrecords);
-  for (auto& off : offsets_) off = read_pod<std::uint64_t>(in_);
+  for (std::size_t i = 0; i < offsets_.size(); ++i) {
+    offsets_[i] = read_pod<std::uint64_t>(*in_);
+    if (offsets_[i] < kHeaderBytes || offsets_[i] >= records_end_)
+      throw std::runtime_error("SeqDB: record offset " + std::to_string(i) +
+                               " (" + std::to_string(offsets_[i]) +
+                               ") outside the record area: " + source);
+  }
 }
 
 std::pair<std::size_t, std::size_t> SeqDBReader::partition(int rank,
@@ -125,35 +159,61 @@ std::pair<std::size_t, std::size_t> SeqDBReader::partition(int rank,
   return {n * r / p, n * (r + 1) / p};
 }
 
-PackedRead SeqDBReader::read_packed(std::size_t i) {
+PackedRead SeqDBReader::decode(std::size_t i, std::string* qual) {
   if (i >= offsets_.size()) throw std::out_of_range("SeqDB: record index");
-  in_.seekg(static_cast<std::streamoff>(offsets_[i]));
+  // Every length is checked against the bytes left before the index, so a
+  // corrupt field can neither over-read nor over-allocate.
+  std::uint64_t left = records_end_ - offsets_[i];
+  const auto take = [&](std::uint64_t bytes, const char* field) {
+    if (bytes > left)
+      throw std::runtime_error("SeqDB: record " + std::to_string(i) + ": " +
+                               field + " needs " + std::to_string(bytes) +
+                               " bytes, " + std::to_string(left) +
+                               " left before the index");
+    left -= bytes;
+  };
+  in_->seekg(static_cast<std::streamoff>(offsets_[i]));
   PackedRead rec;
-  const auto name_len = read_pod<std::uint16_t>(in_);
+  take(sizeof(std::uint16_t), "name_len");
+  const auto name_len = read_pod<std::uint16_t>(*in_);
+  take(name_len, "name_len");
   rec.name.resize(name_len);
-  in_.read(rec.name.data(), name_len);
-  const auto seq_len = read_pod<std::uint32_t>(in_);
-  std::vector<std::uint64_t> words((seq_len + 31) / 32);
-  for (auto& w : words) w = read_pod<std::uint64_t>(in_);
+  in_->read(rec.name.data(), name_len);
+  take(sizeof(std::uint32_t), "seq_len");
+  const auto seq_len = read_pod<std::uint32_t>(*in_);
+  const std::uint64_t nwords = (std::uint64_t{seq_len} + 31) / 32;
+  take(nwords * sizeof(std::uint64_t), "seq_len");
+  std::vector<std::uint64_t> words(nwords);
+  for (auto& w : words) w = read_pod<std::uint64_t>(*in_);
   rec.seq = PackedSeq::from_words(std::move(words), seq_len);
-  const auto n_count = read_pod<std::uint32_t>(in_);
+  take(sizeof(std::uint32_t), "n_count");
+  const auto n_count = read_pod<std::uint32_t>(*in_);
+  take(std::uint64_t{n_count} * sizeof(std::uint32_t), "n_count");
   rec.n_pos.resize(n_count);
-  for (auto& p : rec.n_pos) p = read_pod<std::uint32_t>(in_);
-  if (!in_) throw std::runtime_error("SeqDB: truncated record");
+  for (auto& p : rec.n_pos) {
+    p = read_pod<std::uint32_t>(*in_);
+    if (p >= seq_len)
+      throw std::runtime_error("SeqDB: record " + std::to_string(i) +
+                               ": N position " + std::to_string(p) +
+                               " not below seq_len " + std::to_string(seq_len));
+  }
+  if (qual && store_quality_) {
+    take(seq_len, "quality");
+    qual->resize(seq_len);
+    in_->read(qual->data(), seq_len);
+  }
+  if (!*in_) throw std::runtime_error("SeqDB: truncated record");
   return rec;
 }
 
+PackedRead SeqDBReader::read_packed(std::size_t i) { return decode(i, nullptr); }
+
 SeqRecord SeqDBReader::read(std::size_t i) {
-  PackedRead pr = read_packed(i);
   SeqRecord rec;
+  PackedRead pr = decode(i, &rec.qual);
   rec.name = std::move(pr.name);
   rec.seq = pr.seq.to_string();
   for (std::uint32_t p : pr.n_pos) rec.seq[p] = 'N';
-  if (store_quality_) {
-    rec.qual.resize(pr.seq.size());
-    in_.read(rec.qual.data(), static_cast<std::streamsize>(rec.qual.size()));
-    if (!in_) throw std::runtime_error("SeqDB: truncated quality");
-  }
   return rec;
 }
 
@@ -162,6 +222,13 @@ std::vector<PackedRead> SeqDBReader::read_packed_range(std::size_t lo,
   std::vector<PackedRead> out;
   out.reserve(hi - lo);
   for (std::size_t i = lo; i < hi; ++i) out.push_back(read_packed(i));
+  return out;
+}
+
+std::vector<SeqRecord> SeqDBReader::read_all() {
+  std::vector<SeqRecord> out;
+  out.reserve(size());
+  for (std::size_t i = 0; i < size(); ++i) out.push_back(read(i));
   return out;
 }
 

@@ -18,10 +18,17 @@
 //                    u32 n_count, n_count u32 N-positions,
 //                    (if qualities) seq_len quality bytes
 //   [index_offset] nrecords x u64 absolute record offsets
+//
+// The reader is an untrusted edge (daemon clients send SeqDB images): every
+// header field, index entry and record length is checked against the known
+// total size before anything is read or allocated, and a violation throws a
+// std::runtime_error naming the field.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
+#include <istream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,6 +66,9 @@ class SeqDBWriter {
 class SeqDBReader {
  public:
   explicit SeqDBReader(const std::string& path);
+  /// Reads a SeqDB image held in memory (e.g. a socket payload), taking
+  /// ownership of the bytes; same checks and record decoder as a file.
+  [[nodiscard]] static SeqDBReader from_bytes(std::string bytes);
 
   [[nodiscard]] std::size_t size() const noexcept { return offsets_.size(); }
   [[nodiscard]] bool has_quality() const noexcept { return store_quality_; }
@@ -71,10 +81,17 @@ class SeqDBReader {
   [[nodiscard]] PackedRead read_packed(std::size_t i);
   [[nodiscard]] std::vector<PackedRead> read_packed_range(std::size_t lo,
                                                           std::size_t hi);
+  /// Every record, in file order.
+  [[nodiscard]] std::vector<SeqRecord> read_all();
 
  private:
-  mutable std::ifstream in_;
+  SeqDBReader(std::unique_ptr<std::istream> in, const std::string& source);
+  /// Decodes record i; its quality bytes go to `qual` when non-null.
+  PackedRead decode(std::size_t i, std::string* qual);
+
+  std::unique_ptr<std::istream> in_;
   bool store_quality_ = false;
+  std::uint64_t records_end_ = 0;  ///< index_offset: records lie before it
   std::vector<std::uint64_t> offsets_;
 };
 

@@ -10,16 +10,15 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
 #include "align/batch_sw.hpp"
-#include "core/batch_prefetcher.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "pgas/phase_timer.hpp"
 #include "seq/fastq.hpp"
+#include "seq/seqdb.hpp"
 
 namespace mera::serve {
 
@@ -329,25 +328,8 @@ void Daemon::handle_batch(Conn& conn, const std::string& tenant,
     if (payload.size() >= kSeqDbMagic.size() &&
         std::string_view(payload).substr(0, kSeqDbMagic.size()) ==
             kSeqDbMagic) {
-      // SeqDB payloads go through a scratch file: the reader is file-based,
-      // and reusing core::load_read_batch keeps one loading path.
-      const std::string tmp = cfg_.socket_path + ".batch" +
-                              std::to_string(temp_batch_seq_.fetch_add(1)) +
-                              ".sdb";
-      {
-        std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-        f.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-        if (!f) throw std::runtime_error("cannot spill SeqDB batch to " + tmp);
-      }
-      try {
-        reads = core::load_read_batch(tmp);
-      } catch (...) {
-        std::error_code ignored;
-        std::filesystem::remove(tmp, ignored);
-        throw;
-      }
-      std::error_code ignored;
-      std::filesystem::remove(tmp, ignored);
+      // Decoded in memory by the same reader (and checks) as SeqDB files.
+      reads = seq::SeqDBReader::from_bytes(std::move(payload)).read_all();
     } else {
       reads = seq::parse_fastq(payload);
     }

@@ -158,7 +158,6 @@ class Daemon {
 
   FairGate gate_;
   std::atomic<std::uint64_t> autosaves_{0};
-  std::atomic<std::uint64_t> temp_batch_seq_{0};
 
   mutable std::mutex stats_mu_;
   std::map<std::string, TenantStats> stats_;

@@ -5,7 +5,8 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/pipeline.hpp"
+#include "core/align_session.hpp"
+#include "core/indexed_reference.hpp"
 #include "seq/genome_sim.hpp"
 #include "seq/read_sim.hpp"
 
@@ -175,11 +176,14 @@ TEST(Baseline, AlignedFractionComparableToMerAligner) {
   // (Table II: 86.3% vs 83.8% / 82.6%).
   const auto w = make_workload(30'000, 1.0);
   Runtime rt1(Topology(4, 2));
-  mera::core::AlignerConfig mcfg;
+  mera::core::IndexConfig mcfg;
   mcfg.k = 21;
   mcfg.buffer_S = 64;
   mcfg.fragment_len = 512;
-  const auto mer = mera::core::MerAligner(mcfg).align(rt1, w.contigs, w.reads);
+  const auto ref = mera::core::IndexedReference::build(rt1, w.contigs, mcfg);
+  mera::core::AlignSession session(ref);
+  mera::core::CountingSink sink;
+  const auto mer = session.align_batch(rt1, w.reads, sink);
   Runtime rt2(Topology(4, 2));
   const auto base =
       ReplicatedIndexAligner(small_baseline()).align(rt2, w.contigs, w.reads);

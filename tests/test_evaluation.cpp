@@ -4,7 +4,8 @@
 
 #include <sstream>
 
-#include "core/pipeline.hpp"
+#include "core/align_session.hpp"
+#include "core/indexed_reference.hpp"
 #include "seq/genome_sim.hpp"
 #include "seq/read_sim.hpp"
 
@@ -118,13 +119,16 @@ TEST(Evaluation, MerAlignerRecallIsNearTheSeedTheoreticBound) {
   // The paper's guarantee: every alignment sharing a clean k-stretch with a
   // target is found. So recall over *findable* reads should be ~100%.
   const auto t = make(0.01, 0.02);
-  core::AlignerConfig cfg;
+  core::IndexConfig cfg;
   cfg.k = 21;
   cfg.buffer_S = 64;
   cfg.fragment_len = 512;
   pgas::Runtime rt(pgas::Topology(4, 2));
-  const auto res = core::MerAligner(cfg).align(rt, t.contigs, t.reads);
-  const auto ev = core::evaluate_alignments(t.contigs, t.reads, res.alignments,
+  const auto ref = core::IndexedReference::build(rt, t.contigs, cfg);
+  core::AlignSession session(ref);
+  core::VectorSink sink(rt.nranks());
+  (void)session.align_batch(rt, t.reads, sink);
+  const auto ev = core::evaluate_alignments(t.contigs, t.reads, sink.take(),
                                             {cfg.k, 5}, t.genome);
   EXPECT_GT(ev.recall_vs_findable(), 0.98);
   EXPECT_GT(ev.placement_precision(), 0.95);

@@ -1,9 +1,14 @@
-#include "core/pipeline.hpp"
-
+// The aligner end to end on the two-phase API: IndexedReference::build
+// (index construction, once) + AlignSession::align_batch (aligning).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <tuple>
+
+#include "core/align_session.hpp"
+#include "core/indexed_reference.hpp"
 
 #include "seq/genome_sim.hpp"
 #include "seq/read_sim.hpp"
@@ -45,21 +50,28 @@ Workload make_workload(std::size_t genome_len, double depth, int k,
   return w;
 }
 
-AlignerConfig small_config(int k = 21) {
-  AlignerConfig cfg;
-  cfg.k = k;
-  cfg.buffer_S = 64;
-  cfg.fragment_len = 512;
-  cfg.seed_cache_capacity = 1u << 14;
-  cfg.target_cache_bytes = 8u << 20;
-  return cfg;
+IndexConfig small_index() {
+  IndexConfig ic;
+  ic.k = 21;
+  ic.buffer_S = 64;
+  ic.fragment_len = 512;
+  return ic;
+}
+
+SessionConfig small_session() {
+  SessionConfig sc;
+  sc.seed_cache_capacity = 1u << 14;
+  sc.target_cache_bytes = 8u << 20;
+  return sc;
 }
 
 TEST(Pipeline, ErrorFreeReadsAllAlign) {
   const auto w = make_workload(40'000, 2.0, 21);
   Runtime rt(Topology(4, 2));
-  const MerAligner aligner(small_config());
-  const auto res = aligner.align(rt, w.contigs, w.reads);
+  const auto ref = IndexedReference::build(rt, w.contigs, small_index());
+  AlignSession session(ref, small_session());
+  CountingSink sink;
+  const auto res = session.align_batch(rt, w.reads, sink);
 
   EXPECT_EQ(res.stats.reads_processed, w.reads.size());
   // Reads falling inside a contig must align; only reads straddling contig
@@ -71,8 +83,11 @@ TEST(Pipeline, ErrorFreeReadsAllAlign) {
 TEST(Pipeline, AlignmentsMatchGroundTruthPositions) {
   const auto w = make_workload(30'000, 1.5, 21);
   Runtime rt(Topology(4, 2));
-  const MerAligner aligner(small_config());
-  const auto res = aligner.align(rt, w.contigs, w.reads);
+  const auto ref = IndexedReference::build(rt, w.contigs, small_index());
+  AlignSession session(ref, small_session());
+  VectorSink sink(rt.nranks());
+  (void)session.align_batch(rt, w.reads, sink);
+  const auto alignments = sink.take();
 
   // Map contig name -> genome start for coordinate translation.
   std::map<std::string, std::size_t> contig_start;
@@ -81,7 +96,7 @@ TEST(Pipeline, AlignmentsMatchGroundTruthPositions) {
 
   // Index targets by id via a second pass: target ids follow input order.
   std::size_t checked = 0, correct = 0;
-  for (const auto& a : res.alignments) {
+  for (const auto& a : alignments) {
     if (!a.exact) continue;  // exact records have unambiguous placement
     const auto truth = mera::seq::parse_read_truth(a.query_name);
     const auto& contig = w.contigs[a.target_id];
@@ -97,8 +112,10 @@ TEST(Pipeline, AlignmentsMatchGroundTruthPositions) {
 TEST(Pipeline, ReadsWithErrorsStillAlignViaSW) {
   const auto w = make_workload(30'000, 2.0, 21, /*error=*/0.01);
   Runtime rt(Topology(4, 2));
-  const MerAligner aligner(small_config());
-  const auto res = aligner.align(rt, w.contigs, w.reads);
+  const auto ref = IndexedReference::build(rt, w.contigs, small_index());
+  AlignSession session(ref, small_session());
+  CountingSink sink;
+  const auto res = session.align_batch(rt, w.reads, sink);
   EXPECT_GT(res.stats.aligned_fraction(), 0.8);
   EXPECT_GT(res.stats.sw_calls, 0u);
   // Erroneous reads can't all use the exact path.
@@ -108,11 +125,13 @@ TEST(Pipeline, ReadsWithErrorsStillAlignViaSW) {
 TEST(Pipeline, JunkReadsDoNotAlign) {
   const auto w = make_workload(30'000, 2.0, 21, 0.0, /*junk=*/0.2);
   Runtime rt(Topology(4, 2));
-  const MerAligner aligner(small_config());
-  const auto res = aligner.align(rt, w.contigs, w.reads);
+  const auto ref = IndexedReference::build(rt, w.contigs, small_index());
+  AlignSession session(ref, small_session());
+  VectorSink sink(rt.nranks());
+  (void)session.align_batch(rt, w.reads, sink);
   std::size_t junk_aligned = 0, junk_total = 0;
   std::map<std::string, bool> aligned_names;
-  for (const auto& a : res.alignments) aligned_names[a.query_name] = true;
+  for (const auto& a : sink.take()) aligned_names[a.query_name] = true;
   for (const auto& r : w.reads) {
     if (!mera::seq::parse_read_truth(r.name).junk) continue;
     ++junk_total;
@@ -128,30 +147,33 @@ TEST(Pipeline, ResultsAreIdenticalAcrossRankCounts) {
   const auto w = make_workload(20'000, 1.0, 21);
   auto run_with = [&](int nranks, int ppn) {
     Runtime rt(Topology(nranks, ppn));
-    AlignerConfig cfg = small_config();
-    cfg.permute_queries = false;  // keep order comparable
-    const MerAligner aligner(cfg);
-    auto res = aligner.align(rt, w.contigs, w.reads);
+    const auto ref = IndexedReference::build(rt, w.contigs, small_index());
+    SessionConfig sc = small_session();
+    sc.permute_queries = false;  // keep order comparable
+    AlignSession session(ref, sc);
+    VectorSink sink(rt.nranks());
+    (void)session.align_batch(rt, w.reads, sink);
+    auto alignments = sink.take();
     // Canonical sort for comparison.
-    std::sort(res.alignments.begin(), res.alignments.end(),
+    std::sort(alignments.begin(), alignments.end(),
               [](const AlignmentRecord& a, const AlignmentRecord& b) {
                 return std::tie(a.query_name, a.target_id, a.t_begin,
                                 a.reverse) <
                        std::tie(b.query_name, b.target_id, b.t_begin,
                                 b.reverse);
               });
-    return res;
+    return alignments;
   };
   const auto r1 = run_with(1, 1);
   const auto r4 = run_with(4, 2);
   const auto r6 = run_with(6, 3);
-  ASSERT_EQ(r1.alignments.size(), r4.alignments.size());
-  ASSERT_EQ(r1.alignments.size(), r6.alignments.size());
-  for (std::size_t i = 0; i < r1.alignments.size(); ++i) {
-    EXPECT_EQ(r1.alignments[i].query_name, r4.alignments[i].query_name);
-    EXPECT_EQ(r1.alignments[i].target_id, r4.alignments[i].target_id);
-    EXPECT_EQ(r1.alignments[i].t_begin, r4.alignments[i].t_begin);
-    EXPECT_EQ(r1.alignments[i].score, r6.alignments[i].score);
+  ASSERT_EQ(r1.size(), r4.size());
+  ASSERT_EQ(r1.size(), r6.size());
+  for (std::size_t i = 0; i < r1.size(); ++i) {
+    EXPECT_EQ(r1[i].query_name, r4[i].query_name);
+    EXPECT_EQ(r1[i].target_id, r4[i].target_id);
+    EXPECT_EQ(r1[i].t_begin, r4[i].t_begin);
+    EXPECT_EQ(r1[i].score, r6[i].score);
   }
 }
 
@@ -161,21 +183,29 @@ TEST(Pipeline, OptimizationsDoNotChangeAlignedReadSet) {
   const auto w = make_workload(20'000, 1.0, 21, 0.005);
   auto aligned_with = [&](auto mutate) {
     Runtime rt(Topology(4, 2));
-    AlignerConfig cfg = small_config();
-    mutate(cfg);
-    const auto res = MerAligner(cfg).align(rt, w.contigs, w.reads);
-    return res.stats.reads_aligned;
+    IndexConfig ic = small_index();
+    SessionConfig sc = small_session();
+    mutate(ic, sc);
+    const auto ref = IndexedReference::build(rt, w.contigs, ic);
+    AlignSession session(ref, sc);
+    CountingSink sink;
+    return session.align_batch(rt, w.reads, sink).stats.reads_aligned;
   };
-  const auto base = aligned_with([](AlignerConfig&) {});
-  EXPECT_EQ(base, aligned_with([](AlignerConfig& c) { c.seed_cache = false; }));
-  EXPECT_EQ(base,
-            aligned_with([](AlignerConfig& c) { c.target_cache = false; }));
-  EXPECT_EQ(base, aligned_with([](AlignerConfig& c) {
-              c.aggregating_stores = false;
+  const auto base = aligned_with([](IndexConfig&, SessionConfig&) {});
+  EXPECT_EQ(base, aligned_with([](IndexConfig&, SessionConfig& s) {
+              s.seed_cache = false;
             }));
-  EXPECT_EQ(base, aligned_with([](AlignerConfig& c) { c.exact_match = false; }));
-  EXPECT_EQ(base, aligned_with([](AlignerConfig& c) {
-              c.fragment_len = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(base, aligned_with([](IndexConfig&, SessionConfig& s) {
+              s.target_cache = false;
+            }));
+  EXPECT_EQ(base, aligned_with([](IndexConfig& i, SessionConfig&) {
+              i.aggregating_stores = false;
+            }));
+  EXPECT_EQ(base, aligned_with([](IndexConfig& i, SessionConfig&) {
+              i.exact_match = false;
+            }));
+  EXPECT_EQ(base, aligned_with([](IndexConfig& i, SessionConfig&) {
+              i.fragment_len = std::numeric_limits<std::size_t>::max();
             }));
 }
 
@@ -183,9 +213,12 @@ TEST(Pipeline, ExactMatchOptReducesSWCallsAndLookups) {
   const auto w = make_workload(40'000, 2.0, 21);
   auto stats_with = [&](bool exact) {
     Runtime rt(Topology(4, 2));
-    AlignerConfig cfg = small_config();
-    cfg.exact_match = exact;
-    return MerAligner(cfg).align(rt, w.contigs, w.reads).stats;
+    IndexConfig ic = small_index();
+    ic.exact_match = exact;
+    const auto ref = IndexedReference::build(rt, w.contigs, ic);
+    AlignSession session(ref, small_session());
+    CountingSink sink;
+    return session.align_batch(rt, w.reads, sink).stats;
   };
   const auto on = stats_with(true);
   const auto off = stats_with(false);
@@ -198,12 +231,15 @@ TEST(Pipeline, CachesReduceModeledCommunication) {
   const auto w = make_workload(40'000, 3.0, 21);
   auto comm_with = [&](bool caches) {
     Runtime rt(Topology(8, 2));  // 4 nodes -> plenty of off-node traffic
-    AlignerConfig cfg = small_config();
-    cfg.seed_cache = caches;
-    cfg.target_cache = caches;
-    cfg.exact_match = false;      // keep lookup volume comparable
-    cfg.permute_queries = false;  // grouped order = locality the caches exploit
-    const auto res = MerAligner(cfg).align(rt, w.contigs, w.reads);
+    const auto ref = IndexedReference::build(rt, w.contigs, small_index());
+    SessionConfig sc = small_session();
+    sc.seed_cache = caches;
+    sc.target_cache = caches;
+    sc.exact_match = false;      // keep lookup volume comparable
+    sc.permute_queries = false;  // grouped order = locality the caches exploit
+    AlignSession session(ref, sc);
+    CountingSink sink;
+    const auto res = session.align_batch(rt, w.reads, sink);
     const auto* ph = res.report.find("align");
     return ph->comm_max();
   };
@@ -216,10 +252,10 @@ TEST(Pipeline, AggregatingStoresSpeedUpIndexConstruction) {
   const auto w = make_workload(60'000, 0.5, 21);
   auto index_comm = [&](bool agg) {
     Runtime rt(Topology(8, 2));
-    AlignerConfig cfg = small_config();
-    cfg.aggregating_stores = agg;
-    const auto res = MerAligner(cfg).align(rt, w.contigs, w.reads);
-    const auto* ph = res.report.find("index.build");
+    IndexConfig ic = small_index();
+    ic.aggregating_stores = agg;
+    const auto ref = IndexedReference::build(rt, w.contigs, ic);
+    const auto* ph = ref.build_report().find("index.build");
     return ph->traffic.remote_msgs() + ph->traffic.atomics;
   };
   EXPECT_LT(index_comm(true) * 20, index_comm(false));
@@ -242,10 +278,13 @@ TEST(Pipeline, TruncationThresholdCapsWork) {
 
   auto sw_with = [&](std::size_t max_hits) {
     Runtime rt(Topology(4, 2));
-    AlignerConfig cfg = small_config();
-    cfg.exact_match = false;
-    cfg.max_hits_per_seed = max_hits;
-    return MerAligner(cfg).align(rt, contigs, reads).stats;
+    const auto ref = IndexedReference::build(rt, contigs, small_index());
+    SessionConfig sc = small_session();
+    sc.exact_match = false;
+    sc.max_hits_per_seed = max_hits;
+    AlignSession session(ref, sc);
+    CountingSink sink;
+    return session.align_batch(rt, reads, sink).stats;
   };
   const auto strict = sw_with(2);
   const auto loose = sw_with(64);
@@ -254,25 +293,23 @@ TEST(Pipeline, TruncationThresholdCapsWork) {
 }
 
 TEST(Pipeline, PhaseReportContainsAllPipelinePhases) {
+  // The index phases belong to the build, the aligning phases to the batch;
+  // appended they form the end-to-end report.
   const auto w = make_workload(10'000, 0.5, 21);
   Runtime rt(Topology(2, 2));
-  const auto res = MerAligner(small_config()).align(rt, w.contigs, w.reads);
-  for (const char* name :
-       {"io.targets", "index.build", "index.mark", "io.reads", "align"})
-    EXPECT_NE(res.report.find(name), nullptr) << name;
-  EXPECT_GT(res.total_time_s(), 0.0);
-  EXPECT_GT(res.index_entries, 0u);
-  EXPECT_GT(res.single_copy_fraction, 0.0);
-}
-
-TEST(Pipeline, CollectAlignmentsOffKeepsCountsOnly) {
-  const auto w = make_workload(10'000, 0.5, 21);
-  Runtime rt(Topology(2, 2));
-  AlignerConfig cfg = small_config();
-  cfg.collect_alignments = false;
-  const auto res = MerAligner(cfg).align(rt, w.contigs, w.reads);
-  EXPECT_TRUE(res.alignments.empty());
-  EXPECT_GT(res.stats.alignments_reported, 0u);
+  const auto ref = IndexedReference::build(rt, w.contigs, small_index());
+  AlignSession session(ref, small_session());
+  CountingSink sink;
+  const auto batch = session.align_batch(rt, w.reads, sink);
+  for (const char* name : {"io.targets", "index.build", "index.mark"})
+    EXPECT_NE(ref.build_report().find(name), nullptr) << name;
+  for (const char* name : {"io.reads", "align"})
+    EXPECT_NE(batch.report.find(name), nullptr) << name;
+  mera::pgas::PhaseReport end_to_end = ref.build_report();
+  end_to_end.append(batch.report);
+  EXPECT_GT(end_to_end.total_time_s(), 0.0);
+  EXPECT_GT(ref.index_entries(), 0u);
+  EXPECT_GT(ref.single_copy_fraction(), 0.0);
 }
 
 TEST(Pipeline, FragmentationIncreasesSingleCopyFraction) {
@@ -284,16 +321,12 @@ TEST(Pipeline, FragmentationIncreasesSingleCopyFraction) {
   gp.repeat_divergence = 0.0;
   const std::string genome = simulate_genome(gp);
   const auto contigs = mera::seq::chop_into_contigs(genome, {});
-  mera::seq::ReadSimParams rp;
-  rp.read_len = 80;
-  rp.depth = 0.2;
-  const auto reads = simulate_reads(genome, rp);
 
   auto frac_with = [&](std::size_t flen) {
     Runtime rt(Topology(4, 2));
-    AlignerConfig cfg = small_config();
-    cfg.fragment_len = flen;
-    return MerAligner(cfg).align(rt, contigs, reads).single_copy_fraction;
+    IndexConfig ic = small_index();
+    ic.fragment_len = flen;
+    return IndexedReference::build(rt, contigs, ic).single_copy_fraction();
   };
   const double fine = frac_with(256);
   const double whole = frac_with(std::numeric_limits<std::size_t>::max());

@@ -4,7 +4,8 @@
 
 #include <map>
 
-#include "core/pipeline.hpp"
+#include "core/align_session.hpp"
+#include "core/indexed_reference.hpp"
 #include "seq/genome_sim.hpp"
 #include "seq/read_sim.hpp"
 
@@ -149,17 +150,21 @@ TEST(Scaffolder, EndToEndRecoversSimulatedContigOrder) {
   rp.rng_seed = 33;
   const auto reads = seq::simulate_reads(genome, rp);
 
-  core::AlignerConfig cfg;
-  cfg.k = 21;
-  cfg.buffer_S = 64;
-  cfg.fragment_len = 512;
-  cfg.permute_queries = false;
+  core::IndexConfig icfg;
+  icfg.k = 21;
+  icfg.buffer_S = 64;
+  icfg.fragment_len = 512;
+  core::SessionConfig scfg;
+  scfg.permute_queries = false;
   pgas::Runtime rt(pgas::Topology(4, 2));
-  const auto res = core::MerAligner(cfg).align(rt, contigs, reads);
+  const auto ref = core::IndexedReference::build(rt, contigs, icfg);
+  core::AlignSession session(ref, scfg);
+  VectorSink sink(rt.nranks());
+  (void)session.align_batch(rt, reads, sink);
 
   // Best alignment per read, in read order.
   std::map<std::string, AlignmentRecord> best;
-  for (const auto& a : res.alignments) {
+  for (const auto& a : sink.take()) {
     auto it = best.find(a.query_name);
     if (it == best.end() || a.score > it->second.score)
       best[a.query_name] = a;

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <random>
+#include <string>
 
 #include "seq/fastq.hpp"
 
@@ -169,6 +173,101 @@ TEST_F(SeqDBTest, OutOfRangeIndexThrows) {
 TEST_F(SeqDBTest, QualityLengthMismatchRejectedAtWrite) {
   SeqDBWriter w(path("m.sdb"), true);
   EXPECT_THROW(w.add({"r", "ACGT", "II"}), std::invalid_argument);
+}
+
+// --- malformed images: a named error, never UB or a giant allocation -------
+
+/// One valid record image: "r" / "ACGN" without qualities. Layout: 32-byte
+/// header, name_len @32, name @34, seq_len @35, one packed word @39,
+/// n_count @47, N position @51 (= 3), record index @55, 63 bytes in all.
+std::string one_record_image(const std::string& dir) {
+  const std::string p = dir + "/one.sdb";
+  write_seqdb(p, {{"r", "ACGN", ""}}, /*store_quality=*/false);
+  std::ifstream in(p, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes.size(), 63u);
+  return bytes;
+}
+
+template <typename T>
+void patch(std::string& image, std::size_t at, T value) {
+  std::memcpy(image.data() + at, &value, sizeof(T));
+}
+
+/// The image must be rejected with a std::runtime_error naming `field`.
+void expect_rejected(std::string image, const std::string& field) {
+  try {
+    auto db = SeqDBReader::from_bytes(std::move(image));
+    (void)db.read_all();
+    ADD_FAILURE() << "malformed image accepted; expected an error naming "
+                  << field;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(SeqDBTest, InMemoryImageDecodesLikeTheFile) {
+  const auto recs = sample_reads(20, 9, /*n_rate=*/0.05);
+  write_seqdb(path("m.sdb"), recs, /*store_quality=*/true);
+  std::ifstream in(path("m.sdb"), std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  auto db = SeqDBReader::from_bytes(std::move(bytes));
+  const auto got = db.read_all();
+  ASSERT_EQ(got.size(), recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    EXPECT_EQ(got[i].name, recs[i].name);
+    EXPECT_EQ(got[i].seq, recs[i].seq);
+    EXPECT_EQ(got[i].qual, recs[i].qual);
+  }
+}
+
+TEST_F(SeqDBTest, NPositionPastTheReadIsRejected) {
+  std::string image = one_record_image(dir_.string());
+  patch<std::uint32_t>(image, 51, 100);  // N at 100 in a 4-base read
+  expect_rejected(image, "N position");
+  // The file path runs the same checks.
+  std::ofstream(path("npos.sdb"), std::ios::binary) << image;
+  SeqDBReader db(path("npos.sdb"));
+  EXPECT_THROW((void)db.read(0), std::runtime_error);
+}
+
+TEST_F(SeqDBTest, RecordCountBeyondTheImageIsRejected) {
+  // A bare 32-byte header claiming 2^31 records: rejected before the
+  // 16 GiB offset table is allocated.
+  std::string image = one_record_image(dir_.string()).substr(0, 32);
+  patch<std::uint64_t>(image, 16, std::uint64_t{1} << 31);
+  patch<std::uint64_t>(image, 24, 32);
+  expect_rejected(image, "nrecords");
+
+  std::string past_end = one_record_image(dir_.string());
+  patch<std::uint64_t>(past_end, 24, 1000);  // index_offset past the end
+  expect_rejected(past_end, "index_offset");
+
+  std::string bad_offset = one_record_image(dir_.string());
+  patch<std::uint64_t>(bad_offset, 55, 60);  // record inside the index
+  expect_rejected(bad_offset, "record offset");
+
+  expect_rejected(one_record_image(dir_.string()).substr(0, 20),
+                  "truncated header");
+}
+
+TEST_F(SeqDBTest, SequenceLengthBeyondTheImageIsRejected) {
+  // seq_len 0xFFFFFFF0 would need 1 GiB of packed words; the 8 bytes left
+  // before the index reject it before any allocation.
+  std::string image = one_record_image(dir_.string());
+  patch<std::uint32_t>(image, 35, 0xFFFFFFF0u);
+  expect_rejected(image, "seq_len");
+
+  std::string name = one_record_image(dir_.string());
+  patch<std::uint16_t>(name, 32, 0xFFFF);
+  expect_rejected(name, "name_len");
+
+  std::string ns = one_record_image(dir_.string());
+  patch<std::uint32_t>(ns, 47, 0x40000000u);
+  expect_rejected(ns, "n_count");
 }
 
 TEST_F(SeqDBTest, EmptyDatabase) {

@@ -7,8 +7,9 @@
 //                    to the stream a one-shot in-process session writes for
 //                    the same batches (single-index AND sharded backends),
 //                    including with two tenants aligned concurrently;
-//   3. isolation   — a malformed batch or a mid-stream disconnect costs only
-//                    that connection, never the daemon or other tenants;
+//   3. isolation   — a malformed batch (FASTQ or SeqDB) or a mid-stream
+//                    disconnect costs only that connection, never the daemon
+//                    or other tenants;
 //   4. persistence — autosave while serving produces a loadable snapshot;
 //   5. observability — the Prometheus scrape and the stats JSON carry
 //                    per-tenant series/accounting.
@@ -21,6 +22,8 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -33,6 +36,7 @@
 #include "pgas/runtime.hpp"
 #include "seq/genome_sim.hpp"
 #include "seq/read_sim.hpp"
+#include "seq/seqdb.hpp"
 #include "serve/backend.hpp"
 #include "serve/daemon.hpp"
 #include "serve/framing.hpp"
@@ -105,6 +109,15 @@ std::string fastq_text(const std::vector<SeqRecord>& reads) {
   for (const auto& r : reads)
     s += "@" + r.name + "\n" + r.seq + "\n+\n" + r.qual + "\n";
   return s;
+}
+
+/// The SeqDB image of `reads` (what a client sends for SeqDB input), staged
+/// through `scratch`.
+std::string seqdb_image(const std::string& scratch,
+                        const std::vector<SeqRecord>& reads) {
+  seq::write_seqdb(scratch, reads, /*store_quality=*/true);
+  std::ifstream in(scratch, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 /// What the one-shot pipeline writes for these batches: the acceptance
@@ -378,6 +391,79 @@ TEST_F(ServeTest, MalformedBatchGetsAnErrorFrameAndTheStreamContinues) {
   ASSERT_EQ(stats.count("clumsy"), 1u);
   EXPECT_EQ(stats.at("clumsy").errors, 1u);
   EXPECT_EQ(stats.at("clumsy").batches, 1u);
+}
+
+TEST_F(ServeTest, SeqDbBatchesGetTheFastqBytesWithoutATempFile) {
+  const Workload w = make_workload(515, 2);
+  const std::string expected = one_shot_sam(w);  // = the FASTQ-frame reply
+  ASSERT_FALSE(expected.empty());
+
+  serve::Daemon daemon(make_backend(w), kTopo, daemon_config());
+  daemon.start();
+  std::string got;
+  {
+    Client c(daemon.socket_path());
+    c.send(FrameType::kHello, "binary");
+    for (const auto& b : w.batches) {
+      c.send(FrameType::kBatch, seqdb_image(path("image.sdb"), b));
+      auto reply = c.recv();
+      ASSERT_TRUE(reply.has_value());
+      ASSERT_EQ(reply->type, FrameType::kSam) << reply->payload;
+      got += reply->payload;
+    }
+    c.send(FrameType::kGoodbye);
+  }
+  daemon.request_stop();
+  daemon.wait();
+
+  EXPECT_EQ(got, expected);
+  // SeqDB payloads are decoded in memory: nothing spills next to the socket.
+  for (const auto& entry : std::filesystem::directory_iterator(dir_))
+    EXPECT_EQ(entry.path().filename().string().find(".batch"),
+              std::string::npos)
+        << entry.path();
+}
+
+TEST_F(ServeTest, MalformedSeqDbBatchGetsANamedErrorAndTheStreamContinues) {
+  const Workload w = make_workload(525, 1);
+  const std::string expected = one_shot_sam(w);
+  const std::string image = seqdb_image(path("image.sdb"), w.batches[0]);
+  // Cut inside the records: the header's index_offset lies past the end.
+  const std::string truncated = image.substr(0, image.size() / 2);
+  // Claims 2^31 records: must not allocate the 16 GiB offset table.
+  std::string oversized = image;
+  const std::uint64_t huge = std::uint64_t{1} << 31;
+  std::memcpy(oversized.data() + 16, &huge, sizeof(huge));
+
+  serve::Daemon daemon(make_backend(w), kTopo, daemon_config());
+  daemon.start();
+  {
+    Client c(daemon.socket_path());
+    c.send(FrameType::kHello, "corrupt");
+    for (const auto& [payload, field] :
+         {std::pair{truncated, "index_offset"},
+          std::pair{oversized, "nrecords"}}) {
+      c.send(FrameType::kBatch, payload);
+      auto err = c.recv();
+      ASSERT_TRUE(err.has_value());
+      EXPECT_EQ(err->type, FrameType::kError);
+      EXPECT_NE(err->payload.find("batch rejected"), std::string::npos);
+      EXPECT_NE(err->payload.find(field), std::string::npos) << err->payload;
+    }
+    // The same connection still aligns the next, well-formed batch.
+    c.send(FrameType::kBatch, image);
+    auto sam = c.recv();
+    ASSERT_TRUE(sam.has_value());
+    EXPECT_EQ(sam->type, FrameType::kSam);
+    EXPECT_EQ(sam->payload, expected);
+    c.send(FrameType::kGoodbye);
+  }
+  const auto stats = daemon.tenant_stats();
+  daemon.request_stop();
+  daemon.wait();
+  ASSERT_EQ(stats.count("corrupt"), 1u);
+  EXPECT_EQ(stats.at("corrupt").errors, 2u);
+  EXPECT_EQ(stats.at("corrupt").batches, 1u);
 }
 
 TEST_F(ServeTest, InvalidHelloIsRefusedWithoutKillingTheDaemon) {

@@ -2,9 +2,8 @@
 // AlignSession (stream query batches) + AlignmentSink outputs.
 //
 // The two contracts that matter:
-//   1. equivalence — the session API reports exactly the records the legacy
-//      one-shot MerAligner::align reports, even when queries arrive in
-//      several batches;
+//   1. equivalence — a session reports exactly the same records whether the
+//      queries arrive in one batch or in several;
 //   2. reuse — a batch's PhaseReport never contains the index phases, so a
 //      second batch demonstrably pays no index reconstruction.
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 #include "core/align_session.hpp"
 #include "core/alignment_sink.hpp"
 #include "core/indexed_reference.hpp"
-#include "core/pipeline.hpp"
 #include "seq/genome_sim.hpp"
 #include "seq/read_sim.hpp"
 
@@ -70,17 +68,6 @@ SessionConfig small_session() {
   return sc;
 }
 
-AlignerConfig legacy_config(int k = 21) {
-  AlignerConfig cfg;
-  cfg.k = k;
-  cfg.buffer_S = 64;
-  cfg.fragment_len = 512;
-  cfg.seed_cache_capacity = 1u << 14;
-  cfg.target_cache_bytes = 8u << 20;
-  cfg.permute_queries = false;
-  return cfg;
-}
-
 void sort_records(std::vector<AlignmentRecord>& recs) {
   std::sort(recs.begin(), recs.end(),
             [](const AlignmentRecord& a, const AlignmentRecord& b) {
@@ -91,18 +78,18 @@ void sort_records(std::vector<AlignmentRecord>& recs) {
             });
 }
 
-TEST(Session, BatchedSessionMatchesOneShotAlignerBitIdentically) {
+TEST(Session, ThreeBatchesMatchOneBatchBitIdentically) {
   const auto w = make_workload(30'000, 1.5, /*error=*/0.005);
-
-  // Legacy one-shot path over all reads.
-  Runtime rt1(Topology(4, 2));
-  auto one_shot = MerAligner(legacy_config()).align(rt1, w.contigs, w.reads);
-
-  // Session path: same reads in three batches against one index.
-  Runtime rt2(Topology(4, 2));
-  const auto ref = IndexedReference::build(rt2, w.contigs, small_index());
+  Runtime rt(Topology(4, 2));
+  const auto ref = IndexedReference::build(rt, w.contigs, small_index());
   AlignSession session(ref, small_session());
-  VectorSink sink(rt2.nranks());
+  VectorSink sink(rt.nranks());
+
+  // All reads in one batch.
+  (void)session.align_batch(rt, w.reads, sink);
+  auto one_batch = sink.take();
+
+  // The same reads in three batches on the same session (warm caches).
   std::vector<AlignmentRecord> batched;
   const std::size_t third = w.reads.size() / 3;
   const std::vector<std::vector<SeqRecord>> batches = {
@@ -111,15 +98,15 @@ TEST(Session, BatchedSessionMatchesOneShotAlignerBitIdentically) {
       {w.reads.begin() + 2 * third, w.reads.end()},
   };
   for (const auto& b : batches) {
-    (void)session.align_batch(rt2, b, sink);
+    (void)session.align_batch(rt, b, sink);
     for (auto& rec : sink.take()) batched.push_back(std::move(rec));
   }
 
-  sort_records(one_shot.alignments);
+  sort_records(one_batch);
   sort_records(batched);
-  ASSERT_EQ(one_shot.alignments.size(), batched.size());
+  ASSERT_EQ(one_batch.size(), batched.size());
   for (std::size_t i = 0; i < batched.size(); ++i)
-    EXPECT_EQ(one_shot.alignments[i], batched[i]) << "record " << i;
+    EXPECT_EQ(one_batch[i], batched[i]) << "record " << i;
 }
 
 TEST(Session, SecondBatchSkipsIndexConstructionPhases) {
@@ -292,19 +279,6 @@ TEST(Session, TopologyMismatchIsRejected) {
   Runtime other(Topology(2, 2));
   EXPECT_THROW((void)session.align_batch(other, w.reads, sink),
                std::invalid_argument);
-}
-
-TEST(Session, LegacyWrapperReportKeepsTheFusedPhaseShape) {
-  // MerAligner::align must still present the five-phase report the seed API
-  // produced, stitched from the build and batch runs.
-  const auto w = make_workload(10'000, 0.5);
-  Runtime rt(Topology(2, 2));
-  const auto res = MerAligner(legacy_config()).align(rt, w.contigs, w.reads);
-  for (const char* name :
-       {"io.targets", "index.build", "index.mark", "io.reads", "align"})
-    EXPECT_NE(res.report.find(name), nullptr) << name;
-  EXPECT_GT(res.stats.seeds_indexed, 0u);
-  EXPECT_GT(res.stats.reads_aligned, 0u);
 }
 
 }  // namespace
