@@ -21,8 +21,7 @@ int main() {
   using namespace mera;
   bench::print_header(
       "Ablation — max alignments per seed (sensitivity/speed trade-off)",
-      "Section IV-C (no figure in the paper; ablation called out in "
-      "DESIGN.md)");
+      "Section IV-C (no figure in the paper)");
 
   // Repeat-rich genome so some seeds map to many targets.
   seq::GenomeParams gp;

@@ -69,7 +69,7 @@ int main() {
         on.total_s, off.total_s / on.total_s, 100.0 * on.exact_frac);
   }
 
-  // Ablation called out in DESIGN.md: fragment length's effect on the
+  // Ablation: fragment length's effect on the
   // fraction of reads eligible for the fast path.
   std::printf("\nfragment-length ablation (16 cores):\n");
   std::printf("%14s %12s %14s %14s\n", "fragment_len", "exact%", "SW calls",

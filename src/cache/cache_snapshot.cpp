@@ -10,7 +10,7 @@ namespace mera::cache {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4D435348;  // "MCSH" — mera cache snapshot
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;  // 2: striped seed-cache section
 constexpr std::uint32_t kFlagSeedSection = 1u << 0;
 constexpr std::uint32_t kFlagTargetSection = 1u << 1;
 

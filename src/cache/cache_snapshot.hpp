@@ -30,7 +30,8 @@
 // The payload is one length-prefixed section per present cache — `byte
 // length u64 | the cache's own save() stream` (see SeedIndexCache::save /
 // TargetCache::save for the per-shard layout) — so a loader can skip a
-// section its session does not run without deserializing it.
+// section its session does not run without deserializing it. Version 2 lays
+// the seed section out per lock stripe; version-1 files are refused.
 #pragma once
 
 #include <array>

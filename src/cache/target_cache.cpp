@@ -82,11 +82,7 @@ CacheCounters TargetCache::counters() const {
   CacheCounters c;
   for (const auto& sh : shards_) {
     const std::scoped_lock lk(sh.mu);
-    c.hits += sh.counters.hits;
-    c.misses += sh.counters.misses;
-    c.insertions += sh.counters.insertions;
-    c.evictions += sh.counters.evictions;
-    c.admission_rejects += sh.counters.admission_rejects;
+    c += sh.counters;
   }
   return c;
 }

@@ -54,7 +54,7 @@ void permute_queries(std::vector<T>& items, std::uint64_t seed) {
 /// landing on one of p processors when h >> p*log p are thrown uniformly.
 /// (The paper prints the bound as 2*sqrt(2*h*p*log p) above the mean; the
 /// cited Raab-Steger result gives the per-bin deviation used here,
-/// sqrt-of-mean scaling — see EXPERIMENTS.md.)
+/// sqrt-of-mean scaling.)
 [[nodiscard]] inline double max_load_bound(std::uint64_t h, int p) {
   if (p <= 1) return static_cast<double>(h);
   const double mean = static_cast<double>(h) / p;

@@ -7,7 +7,7 @@
 // chains of UU k-mers connected through unique extensions. The spectrum is
 // distributed; this walker runs as a serial post-pass over the shards (the
 // fully parallel traversal is the SC'14 paper's own contribution and out of
-// scope here — see DESIGN.md).
+// scope here).
 #pragma once
 
 #include <string>

@@ -7,7 +7,7 @@
 // time = latency + bytes / bandwidth, with remote atomics paying an extra
 // round-trip. Compute time is measured separately per rank via
 // CLOCK_THREAD_CPUTIME_ID (valid even when threads are oversubscribed onto
-// one core). See DESIGN.md "Substitutions".
+// one core).
 #pragma once
 
 #include <cstddef>

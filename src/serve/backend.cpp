@@ -33,16 +33,8 @@ BatchSummary Backend::align_batch(pgas::Runtime& rt,
   out.stats = res.stats;
   out.report = std::move(res.report);
   for (const core::BatchResult& b : res.per_shard) {
-    out.seed_cache.hits += b.seed_cache.hits;
-    out.seed_cache.misses += b.seed_cache.misses;
-    out.seed_cache.insertions += b.seed_cache.insertions;
-    out.seed_cache.evictions += b.seed_cache.evictions;
-    out.seed_cache.admission_rejects += b.seed_cache.admission_rejects;
-    out.target_cache.hits += b.target_cache.hits;
-    out.target_cache.misses += b.target_cache.misses;
-    out.target_cache.insertions += b.target_cache.insertions;
-    out.target_cache.evictions += b.target_cache.evictions;
-    out.target_cache.admission_rejects += b.target_cache.admission_rejects;
+    out.seed_cache += b.seed_cache;
+    out.target_cache += b.target_cache;
   }
   out.lane_stats = res.lane_stats;
   out.wall_s = res.wall_s;

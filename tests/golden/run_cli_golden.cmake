@@ -403,7 +403,8 @@ check_sam_against(${WORKDIR}/out_shardcachewarm.sam
 
 # Bad cache flags are usage errors (exit 2 + usage), not silent cold starts:
 # a missing snapshot directory, a snapshot recorded against a different index
-# (other k), and --save-cache without --reads.
+# (other k), a snapshot in the retired version-1 format, and --save-cache
+# without --reads.
 execute_process(
   COMMAND ${CLI}
     --targets ${WORKDIR}/contigs.fa
@@ -432,6 +433,24 @@ if(NOT rc EQUAL 2)
 endif()
 if(NOT err MATCHES "mismatch" OR NOT err MATCHES "meraligner --targets")
   message(FATAL_ERROR "mismatched --load-cache did not print the usage message:\n${err}")
+endif()
+
+# v1_snapshot/session.mcache is a genuine version-1 file for these fixtures
+# (the header an older build wrote, with no cache sections): version 2
+# changed the seed section's layout, so it must be refused by name.
+execute_process(
+  COMMAND ${CLI}
+    --targets ${WORKDIR}/contigs.fa
+    --reads ${WORKDIR}/reads.fastq
+    --k 31 --ranks 4 --ppn 2 --load-cache ${FIXTURES}/v1_snapshot
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "--load-cache on a version-1 snapshot exited ${rc}, expected 2")
+endif()
+if(NOT err MATCHES "unsupported version 1" OR NOT err MATCHES "meraligner --targets")
+  message(FATAL_ERROR "version-1 --load-cache did not print the usage message:\n${err}")
 endif()
 
 execute_process(

@@ -141,10 +141,10 @@ class CachePersistTest : public ::testing::Test {
 /// (forcing clock evictions) and a random sprinkle of lookups (building up
 /// per-entry hit counts and counters).
 void fill_seed_cache_randomly(SeedIndexCache& cache, int nnodes,
-                              std::uint64_t rng_seed) {
+                              std::uint64_t rng_seed, int inserts = 300) {
   std::mt19937_64 rng(rng_seed);
   std::vector<Kmer> inserted;
-  for (int i = 0; i < 300; ++i) {
+  for (int i = 0; i < inserts; ++i) {
     const Kmer m = *Kmer::from_ascii(random_dna(rng, 21));
     const int node = static_cast<int>(rng() % static_cast<std::uint64_t>(nnodes));
     std::vector<SeedHit> hits;
@@ -272,6 +272,113 @@ TEST(CacheSnapshotRoundTrip, SeedLoadIntoSmallerCacheKeepsTheWarmestEntries) {
   // restored history.
   EXPECT_EQ(small.counters().admission_rejects,
             big.counters().admission_rejects + 6);
+}
+
+TEST(CacheSnapshotRoundTrip, StripedSeedCacheRestoresExactly) {
+  // 1 << 14 entries per node is 4 stripes per node; 40K inserts over 2
+  // nodes overflow every stripe, so cursors and evictions are in play.
+  const Topology topo(8, 4);
+  const SeedIndexCache::Options opt{.capacity_per_node = std::size_t{1} << 14};
+  SeedIndexCache a(topo, opt);
+  fill_seed_cache_randomly(a, topo.nnodes(), 5, 40000);
+  ASSERT_GT(a.counters().evictions, 0u);
+
+  std::ostringstream s1(std::ios::binary);
+  a.save(s1);
+  SeedIndexCache b(topo, opt);
+  std::istringstream in(s1.str(), std::ios::binary);
+  b.load(in);
+  std::ostringstream s2(std::ios::binary);
+  b.save(s2);
+  EXPECT_EQ(s1.str(), s2.str());
+  EXPECT_EQ(a.counters(), b.counters());
+  EXPECT_EQ(a.entries(), b.entries());
+
+  // Same future: the same further traffic leaves both caches identical.
+  fill_seed_cache_randomly(a, topo.nnodes(), 6, 20000);
+  fill_seed_cache_randomly(b, topo.nnodes(), 6, 20000);
+  std::ostringstream s3(std::ios::binary), s4(std::ios::binary);
+  a.save(s3);
+  b.save(s4);
+  EXPECT_EQ(s3.str(), s4.str());
+}
+
+TEST(CacheSnapshotRoundTrip, StripedSnapshotIntoOneStripeKeepsTheWarmest) {
+  const Topology topo(2, 2);  // 1 node
+  SeedIndexCache big(topo, {.capacity_per_node = std::size_t{1} << 16});
+  std::mt19937_64 rng(3);
+  std::vector<Kmer> seeds;
+  for (int i = 0; i < 2000; ++i) {
+    seeds.push_back(*Kmer::from_ascii(random_dna(rng, 21)));
+    big.insert(0, seeds.back(),
+               {SeedHit{1, 2, static_cast<std::uint32_t>(i)},
+                SeedHit{3, 4, static_cast<std::uint32_t>(i)}},
+               7);
+  }
+  // Ten warm seeds spread over the insertion order (and so over stripes).
+  std::vector<SeedHit> out;
+  std::size_t total = 0;
+  for (int w = 0; w < 10; ++w)
+    for (int rep = 0; rep <= w; ++rep)
+      big.lookup(0, seeds[static_cast<std::size_t>(w) * 150], 8, out, total);
+
+  std::ostringstream os(std::ios::binary);
+  big.save(os);
+  SeedIndexCache small(topo, {.capacity_per_node = 64});  // one stripe
+  std::istringstream is(os.str(), std::ios::binary);
+  small.load(is);
+
+  EXPECT_EQ(small.entries(), 64u);
+  for (int w = 0; w < 10; ++w) {
+    out.clear();
+    const std::size_t i = static_cast<std::size_t>(w) * 150;
+    ASSERT_TRUE(small.lookup(0, seeds[i], 8, out, total)) << "warm seed " << w;
+    EXPECT_EQ(total, 7u);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[1], (SeedHit{3, 4, static_cast<std::uint32_t>(i)}));
+  }
+  // The cold survivors are the youngest of their stripes: nothing from the
+  // first half of the insertion order survives except the warm seeds.
+  for (std::size_t i = 0; i < 1000; ++i) {
+    if (i % 150 == 0) continue;
+    out.clear();
+    EXPECT_FALSE(small.lookup(0, seeds[i], 8, out, total)) << "cold seed " << i;
+  }
+  EXPECT_EQ(small.counters().admission_rejects,
+            big.counters().admission_rejects + (2000 - 64));
+}
+
+TEST(CacheSnapshotRoundTrip, OneStripeSnapshotIntoManyStripesKeepsEverything) {
+  const Topology topo(8, 4);  // 2 nodes
+  SeedIndexCache one(topo, {.capacity_per_node = 64});
+  std::mt19937_64 rng(4);
+  std::vector<Kmer> seeds;
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    seeds.push_back(*Kmer::from_ascii(random_dna(rng, 21)));
+    std::vector<SeedHit> hits(i % 4, SeedHit{i, i % 7, i * 3});
+    one.insert(static_cast<int>(i % 2), seeds.back(), hits, hits.size() + 1);
+  }
+  ASSERT_GT(one.counters().evictions, 0u);
+  std::ostringstream os(std::ios::binary);
+  one.save(os);
+  SeedIndexCache many(topo, {.capacity_per_node = std::size_t{1} << 16});
+  std::istringstream is(os.str(), std::ios::binary);
+  many.load(is);
+  EXPECT_EQ(many.entries(), one.entries());
+  EXPECT_EQ(many.counters(), one.counters());  // nothing dropped
+
+  // Every entry serves the same list from its new stripe.
+  for (const Kmer& m : seeds) {
+    for (int node = 0; node < topo.nnodes(); ++node) {
+      std::vector<SeedHit> a, b;
+      std::size_t ta = 0, tb = 0;
+      EXPECT_EQ(many.lookup(node, m, 8, b, tb), one.lookup(node, m, 8, a, ta));
+      EXPECT_EQ(a, b);
+      EXPECT_EQ(ta, tb);
+    }
+  }
+  EXPECT_EQ(many.counters().hits, one.counters().hits);
+  EXPECT_GT(many.counters().hits, 0u);
 }
 
 TEST(CacheSnapshotRoundTrip, TargetLoadIntoSmallerCacheKeepsTheWarmestEntries) {
@@ -438,6 +545,46 @@ TEST_F(CacheSnapshotFileTest, RejectsMissingTruncatedAndCorruptFiles) {
   // ...and the intact file still loads.
   EXPECT_NO_THROW(load_caches(path("snap.mcache"), test_meta(), &s2, &t2));
   EXPECT_EQ(s2.entries(), seed.entries());
+}
+
+TEST_F(CacheSnapshotFileTest, VersionOneSnapshotIsRefusedByName) {
+  // A hand-written version-1 file: a complete header matching this session
+  // over an empty payload. Version 2 changed the seed section's layout, so
+  // the loader must refuse it before looking further.
+  const SnapshotMeta m = test_meta();
+  {
+    std::ofstream out(path("v1.mcache"), std::ios::binary);
+    using snapio::put;
+    put<std::uint32_t>(out, 0x4D435348);  // "MCSH"
+    put<std::uint32_t>(out, 1);
+    put<std::int32_t>(out, m.k);
+    put<std::int32_t>(out, m.nranks);
+    put<std::int32_t>(out, m.ppn);
+    put<std::int32_t>(out, m.nnodes);
+    put<std::uint64_t>(out, m.max_hits_per_seed);
+    put<double>(out, m.cost_model.node_latency_s);
+    put<double>(out, m.cost_model.node_bandwidth_Bps);
+    put<double>(out, m.cost_model.net_latency_s);
+    put<double>(out, m.cost_model.net_bandwidth_Bps);
+    put<double>(out, m.cost_model.atomic_extra_s);
+    put<std::uint64_t>(out, m.reference_fingerprint);
+    put<std::uint32_t>(out, 0);  // no sections
+    put<std::uint64_t>(out, 0);
+    put<std::uint64_t>(out, snapio::fnv1a(nullptr, 0));
+  }
+  const Topology topo(8, 4);
+  SeedIndexCache seed(topo, {.capacity_per_node = 64});
+  TargetCache target(topo, {.capacity_bytes_per_node = 1u << 16});
+  try {
+    load_caches(path("v1.mcache"), m, &seed, &target);
+    FAIL() << "a version-1 snapshot was accepted";
+  } catch (const CacheSnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(seed.entries(), 0u);
+  EXPECT_EQ(target.entries(), 0u);
 }
 
 TEST_F(CacheSnapshotFileTest, SectionsLoadIndependentlyOfDisabledCaches) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <map>
+#include <new>
 #include <random>
 #include <string>
 #include <thread>
@@ -7,6 +12,21 @@
 
 #include "cache/seed_cache.hpp"
 #include "cache/target_cache.hpp"
+
+// Global allocation counter, armed only around the code a test measures.
+namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_count_allocations.load(std::memory_order_relaxed))
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -101,31 +121,255 @@ TEST(SeedIndexCache, ZeroCapacityNeverStores) {
 }
 
 TEST(SeedIndexCache, ConcurrentMixedAccessIsSafe) {
-  SeedIndexCache cache(Topology(8, 4), {1024});
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&cache, t] {
-      std::mt19937_64 rng(static_cast<std::uint64_t>(t));
-      std::vector<SeedHit> out;
-      std::size_t total = 0;
-      for (int i = 0; i < 2000; ++i) {
-        std::string s(9, 'A');
-        for (auto& c : s) c = "ACGT"[rng() & 3u];
-        const Kmer m = kmer_of(s);
-        const int node = t / 4;
-        if (rng() & 1u) {
-          cache.insert(node, m, {{0, 0, 0}}, 1);
-        } else {
-          out.clear();
-          cache.lookup(node, m, 4, out, total);
+  // 1024 entries is one stripe per node; 1 << 16 is 16 stripes per node, so
+  // the tsan run of this suite also races threads across stripe locks.
+  for (const std::size_t capacity : {std::size_t{1024}, std::size_t{1} << 16}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    const Topology topo(8, 4);
+    SeedIndexCache cache(topo, {capacity});
+    std::vector<std::thread> threads;
+    std::vector<std::uint64_t> lookups(8, 0);
+    for (int t = 0; t < 8; ++t) {
+      threads.emplace_back([&cache, &lookups, t] {
+        std::mt19937_64 rng(static_cast<std::uint64_t>(t));
+        std::vector<SeedHit> out;
+        std::size_t total = 0;
+        for (int i = 0; i < 2000; ++i) {
+          std::string s(9, 'A');
+          for (auto& c : s) c = "ACGT"[rng() & 3u];
+          const Kmer m = kmer_of(s);
+          const int node = t / 4;
+          if (rng() & 1u) {
+            cache.insert(node, m, {{0, 0, 0}, {1, 1, 1}}, 2);
+          } else {
+            out.clear();
+            cache.lookup(node, m, 4, out, total);
+            ++lookups[static_cast<std::size_t>(t)];
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    const auto c = cache.counters();
+    std::uint64_t issued = 0;
+    for (const auto n : lookups) issued += n;
+    EXPECT_GT(c.insertions, 0u);
+    EXPECT_EQ(c.hits + c.misses, issued);
+    EXPECT_EQ(c.insertions - c.evictions, cache.entries());
+    EXPECT_LE(cache.entries(),
+              static_cast<std::size_t>(topo.nnodes()) * capacity);
+  }
+}
+
+TEST(SeedIndexCache, WarmInsertsAndEvictionsDoNotAllocate) {
+  // With clock eviction, insert i overwrites ring slot i % capacity, so a
+  // hit-list length that depends only on i % capacity gives every newcomer
+  // its victim's arena size class: the steady state of a full cache.
+  constexpr std::size_t kCapacity = 64;
+  SeedIndexCache cache(Topology(2, 2), {kCapacity});
+  std::mt19937_64 rng(5);
+  std::vector<Kmer> seeds;
+  std::vector<std::vector<SeedHit>> lists;
+  for (std::size_t i = 0; i < 8 * kCapacity; ++i) {
+    std::string s(21, 'A');
+    for (auto& c : s) c = "ACGT"[rng() & 3u];
+    seeds.push_back(kmer_of(s));
+    lists.emplace_back(i % kCapacity % 40,
+                       SeedHit{static_cast<std::uint32_t>(i), 1, 2});
+  }
+  std::vector<SeedHit> out;
+  out.reserve(64);
+  std::size_t total = 0;
+  const auto cycle = [&](std::size_t first, std::size_t last) {
+    for (std::size_t i = first; i < last; ++i) {
+      cache.insert(0, seeds[i], lists[i], lists[i].size());
+      out.clear();
+      cache.lookup(0, seeds[i - i % 7], 64, out, total);
+    }
+  };
+  cycle(0, 2 * kCapacity);  // fill, then one full turn of evictions
+  g_allocations = 0;
+  g_count_allocations = true;
+  cycle(2 * kCapacity, seeds.size());
+  g_count_allocations = false;
+  EXPECT_EQ(g_allocations.load(), 0u);
+  EXPECT_EQ(cache.counters().evictions, seeds.size() - kCapacity);
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: the cache against an executable model of its semantics
+// ---------------------------------------------------------------------------
+
+/// One node of the seed cache as a plain map + insertion ring + cursor clock:
+/// the semantics a single-stripe SeedIndexCache must reproduce op for op.
+class ModelSeedCache {
+ public:
+  ModelSeedCache(std::size_t capacity, bool admission)
+      : capacity_(capacity), admission_(admission) {}
+
+  bool lookup(const Kmer& seed, std::size_t max_hits,
+              std::vector<SeedHit>& out, std::size_t& total) {
+    const auto it = map_.find(seed);
+    if (it == map_.end()) {
+      ++counters.misses;
+      return false;
+    }
+    ++counters.hits;
+    ++it->second.use_count;
+    total = it->second.total;
+    const std::size_t n = std::min(max_hits, it->second.hits.size());
+    out.insert(out.end(), it->second.hits.begin(),
+               it->second.hits.begin() + static_cast<std::ptrdiff_t>(n));
+    return true;
+  }
+
+  void insert(const Kmer& seed, const std::vector<SeedHit>& hits,
+              std::size_t total) {
+    if (capacity_ == 0 || map_.contains(seed)) return;
+    if (map_.size() >= capacity_) {
+      if (admission_) {
+        bool evicted = false;
+        for (std::size_t p = 0; p < std::min<std::size_t>(8, ring_.size());
+             ++p) {
+          Value& cand = map_.at(ring_[cursor_]);
+          if (cand.use_count == 0) {
+            evicted = true;
+            break;
+          }
+          cand.use_count /= 2;
+          cursor_ = (cursor_ + 1) % ring_.size();
+        }
+        if (!evicted) {
+          ++counters.admission_rejects;
+          return;
         }
       }
-    });
+      map_.erase(ring_[cursor_]);
+      ring_[cursor_] = seed;
+      cursor_ = (cursor_ + 1) % ring_.size();
+      ++counters.evictions;
+    } else {
+      ring_.push_back(seed);
+    }
+    map_.emplace(seed, Value{hits, static_cast<std::uint32_t>(total), 0});
+    ++counters.insertions;
   }
-  for (auto& th : threads) th.join();
+
+  [[nodiscard]] std::size_t entries() const { return map_.size(); }
+
+  CacheCounters counters;
+
+ private:
+  struct Value {
+    std::vector<SeedHit> hits;
+    std::uint32_t total = 0;
+    std::uint32_t use_count = 0;
+  };
+  std::size_t capacity_;
+  bool admission_;
+  std::map<Kmer, Value> map_;
+  std::vector<Kmer> ring_;
+  std::size_t cursor_ = 0;
+};
+
+/// A random hit list: mostly 0-3 hits, sometimes a long (arena) list.
+std::vector<SeedHit> random_hits(std::mt19937_64& rng) {
+  const std::size_t n = rng() % 8 == 0 ? 17 + rng() % 24 : rng() % 4;
+  std::vector<SeedHit> hits(n);
+  for (auto& h : hits)
+    h = SeedHit{static_cast<std::uint32_t>(rng() % 1000),
+                static_cast<std::uint32_t>(rng() % 100),
+                static_cast<std::uint32_t>(rng() % 100000)};
+  return hits;
+}
+
+TEST(SeedIndexCache, MatchesTheMapRingClockModelOpForOp) {
+  for (const bool admission : {false, true}) {
+    for (const std::size_t capacity : {std::size_t{1}, std::size_t{7},
+                                       std::size_t{64}}) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                   (admission ? " with admission" : ""));
+      SeedIndexCache cache(Topology(2, 2),
+                           {.capacity_per_node = capacity,
+                            .eviction_aware_admission = admission});
+      ModelSeedCache model(capacity, admission);
+      std::mt19937_64 rng(20240611);
+      // A key universe a few times the capacity, skewed so some seeds recur
+      // often enough to earn hits (and admission protection).
+      std::vector<Kmer> keys;
+      for (std::size_t i = 0; i < capacity * 3 + 8; ++i) {
+        std::string s(21, 'A');
+        for (auto& c : s) c = "ACGT"[rng() & 3u];
+        keys.push_back(kmer_of(s));
+      }
+      for (int op = 0; op < 20000; ++op) {
+        const std::size_t r = rng() % keys.size();
+        const Kmer& seed = keys[r * r / keys.size()];
+        if (rng() & 1u) {
+          const auto hits = random_hits(rng);
+          const std::size_t total = hits.size() + rng() % 3;
+          cache.insert(0, seed, hits, total);
+          model.insert(seed, hits, total);
+        } else {
+          const std::size_t max_hits = 1 + rng() % 32;
+          std::vector<SeedHit> got, want;
+          std::size_t got_total = 0, want_total = 0;
+          const bool got_hit = cache.lookup(0, seed, max_hits, got, got_total);
+          const bool want_hit =
+              model.lookup(seed, max_hits, want, want_total);
+          ASSERT_EQ(got_hit, want_hit) << "op " << op;
+          ASSERT_EQ(got, want) << "op " << op;
+          if (want_hit) ASSERT_EQ(got_total, want_total) << "op " << op;
+        }
+        ASSERT_EQ(cache.counters(), model.counters) << "op " << op;
+        ASSERT_EQ(cache.entries(), model.entries()) << "op " << op;
+      }
+      EXPECT_GT(model.counters.hits, 0u);
+      EXPECT_GT(model.counters.evictions, 0u);
+      if (admission) EXPECT_GT(model.counters.admission_rejects, 0u);
+    }
+  }
+}
+
+TEST(SeedIndexCache, StripedCacheServesExactlyWhatWasInserted) {
+  // 1 << 14 entries per node is 4 stripes; 60K distinct seeds overflow
+  // every stripe many times over.
+  const std::size_t capacity = std::size_t{1} << 14;
+  SeedIndexCache cache(Topology(4, 2), {capacity});
+  std::mt19937_64 rng(7);
+  struct Inserted {
+    Kmer seed;
+    int node;
+    std::vector<SeedHit> hits;
+    std::size_t total;
+  };
+  std::vector<Inserted> inserted;
+  for (int i = 0; i < 60000; ++i) {
+    std::string s(25, 'A');
+    for (auto& c : s) c = "ACGT"[rng() & 3u];
+    auto hits = random_hits(rng);
+    const std::size_t total = hits.size() + rng() % 5;
+    const int node = static_cast<int>(rng() & 1u);
+    cache.insert(node, kmer_of(s), hits, total);
+    inserted.push_back({kmer_of(s), node, std::move(hits), total});
+  }
+  std::size_t present = 0;
+  for (const Inserted& e : inserted) {
+    const std::size_t max_hits = 1 + rng() % 32;
+    std::vector<SeedHit> out;
+    std::size_t total = 0;
+    if (!cache.lookup(e.node, e.seed, max_hits, out, total)) continue;
+    ++present;
+    EXPECT_EQ(total, e.total);
+    const std::size_t n = std::min(max_hits, e.hits.size());
+    ASSERT_EQ(out.size(), n);
+    EXPECT_TRUE(std::equal(out.begin(), out.end(), e.hits.begin()));
+  }
   const auto c = cache.counters();
-  EXPECT_GT(c.insertions, 0u);
-  EXPECT_EQ(c.hits + c.misses, c.hits + c.misses);  // no crash/tsan issues
+  EXPECT_EQ(present, cache.entries());
+  EXPECT_EQ(c.insertions - c.evictions, cache.entries());
+  EXPECT_GT(c.evictions, 0u);
+  EXPECT_LE(cache.entries(), 2 * capacity);
 }
 
 TEST(TargetCache, MissInsertHit) {

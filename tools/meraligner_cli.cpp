@@ -459,18 +459,8 @@ int main(int argc, char** argv) {
       cache::CacheCounters seed, target;
       for (int s = 0; s < session.num_shards(); ++s) {
         const auto& ss = session.shard_session(s);
-        const auto sc = ss.seed_cache_counters();
-        const auto tc = ss.target_cache_counters();
-        seed.hits += sc.hits;
-        seed.misses += sc.misses;
-        seed.insertions += sc.insertions;
-        seed.evictions += sc.evictions;
-        seed.admission_rejects += sc.admission_rejects;
-        target.hits += tc.hits;
-        target.misses += tc.misses;
-        target.insertions += tc.insertions;
-        target.evictions += tc.evictions;
-        target.admission_rejects += tc.admission_rejects;
+        seed += ss.seed_cache_counters();
+        target += ss.target_cache_counters();
       }
       print_cache_totals(seed, target);
     }
