@@ -1,12 +1,11 @@
 // Kernel microbenches (google-benchmark): reference full-DP Smith-Waterman
-// vs banded vs striped SIMD (Section V-B — the paper adopts SSW because SW
-// dominates the aligning phase's computation).
+// vs striped SIMD vs the inter-candidate batch engine (Section V-B — the
+// paper adopts SSW because SW dominates the aligning phase's computation).
 #include <benchmark/benchmark.h>
 
 #include <random>
 #include <string>
 
-#include "align/banded_sw.hpp"
 #include "align/batch_sw.hpp"
 #include "align/smith_waterman.hpp"
 #include "align/striped_sw.hpp"
@@ -59,20 +58,6 @@ void BM_ScoreOnlySW(benchmark::State& state) {
                           state.range(0) * state.range(1));
 }
 BENCHMARK(BM_ScoreOnlySW)->Args({101, 300})->Args({101, 1000})->Args({250, 1000});
-
-void BM_BandedSW(benchmark::State& state) {
-  const auto p = make_pair(static_cast<std::size_t>(state.range(0)),
-                           static_cast<std::size_t>(state.range(1)));
-  const auto diag = static_cast<std::ptrdiff_t>(state.range(1) / 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(banded_smith_waterman(
-        std::span<const std::uint8_t>(p.q), std::span<const std::uint8_t>(p.t),
-        diag, 16, Scoring{}));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0) * 33);
-}
-BENCHMARK(BM_BandedSW)->Args({101, 300})->Args({101, 1000})->Args({250, 1000});
 
 void BM_StripedSW(benchmark::State& state) {
   const auto p = make_pair(static_cast<std::size_t>(state.range(0)),

@@ -1,13 +1,16 @@
 // Alignment-kernel playground: align two sequences from the command line and
-// print the full local alignment — reference DP, banded DP, and the striped
-// SIMD kernel side by side. Handy for exploring scoring schemes.
+// print the full local alignment — reference DP, the batch engine's traced
+// SIMD sweep, and the striped SIMD score kernel side by side. Handy for
+// exploring scoring schemes. Exits 1 when the traced sweep's alignment or the
+// striped score differs from the reference DP's, so it doubles as a smoke
+// test of the kernels' equivalence contract.
 //
 // Usage: sw_playground [query target [match mismatch gap_open gap_extend]]
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
-#include "align/banded_sw.hpp"
+#include "align/batch_sw.hpp"
 #include "align/smith_waterman.hpp"
 #include "align/striped_sw.hpp"
 
@@ -78,13 +81,14 @@ int main(int argc, char** argv) {
 
   const auto qc = dna_codes(q);
   const auto tc = dna_codes(t);
-  const auto banded = banded_smith_waterman(
-      std::span<const std::uint8_t>(qc), std::span<const std::uint8_t>(tc),
-      static_cast<std::ptrdiff_t>(aln.t_begin) -
-          static_cast<std::ptrdiff_t>(aln.q_begin),
-      16, sc);
-  std::printf("\nbanded (band=16):   score=%d  cigar=%s\n", banded.score,
-              banded.cigar.to_string().c_str());
+  BatchSwScorer scorer(std::span<const std::uint8_t>(qc), sc);
+  scorer.add(std::span<const std::uint8_t>(tc));
+  TraceScratch scratch;
+  const auto traced = scorer.flush_aligned(scratch).front();
+  std::printf("\ntraced sweep:       score=%d  cigar=%s  mismatches=%d"
+              "  (%s)\n",
+              traced.score, traced.cigar.to_string().c_str(),
+              traced.mismatches, isa_name(scorer.isa()));
 
   const StripedSmithWaterman ssw(q, sc);
   const auto sres = ssw.align(t);
@@ -93,9 +97,13 @@ int main(int argc, char** argv) {
               StripedSmithWaterman::simd_enabled() ? "SSE2" : "scalar",
               sres.used_16bit ? "16-bit lanes" : "8-bit lanes");
 
-  if (sres.score == aln.score && banded.score == aln.score)
-    std::printf("\nall three kernels agree on the optimal score.\n");
-  else
-    std::printf("\nNOTE: banded kernel may miss optima outside its band.\n");
+  if (traced != aln || sres.score != aln.score) {
+    std::printf("\nMISMATCH: %s differs from the reference DP.\n",
+                traced == aln ? "the striped score" : "the traced alignment");
+    return 1;
+  }
+  std::printf(
+      "\nthe traced sweep and the striped kernel agree with the reference "
+      "DP.\n");
   return 0;
 }

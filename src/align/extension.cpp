@@ -37,16 +37,6 @@ Extension extend_seed(std::span<const std::uint8_t> query,
 
   const auto window = dna_codes(target, w.begin, w.end - w.begin);
   switch (cfg.kernel) {
-    case SwKernel::kBanded: {
-      // The seed lies on diagonal (t_off - proj_begin) - q_off within the
-      // window; band half-width = window_pad covers the padding budget.
-      const auto diag = static_cast<std::ptrdiff_t>(t_off - w.begin) -
-                        static_cast<std::ptrdiff_t>(q_off);
-      ext.aln = banded_smith_waterman(query, window, diag,
-                                      std::max<std::size_t>(cfg.window_pad, 8),
-                                      cfg.scoring);
-      break;
-    }
     case SwKernel::kBatch: {
       // Single-candidate route through the batch engine's traced sweep (one
       // live lane). Callers with many candidates should pool them through a
@@ -65,6 +55,14 @@ Extension extend_seed(std::span<const std::uint8_t> query,
   ext.aln.t_begin += w.begin;
   ext.aln.t_end += w.begin;
   return ext;
+}
+
+std::vector<std::pair<std::string, std::string>> sw_metric_labels(
+    const ExtensionConfig& cfg) {
+  return {{"kernel", kernel_name(cfg.kernel)},
+          {"isa", cfg.kernel == SwKernel::kBatch
+                      ? isa_name(resolve_isa(cfg.isa))
+                      : "native"}};
 }
 
 }  // namespace mera::align

@@ -4,15 +4,17 @@
 // The seed fixes the alignment's diagonal, so only a small target window
 // around the implied query placement needs to be examined: the window is the
 // query's projected span padded by `window_pad` bases on each side. Within
-// the window every kernel produces score + CIGAR; the batch SIMD engine
-// computes the full DP's alignment for many candidates per sweep.
+// the window both kernels produce the full DP's alignment: the scalar
+// reference one pair at a time, the batch SIMD engine many candidates per
+// sweep.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "align/banded_sw.hpp"
 #include "align/batch_sw.hpp"
 #include "align/smith_waterman.hpp"
 #include "seq/packed_seq.hpp"
@@ -25,8 +27,6 @@ namespace mera::align {
 enum class SwKernel : std::uint8_t {
   /// Exact full-window DP with affine-gap traceback (sw_engine) — reference.
   kFullDP = 0,
-  /// Banded DP around the seed diagonal (band = max(window_pad, 8)).
-  kBanded,
   /// Inter-candidate batch SIMD traced sweep (batch_sw): candidate windows
   /// are packed one-per-lane and aligned in one 16-bit DP sweep on the
   /// widest available ISA (see ExtensionConfig::isa), which records a
@@ -43,7 +43,7 @@ struct ExtensionConfig {
   /// In-window alignment kernel.
   SwKernel kernel = SwKernel::kBatch;
   /// Dispatch tier for SwKernel::kBatch (kAuto = MERA_SW_ISA env override or
-  /// the widest the CPU supports). Ignored by the other kernels.
+  /// the widest the CPU supports). Ignored by kFullDP.
   SwIsa isa = SwIsa::kAuto;
 };
 
@@ -63,7 +63,7 @@ struct SeedWindow {
 
 /// Compute the seed's target window — the same projection extend_seed
 /// performs internally, exposed so callers (core::AlignSession) can account
-/// sw_cells and extract window codes for deferred scoring.
+/// sw_cells and extract the window codes every kernel aligns against.
 [[nodiscard]] SeedWindow project_seed_window(std::size_t query_len,
                                              const seq::PackedSeq& target,
                                              std::size_t q_off,
@@ -74,11 +74,16 @@ struct SeedWindow {
 [[nodiscard]] constexpr const char* kernel_name(SwKernel k) noexcept {
   switch (k) {
     case SwKernel::kFullDP: return "full_dp";
-    case SwKernel::kBanded: return "banded";
     case SwKernel::kBatch: return "batch";
   }
   return "unknown";
 }
+
+/// Labels of the per-kernel SW metric series: {kernel, isa}, where isa is
+/// the resolved dispatch tier for kBatch and "native" for kFullDP, which
+/// does not dispatch. The one rule both the session and the daemon use.
+[[nodiscard]] std::vector<std::pair<std::string, std::string>>
+sw_metric_labels(const ExtensionConfig& cfg);
 
 /// Extend a seed match: query[q_off..q_off+k) == target[t_off..t_off+k).
 /// Returns an alignment whose t_begin/t_end are in full-target coordinates.

@@ -25,6 +25,8 @@ struct LocalAlignment {
   int gap_columns = 0;  ///< total I+D columns
 
   [[nodiscard]] bool empty() const noexcept { return q_begin == q_end; }
+  friend bool operator==(const LocalAlignment&,
+                         const LocalAlignment&) = default;
 };
 
 /// Full-DP local alignment of query vs target (2-bit code spans).

@@ -44,7 +44,7 @@ struct BaselineConfig {
   bool include_read_partition = false;
   std::size_t max_hits_per_seed = 32;
   /// Seed-extension settings; extension.kernel selects the SW backend
-  /// (full-DP / banded / batch), same selector the session API exposes.
+  /// (full DP or batch), same selector the session API exposes.
   align::ExtensionConfig extension{};
   int min_report_score = -1;  ///< -1 = auto (match * k)
 

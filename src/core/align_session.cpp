@@ -48,8 +48,8 @@ struct BatchShared {
 /// kernel, every exact match and every read boundary takes a slot, in
 /// discovery order; a cursor replays the resolved prefix into the sink. The
 /// kernel only decides WHEN a candidate's slot resolves — immediately
-/// (kFullDP/kBanded) or when the pooled batch engine aligns it (kBatch) — so
-/// sink order, stats and SAM bytes are the same for every kernel.
+/// (kFullDP) or when the pooled batch engine aligns it (kBatch) — so sink
+/// order, stats and SAM bytes are the same for every kernel.
 struct Slot {
   enum class State : std::uint8_t { kPending, kResolved, kReadEnd };
   State state = State::kPending;
@@ -57,8 +57,8 @@ struct Slot {
   std::uint32_t target_id = 0;
   const seq::SeqRecord* read = nullptr;
   std::optional<AlignmentRecord> rec;  ///< set when resolved and reportable
-  /// Deferred (kBatch) candidates only: the window's target offset, which
-  /// turns the window-local alignment into target coordinates.
+  /// Candidates only: the window's target offset, which turns the
+  /// window-local alignment into target coordinates.
   std::size_t window_begin = 0;
 };
 
@@ -78,8 +78,7 @@ class RankAligner {
       qcfg.scratch = &sh.trace_scratch[static_cast<std::size_t>(rank.id())];
       pool_.emplace(qcfg, [this](std::uint64_t tag,
                                  const align::LocalAlignment& aln) {
-        Slot& s = slots_[static_cast<std::size_t>(tag)];
-        resolve(s, aln, s.window_begin);
+        resolve(slots_[static_cast<std::size_t>(tag)], aln);
       });
     }
   }
@@ -127,7 +126,6 @@ class RankAligner {
     seq::for_each_seed(std::string_view(oriented), k, [&](std::size_t q_off,
                                                           const seq::Kmer& m) {
       if (exact_done) return;
-      if (sh_.cfg.seed_stride > 1 && q_off % sh_.cfg.seed_stride != 0) return;
       hits.clear();
       const std::size_t total = lookup_seed(m, hits);
       if (total == 0) return;
@@ -189,19 +187,18 @@ class RankAligner {
         s.read = read_;
         s.target_id = h.target_id;
         s.reverse = reverse;
+        s.window_begin = w.begin;
+        const auto window = align::dna_codes(t.seq, w.begin, w.end - w.begin);
         if (!pool_) {
-          resolve(s, align::extend_seed(query, t.seq, q_off, h.t_pos, k,
-                                        sh_.cfg.extension)
-                         .aln);
+          resolve(s, align::smith_waterman(query, window,
+                                           sh_.cfg.extension.scoring));
           continue;
         }
         // kBatch: defer the alignment into the rank's length-class-bucketed
         // queue; the traced sweep resolves the slot when its bucket flushes.
         // (The enqueue may flush, so `s` is not touched after it.)
         if (!pooled_qid) pooled_qid = pool_->add_query(query);
-        s.window_begin = w.begin;
-        pool_->enqueue(*pooled_qid,
-                       align::dna_codes(t.seq, w.begin, w.end - w.begin), idx);
+        pool_->enqueue(*pooled_qid, window, idx);
       }
     });
     return exact_done;
@@ -257,12 +254,10 @@ class RankAligner {
     s.rec = std::move(rec);
   }
 
-  /// Resolve a candidate's slot with its extension; the one place an
-  /// AlignmentRecord is filled from a LocalAlignment. `t_shift` moves a
-  /// window-local alignment (the pooled queue's) into target coordinates,
-  /// exactly as extend_seed does for the immediate kernels.
-  void resolve(Slot& s, const align::LocalAlignment& aln,
-               std::size_t t_shift = 0) {
+  /// Resolve a candidate's slot with its window-local alignment; the one
+  /// place an AlignmentRecord is filled from a LocalAlignment, shifted by the
+  /// slot's window_begin into target coordinates.
+  void resolve(Slot& s, const align::LocalAlignment& aln) {
     s.state = Slot::State::kResolved;
     if (aln.score < min_score_ || aln.empty()) return;
     AlignmentRecord& rec = s.rec.emplace();
@@ -272,8 +267,8 @@ class RankAligner {
     rec.score = aln.score;
     rec.q_begin = aln.q_begin;
     rec.q_end = aln.q_end;
-    rec.t_begin = aln.t_begin + t_shift;
-    rec.t_end = aln.t_end + t_shift;
+    rec.t_begin = aln.t_begin + s.window_begin;
+    rec.t_end = aln.t_end + s.window_begin;
     rec.cigar = aln.cigar.to_string();
     rec.mismatches = aln.mismatches;
   }
@@ -380,11 +375,7 @@ void add_batch_metrics(const BatchResult& res, const SessionConfig& cfg) {
   bridge_cache("seed", res.seed_cache);
   bridge_cache("target", res.target_cache);
 
-  const obs::Labels sw_labels{
-      {"kernel", align::kernel_name(cfg.extension.kernel)},
-      {"isa", cfg.extension.kernel == align::SwKernel::kBatch
-                  ? align::isa_name(align::resolve_isa(cfg.extension.isa))
-                  : "native"}};
+  const obs::Labels sw_labels = align::sw_metric_labels(cfg.extension);
   reg.counter("mera_sw_calls_total", sw_labels,
               "Smith-Waterman extensions run")
       .add(static_cast<double>(res.stats.sw_calls));

@@ -71,7 +71,6 @@ struct SessionConfig {
 
   // Aligning phase.
   std::size_t max_hits_per_seed = 32;  ///< Section IV-C threshold
-  std::size_t seed_stride = 1;         ///< probe every seed_stride-th seed
   align::ExtensionConfig extension{};  ///< incl. the SW kernel backend
   /// Minimum score to report; -1 = auto (match score * k, i.e. at least the
   /// seed region must align).

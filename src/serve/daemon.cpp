@@ -13,7 +13,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "align/batch_sw.hpp"
+#include "align/extension.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "pgas/phase_timer.hpp"
@@ -429,12 +429,8 @@ void Daemon::bridge_tenant_metrics(const std::string& tenant,
   bridge_cache("seed", summary.seed_cache);
   bridge_cache("target", summary.target_cache);
   const core::SessionConfig& cfg = backend_.config();
-  const obs::Labels sw_labels{
-      {"kernel", align::kernel_name(cfg.extension.kernel)},
-      {"isa", cfg.extension.kernel == align::SwKernel::kBatch
-                  ? align::isa_name(align::resolve_isa(cfg.extension.isa))
-                  : "native"},
-      {"tenant", tenant}};
+  obs::Labels sw_labels = align::sw_metric_labels(cfg.extension);
+  sw_labels.emplace_back("tenant", tenant);
   reg.counter("mera_sw_calls_total", sw_labels,
               "Smith-Waterman extensions run")
       .add(static_cast<double>(summary.stats.sw_calls));

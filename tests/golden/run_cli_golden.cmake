@@ -6,11 +6,12 @@
 #   WORKDIR - scratch directory for this run
 #
 # Scenarios:
-#   1. single batch, one run per --sw kernel (full/banded/batch) and one with
-#      no --sw flag: all must produce the SAME golden SAM — the banded and
-#      batch kernels are exact over their windows, so kernel choice must not
-#      change output; the default (batch) kernel additionally runs pinned to
-#      the scalar --sw-isa tier
+#   1. single batch, one run per --sw kernel (full/batch) and one with no
+#      --sw flag: all must produce the SAME golden SAM — the batch kernel's
+#      traced sweep aligns each window exactly as the full-DP reference does,
+#      so kernel choice must not change output; the default (batch) kernel
+#      additionally runs pinned to the scalar --sw-isa tier. Removed kernel
+#      selectors and knobs (--sw-pool) are usage errors
 #   2. multi batch:   --reads reads_a --reads reads_b (one index, two batches)
 #                     -> the SAME record set, since per-read results depend
 #                     only on the prebuilt index, not on batch boundaries
@@ -72,8 +73,8 @@ function(check_sam produced label)
   check_sam_against(${produced} ${GOLDEN} "${label}")
 endfunction()
 
-# --- 1. single batch, all three SW kernel selectors --------------------------
-foreach(sw full banded batch)
+# --- 1. single batch, both SW kernel selectors ------------------------------
+foreach(sw full batch)
   execute_process(
     COMMAND ${CLI}
       --targets ${WORKDIR}/contigs.fa
@@ -123,8 +124,8 @@ endif()
 check_sam(${WORKDIR}/out_batch_scalar.sam "single-batch --sw-isa scalar")
 
 # Removed selectors are usage errors (exit 2 + usage), not silent aliases:
-# the striped kernel and the --sw-pool knob no longer exist.
-foreach(removed "--sw;striped" "--sw;batch;--sw-pool;on")
+# the striped and banded kernels and the --sw-pool knob no longer exist.
+foreach(removed "--sw;striped" "--sw;banded" "--sw;batch;--sw-pool;on")
   execute_process(
     COMMAND ${CLI}
       --targets ${WORKDIR}/contigs.fa
@@ -175,7 +176,7 @@ execute_process(
   COMMAND ${CLI}
     --targets ${WORKDIR}/contigs.fa
     --reads ${WORKDIR}/reads.fastq
-    --k 31 --ranks 4 --ppn 2 --sw banded --sw-isa scalar
+    --k 31 --ranks 4 --ppn 2 --sw full --sw-isa scalar
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)

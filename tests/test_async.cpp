@@ -104,8 +104,7 @@ void expect_same_deterministic_stats(const core::PipelineStats& a,
 TEST(ParallelShards, BitIdenticalToSerialForEveryKAndKernel) {
   const auto w = make_workload(25'000, 1.0);
 
-  for (const SwKernel kernel :
-       {SwKernel::kFullDP, SwKernel::kBanded, SwKernel::kBatch}) {
+  for (const SwKernel kernel : {SwKernel::kFullDP, SwKernel::kBatch}) {
     core::SessionConfig sc = cacheless_session();
     sc.extension.kernel = kernel;
 

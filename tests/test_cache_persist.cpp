@@ -10,7 +10,7 @@
 //                      untouched;
 //   3. bit-identity  — a warm-started session emits exactly the records,
 //                      SAM stream and work stats of a cold one, across
-//                      K in {1, 2, 4} shards and all three SW kernels,
+//                      K in {1, 2, 4} shards and both SW kernels,
 //                      while doing strictly less remote-lookup work;
 //   4. counter baseline — loaded counters are cumulative session history,
 //                      and per-batch deltas report only post-load activity
@@ -766,8 +766,7 @@ TEST_F(WarmStartTest, MonolithicWarmStartIsBitIdenticalAllKernels) {
   Runtime rt(Topology(8, 4));  // 2 nodes: off-node lookups exist to cache
   const auto ref = core::IndexedReference::build(rt, w.contigs, small_index());
 
-  for (const SwKernel kernel :
-       {SwKernel::kFullDP, SwKernel::kBanded, SwKernel::kBatch}) {
+  for (const SwKernel kernel : {SwKernel::kFullDP, SwKernel::kBatch}) {
     SCOPED_TRACE("kernel=" + std::to_string(static_cast<int>(kernel)));
     const std::string snap = path("k" + std::to_string(static_cast<int>(kernel)));
 
@@ -832,8 +831,7 @@ TEST_F(WarmStartTest, ShardedWarmStartIsBitIdenticalAllKernelsAllK) {
     const auto ref =
         shard::ShardedReference::build(rt, w.contigs, K, small_index());
     ASSERT_EQ(ref.num_shards(), K);
-    for (const SwKernel kernel :
-         {SwKernel::kFullDP, SwKernel::kBanded, SwKernel::kBatch}) {
+    for (const SwKernel kernel : {SwKernel::kFullDP, SwKernel::kBatch}) {
       SCOPED_TRACE("K=" + std::to_string(K) +
                    " kernel=" + std::to_string(static_cast<int>(kernel)));
       const std::string snap = path("K" + std::to_string(K) + "_k" +

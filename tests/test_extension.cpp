@@ -92,26 +92,6 @@ TEST(Extension, IndelWithinPadIsRecovered) {
   EXPECT_EQ(ext.aln.q_end - ext.aln.q_begin, q.size());
 }
 
-TEST(Extension, BandedModeAgreesOnCleanReads) {
-  std::mt19937_64 rng(66);
-  const std::string g = random_dna(rng, 3000);
-  const PackedSeq target(g);
-  ExtensionConfig banded;
-  banded.kernel = SwKernel::kBanded;
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::size_t pos = rng() % 2800;
-    std::string q = g.substr(pos, 90);
-    if (trial % 2) q[rng() % 90] = "ACGT"[rng() & 3u];
-    const auto qc = dna_codes(q);
-    const std::size_t q_off = 20;
-    const auto full = extend_seed(std::span<const std::uint8_t>(qc), target,
-                                  q_off, pos + q_off, 31, {});
-    const auto band = extend_seed(std::span<const std::uint8_t>(qc), target,
-                                  q_off, pos + q_off, 31, banded);
-    EXPECT_EQ(band.aln.score, full.aln.score) << "trial " << trial;
-  }
-}
-
 TEST(Extension, DegenerateInputsAreSafe) {
   const PackedSeq target{std::string_view("ACGTACGT")};
   const std::vector<std::uint8_t> empty;

@@ -238,22 +238,6 @@ TEST(Session, BatchBackendReportsIdenticalRecordsOnEveryIsaTier) {
   }
 }
 
-TEST(Session, BandedBackendAlignsTheSameReadSet) {
-  const auto w = make_workload(25'000, 1.2);
-  Runtime rt1(Topology(4, 2)), rt2(Topology(4, 2));
-  const auto ref1 = IndexedReference::build(rt1, w.contigs, small_index());
-  const auto ref2 = IndexedReference::build(rt2, w.contigs, small_index());
-
-  SessionConfig banded = small_session();
-  banded.extension.kernel = SwKernel::kBanded;
-
-  AlignSession s1(ref1, small_session()), s2(ref2, banded);
-  CountingSink c1, c2;
-  const auto full = s1.align_batch(rt1, w.reads, c1);
-  const auto band = s2.align_batch(rt2, w.reads, c2);
-  EXPECT_EQ(full.stats.reads_aligned, band.stats.reads_aligned);
-}
-
 TEST(Session, UnmarkedReferenceDisablesExactMatchPath) {
   const auto w = make_workload(20'000, 1.0);
   Runtime rt(Topology(4, 2));

@@ -279,8 +279,7 @@ std::vector<AlignmentRecord> run_monolithic(const Workload& w,
 TEST(ShardedSession, OutputBitIdenticalToMonolithicSessionAllKernelsAllK) {
   const auto w = make_workload(30'000, 1.5, /*error=*/0.005);
 
-  for (const SwKernel kernel :
-       {SwKernel::kFullDP, SwKernel::kBanded, SwKernel::kBatch}) {
+  for (const SwKernel kernel : {SwKernel::kFullDP, SwKernel::kBatch}) {
     core::SessionConfig sc = exhaustive_session();
     sc.extension.kernel = kernel;
 

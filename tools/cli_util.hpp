@@ -101,9 +101,8 @@ class Args {
 inline align::SwKernel parse_kernel(const std::string& name) {
   using align::SwKernel;
   if (name == "full") return SwKernel::kFullDP;
-  if (name == "banded") return SwKernel::kBanded;
   if (name == "batch") return SwKernel::kBatch;
-  throw UsageError("--sw expects full|banded|batch, got '" + name + "'");
+  throw UsageError("--sw expects full|batch, got '" + name + "'");
 }
 
 /// --sw-isa: validated here so a typo or a tier this machine can't run is a
@@ -166,7 +165,7 @@ inline AlignerFlags aligner_flags(const Args& args) {
   scfg.extension.kernel = parse_kernel(args.get("sw", "batch"));
   if (args.has("sw-isa")) {
     // Only the batch kernel (the default) dispatches on ISA; with --sw full
-    // or banded the flag would be a silent no-op.
+    // the flag would be a silent no-op.
     if (scfg.extension.kernel != align::SwKernel::kBatch)
       throw UsageError("--sw-isa requires --sw batch");
     scfg.extension.isa = parse_sw_isa(args.get("sw-isa"));

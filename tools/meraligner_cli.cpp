@@ -4,7 +4,7 @@
 //   meraligner --targets contigs.fa --reads batch1.{fastq,sdb}
 //              [--reads batch2.fastq ...] [--out out.sam] [--k 51]
 //              [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]
-//              [--fragment-len 1024] [--sw batch|full|banded]
+//              [--fragment-len 1024] [--sw batch|full]
 //              [--sw-isa auto|...|help] [--no-exact]
 //              [--no-seed-cache] [--no-target-cache] [--no-aggregation]
 //              [--no-permute] [--stats]
@@ -83,7 +83,7 @@ constexpr const char* kUsage =
     "meraligner --targets contigs.fa --reads batch1.{fastq,sdb}\n"
     "           [--reads batch2.fastq ...] [--out out.sam] [--k 51]\n"
     "           [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]\n"
-    "           [--fragment-len 1024] [--sw batch|full|banded]\n"
+    "           [--fragment-len 1024] [--sw batch|full]\n"
     "           [--sw-isa auto|scalar|sse2|avx2|avx512|help]\n"
     "           [--no-exact] [--no-seed-cache] [--no-target-cache]\n"
     "           [--no-aggregation] [--no-permute] [--stats]\n"
@@ -109,10 +109,10 @@ constexpr const char* kUsage =
     "--sw batch (the default) pools candidates across reads into\n"
     "query-length-class buckets and aligns a bucket in one inter-candidate\n"
     "SIMD sweep with traceback once it fills the tier's lanes; --sw full is\n"
-    "the scalar reference DP, --sw banded a band around the seed diagonal.\n"
+    "the scalar reference DP.\n"
     "--sw-isa (or MERA_SW_ISA in the environment) pins its dispatch tier —\n"
-    "the default auto picks the widest the CPU supports. Every kernel and\n"
-    "tier emits bit-identical SAM. --sw-isa help (or MERA_SW_ISA=help)\n"
+    "the default auto picks the widest the CPU supports. Both kernels and\n"
+    "every tier emit bit-identical SAM. --sw-isa help (or MERA_SW_ISA=help)\n"
     "prints the tiers this build and CPU actually support, then exits.\n"
     "--trace FILE.json records a Chrome Trace Event timeline (open in\n"
     "chrome://tracing or ui.perfetto.dev); --metrics FILE dumps the metrics\n"

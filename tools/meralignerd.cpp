@@ -3,7 +3,7 @@
 // Usage:
 //   meralignerd --targets contigs.fa --socket /run/mera.sock
 //               [--k 51] [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]
-//               [--fragment-len 1024] [--sw batch|full|banded]
+//               [--fragment-len 1024] [--sw batch|full]
 //               [--sw-isa auto|...] [--no-exact]
 //               [--no-seed-cache] [--no-target-cache] [--no-aggregation]
 //               [--no-permute] [--cache-admission]
@@ -55,7 +55,7 @@ namespace {
 constexpr const char* kUsage =
     "meralignerd --targets contigs.fa --socket /run/mera.sock\n"
     "            [--k 51] [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]\n"
-    "            [--fragment-len 1024] [--sw batch|full|banded]\n"
+    "            [--fragment-len 1024] [--sw batch|full]\n"
     "            [--sw-isa auto|scalar|sse2|avx2|avx512]\n"
     "            [--no-exact] [--no-seed-cache] [--no-target-cache]\n"
     "            [--no-aggregation] [--no-permute] [--cache-admission]\n"
@@ -73,8 +73,8 @@ constexpr const char* kUsage =
     "atomically - a crash never loses the last good snapshot); --load-cache\n"
     "warm-starts from that directory. SIGINT/SIGTERM drain gracefully.\n"
     "--sw batch (the default) aligns candidates in pooled SIMD sweeps with\n"
-    "traceback; --sw full is the scalar reference; every kernel and\n"
-    "--sw-isa tier emits the same SAM bytes.\n"
+    "traceback; --sw full is the scalar reference; both kernels and every\n"
+    "--sw-isa tier emit the same SAM bytes.\n"
     "Clients can scrape the Prometheus metrics (incl. tenant= series) with\n"
     "a MetricsReq frame: meraligner_client --socket S --metrics -.";
 
