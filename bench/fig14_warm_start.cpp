@@ -16,8 +16,9 @@
 // The contract this bench enforces (and the numbers it reports):
 //   * the warm process's cache hit rate is STRICTLY above the cold one's on
 //     the same stream, from the very first batch;
-//   * warm output is identical to cold output — persistence changes the
-//     modeled communication seconds, never the record set. The bench aborts
+//   * warm output is identical to cold output, record for record and in
+//     order — persistence changes the modeled communication seconds, never
+//     the records. The bench aborts
 //     (exit 1) if either fails.
 //
 // Output: per-batch hit-rate rows for both processes, single-reference and
@@ -29,7 +30,6 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -48,21 +48,9 @@ using mera::seq::SeqRecord;
 struct ProcessResult {
   PipelineStats stats;                    ///< summed over batches
   std::vector<double> batch_hit_rates;    ///< seed-cache, per batch
-  std::vector<AlignmentRecord> records;   ///< sorted, for the identity check
+  std::vector<AlignmentRecord> records;   ///< emission order, for the identity check
   double align_model_s = 0.0;
 };
-
-void sort_records(std::vector<AlignmentRecord>& recs) {
-  auto key = [](const AlignmentRecord& r) {
-    return std::tie(r.query_name, r.target_id, r.t_begin, r.t_end, r.reverse,
-                    r.score, r.q_begin, r.q_end, r.cigar, r.mismatches,
-                    r.exact);
-  };
-  std::sort(recs.begin(), recs.end(),
-            [&](const AlignmentRecord& a, const AlignmentRecord& b) {
-              return key(a) < key(b);
-            });
-}
 
 double hit_rate(const PipelineStats& s) {
   // Off-node lookups served by the seed cache, over all lookups that could
@@ -86,7 +74,6 @@ ProcessResult run_stream(const std::vector<std::vector<SeqRecord>>& batches,
     out.align_model_s += res.report.total_time_s();
   }
   out.records = vec.take();
-  sort_records(out.records);
   return out;
 }
 
@@ -119,7 +106,7 @@ void enforce(const char* what, const ProcessResult& cold,
              const ProcessResult& warm) {
   if (cold.records != warm.records) {
     std::fprintf(stderr,
-                 "FATAL: %s: warm record set differs from cold (%zu vs %zu "
+                 "FATAL: %s: warm records differ from cold (%zu vs %zu "
                  "records) — persistence changed bytes!\n",
                  what, warm.records.size(), cold.records.size());
     std::exit(1);
@@ -264,7 +251,7 @@ int main(int argc, char** argv) {
   }
 
   std::filesystem::remove_all(snapdir);
-  std::printf("bit-identity: warm record sets identical to cold (both parts)\n");
+  std::printf("bit-identity: warm records identical to cold, in order (both parts)\n");
   json.config("bench_total");
   json.metric("bench_wall_s", bench_watch.elapsed_s());
   if (!json.write()) return 1;

@@ -10,7 +10,9 @@ namespace mera::cache {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4D435348;  // "MCSH" — mera cache snapshot
-constexpr std::uint32_t kVersion = 2;  // 2: striped seed-cache section
+// 2: striped seed-cache section; 3: same layout, but cached hit lists are
+// in the seed index's canonical run order (v2 lists are in arrival order).
+constexpr std::uint32_t kVersion = 3;
 constexpr std::uint32_t kFlagSeedSection = 1u << 0;
 constexpr std::uint32_t kFlagTargetSection = 1u << 1;
 

@@ -50,8 +50,6 @@ class AggregatingStore {
       flush(rank, dest);
   }
 
-  [[nodiscard]] std::size_t buffer_size() const noexcept { return S_; }
-
  private:
   std::size_t S_;
   std::vector<LocalSharedStack<T>>* stacks_;

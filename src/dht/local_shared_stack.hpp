@@ -48,8 +48,11 @@ class LocalSharedStack {
     return {storage_.data(), stack_ptr_.load_unsync()};
   }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return storage_.size(); }
-  [[nodiscard]] int owner() const noexcept { return owner_; }
+  /// Owner frees the storage once it has consumed the drained entries.
+  void release() noexcept {
+    storage_ = std::vector<T>();
+    stack_ptr_.reset(owner_, 0);
+  }
 
  private:
   int owner_ = 0;

@@ -3,13 +3,25 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <tuple>
 
 namespace mera::dht {
 
 namespace {
-std::uint64_t next_pow2(std::uint64_t v) {
-  return std::bit_ceil(std::max<std::uint64_t>(v, 16));
+
+std::uint8_t slot_tag(std::uint64_t hash) noexcept {
+  return static_cast<std::uint8_t>(0x80u | (hash >> 57));
 }
+
+/// Canonical within-run order: a fixed pseudo-random permutation of targets
+/// (splitmix64 finalizer), then position, then fragment as the total tie-break.
+auto hit_order(const SeedHit& h) noexcept {
+  std::uint64_t x = h.target_id + 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return std::tuple{x ^ (x >> 31), h.t_pos, h.fragment_id};
+}
+
 }  // namespace
 
 SeedIndex::SeedIndex(const pgas::Topology& topo, Options opt)
@@ -42,105 +54,100 @@ void SeedIndex::finish_count(pgas::Rank& rank) {
   }
   rank.barrier();
 
-  RankStore& st = stores_[me];
-  const std::uint64_t total_in = incoming_[me].load_unsync();
-  st.pool.resize(total_in);
-  st.next_free.reset(rank.id(), 0);
-  const std::uint64_t nbuckets = next_pow2(total_in * 2);
-  st.heads.assign(nbuckets, 0);
-  st.bucket_mask = nbuckets - 1;
-  if (opt_.aggregating_stores) {
-    stacks_[me].allocate(rank.id(), total_in);
+  stacks_[me].allocate(rank.id(), incoming_[me].load_unsync());
+  if (opt_.aggregating_stores)
     aggregators_[me] = std::make_unique<AggregatingStore<SeedEntry>>(
         nranks_, opt_.buffer_S, stacks_);
-  }
   rank.barrier();
-}
-
-void SeedIndex::chain_insert_unsync(RankStore& st, const SeedEntry& e,
-                                    std::uint32_t node_idx) {
-  Node& n = st.pool[node_idx];
-  n.entry = e;
-  const std::uint64_t b = e.seed.mixed_hash() & st.bucket_mask;
-  n.next = st.heads[b];
-  st.heads[b] = node_idx + 1;
-}
-
-void SeedIndex::naive_remote_insert(pgas::Rank& rank, int owner,
-                                    const SeedEntry& e) {
-  RankStore& st = stores_[static_cast<std::size_t>(owner)];
-  // One remote lock/slot acquisition + one fine-grained entry store: the
-  // per-seed cost the aggregating optimization divides by S.
-  const std::uint64_t idx = rank.atomic_fetch_add(st.next_free, 1);
-  rank.charge_access(owner, sizeof(SeedEntry));
-  Node& n = st.pool[idx];
-  n.entry = e;
-  const std::uint64_t b = e.seed.mixed_hash() & st.bucket_mask;
-  const std::scoped_lock lk(st.stripes[b % kLockStripes]);
-  n.next = st.heads[b];
-  st.heads[b] = static_cast<std::uint32_t>(idx) + 1;
 }
 
 void SeedIndex::insert(pgas::Rank& rank, const seq::Kmer& seed, SeedHit hit) {
   const int owner = owner_of(seed);
   const SeedEntry e{seed, hit};
-  if (opt_.aggregating_stores)
+  if (opt_.aggregating_stores) {
     aggregators_[static_cast<std::size_t>(rank.id())]->push(rank, owner, e);
-  else
-    naive_remote_insert(rank, owner, e);
+  } else {
+    // One remote slot reservation + one fine-grained entry store: the
+    // per-seed cost the aggregating optimization divides by S.
+    stacks_[static_cast<std::size_t>(owner)].push_batch(rank, {&e, 1});
+  }
 }
 
 void SeedIndex::finish_insert(pgas::Rank& rank) {
   const auto me = static_cast<std::size_t>(rank.id());
   if (opt_.aggregating_stores) {
     aggregators_[me]->flush_all(rank);
-    rank.barrier();
-    // Drain the local-shared stack into local buckets: no communication, no
-    // locks (this is the lock-free payoff of Figure 4).
-    RankStore& st = stores_[me];
-    const auto view = stacks_[me].drain_view();
-    for (const SeedEntry& e : view) {
-      const std::uint64_t idx = st.next_free.load_unsync();
-      st.next_free.store_unsync(idx + 1);
-      chain_insert_unsync(st, e, static_cast<std::uint32_t>(idx));
-      rank.charge_access(rank.id(), sizeof(SeedEntry));  // local op tally
-    }
+    aggregators_[me].reset();
   }
   rank.barrier();
-  build_buckets_and_mark(rank);
+  if (opt_.aggregating_stores) {
+    // Draining the local-shared stack takes no communication and no locks
+    // (the lock-free payoff of Figure 4); tally it as local work.
+    const std::size_t landed = stacks_[me].drain_view().size();
+    for (std::size_t i = 0; i < landed; ++i)
+      rank.charge_access(rank.id(), sizeof(SeedEntry));
+  }
+  build_runs(stores_[me], stacks_[me]);
   rank.barrier();
 }
 
-void SeedIndex::build_buckets_and_mark(pgas::Rank& rank) {
-  // Count per-seed occurrences (cheap, local — Section IV-A notes this comes
-  // for free while owners hold their shard) and flag non-unique entries.
-  RankStore& st = stores_[static_cast<std::size_t>(rank.id())];
-  st.distinct = 0;
-  std::vector<std::uint32_t> chain;
-  for (const std::uint32_t head : st.heads) {
-    chain.clear();
-    for (std::uint32_t i = head; i != 0; i = st.pool[i - 1].next)
-      chain.push_back(i - 1);
-    // Chains are short (load factor <= 0.5); quadratic grouping is fine.
-    std::vector<bool> seen(chain.size(), false);
-    for (std::size_t a = 0; a < chain.size(); ++a) {
-      if (seen[a]) continue;
-      st.distinct += 1;
-      std::size_t count = 1;
-      for (std::size_t b = a + 1; b < chain.size(); ++b) {
-        if (!seen[b] &&
-            st.pool[chain[b]].entry.seed == st.pool[chain[a]].entry.seed) {
-          seen[b] = true;
-          ++count;
-        }
-      }
-      if (count > 1) {
-        st.pool[chain[a]].unique = false;
-        for (std::size_t b = a + 1; b < chain.size(); ++b)
-          if (st.pool[chain[b]].entry.seed == st.pool[chain[a]].entry.seed)
-            st.pool[chain[b]].unique = false;
-      }
-    }
+void SeedIndex::build_runs(RankStore& st,
+                           LocalSharedStack<SeedEntry>& stack) const {
+  const auto entries = stack.drain_view();
+  // Sort 16-byte (hash, index) keys rather than the entries themselves;
+  // equal hashes fall back to the seed words, then the canonical hit order.
+  struct Key {
+    std::uint64_t hash;
+    std::uint64_t idx;
+  };
+  std::vector<Key> keys(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i)
+    keys[i] = {entries[i].seed.mixed_hash(), i};
+  std::sort(keys.begin(), keys.end(), [&](const Key& a, const Key& b) {
+    if (a.hash != b.hash) return a.hash < b.hash;
+    const SeedEntry& x = entries[a.idx];
+    const SeedEntry& y = entries[b.idx];
+    if (x.seed.words() != y.seed.words())
+      return x.seed.words() < y.seed.words();
+    return hit_order(x.hit) < hit_order(y.hit);
+  });
+
+  // Copy out the hits and one dense slot per run, then free the keys and
+  // the landed entries before allocating the table, so that entries, keys
+  // and table are never all live at once (the build's peak memory).
+  const auto new_run = [&](std::size_t i) {
+    return i == 0 || keys[i].hash != keys[i - 1].hash ||
+           entries[keys[i].idx].seed.words() !=
+               entries[keys[i - 1].idx].seed.words();
+  };
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) distinct += new_run(i);
+  std::vector<Slot> runs;
+  runs.reserve(distinct);
+  st.hits.resize(entries.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const SeedEntry& e = entries[keys[i].idx];
+    st.hits[i] = e.hit;
+    if (new_run(i))
+      runs.push_back({e.seed.words(), static_cast<std::uint32_t>(i), 0});
+    ++runs.back().count;
+  }
+  keys = std::vector<Key>();
+  stack.release();
+
+  // Smallest power of two (>= 16) keeping the load factor <= 0.75.
+  const std::uint64_t cap =
+      std::bit_ceil(std::max<std::uint64_t>((runs.size() * 4 + 2) / 3, 16));
+  st.slots.assign(cap, Slot{});
+  st.tags.assign(cap, 0);
+  st.mask = cap - 1;
+  for (const Slot& run : runs) {
+    const std::uint64_t h =
+        seq::Kmer::from_words(opt_.k, run.words).value().mixed_hash();
+    std::uint64_t i = h & st.mask;
+    while (st.tags[i] != 0) i = (i + 1) & st.mask;
+    st.tags[i] = slot_tag(h);
+    st.slots[i] = run;
   }
 }
 
@@ -151,32 +158,33 @@ std::size_t SeedIndex::lookup(pgas::Rank& rank, const seq::Kmer& seed,
   const RankStore& st = stores_[static_cast<std::size_t>(owner)];
   std::size_t total = 0;
   std::size_t appended = 0;
-  const std::uint64_t b = seed.mixed_hash() & st.bucket_mask;
-  for (std::uint32_t i = st.heads[b]; i != 0; i = st.pool[i - 1].next) {
-    const Node& n = st.pool[i - 1];
-    if (n.entry.seed == seed) {
-      ++total;
-      if (appended < max_hits) {
-        out.push_back(n.entry.hit);
-        ++appended;
-      }
+  if (seed.k() == opt_.k) {
+    const std::uint64_t h = seed.mixed_hash();
+    const std::uint8_t tag = slot_tag(h);
+    for (std::uint64_t i = h & st.mask; st.tags[i] != 0;
+         i = (i + 1) & st.mask) {
+      if (st.tags[i] != tag || st.slots[i].words != seed.words()) continue;
+      const Slot& s = st.slots[i];
+      total = s.count;
+      appended = std::min<std::size_t>(total, max_hits);
+      out.insert(out.end(), st.hits.begin() + s.start,
+                 st.hits.begin() + s.start + appended);
+      break;
     }
   }
   rank.charge_access(owner, lookup_transfer_bytes(appended));
   return total;
 }
 
-std::size_t SeedIndex::local_entries(int rank) const {
-  return stores_[static_cast<std::size_t>(rank)].next_free.load_unsync();
-}
-
 std::size_t SeedIndex::local_distinct_seeds(int rank) const {
-  return stores_[static_cast<std::size_t>(rank)].distinct;
+  const auto& slots = stores_[static_cast<std::size_t>(rank)].slots;
+  return static_cast<std::size_t>(std::ranges::count_if(
+      slots, [](const Slot& s) { return s.count != 0; }));
 }
 
 std::size_t SeedIndex::total_entries() const {
   std::size_t n = 0;
-  for (int r = 0; r < nranks_; ++r) n += local_entries(r);
+  for (const RankStore& st : stores_) n += st.hits.size();
   return n;
 }
 

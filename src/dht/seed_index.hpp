@@ -6,23 +6,38 @@
 // seed-to-processor map. Construction runs in one of two modes:
 //
 //  * naive        — every seed incurs one fine-grained remote access plus one
-//                   remote lock acquisition (modeled as a global atomic), the
+//                   remote slot reservation (modeled as a global atomic), the
 //                   straw-man the paper starts from;
 //  * aggregating  — per-destination buffers of S entries flushed with one
-//                   atomic_fetchadd + one aggregate transfer into the owner's
-//                   local-shared stack; owners later drain their stacks into
-//                   buckets with *zero* communication and zero locks.
+//                   atomic_fetchadd + one aggregate transfer.
 //
-// Both modes share a counting pre-pass that tells each owner exactly how many
-// entries it will receive (sizes the stack/pool; also what lets the index
-// count seed occurrences for the exact-match optimization of Section IV-A).
+// Either way entries land in the owner's local-shared stack (each writer
+// reserves its own slots, so no locks), sized exactly by a counting
+// pre-pass. Once all have landed, each owner sorts its shard once — zero
+// communication — into an immutable flat layout and frees the stack:
+//
+//  * hits   — one vector of contiguous per-seed runs;
+//  * slots  — linear-probing {seed words, start, count} slots (24 bytes), a
+//             power of two at load <= 0.75 over distinct seeds;
+//  * tags   — one byte per slot (0 = empty, 0x80 | hash >> 57), so most
+//             absent seeds are rejected without touching a slot.
+//
+// A lookup is one tag scan, one slot read and one contiguous copy; the
+// slot's count is the seed's total occurrence count (Section IV-A).
+//
+// Run order is canonical, so the index — and every SAM byte built on it —
+// is the same for any thread arrival order, rank count or mode. Runs are
+// placed by (mixed_hash, seed words); hits within a run are sorted by
+// (hash(target_id), t_pos, fragment_id), so a max_hits cut (Section IV-C)
+// keeps the targets whose hash is lowest. Hashing the target, not each hit,
+// keeps that an unbiased sample of targets that is the SAME for every seed
+// of a repeat, so a read's (target, diagonal) candidates still collapse.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "dht/aggregating_store.hpp"
@@ -70,19 +85,22 @@ class SeedIndex {
 
   /// Stage 1: tally one seed (local, cheap). Call for every local seed.
   void count_seed(pgas::Rank& rank, const seq::Kmer& seed);
-  /// Stage 1 end: publish counts to owners, allocate stacks/pools (collective).
+  /// Stage 1 end: publish counts to owners, allocate stacks (collective).
   void finish_count(pgas::Rank& rank);
 
-  /// Stage 2: route one entry to its owner (mode-dependent cost).
+  /// Stage 2: route one entry to its owner (mode-dependent cost). Every
+  /// seed must be k() long: slots key on the seed's words alone.
   void insert(pgas::Rank& rank, const seq::Kmer& seed, SeedHit hit);
-  /// Stage 2 end: flush buffers, drain stacks, build buckets (collective).
+  /// Stage 2 end: flush buffers, sort each owner's entries into runs and
+  /// build the slot table (collective).
   void finish_insert(pgas::Rank& rank);
 
   // --- queries ---------------------------------------------------------------
 
-  /// Look up a seed: appends up to `max_hits` locations to `out` and returns
-  /// the *total* occurrence count of the seed in the index (0 = absent;
-  /// > max_hits means the list was truncated — the Section IV-C threshold).
+  /// Look up a seed: appends up to `max_hits` locations to `out`, in the
+  /// canonical run order, and returns the *total* occurrence count of the
+  /// seed in the index (0 = absent; > max_hits means the list was truncated —
+  /// the Section IV-C threshold).
   /// Charges one request/response transfer when the owner is remote.
   /// After finish_insert() the table is immutable, so lookups are safe from
   /// any number of concurrent ranks — this is what lets an IndexedReference
@@ -100,48 +118,42 @@ class SeedIndex {
   template <typename Fn>
   void for_each_local_duplicate_hit(pgas::Rank& rank, Fn&& fn) const {
     const auto& st = stores_[static_cast<std::size_t>(rank.id())];
-    for (std::uint32_t head : st.heads) {
-      for (std::uint32_t i = head; i != 0; i = st.pool[i - 1].next) {
-        const Node& n = st.pool[i - 1];
-        if (!n.unique) fn(n.entry.hit);
-      }
+    for (const Slot& s : st.slots) {
+      if (s.count < 2) continue;
+      for (std::uint32_t i = s.start; i != s.start + s.count; ++i)
+        fn(st.hits[i]);
     }
   }
 
   // --- diagnostics -----------------------------------------------------------
 
-  [[nodiscard]] std::size_t local_entries(int rank) const;
   [[nodiscard]] std::size_t local_distinct_seeds(int rank) const;
   [[nodiscard]] std::size_t total_entries() const;
 
  private:
-  struct Node {
-    SeedEntry entry;
-    std::uint32_t next = 0;  ///< 1-based chain link; 0 = end
-    bool unique = true;      ///< seed occurs exactly once index-wide
+  /// One distinct seed: its packed words and its run within `hits`.
+  struct Slot {
+    std::array<std::uint64_t, 2> words{};
+    std::uint32_t start = 0;
+    std::uint32_t count = 0;  ///< 0 = empty slot
   };
+  static_assert(sizeof(Slot) == 24);
 
-  static constexpr std::size_t kLockStripes = 256;
-
-  /// Owner-side state for the rank's shard of the table.
+  /// Owner-side state for the rank's shard of the table; immutable after
+  /// finish_insert().
   struct RankStore {
-    std::vector<std::uint32_t> heads;  ///< 1-based indices into pool
-    std::vector<Node> pool;
-    pgas::GlobalCounter next_free;  ///< slot allocator; the naive-mode "lock"
-    std::array<std::mutex, kLockStripes> stripes;  ///< naive bucket protection
-    std::uint64_t bucket_mask = 0;
-    std::size_t distinct = 0;
+    std::vector<SeedHit> hits;       ///< per-seed runs, canonical order
+    std::vector<Slot> slots;         ///< linear probing, power-of-two size
+    std::vector<std::uint8_t> tags;  ///< parallel to slots; 0 = empty
+    std::uint64_t mask = 0;          ///< slots.size() - 1
   };
 
-  void naive_remote_insert(pgas::Rank& rank, int owner, const SeedEntry& e);
-  static void chain_insert_unsync(RankStore& st, const SeedEntry& e,
-                                  std::uint32_t node_idx);
-  void build_buckets_and_mark(pgas::Rank& rank);
+  void build_runs(RankStore& st, LocalSharedStack<SeedEntry>& stack) const;
 
   Options opt_;
   int nranks_;
   std::vector<RankStore> stores_;                    // per rank
-  std::vector<LocalSharedStack<SeedEntry>> stacks_;  // per rank (agg mode)
+  std::vector<LocalSharedStack<SeedEntry>> stacks_;  // per rank landing zone
   // deque: GlobalCounter is immovable (atomic member); deque constructs in place
   std::deque<pgas::GlobalCounter> incoming_;         // per rank entry counts
   // Construction-time per-caller state, indexed by rank id.

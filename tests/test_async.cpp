@@ -110,9 +110,6 @@ TEST(ParallelShards, BitIdenticalToSerialForEveryKAndKernel) {
 
     for (const int K : {1, 2, 4}) {
       Runtime rt(Topology(2, 2));
-      // ONE reference for both sessions: the distributed index's bucket
-      // order is fixed at build time, so any byte difference below could
-      // only come from the executor.
       const auto ref =
           shard::ShardedReference::build(rt, w.contigs, K, small_index());
 

@@ -548,43 +548,37 @@ TEST_F(CacheSnapshotFileTest, RejectsMissingTruncatedAndCorruptFiles) {
 }
 
 TEST_F(CacheSnapshotFileTest, VersionOneSnapshotIsRefusedByName) {
-  // A hand-written version-1 file: a complete header matching this session
-  // over an empty payload. Version 2 changed the seed section's layout, so
-  // the loader must refuse it before looking further.
-  const SnapshotMeta m = test_meta();
-  {
-    std::ofstream out(path("v1.mcache"), std::ios::binary);
-    using snapio::put;
-    put<std::uint32_t>(out, 0x4D435348);  // "MCSH"
-    put<std::uint32_t>(out, 1);
-    put<std::int32_t>(out, m.k);
-    put<std::int32_t>(out, m.nranks);
-    put<std::int32_t>(out, m.ppn);
-    put<std::int32_t>(out, m.nnodes);
-    put<std::uint64_t>(out, m.max_hits_per_seed);
-    put<double>(out, m.cost_model.node_latency_s);
-    put<double>(out, m.cost_model.node_bandwidth_Bps);
-    put<double>(out, m.cost_model.net_latency_s);
-    put<double>(out, m.cost_model.net_bandwidth_Bps);
-    put<double>(out, m.cost_model.atomic_extra_s);
-    put<std::uint64_t>(out, m.reference_fingerprint);
-    put<std::uint32_t>(out, 0);  // no sections
-    put<std::uint64_t>(out, 0);
-    put<std::uint64_t>(out, snapio::fnv1a(nullptr, 0));
-  }
+  // Retired versions are refused by name before anything else is read:
+  // version 2 changed the seed section's layout, and version 3 the order of
+  // its cached hit lists. Each file is a filled current snapshot with only
+  // its version field rewritten.
   const Topology topo(8, 4);
   SeedIndexCache seed(topo, {.capacity_per_node = 64});
   TargetCache target(topo, {.capacity_bytes_per_node = 1u << 16});
-  try {
-    load_caches(path("v1.mcache"), m, &seed, &target);
-    FAIL() << "a version-1 snapshot was accepted";
-  } catch (const CacheSnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
-              std::string::npos)
-        << e.what();
+  fill_seed_cache_randomly(seed, topo.nnodes(), 14);
+  fill_target_cache_randomly(target, topo.nnodes(), 15);
+  save_caches(path("snap.mcache"), test_meta(), &seed, &target);
+  for (const std::uint32_t version : {1u, 2u}) {
+    {
+      std::fstream f(path("snap.mcache"),
+                     std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(sizeof(std::uint32_t));  // just past the magic
+      snapio::put<std::uint32_t>(f, version);
+    }
+    SeedIndexCache seed2(topo, {.capacity_per_node = 64});
+    TargetCache target2(topo, {.capacity_bytes_per_node = 1u << 16});
+    try {
+      load_caches(path("snap.mcache"), test_meta(), &seed2, &target2);
+      FAIL() << "a version-" << version << " snapshot was accepted";
+    } catch (const CacheSnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(seed2.entries(), 0u);
+    EXPECT_EQ(target2.entries(), 0u);
   }
-  EXPECT_EQ(seed.entries(), 0u);
-  EXPECT_EQ(target.entries(), 0u);
 }
 
 TEST_F(CacheSnapshotFileTest, SectionsLoadIndependentlyOfDisabledCaches) {
@@ -797,10 +791,13 @@ TEST_F(WarmStartTest, MonolithicWarmStartIsBitIdenticalAllKernels) {
 TEST_F(WarmStartTest, WarmStartIsBitIdenticalWhenLookupsTruncate) {
   // A clipping max_hits_per_seed exercises the truncation counter on the
   // cache-hit path: a lookup served by the warm cache must count as
-  // truncated exactly like the cold index lookup it replays.
+  // truncated exactly like the cold index lookup it replays. The warm side
+  // rebuilds the index, as a restarted process would: clipped hit lists
+  // are in canonical index order, so the snapshot's lists still match it.
   const auto w = make_workload(30'000, 1.5);
   Runtime rt(Topology(8, 4));
   const auto ref = core::IndexedReference::build(rt, w.contigs, small_index());
+  const auto ref2 = core::IndexedReference::build(rt, w.contigs, small_index());
 
   core::SessionConfig sc = session_config(SwKernel::kFullDP);
   sc.max_hits_per_seed = 1;
@@ -811,9 +808,9 @@ TEST_F(WarmStartTest, WarmStartIsBitIdenticalWhenLookupsTruncate) {
   ASSERT_GT(cold_out.stats.hits_truncated, 0u);
   cold.save_caches(rt, path("snap"));
 
-  core::AlignSession warm(ref, sc);
+  core::AlignSession warm(ref2, sc);
   warm.load_caches(rt, path("snap"));
-  const RunOutput warm_out = run_stream(rt, warm, ref, w.reads, w.reads);
+  const RunOutput warm_out = run_stream(rt, warm, ref2, w.reads, w.reads);
 
   EXPECT_EQ(cold_out.sam, warm_out.sam);
   expect_invariant_stats_equal(cold_out.stats, warm_out.stats);

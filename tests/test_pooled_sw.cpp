@@ -307,25 +307,23 @@ std::string sam_of(const mera::core::IndexedReference& ref, Runtime& rt,
 
 TEST(PooledSession, PooledBatchEqualsFullDpOnEveryTier) {
   const auto w = make_mixed_workload(25'000, 1.2);
-  // One reference for every comparison: the index build is SPMD over real
-  // threads, so per-seed hit-list order — and therefore candidate discovery
-  // order — is only reproducible against the SAME built index. (The repo's
-  // other cross-build comparisons sort records for exactly this reason;
-  // here the unsorted byte stream is the point.)
-  Runtime rt0(Topology(4, 2));
-  const auto ref =
-      mera::core::IndexedReference::build(rt0, w.contigs, small_index());
+  // Each side builds its own reference: the index's hit order is canonical,
+  // so the unsorted byte streams of separate builds must match.
   Runtime rt1(Topology(4, 2));
-  mera::core::AlignSession s1(ref, full_session());
+  const auto ref1 =
+      mera::core::IndexedReference::build(rt1, w.contigs, small_index());
+  mera::core::AlignSession s1(ref1, full_session());
   mera::core::BatchResult b1;
-  const std::string sam1 = sam_of(ref, rt1, s1, w.reads, b1);
+  const std::string sam1 = sam_of(ref1, rt1, s1, w.reads, b1);
   ASSERT_GT(b1.stats.alignments_reported, 0u);
 
   for (const SwIsa isa : supported_tiers()) {
     Runtime rt2(Topology(4, 2));
-    mera::core::AlignSession s2(ref, batch_session(isa));
+    const auto ref2 =
+        mera::core::IndexedReference::build(rt2, w.contigs, small_index());
+    mera::core::AlignSession s2(ref2, batch_session(isa));
     mera::core::BatchResult b2;
-    const std::string sam2 = sam_of(ref, rt2, s2, w.reads, b2);
+    const std::string sam2 = sam_of(ref2, rt2, s2, w.reads, b2);
     EXPECT_EQ(sam1, sam2) << isa_name(isa);
     expect_same_stats(b1.stats, b2.stats, isa_name(isa));
     // The pooled engine really ran: its sweeps are on the lane ledger.
@@ -338,8 +336,6 @@ TEST(PooledSession, EmissionOrderIsPreservedNotJustTheRecordSet) {
   // vectors UNSORTED proves the pooled replay machinery reproduces kFullDP's
   // exact per-read / per-strand / per-candidate order.
   const auto w = make_mixed_workload(20'000, 1.0, /*seed=*/21);
-  // Shared index: candidate discovery order is only defined relative to one
-  // concrete build (the SPMD index build makes hit-list order run-specific).
   Runtime rt1(Topology(4, 2));
   const auto ref =
       mera::core::IndexedReference::build(rt1, w.contigs, small_index());
@@ -364,9 +360,6 @@ TEST(PooledSession, EmissionOrderIsPreservedNotJustTheRecordSet) {
 TEST(PooledSession, PooledBatchEqualsFullDpAcrossShardCounts) {
   const auto w = make_mixed_workload(25'000, 1.2, /*seed=*/31);
   for (const int shards : {1, 2, 4}) {
-    // One sharded reference per K, shared by every run: at K=1 records flow
-    // through in discovery order, which is only reproducible against the
-    // same built index.
     Runtime rt0(Topology(4, 2));
     mera::shard::ShardPlanOptions popt;
     popt.shards = shards;

@@ -62,45 +62,6 @@ void build_index(Runtime& rt, SeedIndex& index,
 
 class SeedIndexModes : public ::testing::TestWithParam<bool> {};
 
-TEST_P(SeedIndexModes, LookupReturnsExactlyTheInsertedHits) {
-  const bool aggregating = GetParam();
-  std::mt19937_64 rng(21);
-  std::vector<std::string> seqs;
-  for (int i = 0; i < 12; ++i) seqs.push_back(random_dna(rng, 400));
-  // Force duplicates: copy a chunk of seq 0 into seq 1.
-  seqs[1].replace(10, 100, seqs[0].substr(50, 100));
-  const int k = 21;
-
-  Runtime rt(Topology(6, 3));
-  SeedIndex index(rt.topo(), {k, aggregating, /*buffer_S=*/16});
-  build_index(rt, index, seqs, k);
-
-  const auto truth = ground_truth(seqs, k);
-  EXPECT_EQ(index.total_entries(), truth.size());
-
-  // Every rank can look up every seed and gets exactly the true hit set.
-  rt.run([&](Rank& r) {
-    if (r.id() != 0 && r.id() != 5) return;
-    std::string last_key;
-    for (auto it = truth.begin(); it != truth.end(); ++it) {
-      if (it->first == last_key) continue;  // one query per distinct seed
-      last_key = it->first;
-      const auto m = Kmer::from_ascii(it->first);
-      std::vector<SeedHit> hits;
-      const std::size_t total = index.lookup(r, *m, 1000, hits);
-      const auto range = truth.equal_range(it->first);
-      std::vector<SeedHit> expect;
-      for (auto e = range.first; e != range.second; ++e)
-        expect.push_back(e->second);
-      ASSERT_EQ(total, expect.size()) << it->first;
-      ASSERT_EQ(hits.size(), expect.size());
-      // Order-insensitive comparison.
-      for (const auto& h : expect)
-        EXPECT_NE(std::find(hits.begin(), hits.end(), h), hits.end());
-    }
-  });
-}
-
 TEST_P(SeedIndexModes, AbsentSeedReturnsZero) {
   const bool aggregating = GetParam();
   Runtime rt(Topology(4, 2));
@@ -111,24 +72,6 @@ TEST_P(SeedIndexModes, AbsentSeedReturnsZero) {
     std::vector<SeedHit> hits;
     EXPECT_EQ(index.lookup(r, *Kmer::from_ascii("TTTTT"), 10, hits), 0u);
     EXPECT_TRUE(hits.empty());
-  });
-}
-
-TEST_P(SeedIndexModes, MaxHitsTruncatesButReportsTotal) {
-  const bool aggregating = GetParam();
-  Runtime rt(Topology(4, 2));
-  const int k = 7;
-  // 20 copies of the same sequence => every seed occurs 20 times.
-  std::vector<std::string> seqs(20, "ACGTACGTACGTACG");
-  SeedIndex index(rt.topo(), {k, aggregating, 4});
-  build_index(rt, index, seqs, k);
-  rt.run([&](Rank& r) {
-    if (r.id() != 0) return;
-    std::vector<SeedHit> hits;
-    const std::size_t total =
-        index.lookup(r, *Kmer::from_ascii("ACGTACG"), 5, hits);
-    EXPECT_EQ(total, 60u);  // seed occurs at pos 0, 4 and 8 in each copy
-    EXPECT_EQ(hits.size(), 5u);
   });
 }
 
@@ -162,6 +105,39 @@ TEST_P(SeedIndexModes, DuplicateHitsAreMarkedNonUnique) {
   EXPECT_EQ(dup_frags.size(), expected_dup_entries);
   // Fragment 1 (unrelated random sequence) should not appear.
   for (auto f : dup_frags) EXPECT_NE(f, 1u);
+}
+
+TEST_P(SeedIndexModes, TruncatedRepeatKeepsTheSameTargetsForEverySeed) {
+  // A 90 bp repeat pasted into 64 targets: each of its seeds has 64 hits,
+  // and a max-hits cut of 5 must keep the same 5 targets, in the same
+  // order, for every one of them, so a read's candidates still collapse.
+  const bool aggregating = GetParam();
+  std::mt19937_64 rng(26);
+  const std::string repeat = random_dna(rng, 90);
+  std::vector<std::string> seqs;
+  for (int i = 0; i < 64; ++i)
+    seqs.push_back(random_dna(rng, 50) + repeat + random_dna(rng, 50));
+  const int k = 19;
+  Runtime rt(Topology(8, 4));
+  SeedIndex index(rt.topo(), {k, aggregating, 1});
+  build_index(rt, index, seqs, k);
+
+  rt.run([&](Rank& r) {
+    if (r.id() != 0) return;
+    std::vector<std::uint32_t> first_targets;
+    for (std::size_t off = 0; off + k <= repeat.size(); ++off) {
+      std::vector<SeedHit> hits;
+      const auto seed = Kmer::from_ascii(repeat.substr(off, k));
+      ASSERT_EQ(index.lookup(r, *seed, 5, hits), 64u) << off;
+      std::vector<std::uint32_t> targets;
+      for (const SeedHit& h : hits) {
+        EXPECT_EQ(h.t_pos, 50 + off);
+        targets.push_back(h.target_id);
+      }
+      if (off == 0) first_targets = targets;
+      EXPECT_EQ(targets, first_targets) << "seed at repeat offset " << off;
+    }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(BothConstructionModes, SeedIndexModes,
@@ -214,24 +190,74 @@ TEST(SeedIndex, DistinctSeedBalanceAcrossRanks) {
   }
 }
 
+TEST(SeedIndex, LookupIsExactAndCanonicalAcrossRanksAndModes) {
+  // Every lookup returns exactly the inserted hits and their total count, in
+  // one canonical order: hit order — and so which hits survive the max-hits
+  // cut — must not depend on the rank count (1 rank included), the
+  // aggregation buffer size or the construction mode (i.e. on the order
+  // entries reach their owner).
+  std::mt19937_64 rng(25);
+  std::vector<std::string> seqs;
+  for (int i = 0; i < 24; ++i) seqs.push_back(random_dna(rng, 300));
+  for (int i = 1; i < 24; i += 2)  // repeats: seeds with up to 12 hits
+    seqs[static_cast<std::size_t>(i)].replace(40, 120, seqs[0].substr(100, 120));
+  seqs.push_back("ACGTACGTACGTACGTACGTACGTACGT");  // seeds repeated in-target
+  const int k = 17;
+  const auto truth = ground_truth(seqs, k);
+
+  struct Mode {
+    bool aggregating;
+    std::size_t S;
+  };
+  std::vector<std::vector<SeedHit>> reference;
+  for (const int nranks : {1, 3, 8}) {
+    for (const Mode m : {Mode{true, 1}, Mode{true, 1000}, Mode{false, 1}}) {
+      Runtime rt(Topology(nranks, 2));
+      SeedIndex index(rt.topo(), {k, m.aggregating, m.S});
+      build_index(rt, index, seqs, k);
+      EXPECT_EQ(index.total_entries(), truth.size());
+      // One all-hits and one max-hits-2 lookup per distinct seed, issued by
+      // the last rank so most of them are remote.
+      std::vector<std::vector<SeedHit>> got;
+      rt.run([&](Rank& r) {
+        if (r.id() != nranks - 1) return;
+        for (auto it = truth.begin(); it != truth.end();
+             it = truth.upper_bound(it->first)) {
+          const auto seed = *Kmer::from_ascii(it->first);
+          for (const std::size_t max_hits : {1000, 2}) {
+            got.emplace_back();
+            EXPECT_EQ(index.lookup(r, seed, max_hits, got.back()),
+                      truth.count(it->first));
+          }
+        }
+      });
+      if (reference.empty()) reference = got;
+      EXPECT_EQ(got, reference) << nranks << " ranks, "
+                                << (m.aggregating ? "S=" : "naive S=") << m.S;
+    }
+  }
+  // The canonical lists are the true hit sets, truncated to a prefix.
+  std::size_t i = 0;
+  for (auto it = truth.begin(); it != truth.end();
+       it = truth.upper_bound(it->first), i += 2) {
+    std::vector<SeedHit> expect;
+    for (auto [e, end] = truth.equal_range(it->first); e != end; ++e)
+      expect.push_back(e->second);
+    const auto& all = reference[i];
+    const auto& cut = reference[i + 1];
+    EXPECT_TRUE(std::is_permutation(all.begin(), all.end(), expect.begin(),
+                                    expect.end()))
+        << it->first;
+    EXPECT_TRUE(std::equal(cut.begin(), cut.end(), all.begin(),
+                           all.begin() + std::min<std::ptrdiff_t>(2, all.size())));
+  }
+}
+
 TEST(SeedIndex, RejectsBadOptions) {
   const Topology topo(2, 2);
   EXPECT_THROW(SeedIndex(topo, {0, true, 10}), std::invalid_argument);
   EXPECT_THROW(SeedIndex(topo, {65, true, 10}), std::invalid_argument);
   EXPECT_THROW(SeedIndex(topo, {31, true, 0}), std::invalid_argument);
-}
-
-TEST(SeedIndex, SingleRankDegenerateCase) {
-  Runtime rt(Topology(1, 1));
-  SeedIndex index(rt.topo(), {11, true, 1000});
-  std::vector<std::string> seqs{"ACGTACGTACGTACGTACGT"};
-  build_index(rt, index, seqs, 11);
-  EXPECT_EQ(index.total_entries(), 10u);
-  rt.run([&](Rank& r) {
-    std::vector<SeedHit> hits;
-    // "ACGTACGTACG" occurs at offsets 0, 4 and 8 of the periodic sequence.
-    EXPECT_EQ(index.lookup(r, *Kmer::from_ascii("ACGTACGTACG"), 10, hits), 3u);
-  });
 }
 
 }  // namespace
