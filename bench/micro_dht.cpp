@@ -1,12 +1,16 @@
 // DHT microbenches (google-benchmark): distributed seed-index construction
 // across modes and aggregation buffer sizes S (the Section III-A tuning
-// parameter; the paper uses S = 1000), plus lookup throughput.
+// parameter; the paper uses S = 1000), lookup throughput, and the node seed
+// cache's wall cost per lookup-or-insert.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "cache/seed_cache.hpp"
 #include "dht/seed_index.hpp"
 #include "pgas/runtime.hpp"
 #include "seq/kmer.hpp"
@@ -113,6 +117,60 @@ void BM_SeedLookup(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
 }
 BENCHMARK(BM_SeedLookup)->Unit(benchmark::kMillisecond);
+
+/// Seeds and hit lists for BM_SeedCacheLookupOrInsert: 4x the capacity.
+struct SeedCacheWorkload {
+  static constexpr std::size_t kCapacity = std::size_t{1} << 16;
+  std::vector<seq::Kmer> seeds;
+  std::vector<std::vector<SeedHit>> lists;
+
+  SeedCacheWorkload() {
+    std::mt19937_64 rng(9);
+    for (std::size_t i = 0; i < 4 * kCapacity; ++i) {
+      std::string s(31, 'A');
+      for (auto& c : s) c = "ACGT"[rng() & 3u];
+      seeds.push_back(*seq::Kmer::from_ascii(s));
+      // Mostly one hit (stored in the entry), sometimes a longer list.
+      lists.emplace_back(i % 8 == 0 ? 5 : 1,
+                         SeedHit{static_cast<std::uint32_t>(i), 0, 0});
+    }
+  }
+};
+
+/// The node seed cache as the aligner drives it for every off-node seed:
+/// a lookup, then an insert of the fetched list on a miss. Two threads share
+/// one node's cache and draw seeds uniformly from a working set 4x its
+/// capacity, so most lookups miss and most inserts evict. `ns_per_op` is
+/// each thread's wall time per lookup (plus its insert, on a miss).
+void BM_SeedCacheLookupOrInsert(benchmark::State& state) {
+  static const SeedCacheWorkload work;
+  static std::optional<cache::SeedIndexCache> cache;
+  if (state.thread_index() == 0)
+    cache.emplace(pgas::Topology(2, 2),
+                  cache::SeedIndexCache::Options{SeedCacheWorkload::kCapacity});
+  std::mt19937_64 rng(static_cast<std::uint64_t>(state.thread_index()) + 1);
+  std::vector<SeedHit> out;
+  std::size_t total = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const std::size_t i = rng() % work.seeds.size();
+    out.clear();
+    const bool hit = cache->lookup(0, work.seeds[i], 32, out, total);
+    benchmark::DoNotOptimize(hit);
+    if (!hit)
+      cache->insert(0, work.seeds[i], work.lists[i], work.lists[i].size());
+  }
+  const std::chrono::duration<double, std::nano> wall =
+      std::chrono::steady_clock::now() - t0;
+  state.counters["ns_per_op"] = benchmark::Counter(
+      wall.count() / static_cast<double>(state.iterations()),
+      benchmark::Counter::kAvgThreads);
+  if (state.thread_index() == 0) {
+    state.counters["hit_rate"] = cache->counters().hit_rate();
+    cache.reset();
+  }
+}
+BENCHMARK(BM_SeedCacheLookupOrInsert)->Threads(2);
 
 void BM_KmerRollingExtraction(benchmark::State& state) {
   const auto targets = make_targets(1, 100'000, 7);

@@ -11,8 +11,9 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x4D435348;  // "MCSH" — mera cache snapshot
 // 2: striped seed-cache section; 3: same layout, but cached hit lists are
-// in the seed index's canonical run order (v2 lists are in arrival order).
-constexpr std::uint32_t kVersion = 3;
+// in the seed index's canonical run order (v2 lists are in arrival order);
+// 4: the seed section is laid out per set-associative set.
+constexpr std::uint32_t kVersion = 4;
 constexpr std::uint32_t kFlagSeedSection = 1u << 0;
 constexpr std::uint32_t kFlagTargetSection = 1u << 1;
 

@@ -30,10 +30,11 @@
 // The payload is one length-prefixed section per present cache — `byte
 // length u64 | the cache's own save() stream` (see SeedIndexCache::save /
 // TargetCache::save for the per-shard layout) — so a loader can skip a
-// section its session does not run without deserializing it. Version 2 lays
-// the seed section out per lock stripe; version 3 keeps that layout but its
-// hit lists come from the canonically ordered seed index, so a warm start
-// gives the same bytes as a cold run. Version-1 and -2 files are refused.
+// section its session does not run without deserializing it. Version 4 lays
+// the seed section out per set of the set-associative cache (its hand,
+// reference bits and ways); its hit lists come from the canonically ordered
+// seed index, so a warm start gives the same bytes as a cold run. Files of
+// versions 1-3 (earlier seed-section layouts) are refused.
 #pragma once
 
 #include <array>

@@ -3,7 +3,7 @@
 // The contract under test: snapshotting a session's software caches and
 // restoring them in another session/process changes seconds, never bytes.
 //   1. round trip    — save -> load -> save reproduces the snapshot byte for
-//                      byte (entries, per-entry hit counts, counters, ring /
+//                      byte (entries, per-entry hit counts, counters, CLOCK /
 //                      LRU order), for randomized cache contents;
 //   2. rejection     — fingerprint/topology/cost-model mismatches and
 //                      truncated or corrupted files are refused, caches
@@ -274,9 +274,10 @@ TEST(CacheSnapshotRoundTrip, SeedLoadIntoSmallerCacheKeepsTheWarmestEntries) {
             big.counters().admission_rejects + 6);
 }
 
-TEST(CacheSnapshotRoundTrip, StripedSeedCacheRestoresExactly) {
-  // 1 << 14 entries per node is 4 stripes per node; 40K inserts over 2
-  // nodes overflow every stripe, so cursors and evictions are in play.
+TEST(CacheSnapshotRoundTrip, SeedSnapshotIntoTheSameCapacityRestoresExactly) {
+  // 1 << 14 entries per node is 1024 sets per node; 40K inserts over 2
+  // nodes overflow every set, so hands, reference bits and evictions are in
+  // play.
   const Topology topo(8, 4);
   const SeedIndexCache::Options opt{.capacity_per_node = std::size_t{1} << 14};
   SeedIndexCache a(topo, opt);
@@ -303,7 +304,7 @@ TEST(CacheSnapshotRoundTrip, StripedSeedCacheRestoresExactly) {
   EXPECT_EQ(s3.str(), s4.str());
 }
 
-TEST(CacheSnapshotRoundTrip, StripedSnapshotIntoOneStripeKeepsTheWarmest) {
+TEST(CacheSnapshotRoundTrip, SeedSnapshotIntoASmallerCapacityKeepsTheWarmest) {
   const Topology topo(2, 2);  // 1 node
   SeedIndexCache big(topo, {.capacity_per_node = std::size_t{1} << 16});
   std::mt19937_64 rng(3);
@@ -315,7 +316,8 @@ TEST(CacheSnapshotRoundTrip, StripedSnapshotIntoOneStripeKeepsTheWarmest) {
                 SeedHit{3, 4, static_cast<std::uint32_t>(i)}},
                7);
   }
-  // Ten warm seeds spread over the insertion order (and so over stripes).
+  ASSERT_EQ(big.counters().evictions, 0u);
+  // Ten warm seeds spread over the insertion order (and so over sets).
   std::vector<SeedHit> out;
   std::size_t total = 0;
   for (int w = 0; w < 10; ++w)
@@ -324,7 +326,7 @@ TEST(CacheSnapshotRoundTrip, StripedSnapshotIntoOneStripeKeepsTheWarmest) {
 
   std::ostringstream os(std::ios::binary);
   big.save(os);
-  SeedIndexCache small(topo, {.capacity_per_node = 64});  // one stripe
+  SeedIndexCache small(topo, {.capacity_per_node = 64});  // 4 sets
   std::istringstream is(os.str(), std::ios::binary);
   small.load(is);
 
@@ -337,48 +339,67 @@ TEST(CacheSnapshotRoundTrip, StripedSnapshotIntoOneStripeKeepsTheWarmest) {
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[1], (SeedHit{3, 4, static_cast<std::uint32_t>(i)}));
   }
-  // The cold survivors are the youngest of their stripes: nothing from the
-  // first half of the insertion order survives except the warm seeds.
-  for (std::size_t i = 0; i < 1000; ++i) {
-    if (i % 150 == 0) continue;
+  // Every survivor serves its own list.
+  std::size_t present = 0;
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
     out.clear();
-    EXPECT_FALSE(small.lookup(0, seeds[i], 8, out, total)) << "cold seed " << i;
+    if (!small.lookup(0, seeds[i], 8, out, total)) continue;
+    ++present;
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0], (SeedHit{1, 2, static_cast<std::uint32_t>(i)}));
   }
+  EXPECT_EQ(present, 64u);
   EXPECT_EQ(small.counters().admission_rejects,
             big.counters().admission_rejects + (2000 - 64));
+
+  // Within a saved set, the younger entry wins a tie in hit counts: loading
+  // one full 16-way set into an 8-way cache keeps its last 8 inserts.
+  SeedIndexCache one_set(topo, {.capacity_per_node = 16});
+  for (std::size_t i = 0; i < 16; ++i)
+    one_set.insert(0, seeds[i], {SeedHit{0, 0, 0}}, 1);
+  std::ostringstream os2(std::ios::binary);
+  one_set.save(os2);
+  SeedIndexCache half(topo, {.capacity_per_node = 8});
+  std::istringstream is2(os2.str(), std::ios::binary);
+  half.load(is2);
+  for (std::size_t i = 0; i < 16; ++i) {
+    out.clear();
+    EXPECT_EQ(half.lookup(0, seeds[i], 8, out, total), i >= 8) << "seed " << i;
+  }
 }
 
-TEST(CacheSnapshotRoundTrip, OneStripeSnapshotIntoManyStripesKeepsEverything) {
+TEST(CacheSnapshotRoundTrip, SeedSnapshotIntoALargerCapacityKeepsEverything) {
   const Topology topo(8, 4);  // 2 nodes
-  SeedIndexCache one(topo, {.capacity_per_node = 64});
+  SeedIndexCache small(topo, {.capacity_per_node = 64});
   std::mt19937_64 rng(4);
   std::vector<Kmer> seeds;
   for (std::uint32_t i = 0; i < 300; ++i) {
     seeds.push_back(*Kmer::from_ascii(random_dna(rng, 21)));
     std::vector<SeedHit> hits(i % 4, SeedHit{i, i % 7, i * 3});
-    one.insert(static_cast<int>(i % 2), seeds.back(), hits, hits.size() + 1);
+    small.insert(static_cast<int>(i % 2), seeds.back(), hits, hits.size() + 1);
   }
-  ASSERT_GT(one.counters().evictions, 0u);
+  ASSERT_GT(small.counters().evictions, 0u);
   std::ostringstream os(std::ios::binary);
-  one.save(os);
-  SeedIndexCache many(topo, {.capacity_per_node = std::size_t{1} << 16});
+  small.save(os);
+  SeedIndexCache large(topo, {.capacity_per_node = std::size_t{1} << 16});
   std::istringstream is(os.str(), std::ios::binary);
-  many.load(is);
-  EXPECT_EQ(many.entries(), one.entries());
-  EXPECT_EQ(many.counters(), one.counters());  // nothing dropped
+  large.load(is);
+  EXPECT_EQ(large.entries(), small.entries());
+  EXPECT_EQ(large.counters(), small.counters());  // nothing dropped
 
-  // Every entry serves the same list from its new stripe.
+  // Every entry serves the same list from its new set.
   for (const Kmer& m : seeds) {
     for (int node = 0; node < topo.nnodes(); ++node) {
       std::vector<SeedHit> a, b;
       std::size_t ta = 0, tb = 0;
-      EXPECT_EQ(many.lookup(node, m, 8, b, tb), one.lookup(node, m, 8, a, ta));
+      EXPECT_EQ(large.lookup(node, m, 8, b, tb),
+                small.lookup(node, m, 8, a, ta));
       EXPECT_EQ(a, b);
       EXPECT_EQ(ta, tb);
     }
   }
-  EXPECT_EQ(many.counters().hits, one.counters().hits);
-  EXPECT_GT(many.counters().hits, 0u);
+  EXPECT_EQ(large.counters().hits, small.counters().hits);
+  EXPECT_GT(large.counters().hits, 0u);
 }
 
 TEST(CacheSnapshotRoundTrip, TargetLoadIntoSmallerCacheKeepsTheWarmestEntries) {
@@ -549,16 +570,17 @@ TEST_F(CacheSnapshotFileTest, RejectsMissingTruncatedAndCorruptFiles) {
 
 TEST_F(CacheSnapshotFileTest, VersionOneSnapshotIsRefusedByName) {
   // Retired versions are refused by name before anything else is read:
-  // version 2 changed the seed section's layout, and version 3 the order of
-  // its cached hit lists. Each file is a filled current snapshot with only
-  // its version field rewritten.
+  // version 2 changed the seed section's layout, version 3 the order of its
+  // cached hit lists, and version 4 the layout again (per set instead of
+  // per lock stripe). Each file is a filled current snapshot with only its
+  // version field rewritten.
   const Topology topo(8, 4);
   SeedIndexCache seed(topo, {.capacity_per_node = 64});
   TargetCache target(topo, {.capacity_bytes_per_node = 1u << 16});
   fill_seed_cache_randomly(seed, topo.nnodes(), 14);
   fill_target_cache_randomly(target, topo.nnodes(), 15);
   save_caches(path("snap.mcache"), test_meta(), &seed, &target);
-  for (const std::uint32_t version : {1u, 2u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     {
       std::fstream f(path("snap.mcache"),
                      std::ios::binary | std::ios::in | std::ios::out);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -121,9 +123,12 @@ TEST(SeedIndexCache, ZeroCapacityNeverStores) {
 }
 
 TEST(SeedIndexCache, ConcurrentMixedAccessIsSafe) {
-  // 1024 entries is one stripe per node; 1 << 16 is 16 stripes per node, so
-  // the tsan run of this suite also races threads across stripe locks.
-  for (const std::size_t capacity : {std::size_t{1024}, std::size_t{1} << 16}) {
+  // Every thread works on node 0, so threads race for the same set locks:
+  // at 16 entries the node is one set and every op contends (the tsan run of
+  // this suite exercises the spin-then-park path); at 1 << 16 there are 4096
+  // sets and contention is rare.
+  for (const std::size_t capacity :
+       {std::size_t{16}, std::size_t{1024}, std::size_t{1} << 16}) {
     SCOPED_TRACE("capacity " + std::to_string(capacity));
     const Topology topo(8, 4);
     SeedIndexCache cache(topo, {capacity});
@@ -138,12 +143,11 @@ TEST(SeedIndexCache, ConcurrentMixedAccessIsSafe) {
           std::string s(9, 'A');
           for (auto& c : s) c = "ACGT"[rng() & 3u];
           const Kmer m = kmer_of(s);
-          const int node = t / 4;
           if (rng() & 1u) {
-            cache.insert(node, m, {{0, 0, 0}, {1, 1, 1}}, 2);
+            cache.insert(0, m, {{0, 0, 0}, {1, 1, 1}}, 2);
           } else {
             out.clear();
-            cache.lookup(node, m, 4, out, total);
+            cache.lookup(0, m, 4, out, total);
             ++lookups[static_cast<std::size_t>(t)];
           }
         }
@@ -156,26 +160,30 @@ TEST(SeedIndexCache, ConcurrentMixedAccessIsSafe) {
     EXPECT_GT(c.insertions, 0u);
     EXPECT_EQ(c.hits + c.misses, issued);
     EXPECT_EQ(c.insertions - c.evictions, cache.entries());
-    EXPECT_LE(cache.entries(),
-              static_cast<std::size_t>(topo.nnodes()) * capacity);
+    EXPECT_LE(cache.entries(), capacity);
   }
 }
 
 TEST(SeedIndexCache, WarmInsertsAndEvictionsDoNotAllocate) {
-  // With clock eviction, insert i overwrites ring slot i % capacity, so a
-  // hit-list length that depends only on i % capacity gives every newcomer
-  // its victim's arena size class: the steady state of a full cache.
+  // A victim is chosen within its set, so a newcomer's hit list need not
+  // fall in its victim's arena size class. But no size class ever holds
+  // more live blocks than the capacity, and the arena's first chunk (65,536
+  // hits) has room for that many blocks of every class used here (up to 64
+  // hits), so once the cache is full every store is served from a free list
+  // or that chunk: the steady state of a full cache allocates nothing.
+  // The measured phase stores ~116K hits' worth of blocks, so an arena that
+  // failed to reuse released blocks would need further chunks, and growing
+  // its chunk list allocates.
   constexpr std::size_t kCapacity = 64;
   SeedIndexCache cache(Topology(2, 2), {kCapacity});
   std::mt19937_64 rng(5);
   std::vector<Kmer> seeds;
   std::vector<std::vector<SeedHit>> lists;
-  for (std::size_t i = 0; i < 8 * kCapacity; ++i) {
+  for (std::size_t i = 0; i < 66 * kCapacity; ++i) {
     std::string s(21, 'A');
     for (auto& c : s) c = "ACGT"[rng() & 3u];
     seeds.push_back(kmer_of(s));
-    lists.emplace_back(i % kCapacity % 40,
-                       SeedHit{static_cast<std::uint32_t>(i), 1, 2});
+    lists.emplace_back(i % 40, SeedHit{static_cast<std::uint32_t>(i), 1, 2});
   }
   std::vector<SeedHit> out;
   out.reserve(64);
@@ -187,7 +195,8 @@ TEST(SeedIndexCache, WarmInsertsAndEvictionsDoNotAllocate) {
       cache.lookup(0, seeds[i - i % 7], 64, out, total);
     }
   };
-  cycle(0, 2 * kCapacity);  // fill, then one full turn of evictions
+  cycle(0, 2 * kCapacity);  // fill, then a capacity's worth of evictions
+  ASSERT_EQ(cache.entries(), kCapacity);
   g_allocations = 0;
   g_count_allocations = true;
   cycle(2 * kCapacity, seeds.size());
@@ -196,16 +205,33 @@ TEST(SeedIndexCache, WarmInsertsAndEvictionsDoNotAllocate) {
   EXPECT_EQ(cache.counters().evictions, seeds.size() - kCapacity);
 }
 
+TEST(SeedIndexCache, ConstructionTouchesNoPages) {
+  // Sets and entries are anonymous zero pages: building a 2^18-entry cache
+  // per node maps ~26 MB but faults in only its small per-node bookkeeping,
+  // so a session whose cache never sees an off-node lookup costs no RSS.
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+  const SeedIndexCache cache(Topology(8, 4), {std::size_t{1} << 18});
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  EXPECT_LT(after.ru_minflt - before.ru_minflt, 64);
+  EXPECT_EQ(cache.entries(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Differential test: the cache against an executable model of its semantics
 // ---------------------------------------------------------------------------
 
-/// One node of the seed cache as a plain map + insertion ring + cursor clock:
-/// the semantics a single-stripe SeedIndexCache must reproduce op for op.
+/// One node of the seed cache as a plain map plus, per set, a ring of its
+/// ways with a CLOCK hand and reference bits: the semantics SeedIndexCache
+/// must reproduce op for op. The set comes from the cache's own set
+/// function; each set holds its share of the capacity.
 class ModelSeedCache {
  public:
   ModelSeedCache(std::size_t capacity, bool admission)
-      : capacity_(capacity), admission_(admission) {}
+      : capacity_(capacity),
+        admission_(admission),
+        sets_(mera::cache::detail::seed_cache_sets(capacity)) {}
 
   bool lookup(const Kmer& seed, std::size_t max_hits,
               std::vector<SeedHit>& out, std::size_t& total) {
@@ -215,43 +241,58 @@ class ModelSeedCache {
       return false;
     }
     ++counters.hits;
-    ++it->second.use_count;
-    total = it->second.total;
-    const std::size_t n = std::min(max_hits, it->second.hits.size());
-    out.insert(out.end(), it->second.hits.begin(),
-               it->second.hits.begin() + static_cast<std::ptrdiff_t>(n));
+    Value& v = it->second;
+    ++v.use_count;
+    set_of(seed).ref[v.way] = true;
+    total = v.total;
+    const std::size_t n = std::min(max_hits, v.hits.size());
+    out.insert(out.end(), v.hits.begin(),
+               v.hits.begin() + static_cast<std::ptrdiff_t>(n));
     return true;
   }
 
   void insert(const Kmer& seed, const std::vector<SeedHit>& hits,
               std::size_t total) {
     if (capacity_ == 0 || map_.contains(seed)) return;
-    if (map_.size() >= capacity_) {
+    Set& set = set_of(seed);
+    std::size_t way = set.ring.size();
+    if (set.ring.size() < share_of(seed)) {
+      set.ring.push_back(seed);
+      set.ref.push_back(false);
+    } else {
+      const auto advance = [&set] {
+        set.hand = (set.hand + 1) % set.ring.size();
+      };
       if (admission_) {
         bool evicted = false;
-        for (std::size_t p = 0; p < std::min<std::size_t>(8, ring_.size());
+        for (std::size_t p = 0; p < std::min<std::size_t>(8, set.ring.size());
              ++p) {
-          Value& cand = map_.at(ring_[cursor_]);
+          Value& cand = map_.at(set.ring[set.hand]);
           if (cand.use_count == 0) {
             evicted = true;
             break;
           }
           cand.use_count /= 2;
-          cursor_ = (cursor_ + 1) % ring_.size();
+          advance();
         }
         if (!evicted) {
           ++counters.admission_rejects;
           return;
         }
+      } else {
+        while (set.ref[set.hand]) {
+          set.ref[set.hand] = false;
+          advance();
+        }
       }
-      map_.erase(ring_[cursor_]);
-      ring_[cursor_] = seed;
-      cursor_ = (cursor_ + 1) % ring_.size();
+      way = set.hand;
+      map_.erase(set.ring[way]);
+      set.ring[way] = seed;
+      set.ref[way] = false;
+      advance();
       ++counters.evictions;
-    } else {
-      ring_.push_back(seed);
     }
-    map_.emplace(seed, Value{hits, static_cast<std::uint32_t>(total), 0});
+    map_.emplace(seed, Value{hits, static_cast<std::uint32_t>(total), 0, way});
     ++counters.insertions;
   }
 
@@ -264,12 +305,27 @@ class ModelSeedCache {
     std::vector<SeedHit> hits;
     std::uint32_t total = 0;
     std::uint32_t use_count = 0;
+    std::size_t way = 0;
   };
+  struct Set {
+    std::vector<Kmer> ring;  ///< way order
+    std::vector<bool> ref;
+    std::size_t hand = 0;
+  };
+  [[nodiscard]] std::size_t set_index(const Kmer& seed) const {
+    return mera::cache::detail::seed_cache_set_of(seed.mixed_hash(),
+                                                  sets_.size());
+  }
+  Set& set_of(const Kmer& seed) { return sets_[set_index(seed)]; }
+  [[nodiscard]] std::size_t share_of(const Kmer& seed) const {
+    const std::size_t n = sets_.size();
+    return capacity_ / n + (set_index(seed) < capacity_ % n ? 1 : 0);
+  }
+
   std::size_t capacity_;
   bool admission_;
+  std::vector<Set> sets_;
   std::map<Kmer, Value> map_;
-  std::vector<Kmer> ring_;
-  std::size_t cursor_ = 0;
 };
 
 /// A random hit list: mostly 0-3 hits, sometimes a long (arena) list.
@@ -283,10 +339,10 @@ std::vector<SeedHit> random_hits(std::mt19937_64& rng) {
   return hits;
 }
 
-TEST(SeedIndexCache, MatchesTheMapRingClockModelOpForOp) {
+TEST(SeedIndexCache, MatchesThePerSetClockModelOpForOp) {
   for (const bool admission : {false, true}) {
     for (const std::size_t capacity : {std::size_t{1}, std::size_t{7},
-                                       std::size_t{64}}) {
+                                       std::size_t{64}, std::size_t{1024}}) {
       SCOPED_TRACE("capacity " + std::to_string(capacity) +
                    (admission ? " with admission" : ""));
       SeedIndexCache cache(Topology(2, 2),
@@ -295,7 +351,7 @@ TEST(SeedIndexCache, MatchesTheMapRingClockModelOpForOp) {
       ModelSeedCache model(capacity, admission);
       std::mt19937_64 rng(20240611);
       // A key universe a few times the capacity, skewed so some seeds recur
-      // often enough to earn hits (and admission protection).
+      // often enough to earn hits (and CLOCK or admission protection).
       std::vector<Kmer> keys;
       for (std::size_t i = 0; i < capacity * 3 + 8; ++i) {
         std::string s(21, 'A');
@@ -331,9 +387,9 @@ TEST(SeedIndexCache, MatchesTheMapRingClockModelOpForOp) {
   }
 }
 
-TEST(SeedIndexCache, StripedCacheServesExactlyWhatWasInserted) {
-  // 1 << 14 entries per node is 4 stripes; 60K distinct seeds overflow
-  // every stripe many times over.
+TEST(SeedIndexCache, FullCacheServesExactlyWhatWasInserted) {
+  // 1 << 14 entries per node is 1024 sets; 60K distinct seeds overflow
+  // every set many times over.
   const std::size_t capacity = std::size_t{1} << 14;
   SeedIndexCache cache(Topology(4, 2), {capacity});
   std::mt19937_64 rng(7);
