@@ -1,30 +1,24 @@
-// Inter-candidate batch extension: BatchSwScorer vs per-pair striped.
+// Inter-candidate batch extension: the traced sweep vs per-pair full DP.
 //
-// The paper's aligning phase scores every candidate window a read's seeds
-// produced. The striped kernel (fig14 territory) vectorizes WITHIN one
-// query/target pair and leaves lanes idle on short candidates; the batch
-// engine packs one CANDIDATE per lane and sweeps them together. This bench
-// measures that inter-candidate axis on a realistic multi-candidate
-// workload: Q reads, each with ~24 candidate windows (mutated copies of the
-// read embedded in flanking sequence, plus a few decoys), scored by
+// The paper's aligning phase aligns every candidate window a read's seeds
+// produced. The batch engine packs one CANDIDATE per SIMD lane and aligns
+// them together in one traced sweep. This bench measures that
+// inter-candidate axis on a realistic multi-candidate workload: Q reads,
+// each with ~24 candidate windows (mutated copies of the read embedded in
+// flanking sequence, plus a few decoys), aligned end to end (score, spans,
+// CIGAR, mismatches, gap columns) by
 //
-//   a. per-pair striped   — one StripedSmithWaterman profile per read,
-//                           align() once per candidate (intra-pair SIMD),
+//   a. smith_waterman     — one pair at a time (the --sw full reference),
 //                           and
-//   b. BatchSwScorer      — same candidates, one flush per read, at every
-//                           dispatch tier the host supports.
+//   b. the traced sweep   — BatchSwScorer::flush (the default --sw batch
+//                           kernel), at every dispatch tier the host
+//                           supports.
 //
-// Every tier's (score, t_end) stream must be bit-identical to the striped
-// stream — the bench aborts otherwise, the same contract the `simd` test
-// label enforces. Throughput is reported as candidates/s; on hosts where
-// auto-dispatch reaches AVX2 or wider the run fails unless the widest tier
-// clears 2x the per-pair striped baseline.
-//
-// A second section aligns the same candidates end to end — smith_waterman
-// per pair (the --sw full reference) vs the traced sweep (the default
-// --sw batch kernel) at every tier — and aborts on any field mismatch; its
-// speedup_vs_full_dp rows are what CI gates on AVX2+ runners. A third
-// compares per-read against pooled flushing of the traced sweep.
+// Every tier's alignments must equal smith_waterman's field for field — the
+// bench aborts otherwise, the same contract the `simd` test label enforces.
+// Its speedup_vs_full_dp rows are what CI gates on AVX2+ runners. A second
+// section compares per-read against pooled flushing of the traced sweep and
+// aborts unless pooling at least doubles SIMD lane occupancy.
 //
 // Output: paper-style stdout rows + BENCH_fig15.json. Pass --smoke for the
 // CI-sized workload.
@@ -39,7 +33,6 @@
 #include "align/pooled_queue.hpp"
 #include "align/scoring.hpp"
 #include "align/smith_waterman.hpp"
-#include "align/striped_sw.hpp"
 #include "bench_common.hpp"
 
 namespace {
@@ -47,8 +40,6 @@ namespace {
 using mera::align::BatchSwScorer;
 using mera::align::LocalAlignment;
 using mera::align::Scoring;
-using mera::align::StripedResult;
-using mera::align::StripedSmithWaterman;
 using mera::align::SwIsa;
 
 std::string random_dna(std::mt19937_64& rng, std::size_t len) {
@@ -104,10 +95,10 @@ int main(int argc, char** argv) {
     smoke = smoke || std::strcmp(argv[i], "--smoke") == 0;
 
   bench::print_header(
-      "Inter-candidate batch extension — BatchSwScorer vs per-pair striped",
+      "Inter-candidate batch extension — traced sweep vs per-pair full DP",
       "Section V-B: Smith-Waterman extension of every seed candidate");
   bench::JsonSummary json(
-      "fig15", "inter-candidate SIMD batch scoring vs per-pair striped");
+      "fig15", "inter-candidate traced SIMD sweep vs per-pair full DP");
 
   const std::size_t nreads = smoke ? 48 : 256;
   const std::size_t ncand = 24;
@@ -119,100 +110,12 @@ int main(int argc, char** argv) {
               nreads, ncand, npairs, reps, smoke ? " (smoke)" : "");
 
   const Scoring sc;
-
-  // ---- baseline: per-pair striped (profile reused across candidates) ------
-  std::vector<StripedResult> golden;
-  golden.reserve(nreads * ncand);
-  double striped_best_s = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    std::vector<StripedResult> out;
-    out.reserve(nreads * ncand);
-    const double t0 = now_s();
-    for (const auto& rc : cases) {
-      const StripedSmithWaterman ssw(
-          std::span<const std::uint8_t>(rc.query), sc);
-      for (const auto& t : rc.targets)
-        out.push_back(ssw.align(std::span<const std::uint8_t>(t)));
-    }
-    const double dt = now_s() - t0;
-    if (rep == 0 || dt < striped_best_s) striped_best_s = dt;
-    if (rep == 0) golden = std::move(out);
-  }
-  const double striped_cps = npairs / striped_best_s;
-  std::printf("\n%-10s %12s %16s %10s\n", "engine", "best(s)", "candidates/s",
-              "speedup");
-  std::printf("%-10s %12.4f %16.0f %9.2fx\n", "striped", striped_best_s,
-              striped_cps, 1.0);
-  json.config("striped_per_pair");
-  json.metric("best_s", striped_best_s);
-  json.metric("candidates_per_s", striped_cps);
-  json.metric("speedup_vs_striped", 1.0);
-
-  // ---- batch engine at every supported tier -------------------------------
   const SwIsa widest = mera::align::detect_isa();
-  double widest_speedup = 0.0;
-  for (const SwIsa isa : {SwIsa::kScalar, SwIsa::kSse2, SwIsa::kAvx2,
-                          SwIsa::kAvx512}) {
-    if (!mera::align::isa_supported(isa)) continue;
-    double best_s = 0.0;
-    std::vector<StripedResult> out;
-    for (int rep = 0; rep < reps; ++rep) {
-      out.clear();
-      out.reserve(nreads * ncand);
-      const double t0 = now_s();
-      for (const auto& rc : cases) {
-        BatchSwScorer scorer(std::span<const std::uint8_t>(rc.query), sc,
-                             isa);
-        for (const auto& t : rc.targets)
-          scorer.add(std::span<const std::uint8_t>(t));
-        auto res = scorer.flush();
-        out.insert(out.end(), res.begin(), res.end());
-      }
-      const double dt = now_s() - t0;
-      if (rep == 0 || dt < best_s) best_s = dt;
-    }
-    // Bit-identity gate: every tier must reproduce the striped stream.
-    for (std::size_t i = 0; i < golden.size(); ++i) {
-      if (out[i].score != golden[i].score || out[i].t_end != golden[i].t_end) {
-        std::fprintf(stderr,
-                     "FATAL: batch[%s] pair %zu diverged from striped "
-                     "(score %d vs %d, t_end %zu vs %zu)\n",
-                     mera::align::isa_name(isa), i, out[i].score,
-                     golden[i].score, out[i].t_end, golden[i].t_end);
-        return 1;
-      }
-    }
-    const double cps = npairs / best_s;
-    const double speedup = striped_best_s / best_s;
-    if (isa == widest) widest_speedup = speedup;
-    std::printf("%-10s %12.4f %16.0f %9.2fx\n", mera::align::isa_name(isa),
-                best_s, cps, speedup);
-    json.config(std::string("batch_") + mera::align::isa_name(isa));
-    json.metric("best_s", best_s);
-    json.metric("candidates_per_s", cps);
-    json.metric("speedup_vs_striped", speedup);
-  }
-  std::printf("(every tier's score/t_end stream is bit-identical to striped; "
-              "auto tier: %s)\n",
-              mera::align::isa_name(widest));
-  json.config("auto_tier_" + std::string(mera::align::isa_name(widest)));
-  json.metric("speedup_vs_striped", widest_speedup);
-
-  // On wide hosts the whole point is throughput: the widest tier must clear
-  // 2x per-pair striped, else the packing layer has regressed.
-  if (widest >= SwIsa::kAvx2 && widest_speedup < 2.0) {
-    std::fprintf(stderr,
-                 "FATAL: widest tier (%s) speedup %.2fx < 2x over per-pair "
-                 "striped on the multi-candidate workload\n",
-                 mera::align::isa_name(widest), widest_speedup);
-    return 1;
-  }
 
   // ---- traced sweep vs scalar full DP: whole alignments --------------------
-  // What the aligner's default kernel actually runs: every candidate of the
-  // workload above aligned end to end (score, spans, CIGAR, mismatches, gap
-  // columns) — by smith_waterman one pair at a time, and by the traced
-  // sweep one lane group at a time. Any field mismatch aborts.
+  // What the aligner's default kernel runs: every candidate aligned end to
+  // end by smith_waterman one pair at a time, and by the traced sweep one
+  // lane group at a time. Any field mismatch aborts.
   std::vector<LocalAlignment> full_dp;
   full_dp.reserve(nreads * ncand);
   double full_best_s = 0.0;
@@ -229,8 +132,7 @@ int main(int argc, char** argv) {
     if (rep == 0 || dt < full_best_s) full_best_s = dt;
     if (rep == 0) full_dp = std::move(out);
   }
-  std::printf("\ntraced alignment (score + CIGAR), %.0f pairs\n", npairs);
-  std::printf("%-10s %12s %16s %10s\n", "engine", "best(s)", "candidates/s",
+  std::printf("\n%-10s %12s %16s %10s\n", "engine", "best(s)", "candidates/s",
               "speedup");
   std::printf("%-10s %12.4f %16.0f %9.2fx\n", "full_dp", full_best_s,
               npairs / full_best_s, 1.0);
@@ -254,7 +156,7 @@ int main(int argc, char** argv) {
         for (const auto& t : rc.targets)
           scorer.add(qid, std::span<const std::uint8_t>(t));
       }
-      out = scorer.flush_aligned(scratch);
+      out = scorer.flush(scratch);
       const double dt = now_s() - t0;
       if (rep == 0 || dt < best_s) best_s = dt;
     }
@@ -284,11 +186,13 @@ int main(int argc, char** argv) {
     json.metric("speedup_vs_full_dp", speedup);
   }
   std::printf("(every tier's alignments equal smith_waterman field for "
-              "field)\n");
-  json.config("traced_auto_tier");
-  json.metric("speedup_vs_full_dp", widest_traced_speedup);
+              "field; auto tier: %s)\n",
+              mera::align::isa_name(widest));
+  json.config("auto_tier_" + std::string(mera::align::isa_name(widest)));
   json.metric("lane_width",
               static_cast<double>(mera::align::isa_lanes16(widest)));
+  json.config("traced_auto_tier");
+  json.metric("speedup_vs_full_dp", widest_traced_speedup);
 
   // ---- cross-read pooling: per-read flushes vs PooledExtensionQueue -------
   // The aligning phase's real workload is the OPPOSITE of the one above:
@@ -330,7 +234,7 @@ int main(int argc, char** argv) {
       BatchSwScorer scorer(std::span<const std::uint8_t>(rc.query), sc);
       for (const auto& t : rc.targets)
         scorer.add(std::span<const std::uint8_t>(t));
-      auto res = scorer.flush_aligned(scratch);
+      auto res = scorer.flush(scratch);
       out.insert(out.end(), res.begin(), res.end());
       ls += scorer.lane_stats();
     }

@@ -1,5 +1,5 @@
 // Kernel microbenches (google-benchmark): reference full-DP Smith-Waterman
-// vs striped SIMD vs the inter-candidate batch engine (Section V-B — the
+// vs the inter-candidate batch engine's traced sweep (Section V-B — the
 // paper adopts SSW because SW dominates the aligning phase's computation).
 #include <benchmark/benchmark.h>
 
@@ -8,7 +8,6 @@
 
 #include "align/batch_sw.hpp"
 #include "align/smith_waterman.hpp"
-#include "align/striped_sw.hpp"
 
 namespace {
 
@@ -59,22 +58,11 @@ void BM_ScoreOnlySW(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreOnlySW)->Args({101, 300})->Args({101, 1000})->Args({250, 1000});
 
-void BM_StripedSW(benchmark::State& state) {
-  const auto p = make_pair(static_cast<std::size_t>(state.range(0)),
-                           static_cast<std::size_t>(state.range(1)));
-  const StripedSmithWaterman ssw(std::span<const std::uint8_t>(p.q), Scoring{});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ssw.align(std::span<const std::uint8_t>(p.t)));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0) * state.range(1));
-}
-BENCHMARK(BM_StripedSW)->Args({101, 300})->Args({101, 1000})->Args({250, 1000});
-
-// Inter-candidate batch engine: N candidate windows scored in one flush,
-// one candidate per SIMD lane. Args = {qlen, tlen, n_candidates}; compare
-// items/s against BM_StripedSW at the same (qlen, tlen) to see the
-// cross-candidate packing win. Each tier is registered only if this host
+// Inter-candidate batch engine: N candidate windows aligned (traced sweep +
+// traceback) in one flush, one candidate per SIMD lane, through one
+// TraceScratch kept across flushes as the session keeps one per rank.
+// Args = {qlen, tlen, n_candidates}; compare items/s against BM_ReferenceSW
+// at the same (qlen, tlen) to see the cross-candidate packing win. Each tier is registered only if this host
 // supports it, so the suite is self-pruning on narrow machines.
 struct CandidateSet {
   std::vector<std::uint8_t> q;
@@ -106,12 +94,13 @@ void batch_sw_tier(benchmark::State& state, SwIsa isa) {
   const auto cs = make_candidates(static_cast<std::size_t>(state.range(0)),
                                   static_cast<std::size_t>(state.range(1)),
                                   static_cast<std::size_t>(state.range(2)));
+  TraceScratch scratch;
   for (auto _ : state) {
     BatchSwScorer scorer(std::span<const std::uint8_t>(cs.q), Scoring{}, isa);
     for (const auto& t : cs.ts) scorer.add(std::span<const std::uint8_t>(t));
-    benchmark::DoNotOptimize(scorer.flush());
+    benchmark::DoNotOptimize(scorer.flush(scratch));
   }
-  // items = DP cells across the whole batch, comparable to BM_StripedSW.
+  // items = DP cells across the whole batch, comparable to BM_ReferenceSW.
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0) * state.range(1) * state.range(2));
 }
@@ -124,16 +113,6 @@ BENCHMARK(BM_BatchSW_scalar)->Args({101, 300, 24})->Args({101, 300, 64});
 BENCHMARK(BM_BatchSW_sse2)->Args({101, 300, 24})->Args({101, 300, 64});
 BENCHMARK(BM_BatchSW_avx2)->Args({101, 300, 24})->Args({101, 300, 64});
 BENCHMARK(BM_BatchSW_avx512)->Args({101, 300, 24})->Args({101, 300, 64});
-
-void BM_StripedProfileBuild(benchmark::State& state) {
-  std::mt19937_64 rng(9);
-  const auto q = dna_codes(random_dna(rng, static_cast<std::size_t>(state.range(0))));
-  for (auto _ : state) {
-    const StripedSmithWaterman ssw(std::span<const std::uint8_t>(q), Scoring{});
-    benchmark::DoNotOptimize(&ssw);
-  }
-}
-BENCHMARK(BM_StripedProfileBuild)->Arg(101)->Arg(250);
 
 void BM_ExactMemcmpPath(benchmark::State& state) {
   // The Lemma-1 fast path the paper substitutes for SW on exact reads.

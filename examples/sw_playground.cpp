@@ -1,9 +1,8 @@
 // Alignment-kernel playground: align two sequences from the command line and
-// print the full local alignment — reference DP, the batch engine's traced
-// SIMD sweep, and the striped SIMD score kernel side by side. Handy for
-// exploring scoring schemes. Exits 1 when the traced sweep's alignment or the
-// striped score differs from the reference DP's, so it doubles as a smoke
-// test of the kernels' equivalence contract.
+// print the full local alignment — reference DP and the batch engine's traced
+// SIMD sweep side by side. Handy for exploring scoring schemes. Exits 1 when
+// the traced sweep's alignment differs from the reference DP's, so it
+// doubles as a smoke test of the kernels' equivalence contract.
 //
 // Usage: sw_playground [query target [match mismatch gap_open gap_extend]]
 #include <cstdio>
@@ -12,7 +11,6 @@
 
 #include "align/batch_sw.hpp"
 #include "align/smith_waterman.hpp"
-#include "align/striped_sw.hpp"
 
 namespace {
 
@@ -83,27 +81,17 @@ int main(int argc, char** argv) {
   const auto tc = dna_codes(t);
   BatchSwScorer scorer(std::span<const std::uint8_t>(qc), sc);
   scorer.add(std::span<const std::uint8_t>(tc));
-  TraceScratch scratch;
-  const auto traced = scorer.flush_aligned(scratch).front();
+  const auto traced = scorer.flush().front();
   std::printf("\ntraced sweep:       score=%d  cigar=%s  mismatches=%d"
               "  (%s)\n",
               traced.score, traced.cigar.to_string().c_str(),
               traced.mismatches, isa_name(scorer.isa()));
 
-  const StripedSmithWaterman ssw(q, sc);
-  const auto sres = ssw.align(t);
-  std::printf("striped SIMD:       score=%d  t_end=%zu  (%s, %s)\n",
-              sres.score, sres.t_end,
-              StripedSmithWaterman::simd_enabled() ? "SSE2" : "scalar",
-              sres.used_16bit ? "16-bit lanes" : "8-bit lanes");
-
-  if (traced != aln || sres.score != aln.score) {
-    std::printf("\nMISMATCH: %s differs from the reference DP.\n",
-                traced == aln ? "the striped score" : "the traced alignment");
+  if (traced != aln) {
+    std::printf("\nMISMATCH: the traced alignment differs from the reference "
+                "DP.\n");
     return 1;
   }
-  std::printf(
-      "\nthe traced sweep and the striped kernel agree with the reference "
-      "DP.\n");
+  std::printf("\nthe traced sweep agrees with the reference DP.\n");
   return 0;
 }

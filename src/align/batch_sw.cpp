@@ -130,13 +130,6 @@ SwIsa resolve_isa(SwIsa requested) {
   return isa;
 }
 
-std::size_t isa_lanes8(SwIsa isa) {
-  const SwIsa resolved = resolve_isa(isa);
-  const detail::BatchKernel* k =
-      resolved == SwIsa::kScalar ? nullptr : kernel_for(resolved);
-  return k == nullptr ? 1 : static_cast<std::size_t>(k->lanes8);
-}
-
 std::size_t isa_lanes16(SwIsa isa) {
   const SwIsa resolved = resolve_isa(isa);
   const detail::BatchKernel* k =
@@ -157,8 +150,8 @@ std::string isa_support_summary() {
     if (isa == SwIsa::kScalar) {
       s += "supported (reference; 1 candidate per sweep)\n";
     } else if (ok) {
-      s += "supported (" + std::to_string(k->lanes8) + "x8-bit / " +
-           std::to_string(k->lanes16) + "x16-bit lanes)\n";
+      s += "supported (" + std::to_string(k->lanes16) +
+           " candidates per sweep)\n";
     } else if (k == nullptr) {
       s += "not compiled into this binary\n";
     } else {
@@ -200,7 +193,6 @@ LaneStats& LaneStats::operator+=(const LaneStats& o) noexcept {
 
 BatchSwScorer::BatchSwScorer(const Scoring& sc, SwIsa isa)
     : sc_(sc), isa_(resolve_isa(isa)) {
-  bias_ = std::max(0, -sc_.mismatch);
   pad_safe_ = sc_.mismatch <= 0 && sc_.gap_open >= 0 && sc_.gap_extend >= 0;
 }
 
@@ -215,10 +207,7 @@ std::size_t BatchSwScorer::add_query(
   std::string key(reinterpret_cast<const char*>(query_codes.data()),
                   query_codes.size());
   const auto [it, inserted] = query_ids_.try_emplace(key, queries_.size());
-  if (inserted) {
-    queries_.emplace_back(query_codes.begin(), query_codes.end());
-    profiles_.emplace_back();  // built lazily on first per-pair use
-  }
+  if (inserted) queries_.emplace_back(query_codes.begin(), query_codes.end());
   return it->second;
 }
 
@@ -241,192 +230,7 @@ std::size_t BatchSwScorer::add(std::span<const std::uint8_t> target_codes) {
   return add(std::size_t{0}, target_codes);
 }
 
-const StripedSmithWaterman& BatchSwScorer::profile_for(std::size_t qid) {
-  auto& p = profiles_[qid];
-  if (!p)
-    p = std::make_unique<StripedSmithWaterman>(
-        std::span<const std::uint8_t>(queries_[qid]), sc_);
-  return *p;
-}
-
-std::vector<StripedResult> BatchSwScorer::flush() {
-  const std::size_t n = lens_.size();
-  std::vector<StripedResult> out(n);  // empty query/target lanes stay {0,0,0}
-
-  // Candidates worth scoring; everything else keeps the default result,
-  // matching StripedSmithWaterman::align on empty inputs.
-  std::vector<std::size_t> live;
-  for (std::size_t c = 0; c < n; ++c)
-    if (lens_[c] > 0 && !queries_[qids_[c]].empty()) live.push_back(c);
-  if (!live.empty()) ++lane_stats_.flushes;
-
-  const detail::BatchKernel* kernel =
-      isa_ == SwIsa::kScalar ? nullptr : kernel_for(isa_);
-
-  const auto target_span = [&](std::size_t c) {
-    return std::span<const std::uint8_t>(pool_.data() + offs_[c], lens_[c]);
-  };
-  // Per-pair backstop: the reused striped profile is bit-identical to
-  // striped_scalar_score per the PR 6 kernel contract (and literally IS the
-  // scalar reference under MERA_FORCE_SCALAR_SW builds).
-  const auto score_per_pair = [&](std::size_t c) {
-    out[c] = profile_for(qids_[c]).align(target_span(c));
-  };
-
-  if (kernel == nullptr) {
-    for (std::size_t c : live) score_per_pair(c);
-    pool_.clear();
-    offs_.clear();
-    lens_.clear();
-    qids_.clear();
-    return out;
-  }
-
-  const int go = sc_.gap_open + sc_.gap_extend;
-  const int ge = sc_.gap_extend;
-
-  // 8-bit sweep over lane groups; saturated lanes queue for the 16-bit pass.
-  std::vector<std::size_t> escalate;
-  {
-    const std::size_t L = static_cast<std::size_t>(kernel->lanes8);
-    std::vector<std::size_t> len(L), qlen(L);
-    std::vector<int> best(L);
-    std::vector<std::size_t> t_end(L);
-    std::vector<std::uint8_t> sat(L);
-    for (std::size_t g = 0; g < live.size(); g += L) {
-      const std::size_t gn = std::min(L, live.size() - g);
-      std::fill(len.begin(), len.end(), std::size_t{0});
-      std::fill(qlen.begin(), qlen.end(), std::size_t{0});
-      std::size_t nmax = 0, mmax = 0, mmin = SIZE_MAX;
-      for (std::size_t l = 0; l < gn; ++l) {
-        const std::size_t c = live[g + l];
-        len[l] = lens_[c];
-        qlen[l] = queries_[qids_[c]].size();
-        nmax = std::max(nmax, len[l]);
-        mmax = std::max(mmax, qlen[l]);
-        mmin = std::min(mmin, qlen[l]);
-      }
-      // Row padding is only provably inert for pad-safe scoring; a
-      // mixed-length group under an exotic scheme scores per pair instead.
-      if (!pad_safe_ && mmin != mmax) {
-        for (std::size_t l = 0; l < gn; ++l) score_per_pair(live[g + l]);
-        continue;
-      }
-      tbuf8_.assign(nmax * L, detail::kTargetPadCode);
-      qbuf8_.assign(mmax * L, detail::kQueryPadCode);
-      for (std::size_t l = 0; l < gn; ++l) {
-        const std::size_t c = live[g + l];
-        const std::uint8_t* src = pool_.data() + offs_[c];
-        for (std::size_t j = 0; j < len[l]; ++j) tbuf8_[j * L + l] = src[j];
-        const std::uint8_t* qsrc = queries_[qids_[c]].data();
-        for (std::size_t i = 0; i < qlen[l]; ++i) qbuf8_[i * L + l] = qsrc[i];
-      }
-      std::fill(sat.begin(), sat.end(), std::uint8_t{0});
-      detail::BatchPass8Args args;
-      args.qbuf = qbuf8_.data();
-      args.qlen = qlen.data();
-      args.m = mmax;
-      args.tbuf = tbuf8_.data();
-      args.len = len.data();
-      args.nmax = nmax;
-      args.match_bias = sc_.match + bias_;
-      args.mismatch_bias = sc_.mismatch + bias_;
-      args.bias = bias_;
-      args.gap_open_total = go;
-      args.gap_extend = ge;
-      args.best = best.data();
-      args.t_end = t_end.data();
-      args.saturated = sat.data();
-      kernel->pass8(args);
-      lane_stats_.record_group(gn, L);
-      for (std::size_t l = 0; l < gn; ++l) {
-        const std::size_t c = live[g + l];
-        if (sat[l]) {
-          escalate.push_back(c);
-        } else {
-          out[c] = {best[l], t_end[l], false};
-        }
-      }
-    }
-  }
-
-  // 16-bit rescore of saturated candidates, same grouping scheme.
-  if (!escalate.empty()) {
-    const std::size_t L = static_cast<std::size_t>(kernel->lanes16);
-    std::vector<std::size_t> len(L), qlen(L);
-    std::vector<int> best(L);
-    std::vector<std::size_t> t_end(L);
-    std::vector<std::uint8_t> sat(L);
-    for (std::size_t g = 0; g < escalate.size(); g += L) {
-      const std::size_t gn = std::min(L, escalate.size() - g);
-      std::fill(len.begin(), len.end(), std::size_t{0});
-      std::fill(qlen.begin(), qlen.end(), std::size_t{0});
-      std::size_t nmax = 0, mmax = 0, mmin = SIZE_MAX;
-      for (std::size_t l = 0; l < gn; ++l) {
-        const std::size_t c = escalate[g + l];
-        len[l] = lens_[c];
-        qlen[l] = queries_[qids_[c]].size();
-        nmax = std::max(nmax, len[l]);
-        mmax = std::max(mmax, qlen[l]);
-        mmin = std::min(mmin, qlen[l]);
-      }
-      if (!pad_safe_ && mmin != mmax) {
-        for (std::size_t l = 0; l < gn; ++l) {
-          const std::size_t c = escalate[g + l];
-          score_per_pair(c);
-          out[c].used_16bit = true;
-        }
-        continue;
-      }
-      tbuf16_.assign(nmax * L, static_cast<std::int16_t>(detail::kTargetPadCode));
-      qbuf16_.assign(mmax * L, static_cast<std::int16_t>(detail::kQueryPadCode));
-      for (std::size_t l = 0; l < gn; ++l) {
-        const std::size_t c = escalate[g + l];
-        const std::uint8_t* src = pool_.data() + offs_[c];
-        for (std::size_t j = 0; j < len[l]; ++j)
-          tbuf16_[j * L + l] = static_cast<std::int16_t>(src[j]);
-        const std::uint8_t* qsrc = queries_[qids_[c]].data();
-        for (std::size_t i = 0; i < qlen[l]; ++i)
-          qbuf16_[i * L + l] = static_cast<std::int16_t>(qsrc[i]);
-      }
-      std::fill(sat.begin(), sat.end(), std::uint8_t{0});
-      detail::BatchPass16Args args;
-      args.qbuf = qbuf16_.data();
-      args.qlen = qlen.data();
-      args.m = mmax;
-      args.tbuf = tbuf16_.data();
-      args.len = len.data();
-      args.nmax = nmax;
-      args.match = sc_.match;
-      args.mismatch = sc_.mismatch;
-      args.gap_open_total = go;
-      args.gap_extend = ge;
-      args.best = best.data();
-      args.t_end = t_end.data();
-      args.saturated = sat.data();
-      kernel->pass16(args);
-      lane_stats_.record_group(gn, L);
-      for (std::size_t l = 0; l < gn; ++l) {
-        const std::size_t c = escalate[g + l];
-        if (sat[l]) {
-          // 16-bit saturation too (score >= 32767): exact per-pair backstop.
-          score_per_pair(c);
-          out[c].used_16bit = true;
-        } else {
-          out[c] = {best[l], t_end[l], true};
-        }
-      }
-    }
-  }
-
-  pool_.clear();
-  offs_.clear();
-  lens_.clear();
-  qids_.clear();
-  return out;
-}
-
-std::vector<LocalAlignment> BatchSwScorer::flush_aligned(TraceScratch& s) {
+std::vector<LocalAlignment> BatchSwScorer::flush(TraceScratch& s) {
   const std::size_t n = lens_.size();
   // Empty query/target lanes keep the default result, as smith_waterman
   // returns for empty inputs.
@@ -523,13 +327,9 @@ std::vector<LocalAlignment> BatchSwScorer::flush_aligned(TraceScratch& s) {
   return out;
 }
 
-std::vector<StripedResult> batch_sw_scores(
-    std::span<const std::uint8_t> query,
-    std::span<const std::vector<std::uint8_t>> targets, const Scoring& sc,
-    SwIsa isa) {
-  BatchSwScorer scorer(query, sc, isa);
-  for (const auto& t : targets) scorer.add(t);
-  return scorer.flush();
+std::vector<LocalAlignment> BatchSwScorer::flush() {
+  TraceScratch scratch;
+  return flush(scratch);
 }
 
 }  // namespace mera::align

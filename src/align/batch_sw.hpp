@@ -1,31 +1,23 @@
 // Inter-candidate SIMD batch Smith-Waterman with runtime ISA dispatch.
 //
-// The striped kernel (striped_sw.hpp) vectorizes WITHIN one query/target
-// pair; this engine vectorizes ACROSS candidates: candidate windows are
-// packed one-per-lane into SSE2 / AVX2 / AVX-512 8-bit vectors and scored in
-// a single DP sweep (the way HMMER tiers its dp_vector kernels and mmseqs2
-// drives smith_waterman_sse2 from Matcher). Lanes whose 8-bit score
-// saturates are transparently re-scored in 16-bit lanes; a 16-bit-saturated
-// lane falls back to the (bit-identical) per-pair striped engine.
+// The engine vectorizes ACROSS candidates: candidate windows are packed
+// one-per-lane into SSE2 / AVX2 / AVX-512 16-bit vectors and aligned in a
+// single traced DP sweep (the way HMMER tiers its dp_vector kernels). The
+// sweep stores one provenance byte per lane per cell; a per-lane traceback
+// walk shared with smith_waterman then turns a lane's bytes into its whole
+// alignment.
 //
-// Since the cross-read pooling layer (pooled_queue.hpp) the scorer is
-// multi-query: each lane carries its own query, so candidates from many
-// reads share one sweep. Register queries with add_query() — duplicate query
-// bytes dedup to one id and share one lazily built striped profile across
-// flushes — then enqueue pairs with add(qid, target). The single-query
-// constructor and add(target) remain as a convenience over query id 0.
+// The scorer is multi-query: each lane carries its own query, so candidates
+// from many reads share one sweep (pooled_queue.hpp). Register queries with
+// add_query() — duplicate query bytes dedup to one id — then enqueue pairs
+// with add(qid, target). The single-query constructor and add(target) remain
+// as a convenience over query id 0.
 //
-// Contract: for every candidate, score, t_end (smallest-t_end tie-break) and
-// used_16bit are bit-identical to StripedSmithWaterman::align and to
-// striped_scalar_score, on every dispatch tier — property-tested by
+// Contract: every candidate's alignment (score, spans, CIGAR, mismatches,
+// gap columns) equals smith_waterman's field for field, on every dispatch
+// tier and through every per-pair fallback — property-tested by
 // tests/test_batch_sw.cpp and tests/test_pooled_sw.cpp across all tiers the
 // host supports.
-//
-// flush_aligned() is the traced variant the aligner runs by default: one
-// 16-bit sweep per lane group that also stores a provenance byte per lane
-// per cell, then a per-lane traceback walk shared with smith_waterman, so
-// each candidate's whole alignment (score, spans, CIGAR, mismatches, gap
-// columns) equals smith_waterman's.
 //
 // Dispatch: the widest ISA the CPU supports is probed once per scorer
 // (cpuid via __builtin_cpu_supports); `MERA_SW_ISA` in the environment (or
@@ -35,7 +27,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -45,7 +36,6 @@
 
 #include "align/scoring.hpp"
 #include "align/smith_waterman.hpp"
-#include "align/striped_sw.hpp"
 
 namespace mera::align {
 
@@ -69,11 +59,8 @@ enum class SwIsa : std::uint8_t { kAuto = 0, kScalar, kSse2, kAvx2, kAvx512 };
 /// CPU/build does not support — forcing a tier is for testing, and a forced
 /// tier that silently degrades would test nothing.
 [[nodiscard]] SwIsa resolve_isa(SwIsa requested);
-/// 8-bit lane width of a concrete tier (16 / 32 / 64); 1 for kScalar.
-/// Resolves kAuto first.
-[[nodiscard]] std::size_t isa_lanes8(SwIsa isa);
-/// 16-bit lane width — the trace pass's — of a concrete tier (8 / 16 / 32);
-/// 1 for kScalar. Resolves kAuto first.
+/// 16-bit lane width — the traced sweep's — of a concrete tier (8 / 16 /
+/// 32); 1 for kScalar. Resolves kAuto first.
 [[nodiscard]] std::size_t isa_lanes16(SwIsa isa);
 /// Human-readable per-tier support report for this binary on this CPU —
 /// what `--sw-isa help` / `MERA_SW_ISA=help` print.
@@ -89,8 +76,8 @@ enum class SwIsa : std::uint8_t { kAuto = 0, kScalar, kSse2, kAvx2, kAvx512 };
 /// ISA tier.
 struct LaneStats {
   static constexpr std::size_t kOccBuckets = 8;
-  std::uint64_t flushes = 0;       ///< flush() calls scoring >= 1 candidate
-  std::uint64_t groups = 0;        ///< SIMD lane-group sweeps (8- and 16-bit)
+  std::uint64_t flushes = 0;       ///< flush() calls aligning >= 1 candidate
+  std::uint64_t groups = 0;        ///< traced 16-bit lane-group sweeps
   std::uint64_t lanes_filled = 0;  ///< lanes carrying a live candidate
   std::uint64_t lanes_wasted = 0;  ///< idle lanes in those sweeps
   /// Octile histogram of per-group occupancy: bucket i counts groups with
@@ -115,7 +102,7 @@ struct TraceScratch {
   std::vector<std::uint8_t> prov;
 };
 
-/// Scores query/target candidate pairs in SIMD lane groups.
+/// Aligns query/target candidate pairs in SIMD lane groups.
 ///
 /// Single-query (per-read) form:
 ///   BatchSwScorer scorer(query_codes, scoring);     // per oriented query
@@ -126,12 +113,10 @@ struct TraceScratch {
 ///   BatchSwScorer scorer(scoring);
 ///   const auto qid = scorer.add_query(query_codes); // dedups by bytes
 ///   scorer.add(qid, cand.window_codes);
-///   const auto results = scorer.flush();            // insertion order
+///   const auto results = scorer.flush(scratch);     // insertion order
 ///
-/// flush() packs pending candidates into lane groups of the resolved tier's
-/// width and returns one StripedResult per candidate. add/flush can be
-/// repeated; registered queries and their lazily built striped profiles
-/// persist across flushes, only the pending-candidate queue is cleared.
+/// add/flush can be repeated; registered queries persist across flushes,
+/// only the pending-candidate queue is cleared.
 class BatchSwScorer {
  public:
   explicit BatchSwScorer(std::span<const std::uint8_t> query_codes,
@@ -140,19 +125,15 @@ class BatchSwScorer {
   explicit BatchSwScorer(const Scoring& sc = {}, SwIsa isa = SwIsa::kAuto);
 
   /// Register a query (codes are copied). Identical query bytes return the
-  /// same id — and share one lazily built striped profile across flushes.
+  /// same id.
   std::size_t add_query(std::span<const std::uint8_t> query_codes);
 
   /// Enqueue one candidate target against query `qid` (codes are copied);
   /// returns its index in the batch, which is its index into flush()'s
   /// result vector.
   std::size_t add(std::size_t qid, std::span<const std::uint8_t> target_codes);
-  /// Single-query convenience: the candidate scores against query id 0.
+  /// Single-query convenience: the candidate aligns against query id 0.
   std::size_t add(std::span<const std::uint8_t> target_codes);
-
-  /// Score every pending candidate and clear the queue. Results are in
-  /// add() order and bit-identical to StripedSmithWaterman::align per pair.
-  [[nodiscard]] std::vector<StripedResult> flush();
 
   /// Align every pending candidate and clear the queue: one 16-bit traced
   /// sweep per lane group, then a per-lane traceback walk. Results are in
@@ -161,8 +142,9 @@ class BatchSwScorer {
   /// scalar tier, in pad-unsafe groups of unequal lengths, when a group's
   /// values could overflow int16, or when its provenance would exceed
   /// TraceScratch::kTraceProvBudget. `scratch` holds the sweep's buffers.
-  [[nodiscard]] std::vector<LocalAlignment> flush_aligned(
-      TraceScratch& scratch);
+  [[nodiscard]] std::vector<LocalAlignment> flush(TraceScratch& scratch);
+  /// One-shot form of flush(TraceScratch&) over buffers of its own.
+  [[nodiscard]] std::vector<LocalAlignment> flush();
 
   [[nodiscard]] std::size_t pending() const noexcept { return lens_.size(); }
   [[nodiscard]] std::size_t num_queries() const noexcept {
@@ -177,33 +159,19 @@ class BatchSwScorer {
   }
 
  private:
-  const StripedSmithWaterman& profile_for(std::size_t qid);
-
   Scoring sc_;
   SwIsa isa_;
-  int bias_ = 0;
   /// Padded query rows are provably inert only for mismatch <= 0 and
   /// non-negative gap penalties (see batch_sw_detail.hpp); other schemes
-  /// route mixed-length groups through the per-pair striped engine.
+  /// align mixed-length groups per pair.
   bool pad_safe_ = true;
-  // Registered queries: stable byte buffers + bytes->id dedup + lazy
-  // striped profiles (built on first per-pair use, reused across flushes).
+  // Registered queries: stable byte buffers + bytes->id dedup.
   std::vector<std::vector<std::uint8_t>> queries_;
   std::unordered_map<std::string, std::size_t> query_ids_;
-  std::vector<std::unique_ptr<StripedSmithWaterman>> profiles_;
   // Pending candidates: concatenated codes + per-candidate extents + query.
   std::vector<std::uint8_t> pool_;
   std::vector<std::size_t> offs_, lens_, qids_;
-  // Lane-group scratch, reused across flushes.
-  std::vector<std::uint8_t> tbuf8_, qbuf8_;
-  std::vector<std::int16_t> tbuf16_, qbuf16_;
   LaneStats lane_stats_;
 };
-
-/// One-shot convenience over BatchSwScorer for `query` vs each of `targets`.
-[[nodiscard]] std::vector<StripedResult> batch_sw_scores(
-    std::span<const std::uint8_t> query,
-    std::span<const std::vector<std::uint8_t>> targets, const Scoring& sc = {},
-    SwIsa isa = SwIsa::kAuto);
 
 }  // namespace mera::align

@@ -1,5 +1,4 @@
-// AVX2 tier of the batch scorer: 32 candidates per 8-bit group, 16 per
-// 16-bit group. This TU alone is compiled with -mavx2 (set in
+// AVX2 tier of the batch scorer: 16 candidates per 16-bit lane group. This TU alone is compiled with -mavx2 (set in
 // src/CMakeLists.txt when the compiler supports it); the dispatcher only
 // calls in after __builtin_cpu_supports("avx2") says the host can run it.
 #include "align/batch_sw_detail.hpp"
@@ -15,7 +14,6 @@ namespace {
 
 struct Avx2Traits {
   using V = __m256i;
-  static constexpr int kLanes8 = 32;
   static constexpr int kLanes16 = 16;
 
   static V zero() { return _mm256_setzero_si256(); }
@@ -24,16 +22,6 @@ struct Avx2Traits {
   }
   static void store(void* p, V v) {
     _mm256_storeu_si256(static_cast<__m256i*>(p), v);
-  }
-
-  static V set1_u8(std::uint8_t x) {
-    return _mm256_set1_epi8(static_cast<char>(x));
-  }
-  static V adds_u8(V a, V b) { return _mm256_adds_epu8(a, b); }
-  static V subs_u8(V a, V b) { return _mm256_subs_epu8(a, b); }
-  static V max_u8(V a, V b) { return _mm256_max_epu8(a, b); }
-  static V sel_eq8(V t, V q, V a, V b) {
-    return _mm256_blendv_epi8(b, a, _mm256_cmpeq_epi8(t, q));
   }
 
   static V set1_i16(std::int16_t x) { return _mm256_set1_epi16(x); }
@@ -63,10 +51,7 @@ struct Avx2Traits {
   }
 };
 
-const BatchKernel kKernel = {Avx2Traits::kLanes8, Avx2Traits::kLanes16,
-                             &batch_pass8<Avx2Traits>,
-                             &batch_pass16<Avx2Traits>,
-                             &batch_trace16<Avx2Traits>};
+const BatchKernel kKernel = {Avx2Traits::kLanes16, &batch_trace16<Avx2Traits>};
 
 }  // namespace
 

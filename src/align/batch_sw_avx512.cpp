@@ -1,5 +1,5 @@
-// AVX-512BW tier of the batch scorer: 64 candidates per 8-bit group, 32 per
-// 16-bit group, using mask-register compares instead of vector blends. This
+// AVX-512BW tier of the batch scorer: 32 candidates per 16-bit lane group,
+// using mask-register compares instead of vector blends. This
 // TU alone is compiled with -mavx512f -mavx512bw (set in src/CMakeLists.txt
 // when the compiler supports them); the dispatcher only calls in after
 // __builtin_cpu_supports("avx512bw") says the host can run it.
@@ -17,22 +17,11 @@ namespace {
 
 struct Avx512Traits {
   using V = __m512i;
-  static constexpr int kLanes8 = 64;
   static constexpr int kLanes16 = 32;
 
   static V zero() { return _mm512_setzero_si512(); }
   static V load(const void* p) { return _mm512_loadu_si512(p); }
   static void store(void* p, V v) { _mm512_storeu_si512(p, v); }
-
-  static V set1_u8(std::uint8_t x) {
-    return _mm512_set1_epi8(static_cast<char>(x));
-  }
-  static V adds_u8(V a, V b) { return _mm512_adds_epu8(a, b); }
-  static V subs_u8(V a, V b) { return _mm512_subs_epu8(a, b); }
-  static V max_u8(V a, V b) { return _mm512_max_epu8(a, b); }
-  static V sel_eq8(V t, V q, V a, V b) {
-    return _mm512_mask_blend_epi8(_mm512_cmpeq_epi8_mask(t, q), b, a);
-  }
 
   static V set1_i16(std::int16_t x) { return _mm512_set1_epi16(x); }
   static V adds_i16(V a, V b) { return _mm512_adds_epi16(a, b); }
@@ -59,10 +48,7 @@ struct Avx512Traits {
   }
 };
 
-const BatchKernel kKernel = {Avx512Traits::kLanes8, Avx512Traits::kLanes16,
-                             &batch_pass8<Avx512Traits>,
-                             &batch_pass16<Avx512Traits>,
-                             &batch_trace16<Avx512Traits>};
+const BatchKernel kKernel = {Avx512Traits::kLanes16, &batch_trace16<Avx512Traits>};
 
 }  // namespace
 

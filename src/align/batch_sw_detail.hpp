@@ -9,25 +9,22 @@
 
 namespace mera::align::detail {
 
-/// Target columns are padded with 0xFF past len[l]; query rows are padded
-/// with 0xFE past qlen[l]. DNA codes are 0–3, so neither pad ever equals a
-/// residue code — and the two pads never equal each other, so a padded row
-/// meeting a padded column still scores a mismatch. With mismatch <= 0 and
-/// both gap penalties >= 0 every cell in a padded row derives from real
-/// cells through non-increasing operations, so a padded row can never
-/// STRICTLY exceed the running best — and the strict `>` best-update means
-/// score / t_end / saturation are untouched by row padding. BatchSwScorer
-/// verifies that precondition and falls back to per-pair scoring for exotic
-/// scoring schemes that violate it.
+/// Target columns are padded with 0xFF past a lane's target length; query
+/// rows are padded with 0xFE past its query length. DNA codes are 0–3, so
+/// neither pad ever equals a residue code — and the two pads never equal
+/// each other, so a padded row meeting a padded column still scores a
+/// mismatch. Padding is inert when mismatch <= 0 and both gap penalties are
+/// >= 0; BatchSwScorer verifies that precondition and aligns per pair any
+/// group that has padded cells under a scheme that violates it.
 ///
-/// The trace pass (BatchTrace16Args) sweeps rows outer / columns inner and
-/// keeps a strict-`>` running best, so a lane's pad cells are interleaved
-/// with its real ones: row i's pad columns are visited before row i+1's real
-/// cells. The same argument covers it. A real cell (i <= qlen, j <= len)
-/// reads only (i-1, j-1), (i, j-1) and (i-1, j) — real cells — so real
-/// values are exactly the per-pair DP's. A pad cell's H is the max of 0, a
-/// diagonal predecessor plus mismatch (<= 0) and gap terms that subtract
-/// gap penalties (>= 0) from cells of the same row or column; all of those
+/// Why it is inert: the trace pass (BatchTrace16Args) sweeps rows outer /
+/// columns inner and keeps a strict-`>` running best, so a lane's pad cells
+/// are interleaved with its real ones: row i's pad columns are visited
+/// before row i+1's real cells. A real cell (i <= qlen, j <= len) reads only
+/// (i-1, j-1), (i, j-1) and (i-1, j) — real cells — so real values are
+/// exactly the per-pair DP's. A pad cell's H is the max of 0, a diagonal
+/// predecessor plus mismatch (<= 0) and gap terms that subtract gap
+/// penalties (>= 0) from cells of the same row or column; all of those
 /// predecessors were visited earlier in row-major order. By induction every
 /// pad cell is <= the largest real H visited before it, i.e. <= the lane's
 /// running best at that moment, so it never STRICTLY exceeds it and the
@@ -35,54 +32,6 @@ namespace mera::align::detail {
 /// what smith_waterman picks.
 inline constexpr std::uint8_t kTargetPadCode = 0xFF;
 inline constexpr std::uint8_t kQueryPadCode = 0xFE;
-
-/// One 8-bit lane-group pass: scores `lanes8` candidates, one query/target
-/// pair per lane, in saturating unsigned arithmetic (values biased by
-/// `bias`, exactly like the striped kernel's 8-bit pass, so saturation —
-/// and therefore used_16bit — is bit-identical per pair).
-struct BatchPass8Args {
-  /// Interleaved queries: qbuf[i * lanes + l] = code of lane l's query at
-  /// row i, padded with kQueryPadCode past qlen[l].
-  const std::uint8_t* qbuf = nullptr;
-  const std::size_t* qlen = nullptr;  ///< per-lane query length
-  std::size_t m = 0;                  ///< max(qlen), rows in qbuf
-  /// Interleaved targets: tbuf[j * lanes + l] = code of candidate l at
-  /// column j, padded with kTargetPadCode past len[l].
-  const std::uint8_t* tbuf = nullptr;
-  const std::size_t* len = nullptr;  ///< per-lane target length
-  std::size_t nmax = 0;              ///< max(len), columns in tbuf
-  int match_bias = 0;     ///< scoring.match + bias   (fits u8)
-  int mismatch_bias = 0;  ///< scoring.mismatch + bias (>= 0 by construction)
-  int bias = 0;           ///< max(0, -scoring.mismatch)
-  int gap_open_total = 0;  ///< gap_open + gap_extend
-  int gap_extend = 0;
-  // Outputs, one per lane. Lanes with len[l] == 0 are left untouched.
-  int* best = nullptr;           ///< best score (exact unless saturated)
-  std::size_t* t_end = nullptr;  ///< smallest column achieving best
-  std::uint8_t* saturated = nullptr;  ///< best >= 255 - bias: rerun in 16-bit
-};
-
-/// One 16-bit lane-group pass for candidates whose 8-bit lane saturated.
-/// Signed arithmetic with an explicit zero floor, mirroring striped_i16.
-struct BatchPass16Args {
-  /// Interleaved queries as int16 codes, padded with kQueryPadCode past
-  /// qlen[l].
-  const std::int16_t* qbuf = nullptr;
-  const std::size_t* qlen = nullptr;  ///< per-lane query length
-  std::size_t m = 0;                  ///< max(qlen), rows in qbuf
-  /// Interleaved targets as int16 codes, padded with kTargetPadCode past
-  /// len[l].
-  const std::int16_t* tbuf = nullptr;
-  const std::size_t* len = nullptr;
-  std::size_t nmax = 0;
-  int match = 0;
-  int mismatch = 0;
-  int gap_open_total = 0;
-  int gap_extend = 0;
-  int* best = nullptr;
-  std::size_t* t_end = nullptr;
-  std::uint8_t* saturated = nullptr;  ///< best >= 32767: scalar rerun
-};
 
 /// Stand-in for the scalar engine's kNegInf in the trace pass: the E/F
 /// boundary before any gap can open. Only ever compared against gap-open
@@ -101,8 +50,9 @@ inline constexpr int kTraceMaxGapOpen = 7000;
 /// turns a lane's bytes into its LocalAlignment. The caller guarantees every
 /// value fits int16 (see trace16_fits in batch_sw.cpp).
 struct BatchTrace16Args {
-  /// Interleaved queries / targets as int16 codes, padded like the score
-  /// passes' (kQueryPadCode rows, kTargetPadCode columns).
+  /// Interleaved queries / targets as int16 codes: qbuf[i * lanes + l] is
+  /// lane l's query code at row i, tbuf[j * lanes + l] its target code at
+  /// column j, padded with kQueryPadCode rows / kTargetPadCode columns.
   const std::int16_t* qbuf = nullptr;
   std::size_t m = 0;  ///< rows in qbuf
   const std::int16_t* tbuf = nullptr;
@@ -128,10 +78,7 @@ struct BatchTrace16Args {
 /// compiled that tier in, nullptr otherwise; the dispatcher in batch_sw.cpp
 /// picks one per resolved SwIsa.
 struct BatchKernel {
-  int lanes8 = 0;   ///< candidates per 8-bit group (16 / 32 / 64)
   int lanes16 = 0;  ///< candidates per 16-bit group (8 / 16 / 32)
-  void (*pass8)(const BatchPass8Args&) = nullptr;
-  void (*pass16)(const BatchPass16Args&) = nullptr;
   void (*trace16)(const BatchTrace16Args&) = nullptr;
 };
 

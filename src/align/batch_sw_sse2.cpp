@@ -1,5 +1,5 @@
-// SSE2 tier of the batch scorer: 16 candidates per 8-bit group, 8 per
-// 16-bit group. Compiled with the default x86-64 flags (SSE2 is baseline).
+// SSE2 tier of the batch scorer: 8 candidates per 16-bit lane group.
+// Compiled with the default x86-64 flags (SSE2 is baseline).
 #include "align/batch_sw_detail.hpp"
 
 #if defined(__SSE2__) && !defined(MERA_FORCE_SCALAR_SW)
@@ -13,7 +13,6 @@ namespace {
 
 struct Sse2Traits {
   using V = __m128i;
-  static constexpr int kLanes8 = 16;
   static constexpr int kLanes16 = 8;
 
   static V zero() { return _mm_setzero_si128(); }
@@ -22,17 +21,6 @@ struct Sse2Traits {
   }
   static void store(void* p, V v) {
     _mm_storeu_si128(static_cast<__m128i*>(p), v);
-  }
-
-  static V set1_u8(std::uint8_t x) {
-    return _mm_set1_epi8(static_cast<char>(x));
-  }
-  static V adds_u8(V a, V b) { return _mm_adds_epu8(a, b); }
-  static V subs_u8(V a, V b) { return _mm_subs_epu8(a, b); }
-  static V max_u8(V a, V b) { return _mm_max_epu8(a, b); }
-  static V sel_eq8(V t, V q, V a, V b) {
-    const V eq = _mm_cmpeq_epi8(t, q);
-    return _mm_or_si128(_mm_and_si128(eq, a), _mm_andnot_si128(eq, b));
   }
 
   static V set1_i16(std::int16_t x) { return _mm_set1_epi16(x); }
@@ -58,10 +46,7 @@ struct Sse2Traits {
   }
 };
 
-const BatchKernel kKernel = {Sse2Traits::kLanes8, Sse2Traits::kLanes16,
-                             &batch_pass8<Sse2Traits>,
-                             &batch_pass16<Sse2Traits>,
-                             &batch_trace16<Sse2Traits>};
+const BatchKernel kKernel = {Sse2Traits::kLanes16, &batch_trace16<Sse2Traits>};
 
 }  // namespace
 

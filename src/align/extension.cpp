@@ -45,7 +45,7 @@ Extension extend_seed(std::span<const std::uint8_t> query,
       BatchSwScorer scorer(query, cfg.scoring, cfg.isa);
       scorer.add(window);
       thread_local TraceScratch scratch;
-      ext.aln = std::move(scorer.flush_aligned(scratch).front());
+      ext.aln = std::move(scorer.flush(scratch).front());
       break;
     }
     case SwKernel::kFullDP:

@@ -51,7 +51,7 @@ void PooledExtensionQueue::enqueue(std::size_t qid,
 
 void PooledExtensionQueue::flush_bucket(Bucket& b) {
   if (b.tags.empty()) return;
-  const auto results = b.scorer.flush_aligned(*scratch_);
+  const auto results = b.scorer.flush(*scratch_);
   pending_ -= b.tags.size();
   // Swap the tag list out first: a callback may re-enter enqueue() on this
   // same bucket (it won't in the aligner, but the queue shouldn't care).

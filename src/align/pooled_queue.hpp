@@ -18,8 +18,8 @@
 // end, after which every enqueued tag has been called back exactly once.
 //
 // Results equal smith_waterman(query, window) field for field on any tier
-// (the BatchSwScorer::flush_aligned contract); pooling changes WHEN a
-// candidate is aligned, never WHAT its alignment is.
+// (the BatchSwScorer::flush contract); pooling changes WHEN a candidate is
+// aligned, never WHAT its alignment is.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,10 @@
 // Reference Smith-Waterman local alignment (affine gaps) with traceback.
 //
 // This is the ground-truth kernel: exact full-DP, O(m*n) time and space.
-// The pipeline runs it only on small windows around a located seed; the
-// striped SIMD kernel (striped_sw.hpp) covers score-only screening and is
-// property-tested against this implementation.
+// The pipeline runs it only on small windows around a located seed: as the
+// `--sw full` kernel, and as the batch engine's per-pair fallback. The batch
+// engine's traced SIMD sweep (batch_sw.hpp) shares its traceback walk and is
+// property-tested against it field for field.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,7 @@ struct LocalAlignment {
                                             std::string_view target,
                                             const Scoring& sc = {});
 
-/// Score-only scalar reference (used to validate the SIMD kernel).
+/// Score-only scalar reference (used to validate smith_waterman itself).
 [[nodiscard]] int sw_score_reference(std::span<const std::uint8_t> query,
                                      std::span<const std::uint8_t> target,
                                      const Scoring& sc = {});

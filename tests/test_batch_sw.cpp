@@ -1,15 +1,16 @@
 // Equivalence and dispatch tests for the inter-candidate batch SW engine.
-// The central contracts, on EVERY dispatch tier this host supports: the
-// score passes' score / t_end (smallest-t_end tie-break) are bit-identical to
-// the scalar reference and to the per-pair striped kernel, and the traced
-// sweep's alignments equal smith_waterman's field for field — including
-// every per-pair fallback it takes.
+// The central contract, on EVERY dispatch tier this host supports: the
+// traced sweep's alignments equal smith_waterman's field for field —
+// including every per-pair fallback it takes. Ties are covered by
+// TracedTiesZeroScoresAndQueriesLongerThanWindows, the int16-headroom,
+// pad-unsafe and provenance-budget fallbacks by TracedFallbacksStayExact.
 #include "align/batch_sw.hpp"
 
 #include "test_util.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <random>
 #include <string>
@@ -18,7 +19,6 @@
 
 #include "align/extension.hpp"
 #include "align/smith_waterman.hpp"
-#include "align/striped_sw.hpp"
 #include "seq/packed_seq.hpp"
 
 namespace {
@@ -48,34 +48,41 @@ std::vector<std::vector<std::uint8_t>> random_targets(std::mt19937_64& rng,
   return out;
 }
 
+/// Enqueues `targets` against the scorer's query id 0 (`q`), runs the
+/// one-shot flush() and checks every result against smith_waterman field for
+/// field. Returns the flushed alignments.
+std::vector<LocalAlignment> expect_flush_equals_scalar(
+    BatchSwScorer& scorer, const std::vector<std::uint8_t>& q,
+    const std::vector<std::vector<std::uint8_t>>& targets,
+    const std::string& what) {
+  for (const auto& t : targets) scorer.add(t);
+  EXPECT_EQ(scorer.pending(), targets.size()) << what;
+  auto got = scorer.flush();
+  EXPECT_EQ(scorer.pending(), 0u) << what;
+  EXPECT_EQ(got.size(), targets.size()) << what;
+  for (std::size_t i = 0; i < std::min(got.size(), targets.size()); ++i) {
+    const auto want =
+        smith_waterman(std::span<const std::uint8_t>(q),
+                       std::span<const std::uint8_t>(targets[i]),
+                       scorer.scoring());
+    EXPECT_EQ(alignment_diff(got[i], want), "")
+        << what << " " << isa_name(scorer.isa()) << " i=" << i;
+  }
+  return got;
+}
+
 class BatchSwTiers : public ::testing::TestWithParam<SwIsa> {};
 
-TEST_P(BatchSwTiers, MatchesScalarReferenceAndStriped) {
+TEST_P(BatchSwTiers, MatchesScalarReference) {
   const SwIsa isa = GetParam();
   if (!isa_supported(isa)) GTEST_SKIP() << "tier not supported on this host";
   std::mt19937_64 rng(71);
-  const Scoring sc;
   for (int round = 0; round < 8; ++round) {
     const std::string q = random_dna(rng, 1 + rng() % 150);
     const auto qc = dna_codes(q);
-    const auto targets = random_targets(rng, 40, 300);
-    const auto got = batch_sw_scores(qc, targets, sc, isa);
-    ASSERT_EQ(got.size(), targets.size());
-    const StripedSmithWaterman ssw(std::span<const std::uint8_t>(qc), sc);
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      const auto ref = striped_scalar_score(qc, targets[i], sc);
-      ASSERT_EQ(got[i].score, ref.score)
-          << isa_name(isa) << " round=" << round << " i=" << i << " q=" << q;
-      ASSERT_EQ(got[i].t_end, ref.t_end)
-          << isa_name(isa) << " round=" << round << " i=" << i << " q=" << q;
-      const auto sres = ssw.align(std::span<const std::uint8_t>(targets[i]));
-      ASSERT_EQ(got[i].score, sres.score);
-      ASSERT_EQ(got[i].t_end, sres.t_end);
-      // used_16bit is an 8-bit-saturation fact, only defined where an 8-bit
-      // SIMD pass ran: compare it between the SIMD engines, not vs scalar.
-      if (isa != SwIsa::kScalar && StripedSmithWaterman::simd_enabled())
-        ASSERT_EQ(got[i].used_16bit, sres.used_16bit);
-    }
+    BatchSwScorer scorer(qc, Scoring{}, isa);
+    expect_flush_equals_scalar(scorer, qc, random_targets(rng, 40, 300),
+                               "round=" + std::to_string(round) + " q=" + q);
   }
 }
 
@@ -88,98 +95,50 @@ TEST_P(BatchSwTiers, MatchesReferenceAcrossScoringSchemes) {
     const std::string q = random_dna(rng, 10 + rng() % 120);
     const auto qc = dna_codes(q);
     const auto targets = random_targets(rng, 37, 250);
-    const auto got = batch_sw_scores(qc, targets, sc, isa);
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      const auto ref = striped_scalar_score(qc, targets[i], sc);
-      ASSERT_EQ(got[i].score, ref.score) << isa_name(isa) << " i=" << i;
-      ASSERT_EQ(got[i].t_end, ref.t_end) << isa_name(isa) << " i=" << i;
+    BatchSwScorer scorer(qc, sc, isa);
+    const auto got = expect_flush_equals_scalar(
+        scorer, qc, targets, "mismatch=" + std::to_string(sc.mismatch));
+    ASSERT_EQ(got.size(), targets.size());
+    for (std::size_t i = 0; i < targets.size(); ++i)
       ASSERT_EQ(got[i].score,
                 sw_score_reference(std::span<const std::uint8_t>(qc),
                                    std::span<const std::uint8_t>(targets[i]),
                                    sc));
-    }
-  }
-}
-
-TEST_P(BatchSwTiers, TiedScoresPickSmallestTEnd) {
-  const SwIsa isa = GetParam();
-  if (!isa_supported(isa)) GTEST_SKIP() << "tier not supported on this host";
-  const Scoring sc;
-  const std::string q = "ACGTAC";
-  // Three tandem copies: the best score is achieved ending at t[5], t[11]
-  // and t[17]; the pinned tie-break selects the first.
-  const auto qc = dna_codes(q);
-  const auto tc = dna_codes(q + q + q);
-  BatchSwScorer scorer(qc, sc, isa);
-  scorer.add(tc);
-  const auto res = scorer.flush();
-  ASSERT_EQ(res.size(), 1u);
-  EXPECT_EQ(res[0].score, sc.match * 6);
-  EXPECT_EQ(res[0].t_end, 5u) << isa_name(isa);
-}
-
-TEST_P(BatchSwTiers, SaturatedLanesEscalateTo16Bit) {
-  const SwIsa isa = GetParam();
-  if (!isa_supported(isa)) GTEST_SKIP() << "tier not supported on this host";
-  std::mt19937_64 rng(73);
-  const Scoring sc;
-  const std::string q = random_dna(rng, 400);
-  const auto qc = dna_codes(q);
-  // Mix saturating (perfect 400bp self-match: score 800 > 255) and small
-  // candidates in one batch so both passes run and slot results correctly.
-  std::vector<std::vector<std::uint8_t>> targets;
-  for (int i = 0; i < 9; ++i) {
-    targets.push_back(dna_codes(random_dna(rng, 60)));
-    targets.push_back(qc);
-  }
-  const auto got = batch_sw_scores(qc, targets, sc, isa);
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    const auto ref = striped_scalar_score(qc, targets[i], sc);
-    ASSERT_EQ(got[i].score, ref.score) << isa_name(isa) << " i=" << i;
-    ASSERT_EQ(got[i].t_end, ref.t_end) << isa_name(isa) << " i=" << i;
-    if (i % 2 == 1) {
-      EXPECT_EQ(got[i].score, 800);
-      if (isa != SwIsa::kScalar) EXPECT_TRUE(got[i].used_16bit);
-    }
   }
 }
 
 TEST_P(BatchSwTiers, EmptyInputsScoreZero) {
   const SwIsa isa = GetParam();
   if (!isa_supported(isa)) GTEST_SKIP() << "tier not supported on this host";
-  const Scoring sc;
+  const std::vector<std::uint8_t> empty;
+  const auto qc = dna_codes(std::string_view("ACGT"));
   {
-    BatchSwScorer scorer(std::span<const std::uint8_t>(), sc, isa);
-    scorer.add(dna_codes(std::string_view("ACGT")));
-    const auto res = scorer.flush();
+    BatchSwScorer scorer(empty, Scoring{}, isa);
+    const auto res =
+        expect_flush_equals_scalar(scorer, empty, {qc}, "empty query");
     ASSERT_EQ(res.size(), 1u);
     EXPECT_EQ(res[0].score, 0);
   }
-  {
-    const auto qc = dna_codes(std::string_view("ACGT"));
-    BatchSwScorer scorer(qc, sc, isa);
-    scorer.add(std::span<const std::uint8_t>());
-    scorer.add(qc);
-    const auto res = scorer.flush();
-    ASSERT_EQ(res.size(), 2u);
-    EXPECT_EQ(res[0].score, 0);
-    EXPECT_EQ(res[1].score, 4 * sc.match);
-  }
+  BatchSwScorer scorer(qc, Scoring{}, isa);
+  const auto res =
+      expect_flush_equals_scalar(scorer, qc, {empty, qc}, "empty target");
+  ASSERT_EQ(res.size(), 2u);
+  EXPECT_EQ(res[0].score, 0);
+  EXPECT_TRUE(res[0].empty());
+  EXPECT_EQ(res[1].score, 4 * Scoring{}.match);
 }
 
 TEST_P(BatchSwTiers, LargeBatchSpansManyLaneGroups) {
   const SwIsa isa = GetParam();
   if (!isa_supported(isa)) GTEST_SKIP() << "tier not supported on this host";
   std::mt19937_64 rng(74);
-  const Scoring sc;
-  const std::string q = random_dna(rng, 101);
-  const auto qc = dna_codes(q);
-  const auto targets = random_targets(rng, 150, 220);  // > 2 AVX-512 groups
-  const auto got = batch_sw_scores(qc, targets, sc, isa);
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    const auto ref = striped_scalar_score(qc, targets[i], sc);
-    ASSERT_EQ(got[i].score, ref.score) << isa_name(isa) << " i=" << i;
-    ASSERT_EQ(got[i].t_end, ref.t_end) << isa_name(isa) << " i=" << i;
+  const auto qc = dna_codes(random_dna(rng, 101));
+  BatchSwScorer scorer(qc, Scoring{}, isa);
+  // > 4 AVX-512 lane groups of 32.
+  expect_flush_equals_scalar(scorer, qc, random_targets(rng, 150, 220),
+                             "large");
+  if (isa != SwIsa::kScalar) {
+    EXPECT_GT(scorer.lane_stats().groups, 1u);
   }
 }
 
@@ -187,21 +146,11 @@ TEST_P(BatchSwTiers, ReuseAcrossFlushes) {
   const SwIsa isa = GetParam();
   if (!isa_supported(isa)) GTEST_SKIP() << "tier not supported on this host";
   std::mt19937_64 rng(75);
-  const Scoring sc;
   const auto qc = dna_codes(random_dna(rng, 80));
-  BatchSwScorer scorer(qc, sc, isa);
-  for (int round = 0; round < 3; ++round) {
-    const auto targets = random_targets(rng, 21, 160);
-    for (const auto& t : targets) scorer.add(t);
-    EXPECT_EQ(scorer.pending(), targets.size());
-    const auto got = scorer.flush();
-    EXPECT_EQ(scorer.pending(), 0u);
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      const auto ref = striped_scalar_score(qc, targets[i], sc);
-      ASSERT_EQ(got[i].score, ref.score);
-      ASSERT_EQ(got[i].t_end, ref.t_end);
-    }
-  }
+  BatchSwScorer scorer(qc, Scoring{}, isa);
+  for (int round = 0; round < 3; ++round)
+    expect_flush_equals_scalar(scorer, qc, random_targets(rng, 21, 160),
+                               "round=" + std::to_string(round));
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, BatchSwTiers,
@@ -292,10 +241,11 @@ TEST(BatchExtension, MatchesFullDpExtendSeed) {
 }
 
 // ---------------------------------------------------------------------------
-// Traced sweep: flush_aligned() == smith_waterman, field for field
+// Traced sweep through caller-owned scratch: flush(TraceScratch&) ==
+// smith_waterman, field for field
 // ---------------------------------------------------------------------------
 
-/// Runs one flush_aligned over (query, target) pairs and checks every result
+/// Runs one flush(TraceScratch&) over (query, target) pairs and checks every result
 /// against smith_waterman. Returns the lane groups the sweep ran, so callers
 /// can tell a SIMD sweep from a per-pair fallback.
 std::uint64_t expect_traced_equals_scalar(
@@ -310,7 +260,7 @@ std::uint64_t expect_traced_equals_scalar(
   for (const auto& [qi, t] : cands)
     scorer.add(qids[qi], std::span<const std::uint8_t>(t));
   TraceScratch scratch;
-  const auto got = scorer.flush_aligned(scratch);
+  const auto got = scorer.flush(scratch);
   EXPECT_EQ(got.size(), cands.size()) << what;
   for (std::size_t i = 0; i < got.size(); ++i) {
     const auto want = smith_waterman(

@@ -3,10 +3,10 @@
 //
 // The central contract: pooling changes WHEN a candidate is aligned — never
 // WHAT its alignment is, and never the order results are emitted in. So
-//   1. the multi-query BatchSwScorer is bit-identical to the scalar striped
-//      reference for every (query, target) pair, on every dispatch tier and
-//      under every scoring scheme (including pad-unsafe ones that force the
-//      per-pair fallback);
+//   1. the multi-query BatchSwScorer's alignments equal smith_waterman's
+//      field for field for every (query, target) pair, on every dispatch
+//      tier and under every scoring scheme (including pad-unsafe ones that
+//      force the per-pair fallback);
 //   2. the queue calls every tag back exactly once with smith_waterman's
 //      alignment, whatever the length-class bucketing and flush thresholds
 //      do; and
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "align/batch_sw.hpp"
-#include "align/striped_sw.hpp"
 #include "core/align_session.hpp"
 #include "core/alignment_sink.hpp"
 #include "core/indexed_reference.hpp"
@@ -96,12 +95,10 @@ TEST_P(PooledSwTiers, MultiQueryMatchesScalarReference) {
       const auto got = scorer.flush();
       ASSERT_EQ(got.size(), cand_target.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
-        const auto ref = striped_scalar_score(queries[cand_query[i]],
-                                              cand_target[i], sc);
-        ASSERT_EQ(got[i].score, ref.score)
-            << isa_name(isa) << " round=" << round << " i=" << i
-            << " mismatch=" << sc.mismatch;
-        ASSERT_EQ(got[i].t_end, ref.t_end)
+        const auto want = smith_waterman(
+            std::span<const std::uint8_t>(queries[cand_query[i]]),
+            std::span<const std::uint8_t>(cand_target[i]), sc);
+        ASSERT_EQ(alignment_diff(got[i], want), "")
             << isa_name(isa) << " round=" << round << " i=" << i
             << " mismatch=" << sc.mismatch;
       }
@@ -124,10 +121,13 @@ TEST_P(PooledSwTiers, RepeatedFlushesReuseRegisteredQueries) {
       scorer.add(qid, std::span<const std::uint8_t>(targets.back()));
     }
     const auto got = scorer.flush();
+    ASSERT_EQ(got.size(), targets.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
-      const auto ref = striped_scalar_score(q, targets[i], sc);
-      ASSERT_EQ(got[i].score, ref.score) << "flush=" << flush << " i=" << i;
-      ASSERT_EQ(got[i].t_end, ref.t_end) << "flush=" << flush << " i=" << i;
+      const auto want =
+          smith_waterman(std::span<const std::uint8_t>(q),
+                         std::span<const std::uint8_t>(targets[i]), sc);
+      ASSERT_EQ(alignment_diff(got[i], want), "")
+          << "flush=" << flush << " i=" << i;
     }
     EXPECT_EQ(scorer.pending(), 0u);
   }
