@@ -5,8 +5,8 @@
 // Layout: candidate l lives in lane l, one query PER LANE (lanes whose query
 // or target is shorter than the group's see pad rows / columns — inert under
 // the pad-safety precondition documented in batch_sw_detail.hpp). Query rows
-// are the outer loop and target columns the inner one, mirroring sw_align
-// cell for cell:
+// are the outer loop and target columns the inner one, mirroring the fill in
+// smith_waterman.cpp cell for cell:
 //   E(i,j) = max(E(i,j-1) - ge, H(i,j-1) - go)     horizontal gap
 //   F(i,j) = max(F(i-1,j) - ge, H(i-1,j) - go)     vertical gap
 //   H(i,j) = max(0, H(i-1,j-1) + sub(q[i],t[j]), E(i,j), F(i,j))

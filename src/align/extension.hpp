@@ -1,16 +1,15 @@
-// Seed extension: turn a located seed (query offset / target offset) into a
-// full local alignment (Section II-D).
+// Seed extension settings and the seed's target window (Section II-D).
 //
 // The seed fixes the alignment's diagonal, so only a small target window
 // around the implied query placement needs to be examined: the window is the
-// query's projected span padded by `window_pad` bases on each side. Within
-// the window both kernels produce the full DP's alignment: the scalar
-// reference one pair at a time, the batch SIMD engine many candidates per
-// sweep.
+// query's projected span padded by `window_pad` bases on each side. Callers
+// project the window here, then align the query against the window's codes:
+// core::AlignSession through either kernel below (the scalar reference one
+// pair at a time, the batch SIMD engine many candidates per sweep), the
+// pMap-style baseline through smith_waterman.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,12 +46,6 @@ struct ExtensionConfig {
   SwIsa isa = SwIsa::kAuto;
 };
 
-struct Extension {
-  LocalAlignment aln;        ///< coordinates within query / full target
-  std::size_t window_begin = 0;  ///< target window used (diagnostics)
-  std::size_t window_end = 0;
-};
-
 /// Target window implied by a seed: the query's projected span on the seed
 /// diagonal, padded by window_pad and clipped to the target. begin >= end
 /// means no window (query projects entirely off the target).
@@ -61,9 +54,10 @@ struct SeedWindow {
   std::size_t end = 0;
 };
 
-/// Compute the seed's target window — the same projection extend_seed
-/// performs internally, exposed so callers (core::AlignSession) can account
-/// sw_cells and extract the window codes every kernel aligns against.
+/// Compute the seed's target window: callers account sw_cells from it and
+/// extract the window codes every kernel aligns against (an alignment's
+/// t_begin/t_end are then window-relative; add begin for target
+/// coordinates).
 [[nodiscard]] SeedWindow project_seed_window(std::size_t query_len,
                                              const seq::PackedSeq& target,
                                              std::size_t q_off,
@@ -84,12 +78,5 @@ struct SeedWindow {
 /// does not dispatch. The one rule both the session and the daemon use.
 [[nodiscard]] std::vector<std::pair<std::string, std::string>>
 sw_metric_labels(const ExtensionConfig& cfg);
-
-/// Extend a seed match: query[q_off..q_off+k) == target[t_off..t_off+k).
-/// Returns an alignment whose t_begin/t_end are in full-target coordinates.
-[[nodiscard]] Extension extend_seed(std::span<const std::uint8_t> query,
-                                    const seq::PackedSeq& target,
-                                    std::size_t q_off, std::size_t t_off, int k,
-                                    const ExtensionConfig& cfg = {});
 
 }  // namespace mera::align

@@ -1,6 +1,5 @@
 #include "align/pooled_queue.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace mera::align {
@@ -11,16 +10,11 @@ PooledExtensionQueue::PooledExtensionQueue(const PooledQueueConfig& cfg,
       isa_(resolve_isa(cfg.isa)),
       on_align_(std::move(on_align)),
       scratch_(cfg.scratch != nullptr ? cfg.scratch : &own_scratch_) {
-  cfg_.length_class_width = std::max<std::size_t>(1, cfg_.length_class_width);
-  if (cfg_.flush_lanes != 0) {
-    flush_lanes_ = cfg_.flush_lanes;
-  } else {
-    // Auto: one full trace lane group per flush. The scalar tier aligns one
-    // candidate at a time whatever we buffer; 16 just amortizes the
-    // per-flush bookkeeping.
-    const std::size_t lanes = isa_lanes16(isa_);
-    flush_lanes_ = lanes > 1 ? lanes : 16;
-  }
+  // One full trace lane group per flush. The scalar tier aligns one
+  // candidate at a time whatever we buffer; 16 just amortizes the per-flush
+  // bookkeeping.
+  const std::size_t lanes = isa_lanes16(isa_);
+  flush_lanes_ = lanes > 1 ? lanes : 16;
 }
 
 PooledExtensionQueue::Bucket& PooledExtensionQueue::bucket_for(
@@ -32,7 +26,7 @@ PooledExtensionQueue::Bucket& PooledExtensionQueue::bucket_for(
 
 std::size_t PooledExtensionQueue::add_query(
     std::span<const std::uint8_t> query_codes) {
-  const std::size_t cls = query_codes.size() / cfg_.length_class_width;
+  const std::size_t cls = query_codes.size() / kLengthClassWidth;
   Bucket& b = bucket_for(cls);
   queries_.push_back({cls, b.scorer.add_query(query_codes)});
   return queries_.size() - 1;

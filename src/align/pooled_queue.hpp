@@ -37,16 +37,6 @@ namespace mera::align {
 struct PooledQueueConfig {
   Scoring scoring{};
   SwIsa isa = SwIsa::kAuto;
-  /// Candidates a bucket accumulates before it flushes through the traced
-  /// sweep. 0 = auto: the resolved tier's 16-bit lane width (so every
-  /// non-drain flush can fill a full lane group); 16 on the scalar tier.
-  std::size_t flush_lanes = 0;
-  /// Queries whose lengths fall in the same class of this width share a
-  /// bucket (class id = qlen / width). Wider classes pool more aggressively
-  /// but pay more row padding per sweep; 32 keeps worst-case padding under
-  /// one cache line of rows. Minimum 1 (every distinct length is its own
-  /// bucket).
-  std::size_t length_class_width = 32;
   /// Sweep buffers shared by every bucket (flushes are sequential). Not
   /// owned; must outlive the queue. Null = the queue keeps its own.
   TraceScratch* scratch = nullptr;
@@ -59,6 +49,12 @@ class PooledExtensionQueue {
  public:
   using AlignFn =
       std::function<void(std::uint64_t tag, const LocalAlignment& aln)>;
+
+  /// Queries whose lengths fall in the same class of this width share a
+  /// bucket (class id = qlen / width). Wider classes pool more aggressively
+  /// but pay more row padding per sweep; 32 keeps worst-case padding under
+  /// one cache line of rows.
+  static constexpr std::size_t kLengthClassWidth = 32;
 
   PooledExtensionQueue(const PooledQueueConfig& cfg, AlignFn on_align);
   // Pinned in place: scratch_ may point at own_scratch_.
@@ -83,7 +79,9 @@ class PooledExtensionQueue {
   [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
   /// Concrete dispatch tier every bucket scorer uses (never kAuto).
   [[nodiscard]] SwIsa isa() const noexcept { return isa_; }
-  /// Resolved per-bucket flush threshold (auto turns into a lane width).
+  /// Candidates a bucket accumulates before it flushes through the traced
+  /// sweep: the tier's 16-bit lane width, so every non-drain flush fills a
+  /// full lane group (16 on the scalar tier).
   [[nodiscard]] std::size_t flush_lanes() const noexcept {
     return flush_lanes_;
   }
@@ -97,7 +95,7 @@ class PooledExtensionQueue {
     Bucket(const Scoring& sc, SwIsa isa) : scorer(sc, isa) {}
   };
   struct QueryRef {
-    std::size_t cls;    // length-class id = qlen / length_class_width
+    std::size_t cls;    // length-class id = qlen / kLengthClassWidth
     std::size_t local;  // query id inside that bucket's scorer
   };
 

@@ -1,37 +1,84 @@
 #include "align/smith_waterman.hpp"
 
 #include <algorithm>
-#include <climits>
 #include <vector>
 
 #include "align/sw_engine.hpp"
 
 namespace mera::align {
 
-namespace {
-
-LocalAlignment from_engine(detail::SwOut&& o) {
-  LocalAlignment a;
-  a.score = o.score;
-  a.q_begin = o.q_begin;
-  a.q_end = o.q_end;
-  a.t_begin = o.t_begin;
-  a.t_end = o.t_end;
-  a.cigar = std::move(o.cigar);
-  a.mismatches = o.mismatches;
-  a.gap_columns = o.gap_columns;
-  return a;
-}
-
-}  // namespace
-
 LocalAlignment smith_waterman(std::span<const std::uint8_t> query,
                               std::span<const std::uint8_t> target,
                               const Scoring& sc) {
-  return from_engine(detail::sw_align(
-      query, target,
-      [&sc](std::uint8_t a, std::uint8_t b) { return sc.substitution(a, b); },
-      sc.gap_open, sc.gap_extend));
+  using namespace detail;
+  const std::size_t m = query.size(), n = target.size();
+  LocalAlignment out;
+  if (m == 0 || n == 0) return out;
+
+  const int go = sc.gap_open + sc.gap_extend;  // cost of a gap's first base
+  const int ge = sc.gap_extend;
+
+  thread_local SwScratch scratch;
+  scratch.h.assign(n + 1, 0);  // H(0, j) = 0: the local-alignment boundary
+  scratch.f.assign(n + 1, kNegInf);
+  if (scratch.prov.size() < m * n) scratch.prov.resize(m * n);
+  int* const H = scratch.h.data();
+  int* const F = scratch.f.data();
+  std::uint8_t* const prov = scratch.prov.data();
+
+  int best = 0;
+  std::size_t best_i = 0, best_j = 0;
+
+  // Row-major sweep. The cell comparisons are data-dependent coin flips, so
+  // they are max and selects rather than branches. H[j] holds H(i-1, j)
+  // until cell (i, j) overwrites it with H(i, j).
+  for (std::size_t i = 1; i <= m; ++i) {
+    const std::uint8_t qc = query[i - 1];
+    std::uint8_t* const prow = prov + (i - 1) * n;
+    int hdiag = 0;  // H(i-1, j-1)
+    int hleft = 0;  // H(i, j-1)
+    int E = kNegInf;
+    for (std::size_t j = 1; j <= n; ++j) {
+      const int hup = H[j];
+      const int e_open = hleft - go;
+      const int e_ext = E - ge;
+      const unsigned e_is_ext = e_ext >= e_open;
+      E = std::max(e_open, e_ext);
+      const int f_open = hup - go;
+      const int f_ext = F[j] - ge;
+      const unsigned f_is_ext = f_ext >= f_open;
+      const int f = std::max(f_open, f_ext);
+      F[j] = f;
+      const int diag = hdiag + sc.substitution(qc, target[j - 1]);
+      // H source: strict `>` in diag -> E -> F order (ties keep the earlier).
+      const int h0 = std::max(diag, 0);
+      const unsigned e_wins = E > h0;
+      const int h1 = std::max(h0, E);
+      const unsigned f_wins = f > h1;
+      const int h = std::max(h1, f);
+      unsigned src = f_wins ? kHFromF : e_wins ? kHFromE : diag > 0;
+      prow[j - 1] = static_cast<std::uint8_t>(src | (e_is_ext << 2) |
+                                              (f_is_ext << 3));
+      H[j] = h;
+      hdiag = hup;
+      hleft = h;
+      // First row-major best cell: strict `>` against the running best. A
+      // real branch: it is taken about once per row, so it predicts well.
+      if (h > best) {
+        best = h;
+        best_i = i;
+        best_j = j;
+      }
+    }
+  }
+
+  sw_traceback(
+      query, target, best, best_i, best_j,
+      [prov, n](std::size_t i, std::size_t j) {
+        return prov[(i - 1) * n + (j - 1)];
+      },
+      out);
+  return out;
 }
 
 LocalAlignment smith_waterman(std::string_view query, std::string_view target,
@@ -49,13 +96,12 @@ int sw_score_reference(std::span<const std::uint8_t> query,
   if (m == 0 || n == 0) return 0;
   const int go = sc.gap_open + sc.gap_extend;
   const int ge = sc.gap_extend;
-  constexpr int kNegInf = INT_MIN / 4;
-  std::vector<int> H(n + 1, 0), Hprev(n + 1, 0), Fv(n + 1, kNegInf);
+  std::vector<int> H(n + 1, 0), Hprev(n + 1, 0), Fv(n + 1, detail::kNegInf);
   int best = 0;
   for (std::size_t i = 1; i <= m; ++i) {
     std::swap(Hprev, H);
     H[0] = 0;
-    int E = kNegInf;
+    int E = detail::kNegInf;
     for (std::size_t j = 1; j <= n; ++j) {
       E = std::max(E - ge, H[j - 1] - go);
       Fv[j] = std::max(Fv[j] - ge, Hprev[j] - go);

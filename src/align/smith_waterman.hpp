@@ -1,10 +1,12 @@
 // Reference Smith-Waterman local alignment (affine gaps) with traceback.
 //
-// This is the ground-truth kernel: exact full-DP, O(m*n) time and space.
-// The pipeline runs it only on small windows around a located seed: as the
-// `--sw full` kernel, and as the batch engine's per-pair fallback. The batch
-// engine's traced SIMD sweep (batch_sw.hpp) shares its traceback walk and is
-// property-tested against it field for field.
+// This is the ground-truth kernel: exact full-DP, O(m*n) time and space,
+// with DNA match/mismatch scoring (Scoring::substitution). It runs only on
+// small windows around a located seed: as the `--sw full` kernel, as the
+// batch engine's per-pair fallback, and as the pMap-style baseline's
+// extension. The batch engine's traced SIMD sweep (batch_sw.hpp) shares its
+// traceback walk (sw_engine.hpp) and is property-tested against it field for
+// field.
 #pragma once
 
 #include <cstdint>

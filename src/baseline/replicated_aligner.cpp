@@ -6,6 +6,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "align/extension.hpp"
+#include "align/smith_waterman.hpp"
 #include "cache/seed_cache.hpp"  // KmerHasher
 #include "seq/kmer.hpp"
 #include "seq/packed_seq.hpp"
@@ -65,7 +67,8 @@ void map_read(Shared& sh, const seq::SeqRecord& read, core::PipelineStats& st) {
   const int k = sh.cfg.k;
   const int min_score = sh.cfg.min_report_score >= 0
                             ? sh.cfg.min_report_score
-                            : sh.cfg.extension.scoring.match * k;
+                            : sh.cfg.scoring.match * k;
+  const std::size_t window_pad = align::ExtensionConfig{}.window_pad;
   for (int strand = 0; strand < 2; ++strand) {
     const std::string oriented =
         strand == 0 ? read.seq : seq::reverse_complement(read.seq);
@@ -90,12 +93,15 @@ void map_read(Shared& sh, const seq::SeqRecord& read, core::PipelineStats& st) {
                 (static_cast<std::uint64_t>(diag + (1ll << 28)) >> 3);
             if (!seen.insert(key).second) continue;
             ++st.target_fetches;  // replica-local: no communication
-            const auto ext = align::extend_seed(
-                std::span<const std::uint8_t>(qcodes),
-                sh.packed_targets[h.target_id], q_off, h.t_pos, k,
-                sh.cfg.extension);
             ++st.sw_calls;
-            if (ext.aln.score >= min_score && !ext.aln.empty()) {
+            const seq::PackedSeq& target = sh.packed_targets[h.target_id];
+            const align::SeedWindow w = align::project_seed_window(
+                qcodes.size(), target, q_off, h.t_pos, window_pad);
+            if (w.begin >= w.end) continue;
+            const auto aln = align::smith_waterman(
+                qcodes, align::dna_codes(target, w.begin, w.end - w.begin),
+                sh.cfg.scoring);
+            if (aln.score >= min_score && !aln.empty()) {
               ++found;
               ++st.alignments_reported;
             }

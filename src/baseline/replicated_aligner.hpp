@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "align/extension.hpp"
+#include "align/scoring.hpp"
 #include "core/stats.hpp"
 #include "pgas/runtime.hpp"
 #include "seq/fasta.hpp"
@@ -43,9 +43,9 @@ struct BaselineConfig {
   /// Include pMap's master-scatter read-partitioning phase in the report.
   bool include_read_partition = false;
   std::size_t max_hits_per_seed = 32;
-  /// Seed-extension settings; extension.kernel selects the SW backend
-  /// (full DP or batch), same selector the session API exposes.
-  align::ExtensionConfig extension{};
+  /// Seed-extension scoring; each candidate window (align::ExtensionConfig's
+  /// default pad) aligns through smith_waterman.
+  align::Scoring scoring{};
   int min_report_score = -1;  ///< -1 = auto (match * k)
 
   /// BWA-mem-like preset: heavy serial index build, mapping a bit slower

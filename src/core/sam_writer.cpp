@@ -1,8 +1,6 @@
 #include "core/sam_writer.hpp"
 
-#include <fstream>
 #include <ostream>
-#include <stdexcept>
 
 #include "seq/dna.hpp"
 
@@ -51,19 +49,6 @@ void write_sam_record(std::ostream& os, const AlignmentRecord& rec,
                       const std::string& query_seq) {
   write_sam_record(os, rec, targets.target_unsync(rec.target_id).name,
                    query_seq);
-}
-
-void write_sam_file(const std::string& path, const TargetStore& targets,
-                    const std::vector<AlignmentRecord>& recs,
-                    const std::vector<std::string>& query_seqs) {
-  if (recs.size() != query_seqs.size())
-    throw std::invalid_argument("write_sam_file: records/sequences mismatch");
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  write_sam_header(out, targets);
-  for (std::size_t i = 0; i < recs.size(); ++i)
-    write_sam_record(out, recs[i], targets, query_seqs[i]);
-  if (!out) throw std::runtime_error("write failed: " + path);
 }
 
 }  // namespace mera::core

@@ -52,8 +52,4 @@ void write_sam_record(std::ostream& os, const AlignmentRecord& rec,
 void write_sam_record(std::ostream& os, const AlignmentRecord& rec,
                       const TargetStore& targets, const std::string& query_seq);
 
-void write_sam_file(const std::string& path, const TargetStore& targets,
-                    const std::vector<AlignmentRecord>& recs,
-                    const std::vector<std::string>& query_seqs);
-
 }  // namespace mera::core

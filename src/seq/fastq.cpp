@@ -37,11 +37,12 @@ bool is_record_start(std::string_view text, std::size_t pos) {
   return plus_line < text.size() && text[plus_line] == '+';
 }
 
-std::vector<SeqRecord> parse_fastq_range(std::string_view text, std::size_t lo,
-                                         std::size_t hi) {
+}  // namespace
+
+std::vector<SeqRecord> parse_fastq(std::string_view text) {
   std::vector<SeqRecord> out;
-  std::size_t pos = fastq_next_record(text, lo);
-  while (pos < hi && pos < text.size()) {
+  std::size_t pos = fastq_next_record(text, 0);
+  while (pos < text.size()) {
     auto [h0, h1] = line_at(text, pos);
     SeqRecord rec;
     rec.name = std::string(text.substr(h0 + 1, h1 - h0 - 1));
@@ -63,8 +64,6 @@ std::vector<SeqRecord> parse_fastq_range(std::string_view text, std::size_t lo,
   return out;
 }
 
-}  // namespace
-
 std::size_t fastq_next_record(std::string_view text, std::size_t pos) {
   if (pos == 0 && is_record_start(text, 0)) return 0;
   std::size_t scan = pos == 0 ? 0 : pos - 1;
@@ -75,10 +74,6 @@ std::size_t fastq_next_record(std::string_view text, std::size_t pos) {
     if (nl + 1 >= pos && is_record_start(text, nl + 1)) return nl + 1;
     scan = nl + 1;
   }
-}
-
-std::vector<SeqRecord> parse_fastq(std::string_view text) {
-  return parse_fastq_range(text, 0, text.size());
 }
 
 std::vector<SeqRecord> read_fastq(const std::string& path) {
@@ -96,18 +91,6 @@ void write_fastq(const std::string& path, const std::vector<SeqRecord>& recs) {
       out << std::string(r.seq.size(), 'I') << '\n';
   }
   if (!out) throw std::runtime_error("write failed: " + path);
-}
-
-std::vector<SeqRecord> read_fastq_partition(const std::string& path, int rank,
-                                            int nranks) {
-  if (rank < 0 || nranks < 1 || rank >= nranks)
-    throw std::invalid_argument("read_fastq_partition: bad rank/nranks");
-  const std::string text = slurp(path);
-  const std::size_t lo = text.size() * static_cast<std::size_t>(rank) /
-                         static_cast<std::size_t>(nranks);
-  const std::size_t hi = text.size() * static_cast<std::size_t>(rank + 1) /
-                         static_cast<std::size_t>(nranks);
-  return parse_fastq_range(text, lo, hi);
 }
 
 }  // namespace mera::seq

@@ -1,10 +1,8 @@
-// FASTQ reader/writer with byte-partitioned parallel reads.
+// FASTQ reader/writer.
 //
 // The paper notes FASTQ "cannot be read in parallel in a scalable way due to
-// its text-based nature" and converts to SeqDB (see seqdb.hpp). We still
-// support partitioned FASTQ reads with the standard record-start heuristic
-// (an '@' line whose line-after-next starts with '+'); the SeqDB path is the
-// recommended, unambiguous one.
+// its text-based nature" and converts to SeqDB (see seqdb.hpp), which the
+// parallel read path partitions. FASTQ is parsed whole, one file at a time.
 #pragma once
 
 #include <string>
@@ -25,9 +23,5 @@ void write_fastq(const std::string& path, const std::vector<SeqRecord>& recs);
 /// line starts with '@' and the line after next starts with '+').
 [[nodiscard]] std::size_t fastq_next_record(std::string_view text,
                                             std::size_t pos);
-
-/// Rank r of n parses records whose header byte lies in slice r of the file.
-[[nodiscard]] std::vector<SeqRecord> read_fastq_partition(
-    const std::string& path, int rank, int nranks);
 
 }  // namespace mera::seq

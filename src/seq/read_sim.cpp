@@ -102,9 +102,12 @@ std::vector<SeqRecord> simulate_reads(std::string_view genome,
         if (unit(rng) < p.n_rate) c = 'N';
       }
     }
-    rec.name = "r" + std::to_string(i) + ";pos=" + std::to_string(d.pos) +
-               ";strand=" + (d.reverse ? "-" : "+") +
-               (d.junk ? ";junk=1" : "");
+    rec.name += 'r';
+    rec.name += std::to_string(i);
+    rec.name += ";pos=";
+    rec.name += std::to_string(d.pos);
+    rec.name += d.reverse ? ";strand=-" : ";strand=+";
+    if (d.junk) rec.name += ";junk=1";
     rec.qual.assign(p.read_len, 'I');  // avoids '@'/'+': FASTQ-heuristic safe
     reads.push_back(std::move(rec));
   }

@@ -336,7 +336,9 @@ TEST(BatchPrefetch, SyncModeOfStreamApiMatchesPrefetchedMode) {
     opt.pool = &pool;
     const auto stream = session.align_batch_files(rt, paths, vec, opt);
     EXPECT_EQ(stream.batches.size(), paths.size());
-    if (!prefetch) EXPECT_EQ(stream.stall_s, stream.load_wall_s);
+    if (!prefetch) {
+      EXPECT_EQ(stream.stall_s, stream.load_wall_s);
+    }
     return vec.take();
   };
 

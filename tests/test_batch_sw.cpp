@@ -203,38 +203,36 @@ TEST(SwIsaDispatch, UnsupportedExplicitTierThrows) {
   GTEST_SKIP() << "every SIMD tier is supported on this host";
 }
 
-// extend_seed(kBatch) must reproduce extend_seed(kFullDP) exactly on every
-// tier — the single-candidate route through the traced sweep, with
-// candidates on and off the true diagonal (high and near-zero scores).
-TEST(BatchExtension, MatchesFullDpExtendSeed) {
+// The traced sweep must reproduce smith_waterman exactly on every tier over
+// seed-projected windows, the candidates the session aligns: on and off the
+// true diagonal (high and near-zero scores), 30 per flush.
+TEST(BatchExtension, MatchesFullDpOnSeedWindows) {
   std::mt19937_64 rng(76);
   const std::string g = random_dna(rng, 4000);
   const PackedSeq target(g);
+  const std::size_t pad = ExtensionConfig{}.window_pad;
   for (SwIsa isa : supported_tiers()) {
-    ExtensionConfig full_cfg;
-    full_cfg.kernel = SwKernel::kFullDP;
-    ExtensionConfig batch_cfg;
-    batch_cfg.isa = isa;
-    ASSERT_EQ(batch_cfg.kernel, SwKernel::kBatch);  // the default
     for (int trial = 0; trial < 10; ++trial) {
       const std::size_t pos = rng() % 3800;
       std::string q = g.substr(pos, 100);
       for (int e = 0; e < 4; ++e) q[rng() % q.size()] = "ACGT"[rng() & 3u];
       const auto qc = dna_codes(q);
-      const std::span<const std::uint8_t> query(qc);
+      BatchSwScorer scorer(qc, Scoring{}, isa);
+      std::vector<std::vector<std::uint8_t>> windows;
       for (int c = 0; c < 30; ++c) {
         const std::size_t q_off = 20 + rng() % 40;
         const std::size_t t_off = c % 3 == 0 ? pos + q_off : rng() % 3900;
-        const auto got =
-            extend_seed(query, target, q_off, t_off, 21, batch_cfg);
-        const auto want =
-            extend_seed(query, target, q_off, t_off, 21, full_cfg);
-        const std::string where = std::string(isa_name(isa)) +
-                                  " trial=" + std::to_string(trial) +
-                                  " c=" + std::to_string(c);
-        ASSERT_EQ(got.window_begin, want.window_begin) << where;
-        ASSERT_EQ(got.window_end, want.window_end) << where;
-        ASSERT_EQ(alignment_diff(got.aln, want.aln), "") << where;
+        const SeedWindow w =
+            project_seed_window(qc.size(), target, q_off, t_off, pad);
+        ASSERT_LT(w.begin, w.end);
+        windows.push_back(dna_codes(target, w.begin, w.end - w.begin));
+        scorer.add(windows.back());
+      }
+      const auto got = scorer.flush();
+      ASSERT_EQ(got.size(), windows.size());
+      for (std::size_t c = 0; c < windows.size(); ++c) {
+        ASSERT_EQ(alignment_diff(got[c], smith_waterman(qc, windows[c])), "")
+            << isa_name(isa) << " trial=" << trial << " c=" << c;
       }
     }
   }
@@ -312,7 +310,9 @@ TEST_P(BatchSwTiers, TracedRandomPairsWithIndelsAndMixedLengths) {
                             Scoring{3, -1, 1, 1}, Scoring{1, -1, 0, 1}}) {
     const auto groups =
         expect_traced_equals_scalar(queries, cands, sc, isa, "random");
-    if (isa != SwIsa::kScalar) EXPECT_GT(groups, 0u) << "no SIMD sweep ran";
+    if (isa != SwIsa::kScalar) {
+      EXPECT_GT(groups, 0u) << "no SIMD sweep ran";
+    }
   }
 }
 
@@ -366,7 +366,9 @@ TEST_P(BatchSwTiers, TracedFallbacksStayExact) {
     uniform.emplace_back(0, dna_codes(random_dna(rng, 90)));
   const auto uniform_groups =
       expect_traced_equals_scalar(mixed, uniform, unsafe, isa, "uniform");
-  if (isa != SwIsa::kScalar) EXPECT_GT(uniform_groups, 0u);
+  if (isa != SwIsa::kScalar) {
+    EXPECT_GT(uniform_groups, 0u);
+  }
 
   // 16-bit headroom: match 400 x 100 columns could overflow int16.
   Scoring big;
@@ -383,26 +385,9 @@ TEST_P(BatchSwTiers, TracedFallbacksStayExact) {
   const auto long_groups =
       expect_traced_equals_scalar(longs, long_cands, Scoring{}, isa, "budget");
   const std::size_t lanes = isa_lanes16(isa);
-  if (2000 * 2032 * lanes > TraceScratch::kTraceProvBudget)
+  if (2000 * 2032 * lanes > TraceScratch::kTraceProvBudget) {
     EXPECT_EQ(long_groups, 0u);
-}
-
-TEST(BatchExtension, SingleCandidateKernelRoute) {
-  // extend_seed with SwKernel::kBatch (the one-off route) also matches.
-  std::mt19937_64 rng(77);
-  const std::string g = random_dna(rng, 1000);
-  const PackedSeq target(g);
-  const std::string q = g.substr(300, 90);
-  const auto qc = dna_codes(q);
-  ExtensionConfig full_cfg;
-  full_cfg.kernel = SwKernel::kFullDP;
-  const auto got =
-      extend_seed(std::span<const std::uint8_t>(qc), target, 20, 320, 21, {});
-  const auto want = extend_seed(std::span<const std::uint8_t>(qc), target, 20,
-                                320, 21, full_cfg);
-  EXPECT_EQ(alignment_diff(got.aln, want.aln), "");
-  EXPECT_EQ(got.aln.t_begin, 300u);
-  EXPECT_EQ(got.aln.t_end, 390u);
+  }
 }
 
 }  // namespace

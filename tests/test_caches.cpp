@@ -375,14 +375,18 @@ TEST(SeedIndexCache, MatchesThePerSetClockModelOpForOp) {
               model.lookup(seed, max_hits, want, want_total);
           ASSERT_EQ(got_hit, want_hit) << "op " << op;
           ASSERT_EQ(got, want) << "op " << op;
-          if (want_hit) ASSERT_EQ(got_total, want_total) << "op " << op;
+          if (want_hit) {
+            ASSERT_EQ(got_total, want_total) << "op " << op;
+          }
         }
         ASSERT_EQ(cache.counters(), model.counters) << "op " << op;
         ASSERT_EQ(cache.entries(), model.entries()) << "op " << op;
       }
       EXPECT_GT(model.counters.hits, 0u);
       EXPECT_GT(model.counters.evictions, 0u);
-      if (admission) EXPECT_GT(model.counters.admission_rejects, 0u);
+      if (admission) {
+        EXPECT_GT(model.counters.admission_rejects, 0u);
+      }
     }
   }
 }

@@ -1,3 +1,5 @@
+// Seed extension as every caller runs it: project the seed's target window,
+// then align the query against the window's codes with smith_waterman.
 #include "align/extension.hpp"
 
 #include "test_util.hpp"
@@ -16,17 +18,38 @@ using mera::testutil::random_dna;
 using namespace mera::align;
 using mera::seq::PackedSeq;
 
+struct Extended {
+  SeedWindow window;
+  LocalAlignment aln;  ///< t_begin/t_end in full-target coordinates
+};
+
+/// Extend the seed query[q_off..) == target[t_off..) inside its window; an
+/// empty alignment when the window is empty.
+Extended extend(const std::string& query, const PackedSeq& target,
+                std::size_t q_off, std::size_t t_off) {
+  Extended e;
+  e.window = project_seed_window(query.size(), target, q_off, t_off,
+                                 ExtensionConfig{}.window_pad);
+  if (e.window.begin >= e.window.end) return e;
+  e.aln = smith_waterman(
+      dna_codes(query),
+      dna_codes(target, e.window.begin, e.window.end - e.window.begin));
+  e.aln.t_begin += e.window.begin;
+  e.aln.t_end += e.window.begin;
+  return e;
+}
+
 TEST(Extension, PerfectReadExtendsToFullLength) {
   std::mt19937_64 rng(61);
   const std::string g = random_dna(rng, 2000);
   const PackedSeq target(g);
   const std::size_t pos = 700;
   const std::string q = g.substr(pos, 100);
-  const auto qc = dna_codes(q);
-  const int k = 31;
   // Seed at query offset 40 -> target offset pos+40.
-  const auto ext = extend_seed(std::span<const std::uint8_t>(qc), target, 40,
-                               pos + 40, k, {});
+  const auto ext = extend(q, target, 40, pos + 40);
+  const std::size_t pad = ExtensionConfig{}.window_pad;
+  EXPECT_EQ(ext.window.begin, pos - pad);
+  EXPECT_EQ(ext.window.end, pos + 100 + pad);
   EXPECT_EQ(ext.aln.q_begin, 0u);
   EXPECT_EQ(ext.aln.q_end, 100u);
   EXPECT_EQ(ext.aln.t_begin, pos);
@@ -39,12 +62,16 @@ TEST(Extension, WindowIsClampedAtTargetEdges) {
   const std::string g = random_dna(rng, 300);
   const PackedSeq target(g);
   const std::string q = g.substr(0, 80);  // read at the very start
-  const auto qc = dna_codes(q);
-  const auto ext =
-      extend_seed(std::span<const std::uint8_t>(qc), target, 10, 10, 21, {});
-  EXPECT_EQ(ext.window_begin, 0u);
+  const auto ext = extend(q, target, 10, 10);
+  EXPECT_EQ(ext.window.begin, 0u);
   EXPECT_EQ(ext.aln.t_begin, 0u);
   EXPECT_EQ(ext.aln.score, Scoring{}.match * 80);
+  // ... and at the very end.
+  const std::string tail = g.substr(250);
+  const auto end = extend(tail, target, 10, 260);
+  EXPECT_EQ(end.window.end, g.size());
+  EXPECT_EQ(end.aln.t_end, g.size());
+  EXPECT_EQ(end.aln.score, Scoring{}.match * 50);
 }
 
 TEST(Extension, QueryHangingOffTargetStartIsClipped) {
@@ -53,10 +80,9 @@ TEST(Extension, QueryHangingOffTargetStartIsClipped) {
   const PackedSeq target(g);
   // Query's first 20 bases are junk that lies "before" the target.
   const std::string q = random_dna(rng, 20) + g.substr(0, 60);
-  const auto qc = dna_codes(q);
   // Seed: query offset 20 matches target offset 0.
-  const auto ext =
-      extend_seed(std::span<const std::uint8_t>(qc), target, 20, 0, 21, {});
+  const auto ext = extend(q, target, 20, 0);
+  EXPECT_EQ(ext.window.begin, 0u);
   EXPECT_GE(ext.aln.score, Scoring{}.match * 60);
   EXPECT_EQ(ext.aln.t_begin, 0u);
   EXPECT_EQ(ext.aln.q_begin, 20u);
@@ -69,10 +95,8 @@ TEST(Extension, ReadWithErrorsStillExtendsAcrossThem) {
   std::string q = g.substr(400, 100);
   q[10] = mera::seq::complement_base(q[10]);
   q[80] = mera::seq::complement_base(q[80]);
-  const auto qc = dna_codes(q);
   // Seed in the clean middle region.
-  const auto ext = extend_seed(std::span<const std::uint8_t>(qc), target, 30,
-                               430, 31, {});
+  const auto ext = extend(q, target, 30, 430);
   const Scoring sc;
   EXPECT_EQ(ext.aln.score, 98 * sc.match + 2 * sc.mismatch);
   EXPECT_EQ(ext.aln.mismatches, 2);
@@ -85,19 +109,23 @@ TEST(Extension, IndelWithinPadIsRecovered) {
   const PackedSeq target(g);
   std::string q = g.substr(300, 100);
   q.erase(70, 2);  // 2-base deletion vs target
-  const auto qc = dna_codes(q);
-  const auto ext = extend_seed(std::span<const std::uint8_t>(qc), target, 20,
-                               320, 31, {});
+  const auto ext = extend(q, target, 20, 320);
   EXPECT_EQ(ext.aln.gap_columns, 2);
   EXPECT_EQ(ext.aln.q_end - ext.aln.q_begin, q.size());
 }
 
 TEST(Extension, DegenerateInputsAreSafe) {
   const PackedSeq target{std::string_view("ACGTACGT")};
-  const std::vector<std::uint8_t> empty;
-  const auto ext = extend_seed(std::span<const std::uint8_t>(empty), target,
-                               0, 0, 4, {});
-  EXPECT_TRUE(ext.aln.empty());
+  // Empty query: a window of pad bases, and an empty alignment in it.
+  EXPECT_TRUE(extend("", target, 0, 0).aln.empty());
+  // Empty target: no window.
+  const auto none = extend("ACGTACGT", PackedSeq{}, 0, 0);
+  EXPECT_GE(none.window.begin, none.window.end);
+  EXPECT_TRUE(none.aln.empty());
+  // A seed that projects the whole query past the target's end: no window.
+  const auto past = extend("ACGT", target, 0, 100);
+  EXPECT_GE(past.window.begin, past.window.end);
+  EXPECT_TRUE(past.aln.empty());
 }
 
 }  // namespace

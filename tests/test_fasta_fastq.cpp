@@ -115,21 +115,6 @@ TEST_F(FastqTest, WriteReadRoundTrip) {
   }
 }
 
-TEST_F(FastqTest, PartitionedReadCoversExactlyOnce) {
-  const auto recs = sample_records(211, 5, true);
-  write_fastq(path("p.fq"), recs);
-  for (int nranks : {1, 2, 5, 12}) {
-    std::vector<SeqRecord> merged;
-    for (int r = 0; r < nranks; ++r) {
-      const auto part = read_fastq_partition(path("p.fq"), r, nranks);
-      merged.insert(merged.end(), part.begin(), part.end());
-    }
-    ASSERT_EQ(merged.size(), recs.size()) << "nranks=" << nranks;
-    for (std::size_t i = 0; i < recs.size(); ++i)
-      EXPECT_EQ(merged[i].seq, recs[i].seq);
-  }
-}
-
 TEST_F(FastqTest, QualityLengthMismatchThrows) {
   const std::string bad = "@r1\nACGT\n+\nII\n";
   EXPECT_THROW(parse_fastq(bad), std::runtime_error);
@@ -151,14 +136,6 @@ TEST_F(FastqTest, NextRecordHeuristicSkipsMidRecordStarts) {
   EXPECT_EQ(fastq_next_record(text, 0), 0u);
   EXPECT_EQ(fastq_next_record(text, r2), r2);
   EXPECT_EQ(fastq_next_record(text, r2 + 1), text.size());
-}
-
-TEST_F(FastqTest, BadRankArgumentsThrow) {
-  write_fastq(path("x.fq"), sample_records(3, 6, true));
-  EXPECT_THROW(read_fastq_partition(path("x.fq"), -1, 4),
-               std::invalid_argument);
-  EXPECT_THROW(read_fastq_partition(path("x.fq"), 4, 4),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -156,59 +156,56 @@ TEST(PooledSw, AddQueryDedupsIdenticalBytes) {
 // PooledExtensionQueue
 // ---------------------------------------------------------------------------
 
-// Property: whatever the length-class width and flush threshold do to
-// bucketing and flush timing, every enqueued tag is called back EXACTLY once
-// and its alignment is smith_waterman's. Randomized over class widths that
-// put everything in one bucket (1000), one bucket per length (1), and odd
-// in-between splits.
+// Property: however candidates fall into length-class buckets and flushes,
+// every enqueued tag is called back EXACTLY once and its alignment is
+// smith_waterman's. On every tier (flush thresholds 8 / 16 / 32) the queries
+// span five length classes, and the candidate count leaves partial buckets
+// behind the threshold flushes for drain() to align.
 TEST(PooledQueue, EveryTagAlignedExactlyOnceAtAnyBucketing) {
   std::mt19937_64 rng(4099);
-  for (const std::size_t width : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{32}, std::size_t{1000}}) {
-    for (const std::size_t flush : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{3}, std::size_t{64}}) {
-      PooledQueueConfig cfg;
-      cfg.length_class_width = width;
-      cfg.flush_lanes = flush;
-      std::map<std::uint64_t, LocalAlignment> got;
-      PooledExtensionQueue queue(
-          cfg, [&](std::uint64_t tag, const LocalAlignment& aln) {
-            ASSERT_TRUE(got.emplace(tag, aln).second)
-                << "tag " << tag << " aligned twice (width=" << width
-                << " flush=" << flush << ")";
-          });
-      std::vector<std::vector<std::uint8_t>> queries;
-      std::vector<std::size_t> qids;
-      for (int q = 0; q < 8; ++q) {
-        queries.push_back(dna_codes(random_dna(rng, 15 + rng() % 140)));
-        qids.push_back(queue.add_query(
-            std::span<const std::uint8_t>(queries.back())));
-      }
-      std::vector<std::size_t> cand_query;
-      std::vector<std::vector<std::uint8_t>> cand_target;
-      for (std::uint64_t tag = 0; tag < 100; ++tag) {
-        cand_query.push_back(rng() % queries.size());
-        cand_target.push_back(dna_codes(random_dna(rng, 1 + rng() % 220)));
-        queue.enqueue(cand_query.back(),
-                      std::span<const std::uint8_t>(cand_target.back()), tag);
-      }
-      queue.drain();
-      EXPECT_EQ(queue.pending(), 0u);
-      ASSERT_EQ(got.size(), cand_target.size())
-          << "width=" << width << " flush=" << flush;
-      for (std::uint64_t tag = 0; tag < cand_target.size(); ++tag) {
-        const auto ref = smith_waterman(
-            std::span<const std::uint8_t>(queries[cand_query[tag]]),
-            std::span<const std::uint8_t>(cand_target[tag]));
-        ASSERT_EQ(alignment_diff(got[tag], ref), "")
-            << "tag=" << tag << " width=" << width << " flush=" << flush;
-      }
+  for (SwIsa isa : supported_tiers()) {
+    PooledQueueConfig cfg;
+    cfg.isa = isa;
+    std::map<std::uint64_t, LocalAlignment> got;
+    PooledExtensionQueue queue(
+        cfg, [&](std::uint64_t tag, const LocalAlignment& aln) {
+          ASSERT_TRUE(got.emplace(tag, aln).second)
+              << "tag " << tag << " aligned twice (" << isa_name(isa) << ")";
+        });
+    std::vector<std::vector<std::uint8_t>> queries;
+    std::vector<std::size_t> qids;
+    for (const std::size_t len : {20, 45, 60, 70, 90, 100, 130, 150}) {
+      queries.push_back(dna_codes(random_dna(rng, len)));
+      qids.push_back(
+          queue.add_query(std::span<const std::uint8_t>(queries.back())));
+    }
+    std::vector<std::size_t> cand_query;
+    std::vector<std::vector<std::uint8_t>> cand_target;
+    for (std::uint64_t tag = 0; tag < 300; ++tag) {
+      cand_query.push_back(rng() % queries.size());
+      cand_target.push_back(dna_codes(random_dna(rng, 1 + rng() % 220)));
+      queue.enqueue(qids[cand_query.back()],
+                    std::span<const std::uint8_t>(cand_target.back()), tag);
+    }
+    EXPECT_GT(got.size(), 0u) << "no threshold flush (" << isa_name(isa)
+                              << ")";
+    EXPECT_GT(queue.pending(), 0u) << "no partial bucket (" << isa_name(isa)
+                                   << ")";
+    queue.drain();
+    EXPECT_EQ(queue.pending(), 0u);
+    ASSERT_EQ(got.size(), cand_target.size()) << isa_name(isa);
+    for (std::uint64_t tag = 0; tag < cand_target.size(); ++tag) {
+      const auto ref = smith_waterman(
+          std::span<const std::uint8_t>(queries[cand_query[tag]]),
+          std::span<const std::uint8_t>(cand_target[tag]));
+      ASSERT_EQ(alignment_diff(got[tag], ref), "")
+          << "tag=" << tag << " " << isa_name(isa);
     }
   }
 }
 
 TEST(PooledQueue, AutoFlushThresholdIsTheTraceLaneWidth) {
-  PooledQueueConfig cfg;  // flush_lanes = 0 = auto
+  PooledQueueConfig cfg;
   PooledExtensionQueue queue(cfg, [](std::uint64_t, const LocalAlignment&) {});
   const std::size_t lanes = isa_lanes16(SwIsa::kAuto);
   EXPECT_EQ(queue.flush_lanes(), lanes > 1 ? lanes : 16u);

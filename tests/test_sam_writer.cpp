@@ -88,12 +88,4 @@ TEST(SamWriter, ExactAlignmentsGetHigherMapq) {
   EXPECT_NE(b.str().find("\t30\t"), std::string::npos);
 }
 
-TEST(SamWriter, FileWriteRejectsMismatchedInputs) {
-  const auto store = make_store({{"ctg", std::string(10, 'A'), ""}});
-  EXPECT_THROW(
-      write_sam_file("/tmp/mera_sam_mismatch.sam", store,
-                     std::vector<AlignmentRecord>(2), {"ACGT"}),
-      std::invalid_argument);
-}
-
 }  // namespace

@@ -13,7 +13,6 @@
 
 #include "align/smith_waterman.hpp"
 #include "seq/kmer.hpp"
-#include "seq/protein.hpp"
 
 namespace mera::testutil {
 
@@ -45,14 +44,6 @@ inline std::string alignment_diff(const align::LocalAlignment& got,
 inline std::string random_dna(std::mt19937_64& rng, std::size_t len) {
   std::string s(len, 'A');
   for (auto& c : s) c = "ACGT"[rng() & 3u];
-  return s;
-}
-
-/// Uniform random protein over the 20 standard amino acids, drawn from the
-/// library's own encoding order so testutil can never diverge from it.
-inline std::string random_protein(std::mt19937_64& rng, std::size_t len) {
-  std::string s(len, 'A');
-  for (auto& c : s) c = seq::kAminoOrder[rng() % 20];
   return s;
 }
 
