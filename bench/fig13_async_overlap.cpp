@@ -14,8 +14,9 @@
 //      axis is the only concurrency).
 //
 //   B. batch prefetch — a stream of reads-batch files aligned with
-//      align_batch_files(), loading batch N+1 while batch N aligns. The
-//      sync/prefetch pair differs only in overlap: the prefetch run's
+//      align_batch_files(), loading batch N+1 while batch N aligns, against
+//      this bench's own per-file loop (load_read_batch, then align_batch).
+//      The sync/prefetch pair differs only in overlap: the prefetch run's
 //      stall time collapses while its load time hides inside aligning.
 //
 // Both parts abort if the overlapped configuration changes any result
@@ -28,11 +29,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/align_session.hpp"
 #include "core/alignment_sink.hpp"
+#include "core/batch_prefetcher.hpp"
 #include "core/indexed_reference.hpp"
 #include "seq/fastq.hpp"
 #include "shard/sharded_reference.hpp"
@@ -142,39 +145,56 @@ int main(int argc, char** argv) {
       core::IndexedReference::build(stream_rt, w.contigs, icfg);
   std::printf("%10s %12s %12s %12s %10s\n", "mode", "wall(s)", "load(s)",
               "stall(s)", "alignments");
-  double wall_sync = 0.0;
-  std::uint64_t alignments_sync = 0;
-  for (const bool prefetch : {false, true}) {
-    core::AlignSession session(mono_ref, scfg);
-    core::CountingSink sink;
-    core::FileStreamOptions opt;
-    opt.prefetch = prefetch;
-    const auto res = session.align_batch_files(stream_rt, paths, sink, opt);
-    if (!prefetch) {
-      wall_sync = res.wall_s;
-      alignments_sync = res.stats.alignments_reported;
-    } else if (res.stats.alignments_reported != alignments_sync) {
-      std::fprintf(stderr,
-                   "FATAL: prefetching changed the result counts — overlap "
-                   "must never change output\n");
-      return 1;
-    }
-    std::printf("%10s %12.3f %12.3f %12.3f %10llu\n",
-                prefetch ? "prefetch" : "sync", res.wall_s, res.load_wall_s,
-                res.stall_s,
+  const auto stream_row = [&](const char* mode,
+                              const core::FileStreamResult& res) {
+    std::printf("%10s %12.3f %12.3f %12.3f %10llu\n", mode, res.wall_s,
+                res.load_wall_s, res.stall_s,
                 static_cast<unsigned long long>(res.stats.alignments_reported));
-    json.config(prefetch ? "stream_prefetch" : "stream_sync");
+    json.config(std::string("stream_") + mode);
     json.metric("wall_s", res.wall_s);
     json.metric("load_wall_s", res.load_wall_s);
     json.metric("stall_s", res.stall_s);
     json.metric("model_serial_s", res.total_time_s());
     json.metric("batches", static_cast<double>(res.batches.size()));
     json.metric("alignments", static_cast<double>(res.stats.alignments_reported));
-    if (prefetch && res.wall_s > 0.0)
+  };
+
+  // sync: load a file, then align it — every load sits on the critical path.
+  core::FileStreamResult sync;
+  {
+    core::AlignSession session(mono_ref, scfg);
+    core::CountingSink sink;
+    const bench::StopWatch wall;
+    for (const std::string& p : paths) {
+      const bench::StopWatch load;
+      auto records = core::load_read_batch(p);
+      sync.load_wall_s += load.elapsed_s();
+      const auto& res = sync.batches.emplace_back(
+          session.align_batch(stream_rt, std::move(records), sink));
+      sync.report.append(res.report);
+      sync.stats += res.stats;
+    }
+    sync.wall_s = wall.elapsed_s();
+    sync.stall_s = sync.load_wall_s;  // nothing overlaps: every load stalls
+  }
+  stream_row("sync", sync);
+
+  {
+    core::AlignSession session(mono_ref, scfg);
+    core::CountingSink sink;
+    const auto res = session.align_batch_files(stream_rt, paths, sink);
+    if (res.stats.alignments_reported != sync.stats.alignments_reported) {
+      std::fprintf(stderr,
+                   "FATAL: prefetching changed the result counts — overlap "
+                   "must never change output\n");
+      return 1;
+    }
+    stream_row("prefetch", res);
+    if (res.wall_s > 0.0)
       std::printf(
           "(I/O hiding: %.3f s of loading left the critical path; stream "
           "speedup %.2fx)\n",
-          res.load_wall_s - res.stall_s, wall_sync / res.wall_s);
+          res.load_wall_s - res.stall_s, sync.wall_s / res.wall_s);
   }
   for (const std::string& p : paths) std::remove(p.c_str());
 

@@ -5,8 +5,8 @@
 //   3. write them to FASTA / SeqDB files,
 //   4. run the fully parallel merAligner pipeline on a simulated 8-rank
 //      PGAS machine: build the distributed seed index once
-//      (core::IndexedReference), then align the reads file as one batch
-//      (core::AlignSession), and
+//      (core::IndexedReference), then load the reads file and align it as
+//      one batch (core::AlignSession), and
 //   5. stream the alignments to SAM and print the pipeline report.
 //
 // Usage: quickstart [nranks] [ranks_per_node]
@@ -16,6 +16,7 @@
 
 #include "core/align_session.hpp"
 #include "core/alignment_sink.hpp"
+#include "core/batch_prefetcher.hpp"
 #include "core/indexed_reference.hpp"
 #include "seq/fasta.hpp"
 #include "seq/genome_sim.hpp"
@@ -56,7 +57,8 @@ int main(int argc, char** argv) {
   scfg.permute_queries = false;  // align the reads file in its natural order
   core::AlignSession session(ref, scfg);
   core::SamFileSink sam("quickstart.sam", ref);
-  const auto batch = session.align_batch_file(rt, "quickstart_reads.sdb", sam);
+  const auto batch =
+      session.align_batch(rt, core::load_read_batch("quickstart_reads.sdb"), sam);
 
   // --- 5: report ------------------------------------------------------------
   // The build report holds the index phases, the batch report the aligning

@@ -13,7 +13,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "seq/kmer.hpp"
-#include "seq/seqdb.hpp"
 
 namespace mera::core {
 
@@ -35,13 +34,8 @@ struct BatchShared {
   /// Per-rank traced-sweep buffers, owned by the session so they are
   /// allocated once and reused by every batch (kBatch only).
   std::span<align::TraceScratch> trace_scratch;
-
-  // Input plumbing: exactly one of the two is used.
-  std::span<const seq::SeqRecord> mem_reads;
-  std::string reads_seqdb_path;
-  /// Permuted record-index assignment for the file path (Section IV-B),
-  /// computed once on the driving thread; empty = natural order.
-  std::span<const std::uint64_t> file_perm;
+  /// The batch, already permuted when the session permutes queries.
+  std::span<const seq::SeqRecord> reads;
 };
 
 /// One entry of a rank's emission log. Every candidate that reaches a
@@ -314,35 +308,19 @@ void batch_rank_body(pgas::Rank& rank, BatchShared& sh) {
   const int nranks = rank.nranks();
 
   // ---- io.reads ------------------------------------------------------------
+  // The rank's block of the batch.
   rank.phase("io.reads");
-  std::vector<seq::SeqRecord> file_reads;
-  std::span<const seq::SeqRecord> myreads;
-  if (!sh.reads_seqdb_path.empty()) {
-    seq::SeqDBReader db(sh.reads_seqdb_path);
-    const auto [rlo, rhi] = db.partition(rank.id(), nranks);
-    file_reads.reserve(rhi - rlo);
-    if (!sh.file_perm.empty()) {
-      // Section IV-B for file input: the shared permutation of record
-      // indices, block-partitioned — each record is read by exactly one rank.
-      for (std::size_t i = rlo; i < rhi; ++i)
-        file_reads.push_back(db.read(sh.file_perm[i]));
-    } else {
-      for (std::size_t i = rlo; i < rhi; ++i) file_reads.push_back(db.read(i));
-    }
-    myreads = file_reads;
-  } else {
-    const std::size_t n = sh.mem_reads.size();
-    const std::size_t lo = n * me / static_cast<std::size_t>(nranks);
-    const std::size_t hi = n * (me + 1) / static_cast<std::size_t>(nranks);
-    myreads = sh.mem_reads.subspan(lo, hi - lo);
-  }
+  const std::size_t n = sh.reads.size();
+  const std::size_t lo = n * me / static_cast<std::size_t>(nranks);
+  const std::size_t hi = n * (me + 1) / static_cast<std::size_t>(nranks);
+  const std::span<const seq::SeqRecord> myreads = sh.reads.subspan(lo, hi - lo);
 
   // ---- align ---------------------------------------------------------------
   rank.phase("align");
   RankAligner aligner(rank, sh);
   for (const seq::SeqRecord& r : myreads) aligner.align_read(r);
   // Forced drain: score and replay every candidate the pooled queue still
-  // holds, before the barrier (file_reads must outlive every slot).
+  // holds, before the barrier.
   aligner.finish();
   rank.barrier();
 }
@@ -442,20 +420,14 @@ BatchResult AlignSession::align_batch(pgas::Runtime& rt,
     permute_queries(permuted, cfg_.permute_seed);
     span = permuted;
   }
-  return run_batch(rt, span, {}, sink);
+  return run_batch(rt, span, sink);
 }
 
 BatchResult AlignSession::align_batch(pgas::Runtime& rt,
                                       std::vector<seq::SeqRecord>&& reads,
                                       AlignmentSink& sink) {
   if (cfg_.permute_queries) permute_queries(reads, cfg_.permute_seed);
-  return run_batch(rt, reads, {}, sink);
-}
-
-BatchResult AlignSession::align_batch_file(pgas::Runtime& rt,
-                                           const std::string& reads_seqdb,
-                                           AlignmentSink& sink) {
-  return run_batch(rt, {}, reads_seqdb, sink);
+  return run_batch(rt, reads, sink);
 }
 
 FileStreamResult AlignSession::align_batch_files(
@@ -473,8 +445,7 @@ FileStreamResult AlignSession::align_batch_files(
 }
 
 BatchResult AlignSession::run_batch(pgas::Runtime& rt,
-                                    std::span<const seq::SeqRecord> mem_reads,
-                                    const std::string& seqdb_path,
+                                    std::span<const seq::SeqRecord> reads,
                                     AlignmentSink& sink) {
   const obs::Span span("session.batch", "session");
   const pgas::Topology& built_on = ref_.topology();
@@ -483,15 +454,6 @@ BatchResult AlignSession::run_batch(pgas::Runtime& rt,
     throw std::invalid_argument(
         "AlignSession: runtime topology does not match the one the "
         "IndexedReference was built on");
-
-  // The file-path permutation is identical on every rank, so it is computed
-  // once here rather than per rank inside the timed io.reads phase.
-  std::vector<std::uint64_t> file_perm;
-  if (!seqdb_path.empty() && cfg_.permute_queries) {
-    file_perm.resize(seq::SeqDBReader(seqdb_path).size());
-    for (std::size_t i = 0; i < file_perm.size(); ++i) file_perm[i] = i;
-    permute_queries(file_perm, cfg_.permute_seed);
-  }
 
   BatchShared sh{
       cfg_,
@@ -505,9 +467,7 @@ BatchResult AlignSession::run_batch(pgas::Runtime& rt,
       std::vector<PipelineStats>(static_cast<std::size_t>(rt.nranks())),
       std::vector<align::LaneStats>(static_cast<std::size_t>(rt.nranks())),
       trace_scratch_,
-      mem_reads,
-      seqdb_path,
-      file_perm,
+      reads,
   };
   rt.run([&sh](pgas::Rank& rank) { batch_rank_body(rank, sh); });
   sink.batch_end();

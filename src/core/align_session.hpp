@@ -62,10 +62,8 @@ struct SessionConfig {
   /// IndexConfig::exact_match; silently disabled otherwise).
   bool exact_match = true;
 
-  // Load balancing (Section IV-B): applied per batch before the blocked
-  // partition — in-memory batches permute the query vector, file batches
-  // permute the record-index assignment (the legacy file path silently
-  // ignored this knob).
+  // Load balancing (Section IV-B): applied per batch, to the batch's query
+  // vector, before the blocked rank partition.
   bool permute_queries = true;
   std::uint64_t permute_seed = 0xC0FFEEULL;
 
@@ -97,11 +95,6 @@ struct BatchResult {
 
 /// How align_batch_files() walks a stream of reads-batch files.
 struct FileStreamOptions {
-  /// Overlap batch N+1's load with batch N's align phase (double buffering
-  /// through core::BatchPrefetcher). Off = load-then-align, strictly serial
-  /// — same records, same output, no overlap; the pair is how the overlap is
-  /// measured.
-  bool prefetch = true;
   /// Loader pool; null = a private single-thread pool for the call. One
   /// worker is enough: at most one batch is ever in flight.
   exec::ThreadPool* pool = nullptr;
@@ -110,15 +103,15 @@ struct FileStreamOptions {
 /// Outcome of one align_batch_files() stream; BatchT is the per-batch
 /// result (core::BatchResult, or shard::ShardedBatchResult for the sharded
 /// session — one accounting contract for both). The per-phase report makes
-/// the overlap measurable: with prefetching, wall_s approaches the align
-/// time alone while the summed io.reads/load time hides inside it.
+/// the overlap measurable: wall_s approaches the align time alone while the
+/// summed load time hides inside it.
 template <typename BatchT>
 struct BasicFileStreamResult {
   std::vector<BatchT> batches;  ///< one per file, in file order
   pgas::PhaseReport report;     ///< batches' phases appended in order
   PipelineStats stats;          ///< summed over batches
   double wall_s = 0.0;       ///< measured real end-to-end seconds
-  double load_wall_s = 0.0;  ///< summed real load seconds (overlapped when prefetching)
+  double load_wall_s = 0.0;  ///< summed real load seconds (overlapped with aligning)
   double stall_s = 0.0;      ///< real seconds aligning sat waiting on a load
 
   /// Simulated (modeled) serial time, for comparison against wall_s.
@@ -136,7 +129,9 @@ class AlignSession {
   explicit AlignSession(IndexedReference ref, SessionConfig cfg = {});
 
   /// Align one in-memory batch; callable any number of times. The runtime's
-  /// topology must match the one the reference was built on.
+  /// topology must match the one the reference was built on. This is the
+  /// only way reads enter a session: a reads file is loaded first
+  /// (core::load_read_batch), then aligned from memory.
   BatchResult align_batch(pgas::Runtime& rt,
                           const std::vector<seq::SeqRecord>& reads,
                           AlignmentSink& sink);
@@ -145,15 +140,10 @@ class AlignSession {
   BatchResult align_batch(pgas::Runtime& rt, std::vector<seq::SeqRecord>&& reads,
                           AlignmentSink& sink);
 
-  /// Align one SeqDB file batch; each rank reads only its record partition.
-  BatchResult align_batch_file(pgas::Runtime& rt,
-                               const std::string& reads_seqdb,
-                               AlignmentSink& sink);
-
   /// Align a stream of reads-batch files (FASTQ or SeqDB) in file order,
-  /// overlapping each batch's load with the previous batch's align phase
-  /// when opt.prefetch is set. Emission into `sink` is strictly batch-
-  /// ordered and bit-identical to calling align_batch_file per file.
+  /// loading batch N+1 while batch N aligns. Emission into `sink` is
+  /// strictly batch-ordered and bit-identical to calling
+  /// align_batch(rt, load_read_batch(path), sink) per file.
   /// `on_batch(index, result)` fires as each batch completes, so callers
   /// can report progress while the stream is still running.
   FileStreamResult align_batch_files(
@@ -201,8 +191,8 @@ class AlignSession {
 
  private:
   BatchResult run_batch(pgas::Runtime& rt,
-                        std::span<const seq::SeqRecord> mem_reads,
-                        const std::string& seqdb_path, AlignmentSink& sink);
+                        std::span<const seq::SeqRecord> reads,
+                        AlignmentSink& sink);
   /// What this session's snapshots are stamped with and validated against.
   [[nodiscard]] cache::SnapshotMeta snapshot_meta(const pgas::Runtime& rt) const;
 

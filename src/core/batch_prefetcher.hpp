@@ -1,16 +1,16 @@
 // Double-buffered loading for a stream of reads-batch files.
 //
-// A multi-batch screen alternates io.reads (load batch N) with align (chew on
-// batch N) — strictly serially, so the CPU idles during every load and the
-// disk idles during every align. BatchPrefetcher overlaps them: the moment
-// batch N is handed to the aligner, batch N+1 starts loading on a pool
-// worker, so a steady stream pays the load cost of only the FIRST batch on
-// the critical path. Batches are always handed out in file order — the
-// prefetcher reorders nothing, it only hides latency.
+// A multi-batch screen needs each batch loaded (read and parsed) before it
+// can align. Loading and aligning one after the other would idle the CPU
+// during every load and the disk during every align. BatchPrefetcher
+// overlaps them: the moment batch N is handed to the aligner, batch N+1
+// starts loading on a pool worker, so a steady stream pays the load cost of
+// only the FIRST batch on the critical path. Batches are always handed out in
+// file order — the prefetcher reorders nothing, it only hides latency.
 //
-// FASTQ batches are parsed straight into memory (the in-memory aligning path
-// needs no SeqDB conversion); SeqDB batches are read record by record. Both
-// yield exactly the records the synchronous file path would have aligned.
+// Each file is loaded whole by load_read_batch (FASTQ parsed, SeqDB read),
+// so a prefetched batch holds exactly the records that
+// align_batch(rt, load_read_batch(path), sink) would align.
 #pragma once
 
 #include <future>
@@ -68,10 +68,6 @@ class BatchPrefetcher {
   /// calling to get the remaining files. Empty once every path has been
   /// handed out.
   [[nodiscard]] std::optional<Batch> next();
-
-  [[nodiscard]] std::size_t num_batches() const noexcept {
-    return paths_.size();
-  }
 
  private:
   void start_load(std::size_t i);

@@ -1,11 +1,11 @@
 // Internal: the one load→align stream loop behind the plain and sharded
 // align_batch_files() entry points.
 //
-// Both sessions walk a file stream the same way — prefetched loads or
-// strictly serial load-then-align, per-batch observer callback, wall/load/
-// stall accounting, report+stats aggregation — and differ only in the
-// per-batch result type. Keeping the loop in one template means a fix to
-// the accounting or the error path lands in both sessions at once.
+// Both sessions walk a file stream the same way — prefetched loads,
+// per-batch observer callback, wall/load/stall accounting, report+stats
+// aggregation — and differ only in the per-batch result type. Keeping the
+// loop in one template means a fix to the accounting or the error path lands
+// in both sessions at once.
 #pragma once
 
 #include <optional>
@@ -32,29 +32,15 @@ StreamResult stream_file_batches(const std::vector<std::string>& paths,
   const auto wall0 = obs::wall_now();
   StreamResult out;
   out.batches.reserve(paths.size());
-  auto align_and_report = [&](std::vector<seq::SeqRecord>&& records) {
-    out.batches.push_back(align_one(std::move(records)));
+  std::optional<exec::ThreadPool> own_pool;
+  exec::ThreadPool* pool = opt.pool;
+  if (!pool) pool = &own_pool.emplace(1);
+  BatchPrefetcher prefetcher(*pool, paths);
+  while (auto batch = prefetcher.next()) {
+    out.load_wall_s += batch->load_wall_s;
+    out.stall_s += batch->stall_s;
+    out.batches.push_back(align_one(std::move(batch->records)));
     on_batch(out.batches.size() - 1, out.batches.back());
-  };
-  if (opt.prefetch) {
-    std::optional<exec::ThreadPool> own_pool;
-    exec::ThreadPool* pool = opt.pool;
-    if (!pool) pool = &own_pool.emplace(1);
-    BatchPrefetcher prefetcher(*pool, paths);
-    while (auto batch = prefetcher.next()) {
-      out.load_wall_s += batch->load_wall_s;
-      out.stall_s += batch->stall_s;
-      align_and_report(std::move(batch->records));
-    }
-  } else {
-    for (const std::string& path : paths) {
-      const auto t0 = obs::wall_now();
-      auto records = load_read_batch(path);
-      const double load_s = seconds_since(t0);
-      out.load_wall_s += load_s;
-      out.stall_s += load_s;  // nothing overlaps: every load is a stall
-      align_and_report(std::move(records));
-    }
   }
   for (const auto& batch : out.batches) {
     out.report.append(batch.report);

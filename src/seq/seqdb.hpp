@@ -1,9 +1,12 @@
 // SeqDB: a binary, record-indexed container for short reads.
 //
 // Stand-in for the paper's SeqDB-on-HDF5 (Section V-A): the property the
-// aligner exploits is that the format is binary and *indexed*, so each rank
-// can seek straight to its own record range and read it with no text scanning
-// and no master process — that is what makes the I/O phase fully parallel.
+// paper's aligner exploits is that the format is binary and *indexed*, so
+// each rank can seek straight to its own record range (partition()) and read
+// it with no text scanning and no master process — that is what makes its
+// I/O phase fully parallel. This aligner loads a reads file whole
+// (core::load_read_batch) and splits the in-memory batch into the same
+// blocked rank ranges.
 // Sequences are stored 2-bit packed (lossless for ACGT; reads containing N
 // store an escape list), qualities optionally retained, so the FASTQ->SeqDB
 // conversion is lossless and the file is typically ~40-50% of the FASTQ size.

@@ -178,15 +178,6 @@ ShardedBatchResult ShardedAlignSession::align_batch(
   return run_batch(rt, reads, sink);
 }
 
-ShardedBatchResult ShardedAlignSession::align_batch_file(
-    pgas::Runtime& rt, const std::string& reads_seqdb,
-    core::AlignmentSink& sink) {
-  // One read of the file for all K shards. Permuting the loaded records with
-  // the session seed is the same Fisher-Yates the single-reference file path
-  // applies to record indices, so rank assignments match it exactly.
-  return align_batch(rt, core::load_read_batch(reads_seqdb), sink);
-}
-
 ShardedFileStreamResult ShardedAlignSession::align_batch_files(
     pgas::Runtime& rt, const std::vector<std::string>& paths,
     core::AlignmentSink& sink, const core::FileStreamOptions& opt,

@@ -141,16 +141,11 @@ class ShardedAlignSession {
                                  std::vector<seq::SeqRecord>&& reads,
                                  core::AlignmentSink& sink);
 
-  /// Align one SeqDB file batch. The file is read once (not once per shard)
-  /// on the driving thread and then streamed through the in-memory path.
-  ShardedBatchResult align_batch_file(pgas::Runtime& rt,
-                                      const std::string& reads_seqdb,
-                                      core::AlignmentSink& sink);
-
   /// Align a stream of reads-batch files (FASTQ or SeqDB) in file order,
-  /// overlapping each batch's load with the previous batch's align work
-  /// when opt.prefetch is set (double buffering). Emission is strictly
-  /// batch-ordered and bit-identical to calling align_batch_file per file.
+  /// loading batch N+1 while batch N aligns (double buffering). Each file is
+  /// loaded once for all K shards. Emission is strictly batch-ordered and
+  /// bit-identical to calling align_batch(rt, load_read_batch(path), sink)
+  /// per file.
   /// `on_batch(index, result)` fires as each batch completes, so callers
   /// can report progress while the stream is still running.
   ShardedFileStreamResult align_batch_files(

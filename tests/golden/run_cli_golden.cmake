@@ -20,9 +20,11 @@
 #      set exactly (run with --no-exact on both sides: the Lemma-1
 #      single-copy shortcut is defined per index, so it is the one knob that
 #      legitimately differs between one index and K shards)
+#   6. the CLI writes no file next to its inputs: WORKDIR never holds a
+#      derived *.fastq.sdb
 #
-# Fixtures are copied into WORKDIR first because the CLI writes a derived
-# .sdb file next to the input FASTQ; the source tree must stay clean.
+# Fixtures are copied into WORKDIR so every run reads and writes scratch
+# files only; the source tree stays clean.
 cmake_minimum_required(VERSION 3.20)
 
 get_filename_component(FIXTURES ${GOLDEN} DIRECTORY)
@@ -73,6 +75,15 @@ endfunction()
 
 function(check_sam produced label)
   check_sam_against(${produced} ${GOLDEN} "${label}")
+endfunction()
+
+# Reads are loaded into memory, never converted on disk: no run may leave a
+# derived SeqDB next to a FASTQ input.
+function(check_no_derived_seqdb label)
+  file(GLOB derived ${WORKDIR}/*.fastq.sdb)
+  if(derived)
+    message(FATAL_ERROR "${label}: the CLI wrote ${derived} next to its input")
+  endif()
 endfunction()
 
 # --- 1. single batch, both SW kernel selectors ------------------------------
@@ -126,8 +137,10 @@ endif()
 check_sam(${WORKDIR}/out_batch_scalar.sam "single-batch --sw-isa scalar")
 
 # Removed selectors are usage errors (exit 2 + usage), not silent aliases:
-# the striped and banded kernels and the --sw-pool knob no longer exist.
-foreach(removed "--sw;striped" "--sw;banded" "--sw;batch;--sw-pool;on")
+# the striped and banded kernels, the --sw-pool knob and the serial
+# --no-prefetch stream no longer exist.
+foreach(removed "--sw;striped" "--sw;banded" "--sw;batch;--sw-pool;on"
+                "--no-prefetch")
   execute_process(
     COMMAND ${CLI}
       --targets ${WORKDIR}/contigs.fa
@@ -136,6 +149,7 @@ foreach(removed "--sw;striped" "--sw;banded" "--sw;batch;--sw-pool;on")
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
+  check_no_derived_seqdb("'${removed}'")
   if(NOT rc EQUAL 2)
     message(FATAL_ERROR "'${removed}' exited ${rc}, expected usage error 2")
   endif()
@@ -309,23 +323,10 @@ if(NOT rc EQUAL 2 OR NOT err MATCHES "requires a sharded reference")
   message(FATAL_ERROR "--shard-parallel without shards was not rejected (rc=${rc}):\n${err}")
 endif()
 
-# --- 6. --no-prefetch matches the default double-buffered stream -------------
-# (the scenario-2 multi-batch run above already went through the prefetcher;
-# the strictly serial loop must produce the same golden bytes)
-execute_process(
-  COMMAND ${CLI}
-    --targets ${WORKDIR}/contigs.fa
-    --reads ${WORKDIR}/reads_a.fastq
-    --reads ${WORKDIR}/reads_b.fastq
-    --out ${WORKDIR}/out_multi_noprefetch.sam
-    --k 31 --ranks 4 --ppn 2 --no-permute --no-prefetch
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--no-prefetch multi-batch run exited with ${rc}\nstderr:\n${err}")
-endif()
-check_sam(${WORKDIR}/out_multi_noprefetch.sam "multi-batch --no-prefetch")
+# --- 6. no derived files next to the inputs --------------------------------
+# Scenarios 1-5 ran single-batch, multi-batch and sharded streams over the
+# FASTQ fixtures; none may have converted them on disk.
+check_no_derived_seqdb("scenarios 1-5")
 
 # --- 7. cache persistence: save in one process, warm-load in another ---------
 # The cold run snapshots its caches; a second process warm-starts from them.
@@ -616,3 +617,6 @@ check_obs_usage_error("--metrics" "--metrics expects a file path")
 check_obs_usage_error("--metrics-format;json" "--metrics-format requires --metrics")
 check_obs_usage_error("--metrics;${WORKDIR}/m.json;--metrics-format;xml"
                       "--metrics-format expects json|prom")
+
+# Every run above, scenarios 7 and 8 included, read its FASTQ into memory.
+check_no_derived_seqdb("all runs")

@@ -5,8 +5,8 @@
 // The contract under test: concurrency changes SECONDS, never BYTES. A
 // K-shard batch driven by J pool workers must emit the records, SAM content
 // and work totals of the serial shard loop bit-for-bit, for every K and
-// every SW kernel; a prefetched file stream must emit exactly what the
-// synchronous per-file path emits, in the same order.
+// every SW kernel; a prefetched file stream must emit exactly what a
+// per-file load-then-align loop emits, in the same order.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -241,7 +241,7 @@ TEST(ParallelShards, ScratchReuseKeepsBatchesIndependent) {
 }
 
 // ---------------------------------------------------------------------------
-// Prefetched file streaming == synchronous per-file path, bit for bit
+// Prefetched file streaming == a per-file load-then-align loop, bit for bit
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> write_seqdb_batches(const Workload& w,
@@ -271,7 +271,7 @@ TEST(BatchPrefetch, StreamBitIdenticalToPerFileSynchronousPath) {
   const auto ref = core::IndexedReference::build(rt, w.contigs, small_index());
   core::SessionConfig sc;  // defaults incl. Section IV-B permutation
 
-  // Reference run: the pre-existing per-file path, one call per batch.
+  // Reference run: load each file, then align it, one call per batch.
   std::ostringstream sam_sync;
   core::PipelineStats st_sync;
   std::vector<AlignmentRecord> rec_sync;
@@ -281,20 +281,24 @@ TEST(BatchPrefetch, StreamBitIdenticalToPerFileSynchronousPath) {
     core::SamStreamSink sam(sam_sync, ref);
     core::TeeSink tee({&vec, &sam});
     for (const auto& p : paths) {
-      const auto res = session.align_batch_file(rt, p, tee);
+      const auto res = session.align_batch(rt, core::load_read_batch(p), tee);
       st_sync += res.stats;
     }
     rec_sync = vec.take();
   }
 
-  // Prefetched stream: same files, background loads, same session config.
+  // Prefetched stream: same files, background loads on a caller-owned pool,
+  // same session config.
   std::ostringstream sam_pf;
   {
+    exec::ThreadPool pool(2);
+    core::FileStreamOptions opt;
+    opt.pool = &pool;
     core::AlignSession session(ref, sc);
     core::VectorSink vec(rt.nranks());
     core::SamStreamSink sam(sam_pf, ref);
     core::TeeSink tee({&vec, &sam});
-    const auto stream = session.align_batch_files(rt, paths, tee);
+    const auto stream = session.align_batch_files(rt, paths, tee, opt);
     ASSERT_EQ(stream.batches.size(), paths.size());
     EXPECT_GT(stream.wall_s, 0.0);
     EXPECT_GT(stream.load_wall_s, 0.0);
@@ -315,39 +319,6 @@ TEST(BatchPrefetch, StreamBitIdenticalToPerFileSynchronousPath) {
       ASSERT_EQ(rec_pf[i], rec_sync[i]) << "record " << i;
   }
   EXPECT_EQ(sam_pf.str(), sam_sync.str());
-  remove_all(paths);
-}
-
-TEST(BatchPrefetch, SyncModeOfStreamApiMatchesPrefetchedMode) {
-  // align_batch_files' two modes differ only in overlap; with a shared
-  // external pool, both must emit the same bytes.
-  const auto w = make_workload(18'000, 0.8, /*seed=*/53);
-  const auto paths = write_seqdb_batches(w, "test_async_modes_", 3);
-
-  Runtime rt(Topology(2, 2));
-  const auto ref = core::IndexedReference::build(rt, w.contigs, small_index());
-  exec::ThreadPool pool(2);
-
-  auto run = [&](bool prefetch) {
-    core::AlignSession session(ref, cacheless_session());
-    core::VectorSink vec(rt.nranks());
-    core::FileStreamOptions opt;
-    opt.prefetch = prefetch;
-    opt.pool = &pool;
-    const auto stream = session.align_batch_files(rt, paths, vec, opt);
-    EXPECT_EQ(stream.batches.size(), paths.size());
-    if (!prefetch) {
-      EXPECT_EQ(stream.stall_s, stream.load_wall_s);
-    }
-    return vec.take();
-  };
-
-  const auto sync = run(false);
-  const auto prefetched = run(true);
-  ASSERT_GT(sync.size(), 0u);
-  ASSERT_EQ(prefetched.size(), sync.size());
-  for (std::size_t i = 0; i < sync.size(); ++i)
-    ASSERT_EQ(prefetched[i], sync[i]) << "record " << i;
   remove_all(paths);
 }
 
@@ -495,7 +466,7 @@ TEST(ShardedStream, PrefetchedParallelStreamMatchesSerialPerFilePath) {
   sc.exact_match = false;
   sc.max_hits_per_seed = 4096;  // comparable against any composition
 
-  // Serial loop over files, serial shard dispatch — the PR-3 path.
+  // Per-file load-then-align loop, serial shard dispatch.
   std::ostringstream sam_serial;
   std::vector<AlignmentRecord> rec_serial;
   {
@@ -504,7 +475,8 @@ TEST(ShardedStream, PrefetchedParallelStreamMatchesSerialPerFilePath) {
     core::VectorSink vec(rt.nranks());
     core::SamStreamSink sam(sam_serial, ref.sam_targets(), rt.nranks());
     core::TeeSink tee({&vec, &sam});
-    for (const auto& p : paths) (void)session.align_batch_file(rt, p, tee);
+    for (const auto& p : paths)
+      (void)session.align_batch(rt, core::load_read_batch(p), tee);
     rec_serial = vec.take();
   }
 

@@ -13,6 +13,7 @@
 #include "baseline/replicated_aligner.hpp"
 #include "core/align_session.hpp"
 #include "core/alignment_sink.hpp"
+#include "core/batch_prefetcher.hpp"
 #include "core/indexed_reference.hpp"
 #include "seq/fasta.hpp"
 #include "seq/genome_sim.hpp"
@@ -76,7 +77,8 @@ TEST_F(IntegrationTest, FileBasedPipelineProducesValidSam) {
   std::uint64_t alignments = 0;
   {
     core::SamFileSink sam(path("out.sam"), ref);
-    const auto res = session.align_batch_file(rt, path("reads.sdb"), sam);
+    const auto res =
+        session.align_batch(rt, core::load_read_batch(path("reads.sdb")), sam);
     EXPECT_EQ(res.stats.reads_processed, reads_.size());
     EXPECT_GT(res.stats.aligned_fraction(), 0.8);
     alignments = res.stats.alignments_reported;
@@ -116,8 +118,8 @@ TEST_F(IntegrationTest, FileAndMemoryPathsAgree) {
   AlignSession mem_session(mem_ref, sc), file_session(file_ref, sc);
   CountingSink mem_sink, file_sink;
   const auto mem = mem_session.align_batch(rt1, reads_, mem_sink);
-  const auto file =
-      file_session.align_batch_file(rt2, path("reads.sdb"), file_sink);
+  const auto file = file_session.align_batch(
+      rt2, core::load_read_batch(path("reads.sdb")), file_sink);
   EXPECT_EQ(mem.stats.reads_aligned, file.stats.reads_aligned);
   EXPECT_EQ(mem.stats.alignments_reported, file.stats.alignments_reported);
   EXPECT_EQ(mem.stats.exact_match_reads, file.stats.exact_match_reads);

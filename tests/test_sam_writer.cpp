@@ -65,7 +65,7 @@ TEST(SamWriter, ReverseRecordSetsFlagAndRevcompsSeq) {
   rec.target_id = 0;
   rec.reverse = true;
   rec.t_begin = 0;
-  rec.cigar = "4M";
+  rec.cigar = std::string("4M");
   std::ostringstream os;
   write_sam_record(os, rec, store, "AACG");
   const std::string line = os.str();
@@ -78,7 +78,7 @@ TEST(SamWriter, ExactAlignmentsGetHigherMapq) {
   const auto store = make_store({{"ctg", std::string(60, 'T'), ""}});
   AlignmentRecord exact, inexact;
   exact.query_name = inexact.query_name = "r";
-  exact.cigar = inexact.cigar = "4M";
+  exact.cigar = inexact.cigar = std::string("4M");
   exact.exact = true;
   inexact.exact = false;
   std::ostringstream a, b;

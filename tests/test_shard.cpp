@@ -19,6 +19,7 @@
 
 #include "core/align_session.hpp"
 #include "core/alignment_sink.hpp"
+#include "core/batch_prefetcher.hpp"
 #include "core/indexed_reference.hpp"
 #include "core/sam_writer.hpp"
 #include "seq/genome_sim.hpp"
@@ -446,7 +447,8 @@ TEST(ShardedSession, FileBatchMatchesInMemoryBatch) {
 
   core::VectorSink v_mem(rt.nranks()), v_file(rt.nranks());
   const auto r_mem = session.align_batch(rt, w.reads, v_mem);
-  const auto r_file = session.align_batch_file(rt, db_path, v_file);
+  const auto r_file =
+      session.align_batch(rt, core::load_read_batch(db_path), v_file);
   auto mem = v_mem.take();
   auto file = v_file.take();
   EXPECT_EQ(r_mem.stats.alignments_reported, r_file.stats.alignments_reported);

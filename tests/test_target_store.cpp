@@ -20,7 +20,8 @@ std::vector<SeqRecord> make_targets(int n, std::uint64_t seed,
   std::vector<SeqRecord> recs;
   for (int i = 0; i < n; ++i) {
     SeqRecord r;
-    r.name = "t" + std::to_string(i);
+    r.name = 't';
+    r.name += std::to_string(i);
     r.seq.resize(min_len + rng() % (max_len - min_len));
     for (auto& c : r.seq) c = "ACGT"[rng() & 3u];
     recs.push_back(std::move(r));

@@ -1,6 +1,6 @@
 // Minimal flag parsing shared by the command-line tools, plus the one
-// mapping from aligner flags to IndexConfig/SessionConfig that meraligner
-// and meralignerd both use.
+// mapping from aligner flags to IndexConfig/SessionConfig and the one
+// sharded-reference builder that meraligner and meralignerd both use.
 #pragma once
 
 #include <cstdlib>
@@ -15,7 +15,11 @@
 #include "align/extension.hpp"
 #include "core/align_session.hpp"
 #include "core/indexed_reference.hpp"
+#include "obs/log.hpp"
+#include "pgas/runtime.hpp"
+#include "seq/fasta.hpp"
 #include "shard/shard_planner.hpp"
+#include "shard/sharded_reference.hpp"
 
 namespace mera::tools {
 
@@ -212,6 +216,31 @@ inline ShardFlags shard_flags(const Args& args, std::size_t target_files) {
     f.parallel = static_cast<int>(j);
   }
   return f;
+}
+
+/// The sharded reference a validated sharded invocation (see shard_flags)
+/// asks for: one shard per FASTA when --targets repeats, otherwise --shards K
+/// planned over the one --targets collection by --shard-by (default cost).
+/// The planner makes at most one shard per target; a smaller K than asked
+/// for is reported as a warning.
+inline shard::ShardedReference build_sharded_reference(
+    pgas::Runtime& rt, const Args& args, const core::IndexConfig& icfg) {
+  const std::vector<std::string> target_files = args.get_all("targets");
+  if (target_files.size() > 1)
+    return shard::ShardedReference::build_from_fastas(rt, target_files, icfg);
+  shard::ShardPlanOptions popt;
+  popt.shards = static_cast<int>(args.get_int("shards", 0));
+  popt.weight = parse_shard_weight(args.get("shard-by", "cost"));
+  popt.k = icfg.k;
+  const auto targets = seq::read_fasta(target_files[0]);
+  auto ref = shard::ShardedReference::build(
+      rt, targets, shard::plan_shards(targets, popt), icfg);
+  if (ref.num_shards() != popt.shards)
+    obs::Log::warn(
+        "warning: --shards %d clamped to %d (one "
+        "shard per target is the maximum)",
+        popt.shards, ref.num_shards());
+  return ref;
 }
 
 }  // namespace mera::tools

@@ -9,7 +9,6 @@
 //              [--no-seed-cache] [--no-target-cache] [--no-aggregation]
 //              [--no-permute] [--stats]
 //              [--shards K] [--shard-by cost|bases] [--shard-parallel J]
-//              [--no-prefetch]
 //              [--save-cache DIR] [--load-cache DIR] [--cache-admission]
 //              [--trace FILE.json] [--metrics FILE]
 //              [--metrics-format json|prom] [--quiet]
@@ -28,11 +27,9 @@
 // --shard-parallel J drives J shards concurrently per batch (default: auto,
 // min(K, hardware threads / ranks)); output is bit-identical at every J.
 //
-// Batch streaming is double-buffered by default: while batch N aligns,
-// batch N+1 loads on a background worker (FASTQ parsed straight into
-// memory). --no-prefetch restores the strictly serial load-then-align loop,
-// converting FASTQ to a temporary SeqDB next to the input (the paper's
-// one-time lossless preprocessing) so every rank reads its own byte range.
+// Batch streaming is double-buffered: while batch N aligns, batch N+1 loads
+// into memory on a background worker (FASTQ parsed, SeqDB read). The CLI
+// writes no file next to its inputs.
 //
 // Cache persistence: --save-cache DIR snapshots the session's software
 // caches (seed + target, entries and counters) after the last batch;
@@ -57,9 +54,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cache/cache_snapshot.hpp"
@@ -67,13 +64,10 @@
 #include "cli_util.hpp"
 #include "core/align_session.hpp"
 #include "core/alignment_sink.hpp"
-#include "core/batch_prefetcher.hpp"
 #include "core/indexed_reference.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "seq/fasta.hpp"
-#include "seq/seqdb.hpp"
 #include "shard/sharded_reference.hpp"
 #include "shard/sharded_session.hpp"
 
@@ -88,15 +82,13 @@ constexpr const char* kUsage =
     "           [--no-exact] [--no-seed-cache] [--no-target-cache]\n"
     "           [--no-aggregation] [--no-permute] [--stats]\n"
     "           [--shards K] [--shard-by cost|bases] [--shard-parallel J]\n"
-    "           [--no-prefetch]\n"
     "           [--save-cache DIR] [--load-cache DIR] [--cache-admission]\n"
     "           [--trace FILE.json] [--metrics FILE]\n"
     "           [--metrics-format json|prom] [--quiet]\n"
     "\n"
     "The index over --targets is built once; each --reads batch is aligned\n"
     "against it in order, streaming SAM into --out (one header, all batches).\n"
-    "While a batch aligns, the next one loads in the background\n"
-    "(--no-prefetch for the strictly serial loop).\n"
+    "While a batch aligns, the next one loads in the background.\n"
     "--shards K splits one target collection into K balanced index shards;\n"
     "repeating --targets makes one shard per FASTA. Either way the batches\n"
     "stream through every shard and come out as one reconciled SAM.\n"
@@ -118,17 +110,6 @@ constexpr const char* kUsage =
     "chrome://tracing or ui.perfetto.dev); --metrics FILE dumps the metrics\n"
     "registry as JSON (--metrics-format prom for Prometheus text). Neither\n"
     "changes a SAM byte. --quiet silences informational stderr lines.";
-
-/// FASTQ batches get the one-time lossless SeqDB conversion.
-std::string ensure_seqdb(const std::string& reads) {
-  if (mera::core::looks_like_fastq(reads)) {
-    const std::string db = reads + ".sdb";
-    mera::obs::Log::info("converting %s -> %s", reads.c_str(), db.c_str());
-    mera::seq::fastq_to_seqdb(reads, db);
-    return db;
-  }
-  return reads;
-}
 
 void print_batch_line(std::size_t b, std::size_t nbatches,
                       const std::string& name, const mera::core::PipelineStats& s,
@@ -163,10 +144,6 @@ void load_caches_or_usage_error(SessionT& session, const mera::pgas::Runtime& rt
     throw mera::tools::UsageError("--load-cache " + dir + ": " + e.what());
   }
   mera::obs::Log::info("warm caches loaded from %s", dir.c_str());
-}
-
-void print_save_line(const std::string& dir) {
-  mera::obs::Log::info("caches saved to %s", dir.c_str());
 }
 
 void print_total_line(const mera::core::PipelineStats& total, double index_s,
@@ -239,6 +216,88 @@ void write_observability_files(const std::string& trace_path,
   }
 }
 
+/// The validated flags every --reads stream needs besides its session.
+struct StreamFlags {
+  std::vector<std::string> batches;  ///< --reads, in command-line order
+  std::string out;                   ///< --out; empty = count only
+  std::string load_cache_dir;
+  std::string save_cache_dir;
+  bool stats = false;
+  mera::core::SamProgram pg;
+};
+
+/// Everything after the reference is built, for a plain or a sharded
+/// session: warm-load, the double-buffered --reads stream into --out,
+/// save, the total line and the --stats epilogue.
+template <typename Session>
+void stream_reads(Session& session, mera::pgas::Runtime& rt,
+                  const StreamFlags& f) {
+  namespace core = mera::core;
+  constexpr bool kSharded =
+      std::is_same_v<Session, mera::shard::ShardedAlignSession>;
+  // A plain session snapshots into one file in DIR, a sharded one writes
+  // one file per shard into DIR.
+  const auto snapshot_path = [](const std::string& dir) {
+    if constexpr (kSharded) return dir;
+    else return dir + "/" + mera::cache::kSessionSnapshotFile;
+  };
+  const auto& ref = session.reference();
+  if (!f.load_cache_dir.empty())
+    load_caches_or_usage_error(session, rt, f.load_cache_dir,
+                               snapshot_path(f.load_cache_dir));
+  std::optional<core::SamFileSink> sam;
+  core::CountingSink counter;
+  if (!f.out.empty()) {
+    if constexpr (kSharded)
+      sam.emplace(f.out, ref.sam_targets(), rt.nranks(), f.pg);
+    else
+      sam.emplace(f.out, ref, f.pg);
+  }
+  core::AlignmentSink& sink = sam ? static_cast<core::AlignmentSink&>(*sam)
+                                  : static_cast<core::AlignmentSink&>(counter);
+
+  // Batch N+1 loads while batch N aligns; per-batch lines print live as
+  // each batch completes.
+  core::PipelineStats total;
+  double align_s = 0.0, align_parallel_s = 0.0;
+  const auto stream = session.align_batch_files(
+      rt, f.batches, sink, {}, [&](std::size_t b, const auto& res) {
+        align_s += res.total_time_s();
+        if constexpr (kSharded) align_parallel_s += res.time_parallel_s();
+        total += res.stats;
+        print_batch_line(b, f.batches.size(), f.batches[b], res.stats,
+                         res.total_time_s());
+        if (f.stats) {
+          res.report.print(std::cerr);
+          res.stats.print(std::cerr);
+        }
+      });
+  print_prefetch_line(stream.wall_s, stream.load_wall_s, stream.stall_s);
+  if (!f.save_cache_dir.empty()) {
+    session.save_caches(rt, snapshot_path(f.save_cache_dir));
+    mera::obs::Log::info("caches saved to %s", f.save_cache_dir.c_str());
+  }
+  print_total_line(total, ref.build_report().total_time_s(), align_s);
+  if constexpr (kSharded)
+    mera::obs::Log::info(
+        "per-runtime view (%d shards in parallel): "
+        "%.3f s index + %.3f s aligning",
+        ref.num_shards(), ref.build_time_parallel_s(), align_parallel_s);
+  if (f.stats) {
+    mera::cache::CacheCounters seed, target;
+    if constexpr (kSharded) {
+      for (int s = 0; s < session.num_shards(); ++s) {
+        seed += session.shard_session(s).seed_cache_counters();
+        target += session.shard_session(s).target_cache_counters();
+      }
+    } else {
+      seed = session.seed_cache_counters();
+      target = session.target_cache_counters();
+    }
+    print_cache_totals(seed, target);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -263,9 +322,9 @@ int main(int argc, char** argv) {
                       "max-hits", "fragment-len", "sw", "sw-isa",
                       "no-exact", "no-seed-cache", "no-target-cache",
                       "no-aggregation", "no-permute", "stats", "shards",
-                      "shard-by", "shard-parallel", "no-prefetch",
-                      "save-cache", "load-cache", "cache-admission", "trace",
-                      "metrics", "metrics-format", "quiet", "help"});
+                      "shard-by", "shard-parallel", "save-cache",
+                      "load-cache", "cache-admission", "trace", "metrics",
+                      "metrics-format", "quiet", "help"});
     if (args.has("quiet")) obs::Log::set_level(obs::LogLevel::kError);
     const std::string trace_path = args.get("trace");
     if (args.has("trace") && (trace_path.empty() || trace_path == "1"))
@@ -284,185 +343,70 @@ int main(int argc, char** argv) {
     const std::vector<std::string> target_files = args.get_all("targets");
     if (target_files.empty())
       throw tools::UsageError("missing required flag --targets");
-    std::vector<std::string> batches = args.get_all("reads");
-    if (batches.empty()) throw tools::UsageError("missing required flag --reads");
-    const std::string out = args.get("out");
+    StreamFlags run;
+    run.batches = args.get_all("reads");
+    if (run.batches.empty())
+      throw tools::UsageError("missing required flag --reads");
+    run.out = args.get("out");
 
     const auto [icfg, scfg] = tools::aligner_flags(args);
 
-    const std::string save_cache_dir = args.get("save-cache");
-    const std::string load_cache_dir = args.get("load-cache");
-    if (args.has("save-cache") && save_cache_dir.empty())
+    run.save_cache_dir = args.get("save-cache");
+    run.load_cache_dir = args.get("load-cache");
+    if (args.has("save-cache") && run.save_cache_dir.empty())
       throw tools::UsageError("--save-cache expects a directory");
-    if (args.has("load-cache") && load_cache_dir.empty())
+    if (args.has("load-cache") && run.load_cache_dir.empty())
       throw tools::UsageError("--load-cache expects a directory");
-    if (!load_cache_dir.empty() &&
-        !std::filesystem::is_directory(load_cache_dir))
-      throw tools::UsageError("--load-cache: " + load_cache_dir +
+    if (!run.load_cache_dir.empty() &&
+        !std::filesystem::is_directory(run.load_cache_dir))
+      throw tools::UsageError("--load-cache: " + run.load_cache_dir +
                               " is not a directory");
+    run.stats = args.has("stats");
+    run.pg.name = "meraligner";
+    run.pg.command_line = tools::command_line_of(argc, argv);
 
     const int nranks = static_cast<int>(args.get_int("ranks", 8));
     const int ppn = static_cast<int>(args.get_int("ppn", 4));
     pgas::Runtime rt(pgas::Topology(nranks, ppn));
 
-    core::SamProgram pg;
-    pg.name = "meraligner";
-    pg.command_line = tools::command_line_of(argc, argv);
-
     const tools::ShardFlags shard_cfg =
         tools::shard_flags(args, target_files.size());
-    const bool prefetch = !args.has("no-prefetch");
 
     if (!shard_cfg.sharded) {
-      // ---- single-index path ---------------------------------------------
       const auto ref =
           core::IndexedReference::build_from_fasta(rt, target_files[0], icfg);
       obs::Log::info(
           "index built: %zu entries, %.3f simulated s "
           "(amortized over %zu batch%s)",
           ref.index_entries(), ref.build_report().total_time_s(),
-          batches.size(), batches.size() == 1 ? "" : "es");
-      if (args.has("stats")) ref.build_report().print(std::cerr);
-
+          run.batches.size(), run.batches.size() == 1 ? "" : "es");
+      if (run.stats) ref.build_report().print(std::cerr);
       core::AlignSession session(ref, scfg);
-      if (!load_cache_dir.empty())
-        load_caches_or_usage_error(
-            session, rt, load_cache_dir,
-            load_cache_dir + "/" + cache::kSessionSnapshotFile);
-      std::optional<core::SamFileSink> sam;
-      core::CountingSink counter;
-      if (!out.empty()) sam.emplace(out, ref, pg);
-      core::AlignmentSink& sink =
-          sam ? static_cast<core::AlignmentSink&>(*sam)
-              : static_cast<core::AlignmentSink&>(counter);
-
-      core::PipelineStats total;
-      double align_time_s = 0.0;
-      auto account_batch = [&](std::size_t b, const core::BatchResult& res) {
-        align_time_s += res.total_time_s();
-        total += res.stats;
-        print_batch_line(b, batches.size(), batches[b], res.stats,
-                         res.total_time_s());
-        if (args.has("stats")) {
-          res.report.print(std::cerr);
-          res.stats.print(std::cerr);
-        }
-      };
-      if (prefetch) {
-        // Double-buffered stream: batch N+1 loads while batch N aligns;
-        // per-batch lines print live as each batch completes.
-        const auto stream =
-            session.align_batch_files(rt, batches, sink, {}, account_batch);
-        print_prefetch_line(stream.wall_s, stream.load_wall_s, stream.stall_s);
-      } else {
-        for (std::size_t b = 0; b < batches.size(); ++b) {
-          const std::string db = ensure_seqdb(batches[b]);
-          account_batch(b, session.align_batch_file(rt, db, sink));
-        }
-      }
-      if (!save_cache_dir.empty()) {
-        session.save_caches(
-            rt, save_cache_dir + "/" + cache::kSessionSnapshotFile);
-        print_save_line(save_cache_dir);
-      }
-      print_total_line(total, ref.build_report().total_time_s(), align_time_s);
-      if (args.has("stats"))
-        print_cache_totals(session.seed_cache_counters(),
-                           session.target_cache_counters());
-      write_observability_files(trace_path, metrics_path, metrics_format);
-      return 0;
-    }
-
-    // ---- sharded path -----------------------------------------------------
-    std::optional<shard::ShardedReference> ref;
-    if (target_files.size() > 1) {
-      ref = shard::ShardedReference::build_from_fastas(rt, target_files, icfg);
+      stream_reads(session, rt, run);
     } else {
-      shard::ShardPlanOptions popt;
-      popt.shards = static_cast<int>(shard_cfg.shards);
-      popt.weight = tools::parse_shard_weight(args.get("shard-by", "cost"));
-      popt.k = icfg.k;
-      const auto targets = seq::read_fasta(target_files[0]);
-      ref = shard::ShardedReference::build(
-          rt, targets, shard::plan_shards(targets, popt), icfg);
-      if (ref->num_shards() != popt.shards)
-        obs::Log::warn(
-            "warning: --shards %d clamped to %d (one "
-            "shard per target is the maximum)",
-            popt.shards, ref->num_shards());
-    }
-    obs::Log::info(
-        "sharded index built: %d shards, %u targets, "
-        "%zu entries; build %.3f simulated s serial, %.3f s if each "
-        "shard had its own runtime",
-        ref->num_shards(), ref->num_targets(), ref->index_entries(),
-        ref->build_time_serial_s(), ref->build_time_parallel_s());
-    for (int s = 0; s < ref->num_shards(); ++s)
+      const auto ref = tools::build_sharded_reference(rt, args, icfg);
       obs::Log::info(
-          "  shard %d: %u targets, %zu entries, "
-          "build %.3f simulated s",
-          s, ref->shard(s).targets().num_targets(),
-          ref->shard(s).index_entries(),
-          ref->shard(s).build_report().total_time_s());
-    if (args.has("stats")) ref->build_report().print(std::cerr);
-
-    shard::ShardedSessionConfig sscfg{scfg, shard_cfg.parallel};
-    shard::ShardedAlignSession session(*ref, sscfg);
-    obs::Log::info(
-        "shard executor: %d of %d shards in parallel "
-        "per batch (%s)",
-        session.effective_parallelism(rt.nranks()), session.num_shards(),
-        shard_cfg.parallel > 0 ? "--shard-parallel" : "auto");
-    if (!load_cache_dir.empty())
-      load_caches_or_usage_error(session, rt, load_cache_dir, load_cache_dir);
-    std::optional<core::SamFileSink> sam;
-    core::CountingSink counter;
-    if (!out.empty()) sam.emplace(out, ref->sam_targets(), rt.nranks(), pg);
-    core::AlignmentSink& sink =
-        sam ? static_cast<core::AlignmentSink&>(*sam)
-            : static_cast<core::AlignmentSink&>(counter);
-
-    core::PipelineStats total;
-    double align_serial_s = 0.0, align_parallel_s = 0.0;
-    auto account_batch = [&](std::size_t b,
-                             const shard::ShardedBatchResult& res) {
-      align_serial_s += res.total_time_s();
-      align_parallel_s += res.time_parallel_s();
-      total += res.stats;
-      print_batch_line(b, batches.size(), batches[b], res.stats,
-                       res.total_time_s());
-      if (args.has("stats")) {
-        res.report.print(std::cerr);
-        res.stats.print(std::cerr);
-      }
-    };
-    if (prefetch) {
-      const auto stream =
-          session.align_batch_files(rt, batches, sink, {}, account_batch);
-      print_prefetch_line(stream.wall_s, stream.load_wall_s, stream.stall_s);
-    } else {
-      for (std::size_t b = 0; b < batches.size(); ++b) {
-        const std::string db = ensure_seqdb(batches[b]);
-        account_batch(b, session.align_batch_file(rt, db, sink));
-      }
-    }
-    if (!save_cache_dir.empty()) {
-      session.save_caches(rt, save_cache_dir);
-      print_save_line(save_cache_dir);
-    }
-    print_total_line(total, ref->build_time_serial_s(), align_serial_s);
-    obs::Log::info(
-        "per-runtime view (%d shards in parallel): "
-        "%.3f s index + %.3f s aligning",
-        ref->num_shards(), ref->build_time_parallel_s(), align_parallel_s);
-    if (args.has("stats")) {
-      cache::CacheCounters seed, target;
-      for (int s = 0; s < session.num_shards(); ++s) {
-        const auto& ss = session.shard_session(s);
-        seed += ss.seed_cache_counters();
-        target += ss.target_cache_counters();
-      }
-      print_cache_totals(seed, target);
+          "sharded index built: %d shards, %u targets, "
+          "%zu entries; build %.3f simulated s serial, %.3f s if each "
+          "shard had its own runtime",
+          ref.num_shards(), ref.num_targets(), ref.index_entries(),
+          ref.build_time_serial_s(), ref.build_time_parallel_s());
+      for (int s = 0; s < ref.num_shards(); ++s)
+        obs::Log::info(
+            "  shard %d: %u targets, %zu entries, "
+            "build %.3f simulated s",
+            s, ref.shard(s).targets().num_targets(),
+            ref.shard(s).index_entries(),
+            ref.shard(s).build_report().total_time_s());
+      if (run.stats) ref.build_report().print(std::cerr);
+      shard::ShardedAlignSession session(
+          ref, shard::ShardedSessionConfig{scfg, shard_cfg.parallel});
+      obs::Log::info(
+          "shard executor: %d of %d shards in parallel "
+          "per batch (%s)",
+          session.effective_parallelism(rt.nranks()), session.num_shards(),
+          shard_cfg.parallel > 0 ? "--shard-parallel" : "auto");
+      stream_reads(session, rt, run);
     }
     write_observability_files(trace_path, metrics_path, metrics_format);
     return 0;

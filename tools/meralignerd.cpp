@@ -44,7 +44,6 @@
 #include "core/align_session.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/log.hpp"
-#include "seq/fasta.hpp"
 #include "serve/backend.hpp"
 #include "serve/daemon.hpp"
 #include "shard/sharded_reference.hpp"
@@ -157,33 +156,20 @@ int main(int argc, char** argv) {
                      ref.index_entries(), ref.build_report().total_time_s());
       backend.emplace(std::move(ref), scfg);
     } else {
-      std::optional<shard::ShardedReference> ref;
-      if (target_files.size() > 1) {
-        ref = shard::ShardedReference::build_from_fastas(build_rt,
-                                                         target_files, icfg);
-      } else {
-        shard::ShardPlanOptions popt;
-        popt.shards = static_cast<int>(shard_cfg.shards);
-        popt.weight = tools::parse_shard_weight(args.get("shard-by", "cost"));
-        popt.k = icfg.k;
-        const auto targets = seq::read_fasta(target_files[0]);
-        ref = shard::ShardedReference::build(
-            build_rt, targets, shard::plan_shards(targets, popt), icfg);
-      }
+      auto ref = tools::build_sharded_reference(build_rt, args, icfg);
       obs::Log::info("sharded index built: %d shards, %u targets, %zu entries",
-                     ref->num_shards(), ref->num_targets(),
-                     ref->index_entries());
+                     ref.num_shards(), ref.num_targets(), ref.index_entries());
       shard::ShardedSessionConfig sscfg{scfg, shard_cfg.parallel, nullptr};
       const int J = shard_cfg.parallel > 0
                         ? shard_cfg.parallel
                         : exec::ThreadPool::default_parallelism(
-                              ref->num_shards(), nranks);
+                              ref.num_shards(), nranks);
       if (J > 1) {
         pool.emplace(J);
         sscfg.pool = &*pool;
         obs::Log::info("global shard executor: %d workers (process-wide)", J);
       }
-      backend.emplace(std::move(*ref), sscfg);
+      backend.emplace(std::move(ref), sscfg);
     }
     if (load_cache) {
       try {
