@@ -1,7 +1,7 @@
 // DHT microbenches (google-benchmark): distributed seed-index construction
 // across modes and aggregation buffer sizes S (the Section III-A tuning
-// parameter; the paper uses S = 1000), lookup throughput, and the node seed
-// cache's wall cost per lookup-or-insert.
+// parameter; the paper uses S = 1000), lookup throughput of present and of
+// absent seeds, and the node seed cache's wall cost per lookup-or-insert.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -88,7 +88,12 @@ BENCHMARK(BM_IndexConstruction)
     ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SeedLookup(benchmark::State& state) {
+/// Lookup wall cost over the seeds of one sequence: a target's own (every
+/// lookup finds its seed) or one not in the index (every lookup misses, as
+/// most lookups of human reads do). Wall time, over enough lookups per run
+/// that starting the rank threads is a small part of it.
+void seed_lookups(benchmark::State& state, bool present) {
+  constexpr int kLookupsPerRun = 100000;
   const auto targets = make_targets(16, 4000, 5);
   const int k = 31;
   pgas::Runtime rt(pgas::Topology(4, 2));
@@ -96,8 +101,9 @@ void BM_SeedLookup(benchmark::State& state) {
   build(rt, index, targets, k);
 
   // Pre-extract query seeds.
+  const std::string source = present ? targets[3] : make_targets(1, 4000, 6)[0];
   std::vector<seq::Kmer> queries;
-  seq::for_each_seed(std::string_view(targets[3]), k,
+  seq::for_each_seed(std::string_view(source), k,
                      [&](std::size_t, const seq::Kmer& m) {
                        queries.push_back(m);
                      });
@@ -106,7 +112,7 @@ void BM_SeedLookup(benchmark::State& state) {
   for (auto _ : state) {
     rt.run([&](pgas::Rank& r) {
       if (r.id() != 0) return;
-      for (int i = 0; i < 1000; ++i) {
+      for (int i = 0; i < kLookupsPerRun; ++i) {
         hits.clear();
         benchmark::DoNotOptimize(
             index.lookup(r, queries[qi], 16, hits));
@@ -114,9 +120,15 @@ void BM_SeedLookup(benchmark::State& state) {
       }
     });
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kLookupsPerRun);
 }
-BENCHMARK(BM_SeedLookup)->Unit(benchmark::kMillisecond);
+void BM_SeedLookup(benchmark::State& state) { seed_lookups(state, true); }
+void BM_SeedLookupAbsent(benchmark::State& state) {
+  seed_lookups(state, false);
+}
+BENCHMARK(BM_SeedLookup)->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SeedLookupAbsent)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 /// Seeds and hit lists for BM_SeedCacheLookupOrInsert: 4x the capacity.
 struct SeedCacheWorkload {

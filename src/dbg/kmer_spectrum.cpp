@@ -102,7 +102,7 @@ void KmerSpectrum::finish_insert(pgas::Rank& rank) {
   if (opt_.aggregating_stores) {
     aggregators_[me]->flush_all(rank);
     rank.barrier();
-    for (const Entry& e : stacks_[me].drain_view()) {
+    for (const Entry& e : stacks_[me].take()) {
       apply_entry(rank.id(), e);
       rank.charge_access(rank.id(), sizeof(Entry));
     }

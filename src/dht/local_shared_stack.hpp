@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "pgas/runtime.hpp"
@@ -42,16 +43,12 @@ class LocalSharedStack {
     rank.put(owner_, batch.data(), storage_.data() + pos, batch.size());
   }
 
-  /// Entries deposited so far. Owner-side, to be called after the barrier
-  /// that ends the deposit phase.
-  [[nodiscard]] std::span<const T> drain_view() const noexcept {
-    return {storage_.data(), stack_ptr_.load_unsync()};
-  }
-
-  /// Owner frees the storage once it has consumed the drained entries.
-  void release() noexcept {
-    storage_ = std::vector<T>();
+  /// Owner moves the deposited entries out, leaving the stack empty. Call
+  /// after the barrier that ends the deposit phase.
+  [[nodiscard]] std::vector<T> take() {
+    storage_.resize(stack_ptr_.load_unsync());
     stack_ptr_.reset(owner_, 0);
+    return std::move(storage_);  // leaves storage_ empty
   }
 
  private:

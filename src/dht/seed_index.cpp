@@ -1,17 +1,16 @@
 #include "dht/seed_index.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <ranges>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 
 namespace mera::dht {
 
 namespace {
-
-std::uint8_t slot_tag(std::uint64_t hash) noexcept {
-  return static_cast<std::uint8_t>(0x80u | (hash >> 57));
-}
 
 /// Canonical within-run order: a fixed pseudo-random permutation of targets
 /// (splitmix64 finalizer), then position, then fragment as the total tie-break.
@@ -20,6 +19,14 @@ auto hit_order(const SeedHit& h) noexcept {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return std::tuple{x ^ (x >> 31), h.t_pos, h.fragment_id};
+}
+
+/// A hash's two filter bits, picked by the two 4-bit groups below its bucket
+/// bits. At ~0.9 runs per bucket ~2% of absent seeds pass them; an 8-bit
+/// filter would pass ~7% with two bits and ~10% with one.
+std::uint16_t filter_bits(std::uint64_t hash, unsigned shift) noexcept {
+  return static_cast<std::uint16_t>((1u << ((hash >> (shift - 4)) & 15u)) |
+                                    (1u << ((hash >> (shift - 8)) & 15u)));
 }
 
 }  // namespace
@@ -80,74 +87,68 @@ void SeedIndex::finish_insert(pgas::Rank& rank) {
     aggregators_[me].reset();
   }
   rank.barrier();
+  RankStore& st = stores_[me];
+  st.entries = stacks_[me].take();
   if (opt_.aggregating_stores) {
     // Draining the local-shared stack takes no communication and no locks
     // (the lock-free payoff of Figure 4); tally it as local work.
-    const std::size_t landed = stacks_[me].drain_view().size();
-    for (std::size_t i = 0; i < landed; ++i)
+    for (std::size_t i = 0; i < st.entries.size(); ++i)
       rank.charge_access(rank.id(), sizeof(SeedEntry));
   }
-  build_runs(stores_[me], stacks_[me]);
+  build_directory(st);
   rank.barrier();
 }
 
-void SeedIndex::build_runs(RankStore& st,
-                           LocalSharedStack<SeedEntry>& stack) const {
-  const auto entries = stack.drain_view();
-  // Sort 16-byte (hash, index) keys rather than the entries themselves;
-  // equal hashes fall back to the seed words, then the canonical hit order.
-  struct Key {
-    std::uint64_t hash;
-    std::uint64_t idx;
-  };
-  std::vector<Key> keys(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i)
-    keys[i] = {entries[i].seed.mixed_hash(), i};
-  std::sort(keys.begin(), keys.end(), [&](const Key& a, const Key& b) {
-    if (a.hash != b.hash) return a.hash < b.hash;
-    const SeedEntry& x = entries[a.idx];
-    const SeedEntry& y = entries[b.idx];
-    if (x.seed.words() != y.seed.words())
-      return x.seed.words() < y.seed.words();
-    return hit_order(x.hit) < hit_order(y.hit);
-  });
-
-  // Copy out the hits and one dense slot per run, then free the keys and
-  // the landed entries before allocating the table, so that entries, keys
-  // and table are never all live at once (the build's peak memory).
-  const auto new_run = [&](std::size_t i) {
-    return i == 0 || keys[i].hash != keys[i - 1].hash ||
-           entries[keys[i].idx].seed.words() !=
-               entries[keys[i - 1].idx].seed.words();
-  };
-  std::size_t distinct = 0;
-  for (std::size_t i = 0; i < keys.size(); ++i) distinct += new_run(i);
-  std::vector<Slot> runs;
-  runs.reserve(distinct);
-  st.hits.resize(entries.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const SeedEntry& e = entries[keys[i].idx];
-    st.hits[i] = e.hit;
-    if (new_run(i))
-      runs.push_back({e.seed.words(), static_cast<std::uint32_t>(i), 0});
-    ++runs.back().count;
+void SeedIndex::build_directory(RankStore& st) {
+  std::vector<SeedEntry>& e = st.entries;
+  // Stash each entry's top 32 hash bits in its still unused run field: they
+  // pick its part and decide almost every comparison of the sort below.
+  std::array<std::size_t, 257> part{};
+  for (SeedEntry& x : e) {
+    x.run = static_cast<std::uint32_t>(x.seed.mixed_hash() >> 32);
+    ++part[(x.run >> 24) + 1];
   }
-  keys = std::vector<Key>();
-  stack.release();
+  for (std::size_t p = 0; p < 256; ++p) part[p + 1] += part[p];
 
-  // Smallest power of two (>= 16) keeping the load factor <= 0.75.
-  const std::uint64_t cap =
-      std::bit_ceil(std::max<std::uint64_t>((runs.size() * 4 + 2) / 3, 16));
-  st.slots.assign(cap, Slot{});
-  st.tags.assign(cap, 0);
-  st.mask = cap - 1;
-  for (const Slot& run : runs) {
-    const std::uint64_t h =
-        seq::Kmer::from_words(opt_.k, run.words).value().mixed_hash();
-    std::uint64_t i = h & st.mask;
-    while (st.tags[i] != 0) i = (i + 1) & st.mask;
-    st.tags[i] = slot_tag(h);
-    st.slots[i] = run;
+  // In-place 256-way partition on the top hash byte: each entry swaps with
+  // its part's write head (with itself if it is there); 256 heads stay hot.
+  auto head = part;
+  for (std::size_t p = 0; p < 256; ++p)
+    for (std::size_t i = head[p]; i != part[p + 1]; i = head[p])
+      std::swap(e[i], e[head[e[i].run >> 24]++]);
+
+  // Canonical order within each part: (mixed_hash, seed words, hit order).
+  const auto less = [](const SeedEntry& x, const SeedEntry& y) {
+    if (x.run != y.run) return x.run < y.run;
+    if (x.seed.words() == y.seed.words())
+      return hit_order(x.hit) < hit_order(y.hit);
+    const std::uint64_t hx = x.seed.mixed_hash(), hy = y.seed.mixed_hash();
+    return hx != hy ? hx < hy : x.seed.words() < y.seed.words();
+  };
+  for (std::size_t p = 0; p < 256; ++p)
+    std::sort(e.begin() + static_cast<std::ptrdiff_t>(part[p]),
+              e.begin() + static_cast<std::ptrdiff_t>(part[p + 1]), less);
+
+  // Each run's length goes in its first entry, 0 in the others.
+  for (std::size_t i = 0; i < e.size(); ++st.distinct) {
+    std::size_t j = i + 1;
+    while (j < e.size() && e[j].seed.words() == e[i].seed.words())
+      e[j++].run = 0;
+    e[i].run = static_cast<std::uint32_t>(j - i);
+    i = j;
+  }
+
+  const std::size_t buckets =
+      std::bit_ceil(std::max<std::size_t>(st.distinct, 16));
+  st.shift = 64 - static_cast<unsigned>(std::countr_zero(buckets));
+  st.dir.assign(buckets + 1, static_cast<std::uint32_t>(e.size()));
+  st.filter.assign(buckets, 0);
+  std::size_t next = 0;  // first bucket whose start is not yet set
+  for (std::size_t i = 0; i < e.size(); i += e[i].run) {
+    const std::uint64_t h = e[i].seed.mixed_hash();
+    const std::size_t b = h >> st.shift;
+    while (next <= b) st.dir[next++] = static_cast<std::uint32_t>(i);
+    st.filter[b] |= filter_bits(h, st.shift);
   }
 }
 
@@ -160,16 +161,19 @@ std::size_t SeedIndex::lookup(pgas::Rank& rank, const seq::Kmer& seed,
   std::size_t appended = 0;
   if (seed.k() == opt_.k) {
     const std::uint64_t h = seed.mixed_hash();
-    const std::uint8_t tag = slot_tag(h);
-    for (std::uint64_t i = h & st.mask; st.tags[i] != 0;
-         i = (i + 1) & st.mask) {
-      if (st.tags[i] != tag || st.slots[i].words != seed.words()) continue;
-      const Slot& s = st.slots[i];
-      total = s.count;
-      appended = std::min<std::size_t>(total, max_hits);
-      out.insert(out.end(), st.hits.begin() + s.start,
-                 st.hits.begin() + s.start + appended);
-      break;
+    const std::size_t b = h >> st.shift;
+    const std::uint16_t bits = filter_bits(h, st.shift);
+    if ((st.filter[b] & bits) == bits) {
+      for (std::uint32_t i = st.dir[b]; i != st.dir[b + 1];
+           i += st.entries[i].run) {
+        if (st.entries[i].seed.words() != seed.words()) continue;
+        total = st.entries[i].run;
+        appended = std::min(total, max_hits);
+        const auto hits = std::span(&st.entries[i], appended) |
+                          std::views::transform(&SeedEntry::hit);
+        out.insert(out.end(), hits.begin(), hits.end());
+        break;
+      }
     }
   }
   rank.charge_access(owner, lookup_transfer_bytes(appended));
@@ -177,14 +181,12 @@ std::size_t SeedIndex::lookup(pgas::Rank& rank, const seq::Kmer& seed,
 }
 
 std::size_t SeedIndex::local_distinct_seeds(int rank) const {
-  const auto& slots = stores_[static_cast<std::size_t>(rank)].slots;
-  return static_cast<std::size_t>(std::ranges::count_if(
-      slots, [](const Slot& s) { return s.count != 0; }));
+  return stores_[static_cast<std::size_t>(rank)].distinct;
 }
 
 std::size_t SeedIndex::total_entries() const {
   std::size_t n = 0;
-  for (const RankStore& st : stores_) n += st.hits.size();
+  for (const RankStore& st : stores_) n += st.entries.size();
   return n;
 }
 

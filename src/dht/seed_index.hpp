@@ -13,17 +13,21 @@
 //
 // Either way entries land in the owner's local-shared stack (each writer
 // reserves its own slots, so no locks), sized exactly by a counting
-// pre-pass. Once all have landed, each owner sorts its shard once — zero
-// communication — into an immutable flat layout and frees the stack:
+// pre-pass. Once all have landed, each owner takes its stack and indexes it
+// in place — zero communication, no copy:
 //
-//  * hits   — one vector of contiguous per-seed runs;
-//  * slots  — linear-probing {seed words, start, count} slots (24 bytes), a
-//             power of two at load <= 0.75 over distinct seeds;
-//  * tags   — one byte per slot (0 = empty, 0x80 | hash >> 57), so most
-//             absent seeds are rejected without touching a slot.
+//  * entries — the landed vector, sorted into canonical runs (one 256-way
+//              pass on the top hash byte, then a sort per part); a run's
+//              first entry holds its length;
+//  * dir     — the first entry of each of bit_ceil(distinct) >= 16 buckets,
+//              keyed by the top hash bits, plus a sentinel;
+//  * filter  — 16 bits per bucket; each run sets two, picked by the hash
+//              bits below the bucket bits, so most absent seeds are rejected
+//              with one load.
 //
-// A lookup is one tag scan, one slot read and one contiguous copy; the
-// slot's count is the seed's total occurrence count (Section IV-A).
+// A lookup tests the filter bits, walks the run heads of dir[b]..dir[b + 1]
+// and copies the match's hits; the run length is the seed's total
+// occurrence count (Section IV-A).
 //
 // Run order is canonical, so the index — and every SAM byte built on it —
 // is the same for any thread arrival order, rank count or mode. Runs are
@@ -34,7 +38,6 @@
 // of a repeat, so a read's (target, diagonal) candidates still collapse.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -62,7 +65,10 @@ struct SeedHit {
 struct SeedEntry {
   seq::Kmer seed;
   SeedHit hit;
+  std::uint32_t run = 0;  ///< owner-set: run length in a run's head, else 0
 };
+// `run` fills padding, so the modeled bytes of each put are unchanged.
+static_assert(sizeof(SeedEntry) == 40);
 
 class SeedIndex {
  public:
@@ -89,10 +95,10 @@ class SeedIndex {
   void finish_count(pgas::Rank& rank);
 
   /// Stage 2: route one entry to its owner (mode-dependent cost). Every
-  /// seed must be k() long: slots key on the seed's words alone.
+  /// seed must be k() long: runs key on the seed's words alone.
   void insert(pgas::Rank& rank, const seq::Kmer& seed, SeedHit hit);
   /// Stage 2 end: flush buffers, sort each owner's entries into runs and
-  /// build the slot table (collective).
+  /// build the bucket directory (collective).
   void finish_insert(pgas::Rank& rank);
 
   // --- queries ---------------------------------------------------------------
@@ -117,11 +123,10 @@ class SeedIndex {
   /// occurs more than once index-wide, invoke fn(hit). Local, post-finalize.
   template <typename Fn>
   void for_each_local_duplicate_hit(pgas::Rank& rank, Fn&& fn) const {
-    const auto& st = stores_[static_cast<std::size_t>(rank.id())];
-    for (const Slot& s : st.slots) {
-      if (s.count < 2) continue;
-      for (std::uint32_t i = s.start; i != s.start + s.count; ++i)
-        fn(st.hits[i]);
+    const auto& e = stores_[static_cast<std::size_t>(rank.id())].entries;
+    for (std::size_t i = 0; i < e.size(); i += e[i].run) {
+      if (e[i].run < 2) continue;
+      for (std::size_t j = i; j != i + e[i].run; ++j) fn(e[j].hit);
     }
   }
 
@@ -131,24 +136,17 @@ class SeedIndex {
   [[nodiscard]] std::size_t total_entries() const;
 
  private:
-  /// One distinct seed: its packed words and its run within `hits`.
-  struct Slot {
-    std::array<std::uint64_t, 2> words{};
-    std::uint32_t start = 0;
-    std::uint32_t count = 0;  ///< 0 = empty slot
-  };
-  static_assert(sizeof(Slot) == 24);
-
   /// Owner-side state for the rank's shard of the table; immutable after
   /// finish_insert().
   struct RankStore {
-    std::vector<SeedHit> hits;       ///< per-seed runs, canonical order
-    std::vector<Slot> slots;         ///< linear probing, power-of-two size
-    std::vector<std::uint8_t> tags;  ///< parallel to slots; 0 = empty
-    std::uint64_t mask = 0;          ///< slots.size() - 1
+    std::vector<SeedEntry> entries;     ///< canonical runs, lengths in heads
+    std::vector<std::uint32_t> dir;     ///< first entry per bucket + sentinel
+    std::vector<std::uint16_t> filter;  ///< per bucket: two bits per run
+    unsigned shift = 64;                ///< bucket = mixed_hash >> shift
+    std::size_t distinct = 0;           ///< runs, i.e. distinct seeds
   };
 
-  void build_runs(RankStore& st, LocalSharedStack<SeedEntry>& stack) const;
+  static void build_directory(RankStore& st);
 
   Options opt_;
   int nranks_;

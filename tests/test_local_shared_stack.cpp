@@ -30,7 +30,7 @@ TEST(LocalSharedStack, ConcurrentBatchesLandDisjointly) {
     }
   });
 
-  const auto view = stacks[0].drain_view();
+  const auto view = stacks[0].take();
   ASSERT_EQ(view.size(), nranks * batches_per_rank * batch);
   // All tags distinct => no overwritten slots.
   std::vector<std::uint64_t> sorted(view.begin(), view.end());
@@ -46,7 +46,7 @@ TEST(LocalSharedStack, BatchesAreContiguous) {
     std::vector<int> payload(10, r.id());
     stacks[0].push_batch(r, payload);
   });
-  const auto view = stacks[0].drain_view();
+  const auto view = stacks[0].take();
   ASSERT_EQ(view.size(), 40u);
   // Each rank's 10 entries occupy one contiguous run.
   for (std::size_t i = 0; i < view.size(); i += 10)
@@ -72,7 +72,23 @@ TEST(LocalSharedStack, EmptyBatchIsFreeNoop) {
     stacks[0].push_batch(r, {});
     EXPECT_EQ(r.stats().atomics, 0u);
   });
-  EXPECT_EQ(stacks[0].drain_view().size(), 0u);
+  EXPECT_EQ(stacks[0].take().size(), 0u);
+}
+
+TEST(LocalSharedStack, TakeReturnsTheLandedPrefixAndEmptiesTheStack) {
+  Runtime rt(Topology(2, 2));
+  std::vector<LocalSharedStack<int>> stacks(1);
+  stacks[0].allocate(0, 10);
+  rt.run([&](Rank& r) {
+    if (r.id() == 1) stacks[0].push_batch(r, std::vector<int>{1, 2, 3, 4, 5, 6});
+  });
+  EXPECT_EQ(stacks[0].take(), (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  EXPECT_TRUE(stacks[0].take().empty());
+  // The emptied stack takes no more entries until it is allocated again.
+  EXPECT_THROW(rt.run([&](Rank& r) {
+                 if (r.id() == 1) stacks[0].push_batch(r, std::vector<int>{7});
+               }),
+               std::logic_error);
 }
 
 TEST(AggregatingStore, FlushesExactlyAtS) {
@@ -98,7 +114,7 @@ TEST(AggregatingStore, FlushesExactlyAtS) {
     agg.flush_all(r);
     EXPECT_EQ(r.stats().atomics, 2u);
   });
-  EXPECT_EQ(stacks[1].drain_view().size(), 11u);
+  EXPECT_EQ(stacks[1].take().size(), 11u);
 }
 
 TEST(AggregatingStore, SFoldMessageReduction) {

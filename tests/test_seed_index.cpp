@@ -3,15 +3,73 @@
 #include "test_util.hpp"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <new>
 #include <random>
+#include <ranges>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "seq/kmer.hpp"
+
+// Live heap bytes and their high-water mark, kept by the replacement
+// operator new/delete below, so a test can bound what one step allocates.
+namespace {
+
+std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_peak_bytes{0};
+
+void* tracked_alloc(std::size_t n) noexcept {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) return nullptr;
+  const auto size = static_cast<std::int64_t>(malloc_usable_size(p));
+  const std::int64_t now = g_live_bytes.fetch_add(size) + size;
+  std::int64_t peak = g_peak_bytes.load();
+  while (now > peak && !g_peak_bytes.compare_exchange_weak(peak, now)) {
+  }
+  return p;
+}
+
+void tracked_free(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)));
+  std::free(p);
+}
+
+void* tracked_alloc_or_throw(std::size_t n) {
+  if (void* p = tracked_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return tracked_alloc_or_throw(n); }
+void* operator new[](std::size_t n) { return tracked_alloc_or_throw(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return tracked_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return tracked_alloc(n);
+}
+void operator delete(void* p) noexcept { tracked_free(p); }
+void operator delete[](void* p) noexcept { tracked_free(p); }
+void operator delete(void* p, std::size_t) noexcept { tracked_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { tracked_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  tracked_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  tracked_free(p);
+}
 
 namespace {
 
@@ -34,8 +92,10 @@ std::multimap<std::string, SeedHit> ground_truth(
       });
 }
 
+/// `before_finish` runs on every rank between the inserts and finish_insert.
 void build_index(Runtime& rt, SeedIndex& index,
-                 const std::vector<std::string>& seqs, int k) {
+                 const std::vector<std::string>& seqs, int k,
+                 const std::function<void(Rank&)>& before_finish = {}) {
   rt.run([&](Rank& r) {
     // Block-partition the sequences over ranks.
     const std::size_t n = seqs.size();
@@ -56,6 +116,7 @@ void build_index(Runtime& rt, SeedIndex& index,
                                  static_cast<std::uint32_t>(s),
                                  static_cast<std::uint32_t>(off)});
           });
+    if (before_finish) before_finish(r);
     index.finish_insert(r);
   });
 }
@@ -138,6 +199,91 @@ TEST_P(SeedIndexModes, TruncatedRepeatKeepsTheSameTargetsForEverySeed) {
       EXPECT_EQ(targets, first_targets) << "seed at repeat offset " << off;
     }
   });
+}
+
+TEST_P(SeedIndexModes, DirectoryEdgeCasesLookUpExactly) {
+  // Few distinct seeds: on 8 ranks some owner receives no entry at all, and
+  // on 1 rank the index has its minimum 16 buckets (the top 4 hash bits), so
+  // several distinct seeds share a bucket. A 9 bp repeat in 6 targets makes
+  // runs of 6 hits, longer than the max-hits cut of 4.
+  const bool aggregating = GetParam();
+  const int k = 7;
+  std::mt19937_64 rng(35);
+  const std::string repeat = random_dna(rng, 9);
+  std::vector<std::string> seqs{random_dna(rng, 14), "ACACACACA"};
+  for (int i = 0; i < 6; ++i) seqs.push_back(repeat);
+  const auto truth = ground_truth(seqs, k);
+  std::map<std::string, std::size_t> counts;
+  for (const auto& [key, hit] : truth) ++counts[key];
+  ASSERT_LE(counts.size(), 16u);
+
+  std::map<std::uint64_t, int> per_bucket;
+  for (const auto& [key, c] : counts)
+    ++per_bucket[Kmer::from_ascii(key)->mixed_hash() >> 60];
+  ASSERT_GE(std::ranges::max(per_bucket | std::views::values), 3);
+
+  using HitKey = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>;
+  const auto key_of = [](const SeedHit& h) {
+    return HitKey{h.fragment_id, h.target_id, h.t_pos};
+  };
+  std::multiset<HitKey> expect_dups;
+  for (const auto& [key, hit] : truth)
+    if (counts[key] > 1) expect_dups.insert(key_of(hit));
+  ASSERT_FALSE(expect_dups.empty());
+
+  for (const int nranks : {1, 8}) {
+    Runtime rt(Topology(nranks, 4));
+    SeedIndex index(rt.topo(), {k, aggregating, 2});
+    build_index(rt, index, seqs, k);
+    EXPECT_EQ(index.total_entries(), truth.size());
+
+    std::vector<std::size_t> owned(static_cast<std::size_t>(nranks), 0);
+    for (const auto& [key, c] : counts)
+      ++owned[static_cast<std::size_t>(
+          index.owner_of(*Kmer::from_ascii(key)))];
+    for (int r = 0; r < nranks; ++r)
+      EXPECT_EQ(index.local_distinct_seeds(r),
+                owned[static_cast<std::size_t>(r)])
+          << "rank " << r;
+    if (nranks > 1) {
+      ASSERT_EQ(std::ranges::min(owned), 0u);
+    }
+
+    std::multiset<HitKey> dups;
+    std::mutex mu;
+    rt.run([&](Rank& r) {
+      index.for_each_local_duplicate_hit(r, [&](const SeedHit& h) {
+        const std::scoped_lock lk(mu);
+        dups.insert(key_of(h));
+      });
+    });
+    EXPECT_EQ(dups, expect_dups) << nranks << " ranks";
+
+    rt.run([&](Rank& r) {
+      if (r.id() != 0) return;
+      for (const auto& [key, c] : counts) {
+        const auto seed = *Kmer::from_ascii(key);
+        std::multiset<HitKey> want;
+        for (auto [e, end] = truth.equal_range(key); e != end; ++e)
+          want.insert(key_of(e->second));
+        std::vector<SeedHit> all, cut;
+        EXPECT_EQ(index.lookup(r, seed, 1000, all), c) << key;
+        EXPECT_EQ(index.lookup(r, seed, 4, cut), c) << key;
+        std::multiset<HitKey> got;
+        for (const SeedHit& h : all) got.insert(key_of(h));
+        EXPECT_EQ(got, want) << key;
+        ASSERT_EQ(cut.size(), std::min<std::size_t>(c, 4)) << key;
+        EXPECT_TRUE(std::equal(cut.begin(), cut.end(), all.begin())) << key;
+
+        // The same bases one shorter or longer are other seeds: absent.
+        std::vector<SeedHit> none;
+        EXPECT_EQ(index.lookup(r, *Kmer::from_ascii(key.substr(1)), 10, none),
+                  0u);
+        EXPECT_EQ(index.lookup(r, *Kmer::from_ascii(key + "A"), 10, none), 0u);
+        EXPECT_TRUE(none.empty());
+      }
+    });
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BothConstructionModes, SeedIndexModes,
@@ -251,6 +397,34 @@ TEST(SeedIndex, LookupIsExactAndCanonicalAcrossRanksAndModes) {
     EXPECT_TRUE(std::equal(cut.begin(), cut.end(), all.begin(),
                            all.begin() + std::min<std::ptrdiff_t>(2, all.size())));
   }
+}
+
+TEST(SeedIndex, BuildAllocatesLittleBeyondTheLandedEntries) {
+  // The landed entries are the index: finish_insert may add its directory
+  // and filter (at most ~12 bytes per distinct seed), but no copy of the
+  // 40-byte entries, their keys or their hits.
+  std::mt19937_64 rng(29);
+  std::vector<std::string> seqs;
+  for (int i = 0; i < 8; ++i) seqs.push_back(random_dna(rng, 26000));
+  const int k = 31;
+  Runtime rt(Topology(4, 2));
+  SeedIndex index(rt.topo(), {k, true, 1000});
+  std::int64_t before = 0;
+  build_index(rt, index, seqs, k, [&](Rank& r) {
+    r.barrier();
+    if (r.id() == 0) {
+      before = g_live_bytes.load();
+      g_peak_bytes.store(before);
+    }
+    r.barrier();
+  });
+  const std::int64_t peak = g_peak_bytes.load();
+  ASSERT_GE(index.total_entries(), 200000u);
+  const double landed =
+      static_cast<double>(sizeof(SeedEntry) * index.total_entries());
+  EXPECT_LE(static_cast<double>(peak - before), 0.3 * landed)
+      << "peak extra " << peak - before << " B over " << landed
+      << " B of landed entries";
 }
 
 TEST(SeedIndex, RejectsBadOptions) {
