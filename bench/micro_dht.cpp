@@ -41,14 +41,14 @@ void build(pgas::Runtime& rt, SeedIndex& index,
     const auto p = static_cast<std::size_t>(r.nranks());
     const std::size_t lo = n * me / p, hi = n * (me + 1) / p;
     for (std::size_t s = lo; s < hi; ++s)
-      seq::for_each_seed(std::string_view(seqs[s]), k,
-                         [&](std::size_t, const seq::Kmer& m) {
-                           index.count_seed(r, m);
-                         });
+      seq::for_each_stranded_seed(std::string_view(seqs[s]), k,
+                                  [&](std::size_t, const seq::StrandedKmer& m) {
+                                    index.count_seed(r, m);
+                                  });
     index.finish_count(r);
     for (std::size_t s = lo; s < hi; ++s)
-      seq::for_each_seed(std::string_view(seqs[s]), k,
-                         [&](std::size_t off, const seq::Kmer& m) {
+      seq::for_each_stranded_seed(std::string_view(seqs[s]), k,
+                         [&](std::size_t off, const seq::StrandedKmer& m) {
                            index.insert(
                                r, m,
                                SeedHit{static_cast<std::uint32_t>(s),
@@ -91,8 +91,10 @@ BENCHMARK(BM_IndexConstruction)
 /// Lookup wall cost over the seeds of one sequence: a target's own (every
 /// lookup finds its seed) or one not in the index (every lookup misses, as
 /// most lookups of human reads do). Wall time, over enough lookups per run
-/// that starting the rank threads is a small part of it.
-void seed_lookups(benchmark::State& state, bool present) {
+/// that starting the rank threads is a small part of it. `both_strands`
+/// makes the aligner's call, which also returns the reverse complement's
+/// hits; otherwise one oriented seed is looked up.
+void seed_lookups(benchmark::State& state, bool present, bool both_strands) {
   constexpr int kLookupsPerRun = 100000;
   const auto targets = make_targets(16, 4000, 5);
   const int k = 31;
@@ -102,20 +104,25 @@ void seed_lookups(benchmark::State& state, bool present) {
 
   // Pre-extract query seeds.
   const std::string source = present ? targets[3] : make_targets(1, 4000, 6)[0];
-  std::vector<seq::Kmer> queries;
-  seq::for_each_seed(std::string_view(source), k,
-                     [&](std::size_t, const seq::Kmer& m) {
-                       queries.push_back(m);
-                     });
+  std::vector<seq::StrandedKmer> queries;
+  seq::for_each_stranded_seed(std::string_view(source), k,
+                              [&](std::size_t, const seq::StrandedKmer& m) {
+                                queries.push_back(m);
+                              });
   std::size_t qi = 0;
-  std::vector<SeedHit> hits;
+  std::vector<SeedHit> hits, rc_hits;
   for (auto _ : state) {
     rt.run([&](pgas::Rank& r) {
       if (r.id() != 0) return;
       for (int i = 0; i < kLookupsPerRun; ++i) {
         hits.clear();
-        benchmark::DoNotOptimize(
-            index.lookup(r, queries[qi], 16, hits));
+        if (both_strands) {
+          rc_hits.clear();
+          benchmark::DoNotOptimize(
+              index.lookup(r, queries[qi], 16, hits, &rc_hits));
+        } else {
+          benchmark::DoNotOptimize(index.lookup(r, queries[qi].fwd, 16, hits));
+        }
         qi = (qi + 1) % queries.size();
       }
     });
@@ -123,12 +130,23 @@ void seed_lookups(benchmark::State& state, bool present) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kLookupsPerRun);
 }
-void BM_SeedLookup(benchmark::State& state) { seed_lookups(state, true); }
+void BM_SeedLookup(benchmark::State& state) {
+  seed_lookups(state, true, false);
+}
 void BM_SeedLookupAbsent(benchmark::State& state) {
-  seed_lookups(state, false);
+  seed_lookups(state, false, false);
+}
+void BM_SeedLookupBothStrands(benchmark::State& state) {
+  seed_lookups(state, state.range(0) != 0, true);
 }
 BENCHMARK(BM_SeedLookup)->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SeedLookupAbsent)->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SeedLookupBothStrands)
+    ->ArgName("present")
+    ->Arg(1)
+    ->Arg(0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /// Seeds and hit lists for BM_SeedCacheLookupOrInsert: 4x the capacity.
 struct SeedCacheWorkload {

@@ -1,5 +1,7 @@
 #include "core/align_session.hpp"
 
+#include <algorithm>
+#include <array>
 #include <optional>
 #include <stdexcept>
 #include <unordered_set>
@@ -56,6 +58,33 @@ struct Slot {
   std::size_t window_begin = 0;
 };
 
+/// One valid seed window of the read being aligned and what its lookups
+/// returned. The forward pass reads side 0 (the hits of seed.fwd); the
+/// reverse pass reads side 1 (those of seed.rc) in mirrored order: seed.rc
+/// starts at offset qlen - k - q_off of the reverse-complemented read.
+struct ReadSeed {
+  seq::StrandedKmer seed;
+  std::size_t q_off = 0;  ///< forward-strand offset
+  bool looked_up = false;
+  /// False after the node cache served seed.fwd: it holds one orientation,
+  /// so side 1 takes a lookup of its own if the reverse pass needs it.
+  bool rc_known = false;
+  std::array<std::size_t, 2> total{};  ///< per side: index-wide count
+  std::array<std::uint32_t, 2> begin{}, count{};  ///< per side: in hits_
+};
+
+/// One orientation of the read being aligned, built on first use.
+struct Strand {
+  Strand(bool rev, std::string_view oriented)
+      : reverse(rev), packed(oriented), codes(align::dna_codes(oriented)) {}
+  bool reverse;
+  seq::PackedSeq packed;
+  std::vector<std::uint8_t> codes;
+  /// This strand's query id in the pooled queue, registered lazily on the
+  /// first candidate (duplicate query bytes dedup inside the queue).
+  std::optional<std::size_t> pooled_qid;
+};
+
 /// Per-rank aligning-phase worker (seed-and-extend with caches, the Lemma-1
 /// fast path and the max-hits threshold — the second half of Algorithm 1).
 class RankAligner {
@@ -81,11 +110,16 @@ class RankAligner {
     ++st_.reads_processed;
     read_ = &read;
     seen_.clear();
-    const bool done = align_strand(read.name, read.seq, /*reverse=*/false);
-    if (!done) {
-      const std::string rc = seq::reverse_complement(read.seq);
-      align_strand(read.name, rc, /*reverse=*/true);
-    }
+    seeds_.clear();
+    for (auto& h : hits_) h.clear();
+    for (auto& s : strands_) s.reset();
+    seq::for_each_stranded_seed(
+        std::string_view(read.seq), sh_.k,
+        [&](std::size_t q_off, const seq::StrandedKmer& m) {
+          seeds_.push_back({m, q_off});
+        });
+    if (!seeds_.empty())
+      align_seeds(sh_.use_exact && read.seq.find('N') == std::string::npos);
     slots_.emplace_back().state = Slot::State::kReadEnd;
     advance_cursor();
   }
@@ -100,124 +134,237 @@ class RankAligner {
   }
 
  private:
-  /// Returns true when the Lemma-1 fast path resolved the read completely.
-  bool align_strand(const std::string& name, const std::string& oriented,
-                    bool reverse) {
-    const std::size_t qlen = oriented.size();
-    const int k = sh_.k;
-    if (qlen < static_cast<std::size_t>(k)) return false;
-    const bool has_n = oriented.find('N') != std::string::npos;
-    const seq::PackedSeq qpacked(oriented);
-    const auto qcodes = align::dna_codes(oriented);
-    const std::span<const std::uint8_t> query(qcodes);
-    // This strand's query id in the pooled queue, registered lazily on the
-    // first candidate (duplicate query bytes dedup inside the queue).
-    std::optional<std::size_t> pooled_qid;
-
-    bool exact_done = false;
-    bool exact_tried = false;
-    std::vector<dht::SeedHit> hits;
-    seq::for_each_seed(std::string_view(oriented), k, [&](std::size_t q_off,
-                                                          const seq::Kmer& m) {
-      if (exact_done) return;
-      hits.clear();
-      const std::size_t total = lookup_seed(m, hits);
-      if (total == 0) return;
-
-      // Exact-match fast path: try the first candidate of the first seed
-      // that produced one (Section IV-A; cost model t_q' in IV-B).
-      if (sh_.use_exact && !exact_tried && !has_n) {
-        exact_tried = true;
-        const dht::SeedHit& h0 = hits.front();
-        const Target& t = fetch_target_cached(h0.target_id);
-        // The fragment's flag travels with the target fetch (one message).
-        const Fragment& frag = sh_.store.fragment_unsync(h0.fragment_id);
-        if (frag.single_copy_seeds.load(std::memory_order_relaxed)) {
-          if (const auto pl = exact_placement(h0, q_off, qlen, t.seq.size())) {
-            ++st_.memcmp_calls;
-            if (exact_compare(qpacked, t.seq, *pl)) {
-              AlignmentRecord rec;
-              rec.query_name = name;
-              rec.target_id = pl->target_id;
-              rec.reverse = reverse;
-              rec.score = sh_.cfg.extension.scoring.match *
-                          static_cast<int>(qlen);
-              rec.q_begin = 0;
-              rec.q_end = qlen;
-              rec.t_begin = pl->t_begin;
-              rec.t_end = pl->t_begin + qlen;
-              rec.cigar = std::to_string(qlen) + "M";
-              rec.exact = true;
-              emit(std::move(rec));
-              ++st_.exact_match_reads;
-              exact_done = true;
-              return;
-            }
-          }
+  /// The forward strand pass, then the reverse strand pass, over seeds_.
+  /// Each pass tries the exact path (Section IV-A; cost model t_q' in IV-B)
+  /// at its first seed with hits and stops the read if it matches; else
+  /// every hit becomes a candidate. One lookup per window serves both
+  /// passes. A read that is exact on the reverse strand is resolved by its
+  /// first and last windows' lookups alone when the fragment flags prove
+  /// its forward pass would find nothing (core/exact_match.hpp).
+  void align_seeds(bool exact_ok) {
+    const std::size_t last = seeds_.size() - 1;
+    // The reverse pass's exact try, when made ahead of the forward pass: its
+    // first seed with hits is then the last window, so it reuses this.
+    bool rc_tried = false;
+    std::optional<ExactPlacement> rc_exact;
+    if (exact_ok && looked_up(0).total[0] == 0) {
+      const ReadSeed& s = with_rc(last);
+      if (s.total[1] != 0) {
+        const dht::SeedHit& h0 = hits_of(s, 1).front();
+        rc_tried = true;
+        rc_exact = try_exact(strand(true), h0, rc_offset(s));
+        if (rc_exact && sh_.store.window_no_rc_seeds(
+                            h0.fragment_id, rc_exact->t_begin,
+                            read_->seq.size())) {
+          count_truncation(s.total[1]);
+          emit_exact(true, *rc_exact);
+          return;
         }
       }
+    }
 
-      for (const dht::SeedHit& h : hits) {
-        // One extension per (target, diagonal) candidate; nearby diagonals
-        // collapse so indels don't spawn duplicates.
-        const std::int64_t diag = static_cast<std::int64_t>(h.t_pos) -
-                                  static_cast<std::int64_t>(q_off);
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(h.target_id) << 33) |
-            (static_cast<std::uint64_t>(reverse) << 32) |
-            (static_cast<std::uint64_t>(diag + (1ll << 28)) >> 3);
-        if (!seen_.insert(key).second) continue;
-        const Target& t = fetch_target_cached(h.target_id);
-        ++st_.sw_calls;
-        if (t.seq.empty()) continue;
-        const align::SeedWindow w = align::project_seed_window(
-            qcodes.size(), t.seq, q_off, h.t_pos, sh_.cfg.extension.window_pad);
-        st_.sw_cells +=
-            static_cast<std::uint64_t>(w.end - w.begin) * qcodes.size();
-        if (w.begin >= w.end) continue;
-
-        const std::size_t idx = slots_.size();
-        Slot& s = slots_.emplace_back();
-        s.read = read_;
-        s.target_id = h.target_id;
-        s.reverse = reverse;
-        s.window_begin = w.begin;
-        const auto window = align::dna_codes(t.seq, w.begin, w.end - w.begin);
-        if (!pool_) {
-          resolve(s, align::smith_waterman(query, window,
-                                           sh_.cfg.extension.scoring));
-          continue;
+    bool tried = false;
+    for (std::size_t i = 0; i <= last; ++i) {
+      const ReadSeed& s = looked_up(i);
+      count_truncation(s.total[0]);
+      if (s.total[0] == 0) continue;
+      const auto hits = hits_of(s, 0);
+      if (exact_ok && !tried) {
+        tried = true;
+        if (const auto pl = try_exact(strand(false), hits.front(), s.q_off)) {
+          emit_exact(false, *pl);
+          return;
         }
-        // kBatch: defer the alignment into the rank's length-class-bucketed
-        // queue; the traced sweep resolves the slot when its bucket flushes.
-        // (The enqueue may flush, so `s` is not touched after it.)
-        if (!pooled_qid) pooled_qid = pool_->add_query(query);
-        pool_->enqueue(*pooled_qid, window, idx);
       }
-    });
-    return exact_done;
+      add_candidates(strand(false), hits, s.q_off);
+    }
+
+    // With no reverse-orientation hit anywhere the pass would make no slot.
+    if (std::ranges::all_of(seeds_, [](const ReadSeed& s) {
+          return s.rc_known && s.total[1] == 0;
+        }))
+      return;
+    tried = false;
+    for (std::size_t i = last + 1; i-- > 0;) {
+      const ReadSeed& s = with_rc(i);
+      count_truncation(s.total[1]);
+      if (s.total[1] == 0) continue;
+      const auto hits = hits_of(s, 1);
+      if (exact_ok && !tried) {
+        tried = true;
+        const auto pl = rc_tried ? rc_exact
+                                 : try_exact(strand(true), hits.front(),
+                                             rc_offset(s));
+        if (pl) {
+          emit_exact(true, *pl);
+          return;
+        }
+      }
+      add_candidates(strand(true), hits, rc_offset(s));
+    }
   }
 
-  std::size_t lookup_seed(const seq::Kmer& m, std::vector<dht::SeedHit>& hits) {
-    ++st_.seed_lookups;
-    const int owner = sh_.index.owner_of(m);
-    const bool off_node = !rank_.topo().same_node(owner, rank_.id());
-    const int my_node = rank_.node();
-    std::size_t total = 0;
-    if (sh_.scache && off_node &&
-        sh_.scache->lookup(my_node, m, sh_.cfg.max_hits_per_seed, hits, total)) {
-      ++st_.seed_cache_hits;
-    } else {
-      const double t0 = rank_.stats().comm_time_s;
-      total = sh_.index.lookup(rank_, m, sh_.cfg.max_hits_per_seed, hits);
-      st_.comm_lookup_s += rank_.stats().comm_time_s - t0;
-      if (sh_.scache && off_node) sh_.scache->insert(my_node, m, hits, total);
+  /// The exact path's try at seed hit `h0` of query offset `q_off`: the
+  /// placement when the query matches the target there base for base.
+  std::optional<ExactPlacement> try_exact(const Strand& q,
+                                          const dht::SeedHit& h0,
+                                          std::size_t q_off) {
+    const Target& t = fetch_target_cached(h0.target_id);
+    // The fragment's flags travel with the target fetch (one message).
+    const Fragment& frag = sh_.store.fragment_unsync(h0.fragment_id);
+    if (!frag.single_copy_seeds.load(std::memory_order_relaxed))
+      return std::nullopt;
+    const auto pl =
+        exact_placement(h0, q_off, read_->seq.size(), t.seq.size());
+    if (!pl) return std::nullopt;
+    ++st_.memcmp_calls;
+    if (!exact_compare(q.packed, t.seq, *pl)) return std::nullopt;
+    return pl;
+  }
+
+  void emit_exact(bool reverse, const ExactPlacement& pl) {
+    const std::size_t qlen = read_->seq.size();
+    AlignmentRecord rec;
+    rec.query_name = read_->name;
+    rec.target_id = pl.target_id;
+    rec.reverse = reverse;
+    rec.score = sh_.cfg.extension.scoring.match * static_cast<int>(qlen);
+    rec.q_begin = 0;
+    rec.q_end = qlen;
+    rec.t_begin = pl.t_begin;
+    rec.t_end = pl.t_begin + qlen;
+    rec.cigar = std::to_string(qlen) + "M";
+    rec.exact = true;
+    emit(std::move(rec));
+    ++st_.exact_match_reads;
+  }
+
+  /// One extension per (target, diagonal) candidate of `hits`; nearby
+  /// diagonals collapse so indels don't spawn duplicates.
+  void add_candidates(Strand& q, std::span<const dht::SeedHit> hits,
+                      std::size_t q_off) {
+    const std::span<const std::uint8_t> query(q.codes);
+    for (const dht::SeedHit& h : hits) {
+      const std::int64_t diag = static_cast<std::int64_t>(h.t_pos) -
+                                static_cast<std::int64_t>(q_off);
+      const std::uint64_t key =
+          (static_cast<std::uint64_t>(h.target_id) << 33) |
+          (static_cast<std::uint64_t>(q.reverse) << 32) |
+          (static_cast<std::uint64_t>(diag + (1ll << 28)) >> 3);
+      if (!seen_.insert(key).second) continue;
+      const Target& t = fetch_target_cached(h.target_id);
+      ++st_.sw_calls;
+      if (t.seq.empty()) continue;
+      const align::SeedWindow w = align::project_seed_window(
+          query.size(), t.seq, q_off, h.t_pos, sh_.cfg.extension.window_pad);
+      st_.sw_cells += static_cast<std::uint64_t>(w.end - w.begin) * query.size();
+      if (w.begin >= w.end) continue;
+
+      const std::size_t idx = slots_.size();
+      Slot& s = slots_.emplace_back();
+      s.read = read_;
+      s.target_id = h.target_id;
+      s.reverse = q.reverse;
+      s.window_begin = w.begin;
+      const auto window = align::dna_codes(t.seq, w.begin, w.end - w.begin);
+      if (!pool_) {
+        resolve(s, align::smith_waterman(query, window,
+                                         sh_.cfg.extension.scoring));
+        continue;
+      }
+      // kBatch: defer the alignment into the rank's length-class-bucketed
+      // queue; the traced sweep resolves the slot when its bucket flushes.
+      // (The enqueue may flush, so `s` is not touched after it.)
+      if (!q.pooled_qid) q.pooled_qid = pool_->add_query(query);
+      pool_->enqueue(*q.pooled_qid, window, idx);
     }
+  }
+
+  Strand& strand(bool reverse) {
+    std::optional<Strand>& s = strands_[reverse ? 1 : 0];
+    if (!s) {
+      if (reverse)
+        s.emplace(true, seq::reverse_complement(read_->seq));
+      else
+        s.emplace(false, read_->seq);
+    }
+    return *s;
+  }
+
+  [[nodiscard]] std::size_t rc_offset(const ReadSeed& s) const noexcept {
+    return read_->seq.size() - static_cast<std::size_t>(sh_.k) - s.q_off;
+  }
+
+  [[nodiscard]] std::span<const dht::SeedHit> hits_of(const ReadSeed& s,
+                                                      int side) const {
+    const auto i = static_cast<std::size_t>(side);
+    return std::span(hits_[i]).subspan(s.begin[i], s.count[i]);
+  }
+
+  void count_truncation(std::size_t total) {
     // The cache stores a seed's true index-wide total, so a truncated list
     // counts the same whether the node cache or the index served it — a
     // warm-started run must report cold-identical work stats.
     if (total > sh_.cfg.max_hits_per_seed) ++st_.hits_truncated;
-    return total;
+  }
+
+  /// Window i after its one lookup: the node cache serves side 0 when it
+  /// holds seed.fwd; otherwise the index returns both sides in one message.
+  ReadSeed& looked_up(std::size_t i) {
+    ReadSeed& s = seeds_[i];
+    if (s.looked_up) return s;
+    s.looked_up = true;
+    ++st_.seed_lookups;
+    const int owner = sh_.index.owner_of(s.seed);
+    const bool off_node = !rank_.topo().same_node(owner, rank_.id());
+    const std::size_t max_hits = sh_.cfg.max_hits_per_seed;
+    scratch_.clear();
+    if (sh_.scache && off_node &&
+        sh_.scache->lookup(rank_.node(), s.seed.fwd, max_hits, scratch_,
+                           s.total[0])) {
+      ++st_.seed_cache_hits;
+    } else {
+      const double t0 = rank_.stats().comm_time_s;
+      s.begin[1] = static_cast<std::uint32_t>(hits_[1].size());
+      s.total = sh_.index.lookup(rank_, s.seed, max_hits, scratch_, &hits_[1]);
+      s.count[1] = static_cast<std::uint32_t>(hits_[1].size() - s.begin[1]);
+      s.rc_known = true;
+      st_.comm_lookup_s += rank_.stats().comm_time_s - t0;
+      if (sh_.scache && off_node)
+        sh_.scache->insert(rank_.node(), s.seed.fwd, scratch_, s.total[0]);
+    }
+    keep(s, 0);
+    return s;
+  }
+
+  /// Window i with side 1 known: after a node-cache hit on seed.fwd, seed.rc
+  /// takes a probe of its own, through the cache as well. It is part of the
+  /// window's one lookup in PipelineStats, so the counters do not depend on
+  /// what the cache held.
+  ReadSeed& with_rc(std::size_t i) {
+    ReadSeed& s = looked_up(i);
+    if (s.rc_known) return s;
+    s.rc_known = true;
+    const std::size_t max_hits = sh_.cfg.max_hits_per_seed;
+    scratch_.clear();
+    if (!sh_.scache->lookup(rank_.node(), s.seed.rc, max_hits, scratch_,
+                            s.total[1])) {
+      const double t0 = rank_.stats().comm_time_s;
+      s.total[1] = sh_.index.lookup(rank_, {s.seed.rc, s.seed.fwd}, max_hits,
+                                    scratch_, nullptr)[0];
+      st_.comm_lookup_s += rank_.stats().comm_time_s - t0;
+      sh_.scache->insert(rank_.node(), s.seed.rc, scratch_, s.total[1]);
+    }
+    keep(s, 1);
+    return s;
+  }
+
+  /// Move scratch_, the hits just fetched for side `side` of s, to hits_.
+  void keep(ReadSeed& s, int side) {
+    auto& to = hits_[static_cast<std::size_t>(side)];
+    s.begin[static_cast<std::size_t>(side)] = static_cast<std::uint32_t>(to.size());
+    s.count[static_cast<std::size_t>(side)] = static_cast<std::uint32_t>(scratch_.size());
+    to.insert(to.end(), scratch_.begin(), scratch_.end());
   }
 
   const Target& fetch_target_cached(std::uint32_t gid) {
@@ -294,6 +441,10 @@ class RankAligner {
   BatchShared& sh_;
   PipelineStats& st_;
   const seq::SeqRecord* read_ = nullptr;
+  std::vector<ReadSeed> seeds_;                   ///< the read's valid windows
+  std::array<std::vector<dht::SeedHit>, 2> hits_;  ///< per side, all windows
+  std::vector<dht::SeedHit> scratch_;             ///< one side of one lookup
+  std::array<std::optional<Strand>, 2> strands_;  ///< forward, reverse
   std::unordered_set<std::uint64_t> seen_;
   int min_score_ = 0;
   std::optional<align::PooledExtensionQueue> pool_;  ///< kBatch only

@@ -36,16 +36,16 @@ namespace {
 using detail::IndexedReferenceState;
 
 /// Iterate the seeds of one index fragment (a window of a packed target).
-/// fn(offset_within_fragment, kmer).
+/// fn(offset_within_fragment, stranded_kmer).
 template <typename Fn>
 void for_each_fragment_seed(const seq::PackedSeq& t, std::size_t off,
                             std::size_t len, int k, Fn&& fn) {
   if (len < static_cast<std::size_t>(k)) return;
-  seq::Kmer m = seq::Kmer::from_packed(t, off, k);
-  fn(std::size_t{0}, m);
+  auto m = seq::StrandedKmer::of(seq::Kmer::from_packed(t, off, k));
+  fn(std::size_t{0}, std::as_const(m));
   for (std::size_t s = 1; s + static_cast<std::size_t>(k) <= len; ++s) {
     m.roll(t.code_at(off + s + static_cast<std::size_t>(k) - 1));
-    fn(s, m);
+    fn(s, std::as_const(m));
   }
 }
 
@@ -82,7 +82,7 @@ void build_rank_body(pgas::Rank& rank, IndexedReferenceState& st,
     const Fragment& f = st.store.fragment_unsync(fid);
     const Target& t = st.store.target_unsync(f.parent_target);
     for_each_fragment_seed(t.seq, f.parent_offset, f.length, st.cfg.k,
-                           [&](std::size_t, const seq::Kmer& m) {
+                           [&](std::size_t, const seq::StrandedKmer& m) {
                              st.index.count_seed(rank, m);
                            });
   }
@@ -92,7 +92,7 @@ void build_rank_body(pgas::Rank& rank, IndexedReferenceState& st,
     const Target& t = st.store.target_unsync(f.parent_target);
     for_each_fragment_seed(
         t.seq, f.parent_offset, f.length, st.cfg.k,
-        [&](std::size_t off, const seq::Kmer& m) {
+        [&](std::size_t off, const seq::StrandedKmer& m) {
           st.index.insert(
               rank, m,
               dht::SeedHit{fid, f.parent_target,
@@ -105,9 +105,11 @@ void build_rank_body(pgas::Rank& rank, IndexedReferenceState& st,
   // ---- index.mark (exact-match preprocessing) ------------------------------
   if (st.cfg.exact_match) {
     rank.phase("index.mark");
-    st.index.for_each_local_duplicate_hit(rank, [&](const dht::SeedHit& h) {
-      st.store.clear_single_copy(rank, h.fragment_id);
-    });
+    st.index.for_each_local_marked_hit(
+        rank, [&](const dht::SeedHit& h, bool duplicate, bool rc_indexed) {
+          if (duplicate) st.store.clear_single_copy(rank, h.fragment_id);
+          if (rc_indexed) st.store.clear_no_rc_seeds(rank, h.fragment_id);
+        });
   }
   rank.barrier();  // flags must be globally visible before any aligning
 }

@@ -14,8 +14,12 @@ struct PipelineStats {
   std::uint64_t seeds_indexed = 0;
 
   // Aligning-phase operations.
-  std::uint64_t seed_lookups = 0;        ///< distributed-index lookups issued
-  std::uint64_t seed_cache_hits = 0;     ///< lookups served by the node cache
+  /// Seed-index lookups: one per read position, serving both strands. (A
+  /// position whose forward seed the node cache served probes once more,
+  /// for its reverse complement, if the reverse pass runs; that probe is
+  /// not counted here, so the count does not depend on cache contents.)
+  std::uint64_t seed_lookups = 0;
+  std::uint64_t seed_cache_hits = 0;     ///< lookups the node cache served
   std::uint64_t target_fetches = 0;      ///< target sequences pulled
   std::uint64_t target_cache_hits = 0;
   std::uint64_t sw_calls = 0;            ///< Smith-Waterman extensions run

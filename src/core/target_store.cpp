@@ -129,6 +129,30 @@ void TargetStore::clear_single_copy(pgas::Rank& rank, std::uint32_t fid) {
                 .single_copy_seeds.store(false, std::memory_order_relaxed);
 }
 
+void TargetStore::clear_no_rc_seeds(pgas::Rank& rank, std::uint32_t fid) {
+  const int owner = owner_of_fragment(fid);
+  rank.charge_access(owner, sizeof(bool));
+  fragments_[static_cast<std::size_t>(owner)]
+            [fid - fragment_start_[static_cast<std::size_t>(owner)]]
+                .no_rc_seeds.store(false, std::memory_order_relaxed);
+}
+
+bool TargetStore::window_no_rc_seeds(std::uint32_t fid, std::size_t begin,
+                                     std::size_t len) const {
+  // A target's fragments have consecutive ids in offset order, with
+  // disjoint seed-start ranges; `fid` holds the window's first seed, so the
+  // window's other seeds lie in the fragments that follow it.
+  const std::size_t last_seed =
+      begin + len - static_cast<std::size_t>(opt_.seed_len);
+  const std::uint32_t parent = fragment_unsync(fid).parent_target;
+  for (std::uint32_t id = fid; id < total_fragments_; ++id) {
+    const Fragment& f = fragment_unsync(id);
+    if (f.parent_target != parent || f.parent_offset > last_seed) break;
+    if (!f.no_rc_seeds.load(std::memory_order_relaxed)) return false;
+  }
+  return true;
+}
+
 const Target& TargetStore::target_unsync(std::uint32_t gid) const {
   const int owner = owner_of_target(gid);
   return targets_[static_cast<std::size_t>(owner)]

@@ -11,8 +11,11 @@
 // target's seed set. Fragments — not whole targets — are what the seed index
 // references, and the `single_copy_seeds` flag lives per fragment; shorter
 // fragments make the flag far more likely to survive, which is the whole
-// point of the fragmentation strategy. A fragment length of SIZE_MAX yields
-// one fragment per target (fragmentation off).
+// point of the fragmentation strategy. A second flag, `no_rc_seeds`, says that
+// no seed of the fragment has its reverse complement in the index; it lets a
+// read that is exact on the reverse strand skip its forward pass (see
+// core/exact_match.hpp). A fragment length of SIZE_MAX yields one fragment
+// per target (fragmentation off).
 #pragma once
 
 #include <atomic>
@@ -39,6 +42,10 @@ struct Fragment {
   /// True iff every seed of this fragment occurs exactly once across *all*
   /// fragments (Lemma 1 precondition). Set during index finalization.
   std::atomic<bool> single_copy_seeds{true};
+  /// True iff no seed of this fragment has its reverse complement anywhere
+  /// in the index (a palindromic seed is its own). Set during index
+  /// finalization.
+  std::atomic<bool> no_rc_seeds{true};
 
   Fragment() = default;
   Fragment(std::uint32_t parent, std::uint32_t off, std::uint32_t len)
@@ -47,7 +54,8 @@ struct Fragment {
       : parent_target(o.parent_target),
         parent_offset(o.parent_offset),
         length(o.length),
-        single_copy_seeds(o.single_copy_seeds.load(std::memory_order_relaxed)) {}
+        single_copy_seeds(o.single_copy_seeds.load(std::memory_order_relaxed)),
+        no_rc_seeds(o.no_rc_seeds.load(std::memory_order_relaxed)) {}
 };
 
 class TargetStore {
@@ -89,6 +97,14 @@ class TargetStore {
   /// Clear the single-copy flag of fragment `fid` (one-sided put; used while
   /// propagating duplicate-seed marks during index finalization).
   void clear_single_copy(pgas::Rank& rank, std::uint32_t fid);
+  /// Clear the no_rc_seeds flag of fragment `fid` (one-sided put, as above).
+  void clear_no_rc_seeds(pgas::Rank& rank, std::uint32_t fid);
+
+  /// True iff every fragment holding a seed of the window [begin, begin +
+  /// len) of fragment `fid`'s parent target has no_rc_seeds set. `fid` must
+  /// hold the window's first seed. Local: the flags travel with the target.
+  [[nodiscard]] bool window_no_rc_seeds(std::uint32_t fid, std::size_t begin,
+                                        std::size_t len) const;
 
   /// Local (unaccounted) access for owners iterating their own data.
   [[nodiscard]] const Target& target_unsync(std::uint32_t gid) const;

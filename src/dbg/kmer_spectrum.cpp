@@ -24,7 +24,8 @@ KmerSpectrum::KmerSpectrum(const pgas::Topology& topo, Options opt)
 template <typename Fn>
 void KmerSpectrum::for_each_read_kmer(std::string_view read, Fn&& fn) const {
   const int k = opt_.k;
-  seq::for_each_seed(read, k, [&](std::size_t off, const seq::Kmer& fwd) {
+  seq::for_each_stranded_seed(read, k, [&](std::size_t off,
+                                            const seq::StrandedKmer& m) {
     // Neighbour bases in read orientation (4 = none / N).
     std::uint8_t lb = 4, rb = 4;
     if (off > 0) {
@@ -35,17 +36,16 @@ void KmerSpectrum::for_each_read_kmer(std::string_view read, Fn&& fn) const {
       const auto c = seq::encode_base(read[off + static_cast<std::size_t>(k)]);
       rb = c == seq::kInvalidBase ? 4 : c;
     }
-    const seq::Kmer rc = fwd.reverse_complement();
-    if (rc < fwd) {
+    if (m.flipped()) {
       // Canonical orientation is the reverse complement: swap + complement
       // the extensions.
       const std::uint8_t new_left =
           rb == 4 ? std::uint8_t{4} : seq::complement_code(rb);
       const std::uint8_t new_right =
           lb == 4 ? std::uint8_t{4} : seq::complement_code(lb);
-      fn(rc, new_left, new_right);
+      fn(m.rc, new_left, new_right);
     } else {
-      fn(fwd, lb, rb);
+      fn(m.fwd, lb, rb);
     }
   });
 }

@@ -7,6 +7,7 @@
 #include <span>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 namespace mera::dht {
 
@@ -47,7 +48,7 @@ SeedIndex::SeedIndex(const pgas::Topology& topo, Options opt)
   for (int r = 0; r < nranks_; ++r) incoming_.emplace_back(r, 0);
 }
 
-void SeedIndex::count_seed(pgas::Rank& rank, const seq::Kmer& seed) {
+void SeedIndex::count_seed(pgas::Rank& rank, const seq::StrandedKmer& seed) {
   ++pending_counts_[static_cast<std::size_t>(rank.id())]
                    [static_cast<std::size_t>(owner_of(seed))];
 }
@@ -68,9 +69,11 @@ void SeedIndex::finish_count(pgas::Rank& rank) {
   rank.barrier();
 }
 
-void SeedIndex::insert(pgas::Rank& rank, const seq::Kmer& seed, SeedHit hit) {
-  const int owner = owner_of(seed);
-  const SeedEntry e{seed, hit};
+void SeedIndex::insert(pgas::Rank& rank, const seq::StrandedKmer& seed,
+                       SeedHit hit) {
+  const seq::Kmer key = seed.canonical();
+  const int owner = owner_of_key(key);
+  const SeedEntry e{key.words(), hit, 0, seed.flipped() ? 1u : 0u};
   if (opt_.aggregating_stores) {
     aggregators_[static_cast<std::size_t>(rank.id())]->push(rank, owner, e);
   } else {
@@ -95,17 +98,20 @@ void SeedIndex::finish_insert(pgas::Rank& rank) {
     for (std::size_t i = 0; i < st.entries.size(); ++i)
       rank.charge_access(rank.id(), sizeof(SeedEntry));
   }
-  build_directory(st);
+  build_directory(st, opt_.k);
   rank.barrier();
 }
 
-void SeedIndex::build_directory(RankStore& st) {
+void SeedIndex::build_directory(RankStore& st, int k) {
   std::vector<SeedEntry>& e = st.entries;
+  const auto hash = [k](const SeedEntry& x) {
+    return seq::Kmer::mixed_hash(x.key, k);
+  };
   // Stash each entry's top 32 hash bits in its still unused run field: they
   // pick its part and decide almost every comparison of the sort below.
   std::array<std::size_t, 257> part{};
   for (SeedEntry& x : e) {
-    x.run = static_cast<std::uint32_t>(x.seed.mixed_hash() >> 32);
+    x.run = static_cast<std::uint32_t>(hash(x) >> 32);
     ++part[(x.run >> 24) + 1];
   }
   for (std::size_t p = 0; p < 256; ++p) part[p + 1] += part[p];
@@ -117,24 +123,29 @@ void SeedIndex::build_directory(RankStore& st) {
     for (std::size_t i = head[p]; i != part[p + 1]; i = head[p])
       std::swap(e[i], e[head[e[i].run >> 24]++]);
 
-  // Canonical order within each part: (mixed_hash, seed words, hit order).
-  const auto less = [](const SeedEntry& x, const SeedEntry& y) {
+  // Canonical order within each part: (mixed_hash, key words, subrun, hit
+  // order).
+  const auto less = [&hash](const SeedEntry& x, const SeedEntry& y) {
     if (x.run != y.run) return x.run < y.run;
-    if (x.seed.words() == y.seed.words())
-      return hit_order(x.hit) < hit_order(y.hit);
-    const std::uint64_t hx = x.seed.mixed_hash(), hy = y.seed.mixed_hash();
-    return hx != hy ? hx < hy : x.seed.words() < y.seed.words();
+    if (x.key == y.key)
+      return std::tuple{x.split, hit_order(x.hit)} <
+             std::tuple{y.split, hit_order(y.hit)};
+    const std::uint64_t hx = hash(x), hy = hash(y);
+    return hx != hy ? hx < hy : x.key < y.key;
   };
   for (std::size_t p = 0; p < 256; ++p)
     std::sort(e.begin() + static_cast<std::ptrdiff_t>(part[p]),
               e.begin() + static_cast<std::ptrdiff_t>(part[p + 1]), less);
 
-  // Each run's length goes in its first entry, 0 in the others.
+  // Each run's head holds its length and its first subrun's length; the
+  // other entries' run fields are 0.
   for (std::size_t i = 0; i < e.size(); ++st.distinct) {
     std::size_t j = i + 1;
-    while (j < e.size() && e[j].seed.words() == e[i].seed.words())
-      e[j++].run = 0;
+    while (j < e.size() && e[j].key == e[i].key) e[j++].run = 0;
+    std::size_t first = i;
+    while (first < j && e[first].split == 0) ++first;
     e[i].run = static_cast<std::uint32_t>(j - i);
+    e[i].split = static_cast<std::uint32_t>(first - i);
     i = j;
   }
 
@@ -145,38 +156,70 @@ void SeedIndex::build_directory(RankStore& st) {
   st.filter.assign(buckets, 0);
   std::size_t next = 0;  // first bucket whose start is not yet set
   for (std::size_t i = 0; i < e.size(); i += e[i].run) {
-    const std::uint64_t h = e[i].seed.mixed_hash();
+    const std::uint64_t h = hash(e[i]);
     const std::size_t b = h >> st.shift;
     while (next <= b) st.dir[next++] = static_cast<std::uint32_t>(i);
     st.filter[b] |= filter_bits(h, st.shift);
   }
 }
 
-std::size_t SeedIndex::lookup(pgas::Rank& rank, const seq::Kmer& seed,
-                              std::size_t max_hits,
-                              std::vector<SeedHit>& out) const {
-  const int owner = owner_of(seed);
+bool SeedIndex::palindrome(const std::array<std::uint64_t, 2>& key) const {
+  const auto m = seq::Kmer::from_words(opt_.k, key);
+  return m && m->reverse_complement() == *m;
+}
+
+std::array<std::size_t, 2> SeedIndex::lookup(pgas::Rank& rank,
+                                             const seq::StrandedKmer& seed,
+                                             std::size_t max_hits,
+                                             std::vector<SeedHit>& out,
+                                             std::vector<SeedHit>* rc_out) const {
+  const seq::Kmer key = seed.canonical();
+  const int owner = owner_of_key(key);
   const RankStore& st = stores_[static_cast<std::size_t>(owner)];
-  std::size_t total = 0;
-  std::size_t appended = 0;
-  if (seed.k() == opt_.k) {
-    const std::uint64_t h = seed.mixed_hash();
+  // The run's two subruns as [begin, end) entry offsets: sides[0] holds the
+  // hits of seed.fwd, sides[1] those of seed.rc.
+  std::array<std::pair<std::uint32_t, std::uint32_t>, 2> sides{};
+  if (seed.fwd.k() == opt_.k) {
+    const std::uint64_t h = key.mixed_hash();
     const std::size_t b = h >> st.shift;
     const std::uint16_t bits = filter_bits(h, st.shift);
     if ((st.filter[b] & bits) == bits) {
       for (std::uint32_t i = st.dir[b]; i != st.dir[b + 1];
            i += st.entries[i].run) {
-        if (st.entries[i].seed.words() != seed.words()) continue;
-        total = st.entries[i].run;
-        appended = std::min(total, max_hits);
-        const auto hits = std::span(&st.entries[i], appended) |
-                          std::views::transform(&SeedEntry::hit);
-        out.insert(out.end(), hits.begin(), hits.end());
+        const SeedEntry& head = st.entries[i];
+        if (head.key != key.words()) continue;
+        // A palindrome's one subrun is both sides. Selects, not branches:
+        // whether seed.fwd is the canonical form is a coin flip.
+        const std::uint32_t mid = i + head.split, end = i + head.run;
+        const bool flip = seed.flipped(), both = flip || seed.palindrome();
+        sides[0] = {flip ? mid : i, both ? end : mid};
+        sides[1] = {both ? i : mid, flip ? mid : end};
         break;
       }
     }
   }
-  rank.charge_access(owner, lookup_transfer_bytes(appended));
+  const std::array<std::size_t, 2> total{sides[0].second - sides[0].first,
+                                         sides[1].second - sides[1].first};
+  std::size_t copied = 0;
+  const auto copy = [&](std::size_t side, std::vector<SeedHit>& to) {
+    const std::size_t n = std::min(total[side], max_hits);
+    const auto hits = std::span(&st.entries[sides[side].first], n) |
+                      std::views::transform(&SeedEntry::hit);
+    to.insert(to.end(), hits.begin(), hits.end());
+    copied += n;
+  };
+  if (total[0] != 0) copy(0, out);
+  if (rc_out != nullptr && total[1] != 0) {
+    if (seed.palindrome()) {
+      // The same subrun: it travels once.
+      rc_out->insert(rc_out->end(), out.end() - static_cast<std::ptrdiff_t>(
+                                                    std::min(total[0], max_hits)),
+                     out.end());
+    } else {
+      copy(1, *rc_out);
+    }
+  }
+  rank.charge_access(owner, lookup_transfer_bytes(copied));
   return total;
 }
 

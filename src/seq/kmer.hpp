@@ -4,6 +4,9 @@
 // length) and k = 19 for E. coli. Seeds are the keys of the distributed seed
 // index; the seed-to-processor map uses the djb2 hash, which the paper credits
 // for its near-perfect balance of distinct seeds per processor.
+//
+// A StrandedKmer carries a seed together with its reverse complement; both
+// roll in O(1) per base, so a read's seeds on both strands cost one pass.
 #pragma once
 
 #include <array>
@@ -11,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "seq/dna.hpp"
 #include "seq/packed_seq.hpp"
@@ -18,6 +22,8 @@
 namespace mera::seq {
 
 inline constexpr int kMaxSeedLen = 64;
+
+struct StrandedKmer;
 
 class Kmer {
  public:
@@ -81,6 +87,20 @@ class Kmer {
     set_code(k_ - 1, code);
   }
 
+  /// The mirror of roll(): drop the back base, prepend `code` at the front.
+  /// When a seed rolls in `code`, its reverse complement rolls in
+  /// complement_code(code) this way (see StrandedKmer).
+  void roll_front(std::uint8_t code) noexcept {
+    w_[1] = (w_[1] << 2) | (w_[0] >> 62);
+    w_[0] = (w_[0] << 2) | (code & 3u);
+    if (k_ <= 32) {
+      w_[1] = 0;
+      if (k_ < 32) w_[0] &= (std::uint64_t{1} << (2 * k_)) - 1;
+    } else if (k_ < 64) {
+      w_[1] &= (std::uint64_t{1} << (2 * k_ - 64)) - 1;
+    }
+  }
+
   [[nodiscard]] std::string to_string() const {
     std::string s(static_cast<std::size_t>(k_), '\0');
     for (int i = 0; i < k_; ++i)
@@ -88,23 +108,50 @@ class Kmer {
     return s;
   }
 
+  /// Word-parallel: complement every code, reverse the 64 2-bit codes of
+  /// the two words, then shift the k real ones down to positions 0..k-1.
   [[nodiscard]] Kmer reverse_complement() const noexcept {
+    const auto rev = [](std::uint64_t x) {
+      x = ~x;
+      x = ((x >> 2) & 0x3333333333333333ULL) | ((x & 0x3333333333333333ULL) << 2);
+      x = ((x >> 4) & 0x0F0F0F0F0F0F0F0FULL) | ((x & 0x0F0F0F0F0F0F0F0FULL) << 4);
+      return __builtin_bswap64(x);
+    };
+    const std::uint64_t hi = rev(w_[0]), lo = rev(w_[1]);
+    const int shift = 2 * (kMaxSeedLen - k_);  // 0..126
     Kmer m;
     m.k_ = k_;
-    for (int i = 0; i < k_; ++i)
-      m.set_code(i, complement_code(code_at(k_ - 1 - i)));
+    if (shift == 0) {
+      m.w_ = {lo, hi};
+    } else if (shift < 64) {
+      m.w_ = {(lo >> shift) | (hi << (64 - shift)), hi >> shift};
+    } else {
+      m.w_ = {hi >> (shift - 64), 0};
+    }
     return m;
   }
 
   /// djb2 over the packed bytes of the seed — the paper's seed-to-processor
-  /// hash (Section VI-C1).
+  /// hash (Section VI-C1): h = h * 33 + byte over the (k + 3) / 4 bytes.
+  /// Evaluated a word at a time, so the bytes' products do not wait on each
+  /// other: m bytes add sum(byte_i * 33^(m-1-i)) to h * 33^m, which is the
+  /// byte loop's value exactly (all arithmetic is mod 2^64).
   [[nodiscard]] std::uint64_t djb2() const noexcept {
+    constexpr auto pow33 = [] {
+      std::array<std::uint64_t, 9> p{1};
+      for (std::size_t i = 1; i < p.size(); ++i) p[i] = p[i - 1] * 33u;
+      return p;
+    }();
     std::uint64_t h = 5381;
-    const int nbytes = (k_ + 3) / 4;
-    for (int b = 0; b < nbytes; ++b) {
-      const auto byte = static_cast<std::uint8_t>(
-          w_[static_cast<std::size_t>(b) >> 3] >> ((b & 7) * 8));
-      h = h * 33u + byte;
+    int left = (k_ + 3) / 4;
+    for (const std::uint64_t w : w_) {
+      if (left <= 0) break;
+      const int m = left < 8 ? left : 8;
+      std::uint64_t sum = 0;
+      for (int i = 0; i < m; ++i)
+        sum += ((w >> (8 * i)) & 0xffu) * pow33[static_cast<std::size_t>(m - 1 - i)];
+      h = h * pow33[static_cast<std::size_t>(m)] + sum;
+      left -= m;
     }
     return h;
   }
@@ -112,8 +159,13 @@ class Kmer {
   /// Independent, well-mixed hash for bucket placement *within* a rank, so
   /// bucket choice is uncorrelated with the (djb2 mod nranks) owner choice.
   [[nodiscard]] std::uint64_t mixed_hash() const noexcept {
-    std::uint64_t x = w_[0] ^ (w_[1] * 0x9e3779b97f4a7c15ULL) ^
-                      (static_cast<std::uint64_t>(k_) << 56);
+    return mixed_hash(w_, k_);
+  }
+  /// mixed_hash() of the k-mer with these words.
+  [[nodiscard]] static std::uint64_t mixed_hash(
+      const std::array<std::uint64_t, 2>& w, int k) noexcept {
+    std::uint64_t x = w[0] ^ (w[1] * 0x9e3779b97f4a7c15ULL) ^
+                      (static_cast<std::uint64_t>(k) << 56);
     x ^= x >> 30;
     x *= 0xbf58476d1ce4e5b9ULL;
     x ^= x >> 27;
@@ -141,17 +193,54 @@ class Kmer {
 
   std::array<std::uint64_t, 2> w_{0, 0};
   int k_ = 0;
+
+  friend struct StrandedKmer;
+};
+
+/// A seed and its reverse complement, rolled together.
+struct StrandedKmer {
+  Kmer fwd;
+  Kmer rc;  ///< fwd.reverse_complement()
+
+  [[nodiscard]] static StrandedKmer of(const Kmer& m) noexcept {
+    return {m, m.reverse_complement()};
+  }
+  /// Both strands' O(1) rolling update for `code` appended to fwd.
+  void roll(std::uint8_t code) noexcept {
+    fwd.roll(code);
+    rc.roll_front(complement_code(code));
+  }
+  /// The strand-independent form: the lesser of fwd and rc. Which one wins
+  /// is a coin flip per seed, so it is picked by masking, not by a branch.
+  [[nodiscard]] Kmer canonical() const noexcept {
+    const std::uint64_t take_rc = 0 - static_cast<std::uint64_t>(flipped());
+    Kmer m = fwd;
+    m.w_[0] ^= (fwd.w_[0] ^ rc.w_[0]) & take_rc;
+    m.w_[1] ^= (fwd.w_[1] ^ rc.w_[1]) & take_rc;
+    return m;
+  }
+  /// True when fwd is not the canonical form (rc < fwd).
+  [[nodiscard]] bool flipped() const noexcept {
+    const auto& r = rc.w_;
+    const auto& f = fwd.w_;
+    return (r[1] < f[1]) | ((r[1] == f[1]) & (r[0] < f[0]));
+  }
+  /// A seed that is its own reverse complement (possible only for even k).
+  [[nodiscard]] bool palindrome() const noexcept {
+    return fwd.words() == rc.words();
+  }
 };
 
 /// Extract all k-length seeds of an ASCII sequence, skipping windows that
-/// contain a non-ACGT base. Calls fn(offset, kmer) for each valid window.
+/// contain a non-ACGT base. Calls fn(offset, stranded_kmer) for each valid
+/// window.
 template <typename Fn>
-void for_each_seed(std::string_view s, int k, Fn&& fn) {
+void for_each_stranded_seed(std::string_view s, int k, Fn&& fn) {
   if (k <= 0 || k > kMaxSeedLen || s.size() < static_cast<std::size_t>(k))
     return;
   // Track the most recent invalid position to skip tainted windows in O(n).
   std::ptrdiff_t last_bad = -1;
-  Kmer m;
+  StrandedKmer m;
   for (std::size_t i = 0; i < s.size(); ++i) {
     const std::uint8_t c = encode_base(s[i]);
     if (c == kInvalidBase) {
@@ -165,12 +254,20 @@ void for_each_seed(std::string_view s, int k, Fn&& fn) {
       // First clean window after a bad base (or the very first window):
       // build it from scratch; subsequent windows roll in O(1).
       auto fresh = Kmer::from_ascii(s.substr(start, static_cast<std::size_t>(k)));
-      m = *fresh;  // window verified clean above
+      m = StrandedKmer::of(*fresh);  // window verified clean above
     } else {
       m.roll(c);
     }
-    fn(start, m);
+    fn(start, std::as_const(m));
   }
+}
+
+/// for_each_stranded_seed's forward strand only: fn(offset, kmer).
+template <typename Fn>
+void for_each_seed(std::string_view s, int k, Fn&& fn) {
+  for_each_stranded_seed(s, k, [&fn](std::size_t off, const StrandedKmer& m) {
+    fn(off, m.fwd);
+  });
 }
 
 /// Seed extraction over a PackedSeq (always valid bases): fn(offset, kmer).

@@ -22,6 +22,7 @@
 #      legitimately differs between one index and K shards)
 #   6. the CLI writes no file next to its inputs: WORKDIR never holds a
 #      derived *.fastq.sdb
+#   9. even k (--k 20): the same fixtures against meraligner_cli_k20.sam
 #
 # Fixtures are copied into WORKDIR so every run reads and writes scratch
 # files only; the source tree stays clean.
@@ -618,5 +619,23 @@ check_obs_usage_error("--metrics-format;json" "--metrics-format requires --metri
 check_obs_usage_error("--metrics;${WORKDIR}/m.json;--metrics-format;xml"
                       "--metrics-format expects json|prom")
 
-# Every run above, scenarios 7 and 8 included, read its FASTQ into memory.
+# --- 9. even k: a seed can be its own reverse complement --------------------
+# Every scenario above uses odd k, where no seed is a palindrome. --k 20 on
+# the same fixtures is compared as raw bytes against its own checked-in SAM.
+execute_process(
+  COMMAND ${CLI}
+    --targets ${WORKDIR}/contigs.fa
+    --reads ${WORKDIR}/reads.fastq
+    --out ${WORKDIR}/out_k20.sam
+    --k 20 --ranks 4 --ppn 2 --no-permute
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--k 20 run exited with ${rc}\nstderr:\n${err}")
+endif()
+check_sam_against(${WORKDIR}/out_k20.sam ${FIXTURES}/meraligner_cli_k20.sam
+                  "single batch --k 20")
+
+# Every run above, scenarios 7 to 9 included, read its FASTQ into memory.
 check_no_derived_seqdb("all runs")

@@ -80,6 +80,54 @@ TEST(Kmer, ReverseComplementInvolution) {
   }
 }
 
+TEST(Kmer, RollingReverseComplementMatchesReverseComplement) {
+  // A StrandedKmer's rc, rolled base by base, must equal the rebuilt
+  // reverse complement of every window, for every k.
+  std::mt19937_64 rng(17);
+  const std::string s = random_dna(rng, 200);
+  for (int k = 1; k <= kMaxSeedLen; ++k) {
+    const auto uk = static_cast<std::size_t>(k);
+    auto m = StrandedKmer::of(*Kmer::from_ascii(s.substr(0, uk)));
+    for (std::size_t start = 1; start + uk <= s.size(); ++start) {
+      m.roll(encode_base(s[start + uk - 1]));
+      const std::string window = s.substr(start, uk);
+      ASSERT_EQ(m.fwd, *Kmer::from_ascii(window)) << "k=" << k;
+      ASSERT_EQ(m.rc, *Kmer::from_ascii(reverse_complement(window)))
+          << "k=" << k << " start=" << start;
+      ASSERT_EQ(m.rc, m.fwd.reverse_complement()) << "k=" << k;
+    }
+  }
+  // The stranded extraction agrees, windows with N skipped on both strands.
+  const std::string with_n = s.substr(0, 60) + "N" + s.substr(60, 80);
+  for (const int k : {5, 20, 21, 64}) {
+    std::size_t windows = 0;
+    for_each_stranded_seed(std::string_view(with_n), k,
+                           [&](std::size_t off, const StrandedKmer& m) {
+                             ++windows;
+                             EXPECT_EQ(m.rc.to_string(),
+                                       reverse_complement(with_n.substr(
+                                           off, static_cast<std::size_t>(k))));
+                           });
+    std::size_t expect = 0;
+    for_each_seed(std::string_view(with_n), k,
+                  [&](std::size_t, const Kmer&) { ++expect; });
+    EXPECT_EQ(windows, expect) << "k=" << k;
+  }
+}
+
+TEST(Kmer, CanonicalFormIsStrandIndependent) {
+  const auto a = StrandedKmer::of(*Kmer::from_ascii("TTGCA"));  // rc TGCAA
+  EXPECT_TRUE(a.flipped());
+  EXPECT_EQ(a.canonical().to_string(), "TGCAA");
+  const auto b = StrandedKmer::of(a.rc);
+  EXPECT_EQ(b.canonical(), a.canonical());
+  EXPECT_FALSE(b.flipped());
+  EXPECT_FALSE(a.palindrome());
+  const auto p = StrandedKmer::of(*Kmer::from_ascii("AACCGGTT"));
+  EXPECT_TRUE(p.palindrome());
+  EXPECT_FALSE(p.flipped());
+}
+
 TEST(Kmer, EqualityDistinguishesKAndContent) {
   const Kmer a = *Kmer::from_ascii("ACGT");
   const Kmer b = *Kmer::from_ascii("ACGT");
@@ -100,6 +148,24 @@ TEST(Kmer, Djb2IsDeterministicAndSpreads) {
   }
   // All-distinct is overwhelmingly likely for a decent hash.
   EXPECT_GT(hashes.size(), 1990u);
+}
+
+TEST(Kmer, Djb2MatchesTheByteLoop) {
+  // djb2() evaluates a word at a time; it must equal the paper's byte-serial
+  // h = h * 33 + byte over the packed bytes, for every k.
+  std::mt19937_64 rng(18);
+  for (int k = 1; k <= kMaxSeedLen; ++k) {
+    for (int rep = 0; rep < 20; ++rep) {
+      const Kmer m =
+          *Kmer::from_ascii(random_dna(rng, static_cast<std::size_t>(k)));
+      std::uint64_t h = 5381;
+      for (int b = 0; b < (k + 3) / 4; ++b)
+        h = h * 33u + static_cast<std::uint8_t>(
+                          m.words()[static_cast<std::size_t>(b) >> 3] >>
+                          ((b & 7) * 8));
+      ASSERT_EQ(m.djb2(), h) << "k=" << k;
+    }
+  }
 }
 
 TEST(Kmer, Djb2BalancesSeedsAcrossRanks) {

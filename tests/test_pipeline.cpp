@@ -5,13 +5,16 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <random>
 #include <tuple>
 
 #include "core/align_session.hpp"
 #include "core/indexed_reference.hpp"
 
+#include "seq/dna.hpp"
 #include "seq/genome_sim.hpp"
 #include "seq/read_sim.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -225,6 +228,98 @@ TEST(Pipeline, ExactMatchOptReducesSWCallsAndLookups) {
   EXPECT_LT(on.sw_calls, off.sw_calls / 2);
   EXPECT_LT(on.seed_lookups, off.seed_lookups / 2);
   EXPECT_EQ(on.reads_aligned, off.reads_aligned);
+}
+
+TEST(Pipeline, ReverseStrandExactReadsOverAnInvertedRepeat) {
+  // Three targets: `plain` holds no seed whose reverse complement is
+  // indexed; `fwd_copy` holds a region R, and `inv_copy` holds R reverse
+  // complemented with a substitution every 30 bases (an inverted repeat).
+  // Every read is exact on the reverse strand:
+  //  (a) over `plain`: one reverse exact record each, after two lookups;
+  //  (b) over R in `fwd_copy`: their forward seeds hit `inv_copy`, so the
+  //      forward strand yields Smith-Waterman records there, then the
+  //      reverse strand yields the exact record on `fwd_copy`;
+  //  (c) over `edge` at 470, across its fragment boundary (seeds from 492
+  //      on lie in its second 512-base fragment): 35 bases of that second
+  //      fragment sit reverse complemented in `edge_inv`, so as in (b).
+  std::mt19937_64 rng(47);
+  const auto dna = [&rng](std::size_t n) {
+    return mera::testutil::random_dna(rng, n);
+  };
+  const std::string plain = dna(3000);
+  const std::string region = dna(600);
+  const std::string fwd_copy = dna(200) + region + dna(200);
+  std::string inv = mera::seq::reverse_complement(region);
+  for (std::size_t i = 15; i < inv.size(); i += 30)
+    inv[i] = inv[i] == 'A' ? 'C' : 'A';
+  const std::string inv_copy = dna(150) + inv + dna(150);
+  const std::string edge = dna(1200);
+  const std::string edge_inv =
+      dna(100) + mera::seq::reverse_complement(edge.substr(505, 35)) + dna(100);
+  const std::vector<SeqRecord> targets{
+      {"plain", plain, ""},       {"fwd_copy", fwd_copy, ""},
+      {"inv_copy", inv_copy, ""}, {"edge", edge, ""},
+      {"edge_inv", edge_inv, ""}};
+
+  constexpr std::size_t kLen = 80;
+  std::vector<SeqRecord> reads_a, reads_b;
+  for (std::size_t off = 10; off + kLen <= plain.size(); off += 100)
+    reads_a.push_back({std::string("a").append(std::to_string(off)),
+                       mera::seq::reverse_complement(plain.substr(off, kLen)),
+                       ""});
+  for (std::size_t off = 210; off + kLen <= 200 + region.size(); off += 100)
+    reads_b.push_back({std::string("b").append(std::to_string(off)),
+                       mera::seq::reverse_complement(fwd_copy.substr(off, kLen)),
+                       ""});
+  reads_b.push_back(
+      {"c470", mera::seq::reverse_complement(edge.substr(470, kLen)), ""});
+
+  Runtime rt(Topology(4, 2));
+  const auto ref = IndexedReference::build(rt, targets, small_index());
+  const auto name_of = [&](const AlignmentRecord& r) {
+    return ref.targets().target_unsync(r.target_id).name;
+  };
+  AlignSession session(ref, small_session());
+  const auto records_by_read = [&](const std::vector<SeqRecord>& reads) {
+    VectorSink sink(rt.nranks());
+    const auto res = session.align_batch(rt, reads, sink);
+    std::map<std::string, std::vector<AlignmentRecord>> by_read;
+    for (AlignmentRecord& r : sink.take())
+      by_read[r.query_name].push_back(std::move(r));
+    return std::pair{res.stats, by_read};
+  };
+
+  const auto [stats_a, recs_a] = records_by_read(reads_a);
+  ASSERT_EQ(recs_a.size(), reads_a.size());
+  for (const auto& [name, recs] : recs_a) {
+    ASSERT_EQ(recs.size(), 1u) << name;
+    EXPECT_TRUE(recs[0].reverse && recs[0].exact) << name;
+    EXPECT_EQ(name_of(recs[0]), "plain") << name;
+    EXPECT_EQ(recs[0].t_begin, std::stoul(name.substr(1))) << name;
+  }
+  EXPECT_EQ(stats_a.exact_match_reads, reads_a.size());
+  // No seed of `plain` has its reverse complement indexed, so its fragments
+  // carry no_rc_seeds and each (a) read stops at its second lookup: the
+  // first window (no forward hits) and the last (the reverse exact try).
+  EXPECT_LE(stats_a.seed_lookups, 2 * reads_a.size());
+
+  const auto [stats_b, recs_b] = records_by_read(reads_b);
+  ASSERT_EQ(recs_b.size(), reads_b.size());
+  for (const auto& [name, recs] : recs_b) {
+    ASSERT_GE(recs.size(), 2u) << name;
+    const bool edge_read = name[0] == 'c';
+    for (std::size_t i = 0; i + 1 < recs.size(); ++i) {
+      EXPECT_FALSE(recs[i].reverse || recs[i].exact) << name;
+      EXPECT_EQ(name_of(recs[i]), edge_read ? "edge_inv" : "inv_copy") << name;
+      if (!edge_read) {
+        EXPECT_GT(recs[i].mismatches, 0) << name;
+      }
+    }
+    EXPECT_TRUE(recs.back().reverse && recs.back().exact) << name;
+    EXPECT_EQ(name_of(recs.back()), edge_read ? "edge" : "fwd_copy") << name;
+    EXPECT_EQ(recs.back().t_begin, std::stoul(name.substr(1))) << name;
+  }
+  EXPECT_EQ(stats_b.exact_match_reads, reads_b.size());
 }
 
 TEST(Pipeline, CachesReduceModeledCommunication) {

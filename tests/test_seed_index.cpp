@@ -19,6 +19,8 @@
 #include <tuple>
 #include <vector>
 
+#include "core/indexed_reference.hpp"
+#include "seq/dna.hpp"
 #include "seq/kmer.hpp"
 
 // Live heap bytes and their high-water mark, kept by the replacement
@@ -80,7 +82,9 @@ using mera::pgas::CostModel;
 using mera::pgas::Rank;
 using mera::pgas::Runtime;
 using mera::pgas::Topology;
+using mera::seq::for_each_stranded_seed;
 using mera::seq::Kmer;
+using mera::seq::StrandedKmer;
 
 /// Ground truth over `seqs` (each sequence treated as one fragment, its
 /// global id = position in the vector), via the shared testutil builder.
@@ -103,14 +107,15 @@ void build_index(Runtime& rt, SeedIndex& index,
     const auto p = static_cast<std::size_t>(r.nranks());
     const std::size_t lo = n * me / p, hi = n * (me + 1) / p;
     for (std::size_t s = lo; s < hi; ++s)
-      mera::seq::for_each_seed(std::string_view(seqs[s]), k,
-                               [&](std::size_t, const Kmer& m) {
-                                 index.count_seed(r, m);
-                               });
+      for_each_stranded_seed(std::string_view(seqs[s]), k,
+                             [&](std::size_t, const StrandedKmer& m) {
+                               index.count_seed(r, m);
+                             });
     index.finish_count(r);
     for (std::size_t s = lo; s < hi; ++s)
-      mera::seq::for_each_seed(
-          std::string_view(seqs[s]), k, [&](std::size_t off, const Kmer& m) {
+      for_each_stranded_seed(
+          std::string_view(seqs[s]), k,
+          [&](std::size_t off, const StrandedKmer& m) {
             index.insert(r, m,
                          SeedHit{static_cast<std::uint32_t>(s),
                                  static_cast<std::uint32_t>(s),
@@ -154,7 +159,8 @@ TEST_P(SeedIndexModes, DuplicateHitsAreMarkedNonUnique) {
   std::vector<std::uint32_t> dup_frags;
   std::mutex mu;
   rt.run([&](Rank& r) {
-    index.for_each_local_duplicate_hit(r, [&](const SeedHit& h) {
+    index.for_each_local_marked_hit(r, [&](const SeedHit& h, bool dup, bool) {
+      if (!dup) return;
       const std::scoped_lock lk(mu);
       dup_frags.push_back(h.fragment_id);
     });
@@ -219,7 +225,7 @@ TEST_P(SeedIndexModes, DirectoryEdgeCasesLookUpExactly) {
 
   std::map<std::uint64_t, int> per_bucket;
   for (const auto& [key, c] : counts)
-    ++per_bucket[Kmer::from_ascii(key)->mixed_hash() >> 60];
+    ++per_bucket[StrandedKmer::of(*Kmer::from_ascii(key)).canonical().mixed_hash() >> 60];
   ASSERT_GE(std::ranges::max(per_bucket | std::views::values), 3);
 
   using HitKey = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>;
@@ -240,7 +246,7 @@ TEST_P(SeedIndexModes, DirectoryEdgeCasesLookUpExactly) {
     std::vector<std::size_t> owned(static_cast<std::size_t>(nranks), 0);
     for (const auto& [key, c] : counts)
       ++owned[static_cast<std::size_t>(
-          index.owner_of(*Kmer::from_ascii(key)))];
+          index.owner_of(StrandedKmer::of(*Kmer::from_ascii(key))))];
     for (int r = 0; r < nranks; ++r)
       EXPECT_EQ(index.local_distinct_seeds(r),
                 owned[static_cast<std::size_t>(r)])
@@ -252,7 +258,8 @@ TEST_P(SeedIndexModes, DirectoryEdgeCasesLookUpExactly) {
     std::multiset<HitKey> dups;
     std::mutex mu;
     rt.run([&](Rank& r) {
-      index.for_each_local_duplicate_hit(r, [&](const SeedHit& h) {
+      index.for_each_local_marked_hit(r, [&](const SeedHit& h, bool dup, bool) {
+        if (!dup) return;
         const std::scoped_lock lk(mu);
         dups.insert(key_of(h));
       });
@@ -396,6 +403,166 @@ TEST(SeedIndex, LookupIsExactAndCanonicalAcrossRanksAndModes) {
         << it->first;
     EXPECT_TRUE(std::equal(cut.begin(), cut.end(), all.begin(),
                            all.begin() + std::min<std::ptrdiff_t>(2, all.size())));
+  }
+}
+
+/// Targets for the brute-force checks: random sequence, an exact repeat, an
+/// inverted repeat (a segment and its reverse complement), and AACCGGTT
+/// repeats, whose windows centred on a multiple of 4 are palindromes for
+/// every even k.
+std::vector<std::string> strand_mix_targets(std::mt19937_64& rng) {
+  const std::string seg = random_dna(rng, 90);
+  std::string pal;
+  for (int i = 0; i < 12; ++i) pal += "AACCGGTT";
+  return {random_dna(rng, 150) + seg + random_dna(rng, 40),
+          random_dna(rng, 30) + mera::seq::reverse_complement(seg) +
+              random_dna(rng, 60),
+          seg + pal,
+          pal + random_dna(rng, 70),
+          random_dna(rng, 200)};
+}
+
+/// The documented within-subrun order: a fixed splitmix64 permutation of
+/// targets, then position, then fragment.
+auto documented_hit_order(const SeedHit& h) {
+  std::uint64_t x = h.target_id + 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return std::tuple{x ^ (x >> 31), h.t_pos, h.fragment_id};
+}
+
+TEST(SeedIndex, EveryOrientedLookupMatchesABruteForceMap) {
+  // Oriented seed -> hits in the documented order, by brute force. Every
+  // seed of the targets and its reverse complement (present or not) must
+  // get exactly that list, total and max-hits cut, from the oriented lookup
+  // and from both sides of the aligner's two-strand lookup; the marking
+  // visitor must flag exactly the duplicated and the rc-indexed entries.
+  std::mt19937_64 rng(61);
+  const auto seqs = strand_mix_targets(rng);
+  for (const int k : {4, 5, 20, 21, 31, 32, 63, 64}) {
+    const auto truth = ground_truth(seqs, k);
+    std::map<std::string, std::vector<SeedHit>> oriented;
+    for (const auto& [key, hit] : truth) oriented[key].push_back(hit);
+    for (auto& [key, hits] : oriented)
+      std::ranges::sort(hits, {}, documented_hit_order);
+    std::set<std::string> queries;
+    bool palindromes = false;
+    for (const auto& [key, hits] : oriented) {
+      queries.insert(key);
+      queries.insert(mera::seq::reverse_complement(key));
+      palindromes |= key == mera::seq::reverse_complement(key);
+    }
+    EXPECT_EQ(palindromes, k % 2 == 0) << "k=" << k;
+    const auto expect = [&](const std::string& q, std::size_t max_hits) {
+      const auto it = oriented.find(q);
+      if (it == oriented.end()) return std::pair{std::size_t{0}, std::vector<SeedHit>{}};
+      const auto n = std::min(max_hits, it->second.size());
+      return std::pair{it->second.size(),
+                       std::vector<SeedHit>(it->second.begin(),
+                                            it->second.begin() +
+                                                static_cast<std::ptrdiff_t>(n))};
+    };
+    using Marked = std::tuple<std::uint32_t, std::uint32_t, bool, bool>;
+    std::multiset<Marked> want_marked;
+    for (const auto& [key, hits] : oriented) {
+      const bool dup = hits.size() > 1;
+      const bool rc = oriented.contains(mera::seq::reverse_complement(key));
+      if (dup || rc)
+        for (const SeedHit& h : hits) want_marked.insert({h.target_id, h.t_pos, dup, rc});
+    }
+
+    for (const bool aggregating : {false, true}) {
+      for (const int nranks : {1, 4, 8}) {
+        const std::string where = "k=" + std::to_string(k) + " ranks=" +
+                                  std::to_string(nranks) +
+                                  (aggregating ? " aggregating" : " naive");
+        Runtime rt(Topology(nranks, 2));
+        SeedIndex index(rt.topo(), {k, aggregating, 3});
+        build_index(rt, index, seqs, k);
+        ASSERT_EQ(index.total_entries(), truth.size()) << where;
+
+        std::multiset<Marked> marked;
+        std::mutex mu;
+        rt.run([&](Rank& r) {
+          index.for_each_local_marked_hit(
+              r, [&](const SeedHit& h, bool dup, bool rc) {
+                const std::scoped_lock lk(mu);
+                marked.insert({h.target_id, h.t_pos, dup, rc});
+              });
+        });
+        EXPECT_EQ(marked, want_marked) << where;
+
+        rt.run([&](Rank& r) {
+          if (r.id() != nranks - 1) return;
+          for (const std::string& q : queries) {
+            const auto seed = StrandedKmer::of(*Kmer::from_ascii(q));
+            for (const std::size_t max_hits : {1000, 3}) {
+              const auto [total, hits] = expect(q, max_hits);
+              const auto [rc_total, rc_hits] =
+                  expect(mera::seq::reverse_complement(q), max_hits);
+              std::vector<SeedHit> got, got_fwd, got_rc;
+              ASSERT_EQ(index.lookup(r, seed.fwd, max_hits, got), total)
+                  << where << " " << q;
+              EXPECT_EQ(got, hits) << where << " " << q;
+              const auto totals =
+                  index.lookup(r, seed, max_hits, got_fwd, &got_rc);
+              EXPECT_EQ(totals[0], total) << where << " " << q;
+              EXPECT_EQ(totals[1], rc_total) << where << " " << q;
+              EXPECT_EQ(got_fwd, hits) << where << " " << q;
+              EXPECT_EQ(got_rc, rc_hits) << where << " " << q;
+            }
+          }
+        });
+      }
+    }
+  }
+}
+
+TEST(SeedIndex, FragmentFlagsMatchABruteForceCount) {
+  // single_copy_seeds: every seed of the fragment occurs once index-wide.
+  // no_rc_seeds: no seed of the fragment has its reverse complement indexed
+  // (a palindrome is its own).
+  std::mt19937_64 rng(62);
+  const auto seqs = strand_mix_targets(rng);
+  std::vector<mera::seq::SeqRecord> targets;
+  for (std::size_t i = 0; i < seqs.size(); ++i)
+    targets.push_back({"t" + std::to_string(i), seqs[i], ""});
+  for (const int k : {4, 5, 20, 21, 31, 32, 63, 64}) {
+    const auto counts = mera::testutil::seed_counts(seqs, k);
+    for (const bool aggregating : {false, true}) {
+      for (const int nranks : {1, 4, 8}) {
+        Runtime rt(Topology(nranks, 2));
+        mera::core::IndexConfig ic;
+        ic.k = k;
+        ic.aggregating_stores = aggregating;
+        ic.buffer_S = 3;
+        ic.fragment_len = 100;
+        const auto ref = mera::core::IndexedReference::build(rt, targets, ic);
+        const auto& store = ref.targets();
+        std::size_t no_rc = 0;
+        for (std::uint32_t fid = 0; fid < store.num_fragments(); ++fid) {
+          const auto& f = store.fragment_unsync(fid);
+          bool single = true, rc_free = true;
+          mera::seq::for_each_seed(
+              std::string_view(seqs[f.parent_target]).substr(f.parent_offset, f.length),
+              k, [&](std::size_t, const Kmer& m) {
+                single &= counts.at(m.to_string()) == 1;
+                rc_free &= !counts.contains(m.reverse_complement().to_string());
+              });
+          const std::string where = "k=" + std::to_string(k) + " ranks=" +
+                                    std::to_string(nranks) + " fragment " +
+                                    std::to_string(fid);
+          EXPECT_EQ(f.single_copy_seeds.load(), single) << where;
+          EXPECT_EQ(f.no_rc_seeds.load(), rc_free) << where;
+          no_rc += rc_free ? 1 : 0;
+        }
+        // Both values occur (short seeds all meet their reverse complement).
+        if (k >= 20) {
+          EXPECT_GT(no_rc, 0u) << "k=" << k;
+        }
+        EXPECT_LT(no_rc, store.num_fragments()) << "k=" << k;
+      }
+    }
   }
 }
 
