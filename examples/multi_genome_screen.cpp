@@ -43,8 +43,10 @@ std::vector<SeqRecord> make_sample(
     rp.error_rate = 0.01;
     rp.junk_fraction = 0.0;
     rp.rng_seed = seed++;
+    std::string prefix = "g";
+    prefix += std::to_string(g) + "_";
     for (auto& r : simulate_reads(genomes[static_cast<std::size_t>(g)], rp)) {
-      r.name = "g" + std::to_string(g) + "_" + r.name;
+      r.name = prefix + r.name;
       sample.push_back(std::move(r));
     }
   }

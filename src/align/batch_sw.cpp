@@ -1,7 +1,6 @@
 #include "align/batch_sw.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -105,21 +104,7 @@ SwIsa detect_isa() noexcept {
   return SwIsa::kScalar;
 }
 
-SwIsa resolve_isa(SwIsa requested) {
-  SwIsa isa = requested;
-  if (isa == SwIsa::kAuto) {
-    // Re-read the environment on every resolve (not cached) so tests can
-    // setenv/unsetenv MERA_SW_ISA between scorer constructions.
-    if (const char* env = std::getenv("MERA_SW_ISA"); env && *env) {
-      const auto parsed = parse_isa(env);
-      if (!parsed)
-        throw std::invalid_argument(
-            std::string("MERA_SW_ISA: unknown ISA '") + env +
-            "' (expected auto|scalar|sse2|avx2|avx512; this host supports " +
-            supported_tier_list() + " — try MERA_SW_ISA=help)");
-      isa = *parsed;
-    }
-  }
+SwIsa resolve_isa(SwIsa isa) {
   if (isa == SwIsa::kAuto) return detect_isa();
   if (!isa_supported(isa))
     throw std::invalid_argument(

@@ -20,9 +20,9 @@
 // host supports.
 //
 // Dispatch: the widest ISA the CPU supports is probed once per scorer
-// (cpuid via __builtin_cpu_supports); `MERA_SW_ISA` in the environment (or
-// --sw-isa on the CLI) pins a specific tier for testing. Under
-// MERA_FORCE_SCALAR_SW builds only the scalar tier exists.
+// (cpuid via __builtin_cpu_supports); ExtensionConfig::isa (--sw-isa on the
+// CLI) pins a specific tier for testing. Under MERA_FORCE_SCALAR_SW builds
+// only the scalar tier exists.
 #pragma once
 
 #include <array>
@@ -40,8 +40,7 @@
 namespace mera::align {
 
 /// Dispatch tiers, narrowest to widest. kAuto resolves to the widest tier
-/// both compiled in and supported by the running CPU (or to the MERA_SW_ISA
-/// environment override when set).
+/// both compiled in and supported by the running CPU.
 enum class SwIsa : std::uint8_t { kAuto = 0, kScalar, kSse2, kAvx2, kAvx512 };
 
 /// "auto" / "scalar" / "sse2" / "avx2" / "avx512".
@@ -53,17 +52,16 @@ enum class SwIsa : std::uint8_t { kAuto = 0, kScalar, kSse2, kAvx2, kAvx512 };
 [[nodiscard]] bool isa_supported(SwIsa isa) noexcept;
 /// Widest supported tier on this host (kScalar when no SIMD tier is).
 [[nodiscard]] SwIsa detect_isa() noexcept;
-/// Resolve `requested` to a concrete tier: an explicit tier is validated and
-/// returned; kAuto honours MERA_SW_ISA when set, else detect_isa(). Throws
-/// std::invalid_argument on an unknown MERA_SW_ISA value or a tier this
+/// Resolve `isa` to a concrete tier: kAuto is detect_isa(); an explicit tier
+/// is validated and returned. Throws std::invalid_argument on a tier this
 /// CPU/build does not support — forcing a tier is for testing, and a forced
 /// tier that silently degrades would test nothing.
-[[nodiscard]] SwIsa resolve_isa(SwIsa requested);
+[[nodiscard]] SwIsa resolve_isa(SwIsa isa);
 /// 16-bit lane width — the traced sweep's — of a concrete tier (8 / 16 /
 /// 32); 1 for kScalar. Resolves kAuto first.
 [[nodiscard]] std::size_t isa_lanes16(SwIsa isa);
 /// Human-readable per-tier support report for this binary on this CPU —
-/// what `--sw-isa help` / `MERA_SW_ISA=help` print.
+/// what `--sw-isa help` prints.
 [[nodiscard]] std::string isa_support_summary();
 
 /// Lane-occupancy accounting for the batch engine's SIMD sweeps. Each

@@ -41,8 +41,8 @@ struct ExtensionConfig {
   std::size_t window_pad = 16;
   /// In-window alignment kernel.
   SwKernel kernel = SwKernel::kBatch;
-  /// Dispatch tier for SwKernel::kBatch (kAuto = MERA_SW_ISA env override or
-  /// the widest the CPU supports). Ignored by kFullDP.
+  /// Dispatch tier for SwKernel::kBatch (kAuto = the widest the CPU
+  /// supports). Ignored by kFullDP.
   SwIsa isa = SwIsa::kAuto;
 };
 

@@ -24,10 +24,6 @@ struct Scoring {
   [[nodiscard]] int substitution(std::uint8_t a, std::uint8_t b) const noexcept {
     return a == b ? match : mismatch;
   }
-  /// Penalty (positive) of a length-`len` gap.
-  [[nodiscard]] int gap_cost(int len) const noexcept {
-    return len <= 0 ? 0 : gap_open + gap_extend * len;
-  }
 };
 
 /// ASCII DNA -> 2-bit code vector for the alignment kernels ('N' -> 'A').

@@ -12,8 +12,9 @@ namespace {
 constexpr std::uint32_t kMagic = 0x4D435348;  // "MCSH" — mera cache snapshot
 // 2: striped seed-cache section; 3: same layout, but cached hit lists are
 // in the seed index's canonical run order (v2 lists are in arrival order);
-// 4: the seed section is laid out per set-associative set.
-constexpr std::uint32_t kVersion = 4;
+// 4: the seed section is laid out per set-associative set; 5: the header
+// carries each cache's capacity.
+constexpr std::uint32_t kVersion = 5;
 constexpr std::uint32_t kFlagSeedSection = 1u << 0;
 constexpr std::uint32_t kFlagTargetSection = 1u << 1;
 
@@ -126,6 +127,8 @@ void save_caches(const std::string& path, const SnapshotMeta& meta,
     if (seed) flags |= kFlagSeedSection;
     if (target) flags |= kFlagTargetSection;
     put<std::uint32_t>(out, flags);
+    put<std::uint64_t>(out, seed ? seed->capacity_per_node() : 0);
+    put<std::uint64_t>(out, target ? target->capacity_bytes_per_node() : 0);
     put<std::uint64_t>(out, bytes.size());
     put<std::uint64_t>(out, snapio::fnv1a(bytes.data(), bytes.size()));
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -171,16 +174,36 @@ void load_caches(const std::string& path, const SnapshotMeta& expect,
                              ": unsupported version " + std::to_string(version));
   SnapshotMeta found;
   std::uint32_t flags = 0;
+  std::uint64_t seed_capacity = 0, target_capacity = 0;
   std::uint64_t payload_size = 0, checksum = 0;
   try {
     found = get_meta(in);
     flags = get<std::uint32_t>(in);
+    seed_capacity = get<std::uint64_t>(in);
+    target_capacity = get<std::uint64_t>(in);
     payload_size = get<std::uint64_t>(in);
     checksum = get<std::uint64_t>(in);
   } catch (const CacheSnapshotError&) {
     throw CacheSnapshotError("cache snapshot " + path + ": truncated header");
   }
   check_meta(path, found, expect);
+  // A cache restores exactly or not at all: a section saved by a cache of
+  // another capacity is refused, like any other mismatch.
+  const auto check_capacity = [&](const char* cache, std::uint64_t saved,
+                                  std::uint64_t runs, const char* unit) {
+    if (saved != runs)
+      throw CacheSnapshotError(
+          "cache snapshot " + path + ": " + cache +
+          " cache capacity mismatch (snapshot " + std::to_string(saved) +
+          unit + ", session " + std::to_string(runs) + unit +
+          ") — it can only be restored into a cache of the same capacity");
+  };
+  if ((flags & kFlagSeedSection) && seed)
+    check_capacity("seed", seed_capacity, seed->capacity_per_node(),
+                   " entries per node");
+  if ((flags & kFlagTargetSection) && target)
+    check_capacity("target", target_capacity,
+                   target->capacity_bytes_per_node(), " bytes per node");
 
   // The size field lives in the header, outside the payload checksum — a
   // damaged length must be caught by arithmetic, not by a failed multi-GB

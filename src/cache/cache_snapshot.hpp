@@ -16,8 +16,10 @@
 // k, the topology, the full LogGP cost model and a fingerprint of the
 // reference (names, lengths and packed bases of every target), and load
 // refuses anything that does not match — a snapshot can never be loaded
-// against the wrong index. The payload is length- and checksum-guarded, so
-// truncated or corrupted files are rejected rather than half-applied.
+// against the wrong index. It also carries each cache's capacity: a cache
+// is restored exactly, so a section saved at another capacity is refused
+// too. The payload is length- and checksum-guarded, so truncated or
+// corrupted files are rejected rather than half-applied.
 //
 // File layout (fixed-width little-endian integers, host-endian doubles —
 // snapshots are node-local state, not an interchange format):
@@ -25,16 +27,19 @@
 //   magic u32 | version u32 | k i32 | nranks i32 | ppn i32 | nnodes i32
 //   max_hits u64 | cost model 5 x f64 | reference fingerprint u64
 //   flags u32 (bit0 seed section, bit1 target section)
+//   seed capacity u64 (entries per node) | target capacity u64 (bytes per
+//   node), each 0 when its section is absent
 //   payload size u64 | payload FNV-1a u64 | payload bytes...
 //
 // The payload is one length-prefixed section per present cache — `byte
 // length u64 | the cache's own save() stream` (see SeedIndexCache::save /
 // TargetCache::save for the per-shard layout) — so a loader can skip a
-// section its session does not run without deserializing it. Version 4 lays
-// the seed section out per set of the set-associative cache (its hand,
+// section its session does not run without deserializing it. The seed
+// section is laid out per set of the set-associative cache (its hand,
 // reference bits and ways); its hit lists come from the canonically ordered
 // seed index, so a warm start gives the same bytes as a cold run. Files of
-// versions 1-3 (earlier seed-section layouts) are refused.
+// versions 1-4 (earlier seed-section layouts, and headers without the
+// capacities) are refused.
 #pragma once
 
 #include <array>
@@ -52,7 +57,8 @@
 namespace mera::cache {
 
 /// A snapshot file that cannot be applied: unreadable, truncated, corrupt,
-/// or recorded against a different reference/topology/cost model.
+/// or recorded against a different reference/topology/cost model or by a
+/// cache of another capacity.
 class CacheSnapshotError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -89,7 +95,8 @@ void save_caches(const std::string& path, const SnapshotMeta& meta,
 /// Validate `path` against `expect` and replace the given caches' contents
 /// with the snapshot. A section present in the file but disabled in this
 /// session (null pointer) is skipped; a section absent from the file leaves
-/// that cache untouched (cold). Throws CacheSnapshotError on any mismatch,
+/// that cache untouched (cold). Throws CacheSnapshotError on any mismatch
+/// (the meta, or the capacity of a cache whose section is applied),
 /// truncation or corruption. Every rejection reachable from a file that the
 /// paired writer produced (missing, mismatched meta, truncated, bit-flipped)
 /// is detected before the caches are touched; a crafted checksum-valid

@@ -484,55 +484,49 @@ void SeedIndexCache::load(std::istream& is) {
         "cache snapshot: seed section has " + std::to_string(saved_nodes) +
         " node shards, this topology has " + std::to_string(nnodes_));
 
-  // One snapshot entry, with its CLOCK age within the set it was saved
-  // from: `age` ways past the hand (0 = the next victim, the oldest) of the
-  // set's `n`.
+  /// One snapshot entry; its hits are hits[first_hit, first_hit + nhits).
   struct Loaded {
     seq::Kmer seed;
     std::uint64_t hash = 0;
     std::uint32_t use_count = 0;
     std::uint32_t total = 0;
     std::uint32_t nhits = 0;
-    std::size_t first_hit = 0;  ///< into `hits`
-    std::uint32_t age = 0;
-    std::uint32_t n = 0;
-    bool ref = false;
+    std::size_t first_hit = 0;
   };
-  const auto younger = [](const Loaded& a, const Loaded& b) {
-    return std::uint64_t{a.age + 1} * b.n > std::uint64_t{b.age + 1} * a.n;
-  };
-  /// A set as it will be restored: its ways index `loaded`.
+  /// A set as saved: its ways are loaded[first, first + n).
   struct Staged {
     std::uint8_t n = 0;
     std::uint8_t hand = 0;
     std::uint16_t ref = 0;
-    std::array<std::size_t, kWays> ways{};
+    std::size_t first = 0;
   };
 
   for (std::size_t node = 0; node < nnodes_; ++node) {
     const CacheCounters counters = snapio::get_counters(is);
     const auto saved_sets = get<std::uint64_t>(is);
-    if (saved_sets == 0 || saved_sets > 0xFFFFFFFFu)
-      throw CacheSnapshotError("cache snapshot: invalid seed set count " +
-                               std::to_string(saved_sets));
+    if (saved_sets != nsets_)
+      throw CacheSnapshotError(
+          "cache snapshot: seed section has " + std::to_string(saved_sets) +
+          " sets per node, this cache has " + std::to_string(nsets_));
 
     std::vector<Loaded> loaded;
     std::vector<dht::SeedHit> hits;
-    std::vector<Staged> saved;
-    for (std::uint64_t s = 0; s < saved_sets; ++s) {
-      Staged& set = saved.emplace_back();
+    std::vector<Staged> staged(nsets_);
+    for (std::size_t s = 0; s < nsets_; ++s) {
+      Staged& set = staged[s];
       set.n = get<std::uint8_t>(is);
       set.hand = get<std::uint8_t>(is);
       set.ref = get<std::uint16_t>(is);
-      if (set.n > kWays)
-        throw CacheSnapshotError("cache snapshot: seed set holds " +
-                                 std::to_string(set.n) + " ways");
+      if (set.n > share_of(s))
+        throw CacheSnapshotError(
+            "cache snapshot: seed set holds " + std::to_string(set.n) +
+            " ways, over its share of " + std::to_string(share_of(s)));
       if (set.n == 0 ? set.hand != 0 : set.hand >= set.n)
         throw CacheSnapshotError("cache snapshot: seed set hand out of range");
       if (set.ref >> set.n != 0)
         throw CacheSnapshotError(
             "cache snapshot: seed reference bit on an empty way");
-      const std::size_t first = loaded.size();
+      set.first = loaded.size();
       for (std::uint32_t w = 0; w < set.n; ++w) {
         const auto k = get<std::uint32_t>(is);
         std::array<std::uint64_t, 2> words;
@@ -544,19 +538,16 @@ void SeedIndexCache::load(std::istream& is) {
         Loaded& e = loaded.emplace_back();
         e.seed = *seed;
         e.hash = seed->mixed_hash();
-        if (detail::seed_cache_set_of(e.hash, saved_sets) != s)
+        if (detail::seed_cache_set_of(e.hash, nsets_) != s)
           throw CacheSnapshotError(
               "cache snapshot: seed entry saved under the wrong set");
-        for (std::size_t j = first; j + 1 < loaded.size(); ++j)
+        for (std::size_t j = set.first; j + 1 < loaded.size(); ++j)
           if (loaded[j].seed == e.seed)
             throw CacheSnapshotError("cache snapshot: duplicate seed entry");
         e.use_count = get<std::uint32_t>(is);
         e.total = get<std::uint32_t>(is);
         e.nhits = get<std::uint32_t>(is);
         e.first_hit = hits.size();
-        e.age = (w + set.n - set.hand) % set.n;
-        e.n = set.n;
-        e.ref = (set.ref >> w & 1u) != 0;
         for (std::uint32_t h = 0; h < e.nhits; ++h) {
           dht::SeedHit hit;
           hit.fragment_id = get<std::uint32_t>(is);
@@ -564,67 +555,11 @@ void SeedIndexCache::load(std::istream& is) {
           hit.t_pos = get<std::uint32_t>(is);
           hits.push_back(hit);
         }
-        set.ways[w] = loaded.size() - 1;
       }
     }
 
     // Stage outside the locks, then write in: a node is either fully
     // replaced or (on a malformed snapshot) left exactly as it was.
-    std::vector<Staged> staged(nsets_);
-    std::vector<std::uint8_t> taken(nsets_);  ///< ways admitted per set
-    std::uint64_t dropped = 0;
-    // Re-admission when entries do not fit as saved: admit the warmest
-    // (persisted hit count, age breaking ties toward the younger entry)
-    // into their sets until each is full — the eviction-aware admission
-    // policy applied wholesale at load time. Survivors are laid out
-    // oldest-first with the hand at 0, which keeps the saved eviction order
-    // over the surviving entries.
-    const auto readmit = [&](std::vector<std::size_t> order) {
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         if (loaded[a].use_count != loaded[b].use_count)
-                           return loaded[a].use_count > loaded[b].use_count;
-                         return younger(loaded[a], loaded[b]);
-                       });
-      std::vector<std::size_t> kept;
-      for (const std::size_t i : order) {
-        const std::size_t t =
-            detail::seed_cache_set_of(loaded[i].hash, nsets_);
-        if (taken[t] == share_of(t)) {
-          ++dropped;
-          continue;
-        }
-        ++taken[t];
-        kept.push_back(i);
-      }
-      std::stable_sort(kept.begin(), kept.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return younger(loaded[b], loaded[a]);
-                       });
-      for (const std::size_t i : kept) {
-        Staged& set =
-            staged[detail::seed_cache_set_of(loaded[i].hash, nsets_)];
-        if (loaded[i].ref)
-          set.ref = static_cast<std::uint16_t>(set.ref | 1u << set.n);
-        set.ways[set.n++] = i;
-      }
-    };
-
-    if (saved_sets == nsets_) {
-      // Same set function: every set that fits is restored exactly.
-      for (std::size_t s = 0; s < nsets_; ++s) {
-        if (saved[s].n <= share_of(s)) {
-          staged[s] = saved[s];
-          continue;
-        }
-        readmit({saved[s].ways.begin(), saved[s].ways.begin() + saved[s].n});
-      }
-    } else {
-      std::vector<std::size_t> all(loaded.size());
-      for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-      readmit(std::move(all));
-    }
-
     Set* first = table_.sets + node * nsets_;
     HitArena& arena = arenas_[node];
     const LockAll lk(first, first + nsets_);
@@ -641,7 +576,7 @@ void SeedIndexCache::load(std::istream& is) {
       }
       const Staged& st = staged[t];
       for (std::size_t w = 0; w < st.n; ++w) {
-        const Loaded& e = loaded[st.ways[w]];
+        const Loaded& e = loaded[st.first + w];
         reserve_way(node, set, w);
         fill(arena, entry(node, set, w), e.seed, hits.data() + e.first_hit,
              e.nhits, e.total, e.use_count);
@@ -659,16 +594,13 @@ void SeedIndexCache::load(std::istream& is) {
       const bool carry = i == node * kSlots;
       sl.hits.store(carry ? counters.hits : 0, std::memory_order_relaxed);
       sl.misses.store(carry ? counters.misses : 0, std::memory_order_relaxed);
-      // Wraps when fewer entries are restored than were ever inserted,
-      // and node_counters() wraps back.
       sl.insertions_offset.store(
           carry ? counters.insertions - filled - counters.evictions : 0,
           std::memory_order_relaxed);
       sl.evictions.store(carry ? counters.evictions : 0,
                          std::memory_order_relaxed);
-      sl.admission_rejects.store(
-          carry ? counters.admission_rejects + dropped : 0,
-          std::memory_order_relaxed);
+      sl.admission_rejects.store(carry ? counters.admission_rejects : 0,
+                                 std::memory_order_relaxed);
       sl.fills.store(carry ? filled : 0, std::memory_order_relaxed);
     }
   }

@@ -161,15 +161,11 @@ class SeedIndexCache {
   /// Holds one node's set locks at a time; safe concurrently with lookups
   /// and inserts (the snapshot is then per-node consistent).
   void save(std::ostream& os) const;
-  /// Replace this cache's contents with a saved snapshot. The snapshot's
-  /// node count must match (throws CacheSnapshotError otherwise). A set
-  /// that fits is restored exactly. When the snapshot's set count differs,
-  /// or a set holds more entries than its share of capacity_per_node, the
-  /// warmest entries win: entries are admitted by (persisted hits desc,
-  /// most recently inserted first) until their new set is full and the rest
-  /// are counted as admission_rejects — the eviction-aware admission policy
-  /// applied at load time. Restored counters are cumulative across
-  /// processes.
+  /// Replace this cache's contents with a snapshot saved by a cache of the
+  /// same topology and capacity, exactly. A node count or set count that
+  /// differs, or a set holding more entries than its share of
+  /// capacity_per_node, throws CacheSnapshotError and leaves that node as it
+  /// was. Restored counters are cumulative across processes.
   void load(std::istream& is);
 
  private:

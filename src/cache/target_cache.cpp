@@ -1,7 +1,6 @@
 #include "cache/target_cache.hpp"
 
-#include <algorithm>
-#include <numeric>
+#include <string>
 
 #include "cache/cache_snapshot.hpp"
 
@@ -134,36 +133,11 @@ void TargetCache::load(std::istream& is) {
       e.gid = get<std::uint32_t>(is);
       e.use_count = get<std::uint32_t>(is);
       e.bytes = get<std::uint64_t>(is);
+      if (e.bytes > capacity_ - total_bytes)  // no sum that could wrap
+        throw CacheSnapshotError(
+            "cache snapshot: target entries on a node exceed this cache's "
+            "budget of " + std::to_string(capacity_) + " bytes");
       total_bytes += e.bytes;
-    }
-
-    std::uint64_t dropped = 0;
-    if (total_bytes > capacity_) {
-      // The snapshot was taken by a bigger cache: admit the warmest entries
-      // (persisted hit count, recency breaking ties) while they fit — the
-      // eviction-aware admission policy applied wholesale at load time.
-      std::vector<std::size_t> order(entries.size());
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return entries[a].use_count > entries[b].use_count;
-                       });  // stable: equal heat keeps MRU-first order
-      std::vector<char> keep(entries.size(), 0);
-      std::size_t used = 0;
-      for (const std::size_t i : order) {
-        if (used + entries[i].bytes <= capacity_) {
-          used += entries[i].bytes;
-          keep[i] = 1;
-        } else {
-          ++dropped;
-        }
-      }
-      std::vector<Entry> kept;
-      kept.reserve(entries.size() - static_cast<std::size_t>(dropped));
-      for (std::size_t i = 0; i < entries.size(); ++i)
-        if (keep[i]) kept.push_back(entries[i]);  // original recency order
-      entries = std::move(kept);
-      total_bytes = used;
     }
 
     // Stage outside the lock, then swap in: a shard is either fully
@@ -182,7 +156,6 @@ void TargetCache::load(std::istream& is) {
     sh.map = std::move(map);
     sh.used_bytes = total_bytes;
     sh.counters = counters;
-    sh.counters.admission_rejects += dropped;
   }
 }
 

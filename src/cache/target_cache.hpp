@@ -57,12 +57,11 @@ class TargetCache {
   /// so load() reproduces this cache bit-for-bit. Takes each shard's lock in
   /// turn; safe concurrently with contains/insert.
   void save(std::ostream& os) const;
-  /// Replace this cache's contents with a saved snapshot. The snapshot's
-  /// node count must match (throws CacheSnapshotError otherwise). When the
-  /// snapshot's payload exceeds capacity_bytes_per_node, the warmest entries
-  /// win: admitted by (persisted hits desc, most recently used first) while
-  /// they fit, the rest counted as admission_rejects. Restored counters are
-  /// cumulative across processes.
+  /// Replace this cache's contents with a snapshot saved by a cache of the
+  /// same topology and capacity, exactly. A node count that differs, or a
+  /// node whose entries exceed capacity_bytes_per_node, throws
+  /// CacheSnapshotError and leaves that node as it was. Restored counters
+  /// are cumulative across processes.
   void load(std::istream& is);
 
  private:

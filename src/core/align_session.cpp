@@ -550,6 +550,9 @@ AlignSession::AlignSession(IndexedReference ref, SessionConfig cfg)
     : ref_(std::move(ref)),
       cfg_(std::move(cfg)),
       trace_scratch_(static_cast<std::size_t>(ref_.topology().nranks())) {
+  if (cfg_.max_hits_per_seed == 0)
+    throw std::invalid_argument(
+        "AlignSession: max_hits_per_seed must be at least 1");
   const pgas::Topology& topo = ref_.topology();
   if (cfg_.seed_cache)
     scache_.emplace(topo,

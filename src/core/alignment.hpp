@@ -19,10 +19,6 @@ struct AlignmentRecord {
   int mismatches = 0;
   bool exact = false;  ///< produced by the Lemma-1 memcmp fast path
 
-  [[nodiscard]] bool full_length(std::size_t query_len) const noexcept {
-    return q_begin == 0 && q_end == query_len;
-  }
-
   friend bool operator==(const AlignmentRecord&,
                          const AlignmentRecord&) = default;
 };

@@ -45,9 +45,8 @@ std::size_t VectorSink::size() const {
 // ---------------------------------------------------------------------------
 
 void CountingSink::emit(int /*rank*/, const seq::SeqRecord& /*read*/,
-                        AlignmentRecord&& rec) {
+                        AlignmentRecord&& /*rec*/) {
   records_.fetch_add(1, std::memory_order_relaxed);
-  if (rec.exact) exact_.fetch_add(1, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------

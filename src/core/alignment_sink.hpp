@@ -73,13 +73,9 @@ class CountingSink final : public AlignmentSink {
   [[nodiscard]] std::uint64_t records() const noexcept {
     return records_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t exact_records() const noexcept {
-    return exact_.load(std::memory_order_relaxed);
-  }
 
  private:
   std::atomic<std::uint64_t> records_{0};
-  std::atomic<std::uint64_t> exact_{0};
 };
 
 /// Streams SAM to an ostream across batches: the header is written once (on

@@ -114,13 +114,6 @@ std::size_t TargetStore::target_transfer_bytes(std::uint32_t gid) const {
                      .seq.packed_bytes();
 }
 
-const Fragment& TargetStore::fetch_fragment(pgas::Rank& rank,
-                                            std::uint32_t fid) const {
-  const int owner = owner_of_fragment(fid);
-  rank.charge_access(owner, sizeof(std::uint32_t) * 3 + sizeof(bool));
-  return fragment_unsync(fid);
-}
-
 void TargetStore::clear_single_copy(pgas::Rank& rank, std::uint32_t fid) {
   const int owner = owner_of_fragment(fid);
   rank.charge_access(owner, sizeof(bool));

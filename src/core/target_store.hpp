@@ -91,9 +91,6 @@ class TargetStore {
   /// Modeled bytes a fetch_target of `gid` moves (packed sequence payload).
   [[nodiscard]] std::size_t target_transfer_bytes(std::uint32_t gid) const;
 
-  /// Fragment metadata is small; a remote read charges a fixed-size transfer.
-  [[nodiscard]] const Fragment& fetch_fragment(pgas::Rank& rank, std::uint32_t fid) const;
-
   /// Clear the single-copy flag of fragment `fid` (one-sided put; used while
   /// propagating duplicate-seed marks during index finalization).
   void clear_single_copy(pgas::Rank& rank, std::uint32_t fid);

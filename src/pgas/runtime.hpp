@@ -52,9 +52,6 @@ class GlobalCounter {
   [[nodiscard]] std::uint64_t load_unsync() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void store_unsync(std::uint64_t v) noexcept {
-    value_.store(v, std::memory_order_relaxed);
-  }
 
  private:
   friend class Rank;

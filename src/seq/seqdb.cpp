@@ -217,14 +217,6 @@ SeqRecord SeqDBReader::read(std::size_t i) {
   return rec;
 }
 
-std::vector<PackedRead> SeqDBReader::read_packed_range(std::size_t lo,
-                                                       std::size_t hi) {
-  std::vector<PackedRead> out;
-  out.reserve(hi - lo);
-  for (std::size_t i = lo; i < hi; ++i) out.push_back(read_packed(i));
-  return out;
-}
-
 std::vector<SeqRecord> SeqDBReader::read_all() {
   std::vector<SeqRecord> out;
   out.reserve(size());

@@ -82,8 +82,6 @@ class SeqDBReader {
 
   [[nodiscard]] SeqRecord read(std::size_t i);
   [[nodiscard]] PackedRead read_packed(std::size_t i);
-  [[nodiscard]] std::vector<PackedRead> read_packed_range(std::size_t lo,
-                                                          std::size_t hi);
   /// Every record, in file order.
   [[nodiscard]] std::vector<SeqRecord> read_all();
 

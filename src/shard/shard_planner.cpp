@@ -31,15 +31,10 @@ double ShardPlan::imbalance() const noexcept {
   return mean == 0.0 ? 1.0 : static_cast<double>(max_weight()) / mean;
 }
 
-std::uint64_t target_weight(const seq::SeqRecord& target, ShardWeight model,
-                            int k) {
+std::uint64_t target_weight(const seq::SeqRecord& target, int k) {
   const std::uint64_t len = target.seq.size();
-  std::uint64_t w = len;
-  if (model == ShardWeight::kCostModel)
-    w = len >= static_cast<std::uint64_t>(k)
-            ? len - static_cast<std::uint64_t>(k) + 1
-            : 0;
-  return std::max<std::uint64_t>(w, 1);
+  const auto uk = static_cast<std::uint64_t>(k);
+  return len > uk ? len - uk + 1 : 1;
 }
 
 ShardPlan plan_shards(const std::vector<seq::SeqRecord>& targets,
@@ -51,7 +46,7 @@ ShardPlan plan_shards(const std::vector<seq::SeqRecord>& targets,
 
   std::vector<std::uint64_t> weights(n);
   for (std::size_t i = 0; i < n; ++i)
-    weights[i] = target_weight(targets[i], opt.weight, opt.k);
+    weights[i] = target_weight(targets[i], opt.k);
 
   // LPT: heaviest target first (ties broken by lower global id so the plan
   // is a pure function of the weights), each onto the lightest shard (ties

@@ -6,14 +6,13 @@
 // decides which targets go into which shard so that no shard's index
 // dominates build or lookup time.
 //
-// Two weight models are offered. kBases charges a target its sequence length
-// — a proxy for target storage and fetch traffic. kCostModel charges the
-// number of seeds the target feeds into the distributed index (L - k + 1 for
-// length L; the fragmentation of Section IV-A keeps fragment seed sets
-// disjoint, so this is exact), which is what index.build inserts and what
-// lookups are served from — the Section IV-B quantity that actually scales a
-// shard's cost. Assignment is greedy LPT (heaviest target to the lightest
-// shard), which is deterministic and within 4/3 of the optimal makespan.
+// A target weighs the number of seeds it feeds into the distributed index
+// (L - k + 1 for length L; the fragmentation of Section IV-A keeps fragment
+// seed sets disjoint, so this is exact), which is what index.build inserts
+// and what lookups are served from — the Section IV-B quantity that
+// actually scales a shard's cost. Assignment is greedy LPT (heaviest target
+// to the lightest shard), which is deterministic and within 4/3 of the
+// optimal makespan.
 #pragma once
 
 #include <cstdint>
@@ -23,15 +22,9 @@
 
 namespace mera::shard {
 
-enum class ShardWeight : std::uint8_t {
-  kBases = 0,   ///< weight = target length
-  kCostModel,   ///< weight = seeds contributed to the index (L - k + 1)
-};
-
 struct ShardPlanOptions {
   int shards = 1;  ///< clamped to [1, num_targets]
-  ShardWeight weight = ShardWeight::kCostModel;
-  int k = 51;  ///< seed length; only kCostModel weights depend on it
+  int k = 51;      ///< seed length the target weights count seeds of
 };
 
 /// A partition of the input target indices into shards. Targets are referred
@@ -56,10 +49,9 @@ struct ShardPlan {
   [[nodiscard]] double imbalance() const noexcept;
 };
 
-/// Weight of one target under the given model (>= 1, so empty or shorter-
-/// than-k targets still occupy a slot somewhere).
-[[nodiscard]] std::uint64_t target_weight(const seq::SeqRecord& target,
-                                          ShardWeight model, int k);
+/// Weight of one target: its seeds of length k, L - k + 1, and at least 1
+/// (so empty or shorter-than-k targets still occupy a slot somewhere).
+[[nodiscard]] std::uint64_t target_weight(const seq::SeqRecord& target, int k);
 
 /// Deterministically partition `targets` into opt.shards balanced shards.
 [[nodiscard]] ShardPlan plan_shards(const std::vector<seq::SeqRecord>& targets,

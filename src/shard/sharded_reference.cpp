@@ -95,7 +95,6 @@ ShardedReference ShardedReference::build(
     core::IndexConfig cfg) {
   ShardPlanOptions opt;
   opt.shards = shards;
-  opt.weight = ShardWeight::kCostModel;
   opt.k = cfg.k;
   return build(rt, targets, plan_shards(targets, opt), cfg);
 }

@@ -138,10 +138,10 @@ endif()
 check_sam(${WORKDIR}/out_batch_scalar.sam "single-batch --sw-isa scalar")
 
 # Removed selectors are usage errors (exit 2 + usage), not silent aliases:
-# the striped and banded kernels, the --sw-pool knob and the serial
-# --no-prefetch stream no longer exist.
+# the striped and banded kernels, the --sw-pool knob, the serial
+# --no-prefetch stream and the --shard-by planner weighting no longer exist.
 foreach(removed "--sw;striped" "--sw;banded" "--sw;batch;--sw-pool;on"
-                "--no-prefetch")
+                "--no-prefetch" "--shards;3;--shard-by;bases")
   execute_process(
     COMMAND ${CLI}
       --targets ${WORKDIR}/contigs.fa
@@ -200,6 +200,25 @@ execute_process(
 if(NOT rc EQUAL 2 OR NOT err MATCHES "requires --sw batch")
   message(FATAL_ERROR "--sw-isa outside --sw batch was not rejected (rc=${rc}):\n${err}")
 endif()
+
+# --max-hits keeps at least one hit per seed: 0 would leave a seed nothing to
+# extend, and a negative count would wrap to unlimited.
+foreach(bad 0 -1)
+  execute_process(
+    COMMAND ${CLI}
+      --targets ${WORKDIR}/contigs.fa
+      --reads ${WORKDIR}/reads.fastq
+      --k 31 --ranks 4 --ppn 2 --max-hits ${bad}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "--max-hits ${bad} exited ${rc}, expected usage error 2")
+  endif()
+  if(NOT err MATCHES "max-hits must be >= 1" OR NOT err MATCHES "meraligner --targets")
+    message(FATAL_ERROR "--max-hits ${bad} did not print the usage message:\n${err}")
+  endif()
+endforeach()
 
 # The header must carry a spec-complete @PG line: program, version, and the
 # command line of the invocation that produced the file.

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <random>
 #include <string>
 #include <utility>
@@ -170,25 +169,6 @@ TEST(SwIsaDispatch, DetectReturnsASupportedTier) {
   const SwIsa isa = detect_isa();
   EXPECT_NE(isa, SwIsa::kAuto);
   EXPECT_TRUE(isa_supported(isa));
-}
-
-TEST(SwIsaDispatch, EnvOverridePinsTier) {
-  ASSERT_EQ(setenv("MERA_SW_ISA", "scalar", 1), 0);
-  const auto qc = dna_codes(std::string_view("ACGTACGT"));
-  {
-    BatchSwScorer scorer(qc);
-    EXPECT_EQ(scorer.isa(), SwIsa::kScalar);
-  }
-  // An explicit tier beats the environment.
-  if (isa_supported(SwIsa::kSse2)) {
-    BatchSwScorer scorer(qc, Scoring{}, SwIsa::kSse2);
-    EXPECT_EQ(scorer.isa(), SwIsa::kSse2);
-  }
-  ASSERT_EQ(setenv("MERA_SW_ISA", "not-an-isa", 1), 0);
-  EXPECT_THROW(BatchSwScorer{qc}, std::invalid_argument);
-  ASSERT_EQ(unsetenv("MERA_SW_ISA"), 0);
-  BatchSwScorer scorer(qc);
-  EXPECT_EQ(scorer.isa(), detect_isa());
 }
 
 TEST(SwIsaDispatch, UnsupportedExplicitTierThrows) {

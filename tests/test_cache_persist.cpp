@@ -5,8 +5,8 @@
 //   1. round trip    — save -> load -> save reproduces the snapshot byte for
 //                      byte (entries, per-entry hit counts, counters, CLOCK /
 //                      LRU order), for randomized cache contents;
-//   2. rejection     — fingerprint/topology/cost-model mismatches and
-//                      truncated or corrupted files are refused, caches
+//   2. rejection     — fingerprint/topology/cost-model/capacity mismatches
+//                      and truncated or corrupted files are refused, caches
 //                      untouched;
 //   3. bit-identity  — a warm-started session emits exactly the records,
 //                      SAM stream and work stats of a cold one, across
@@ -237,43 +237,6 @@ TEST(CacheSnapshotRoundTrip, LoadedSeedCacheServesTheSavedHits) {
   EXPECT_EQ(out[1], hits[1]);
 }
 
-TEST(CacheSnapshotRoundTrip, SeedLoadIntoSmallerCacheKeepsTheWarmestEntries) {
-  const Topology topo(2, 2);  // 1 node
-  SeedIndexCache big(topo, {.capacity_per_node = 8});
-  std::vector<Kmer> seeds;
-  for (int i = 0; i < 8; ++i) {
-    std::string s = "AAAAAAAAAAAAAAAAAAAAA";
-    s[0] = "ACGT"[i % 4];
-    s[1] = "ACGT"[i / 4];
-    seeds.push_back(*Kmer::from_ascii(s));
-    big.insert(0, seeds.back(), {SeedHit{0, 0, static_cast<std::uint32_t>(i)}},
-               1);
-  }
-  // Warm up seeds 2 and 5 only.
-  std::vector<SeedHit> out;
-  std::size_t total = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    big.lookup(0, seeds[2], 8, out, total);
-    big.lookup(0, seeds[5], 8, out, total);
-  }
-
-  std::ostringstream os(std::ios::binary);
-  big.save(os);
-  SeedIndexCache small(topo, {.capacity_per_node = 2});
-  std::istringstream is(os.str(), std::ios::binary);
-  small.load(is);
-
-  EXPECT_EQ(small.entries(), 2u);
-  out.clear();
-  EXPECT_TRUE(small.lookup(0, seeds[2], 8, out, total));
-  EXPECT_TRUE(small.lookup(0, seeds[5], 8, out, total));
-  EXPECT_FALSE(small.lookup(0, seeds[0], 8, out, total));
-  // The 6 dropped entries are recorded as admission rejects on top of the
-  // restored history.
-  EXPECT_EQ(small.counters().admission_rejects,
-            big.counters().admission_rejects + 6);
-}
-
 TEST(CacheSnapshotRoundTrip, SeedSnapshotIntoTheSameCapacityRestoresExactly) {
   // 1 << 14 entries per node is 1024 sets per node; 40K inserts over 2
   // nodes overflow every set, so hands, reference bits and evictions are in
@@ -304,125 +267,37 @@ TEST(CacheSnapshotRoundTrip, SeedSnapshotIntoTheSameCapacityRestoresExactly) {
   EXPECT_EQ(s3.str(), s4.str());
 }
 
-TEST(CacheSnapshotRoundTrip, SeedSnapshotIntoASmallerCapacityKeepsTheWarmest) {
+TEST(CacheSnapshotRoundTrip, SectionOfAnotherCapacityIsRefusedUntouched) {
+  // load() restores exactly or throws: a section from a cache with another
+  // set count, a set over its share, or a node over its byte budget is
+  // refused, and the cache keeps what it held.
   const Topology topo(2, 2);  // 1 node
-  SeedIndexCache big(topo, {.capacity_per_node = std::size_t{1} << 16});
-  std::mt19937_64 rng(3);
-  std::vector<Kmer> seeds;
-  for (int i = 0; i < 2000; ++i) {
-    seeds.push_back(*Kmer::from_ascii(random_dna(rng, 21)));
-    big.insert(0, seeds.back(),
-               {SeedHit{1, 2, static_cast<std::uint32_t>(i)},
-                SeedHit{3, 4, static_cast<std::uint32_t>(i)}},
-               7);
-  }
-  ASSERT_EQ(big.counters().evictions, 0u);
-  // Ten warm seeds spread over the insertion order (and so over sets).
-  std::vector<SeedHit> out;
-  std::size_t total = 0;
-  for (int w = 0; w < 10; ++w)
-    for (int rep = 0; rep <= w; ++rep)
-      big.lookup(0, seeds[static_cast<std::size_t>(w) * 150], 8, out, total);
-
-  std::ostringstream os(std::ios::binary);
-  big.save(os);
-  SeedIndexCache small(topo, {.capacity_per_node = 64});  // 4 sets
-  std::istringstream is(os.str(), std::ios::binary);
-  small.load(is);
-
-  EXPECT_EQ(small.entries(), 64u);
-  for (int w = 0; w < 10; ++w) {
-    out.clear();
-    const std::size_t i = static_cast<std::size_t>(w) * 150;
-    ASSERT_TRUE(small.lookup(0, seeds[i], 8, out, total)) << "warm seed " << w;
-    EXPECT_EQ(total, 7u);
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[1], (SeedHit{3, 4, static_cast<std::uint32_t>(i)}));
-  }
-  // Every survivor serves its own list.
-  std::size_t present = 0;
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    out.clear();
-    if (!small.lookup(0, seeds[i], 8, out, total)) continue;
-    ++present;
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[0], (SeedHit{1, 2, static_cast<std::uint32_t>(i)}));
-  }
-  EXPECT_EQ(present, 64u);
-  EXPECT_EQ(small.counters().admission_rejects,
-            big.counters().admission_rejects + (2000 - 64));
-
-  // Within a saved set, the younger entry wins a tie in hit counts: loading
-  // one full 16-way set into an 8-way cache keeps its last 8 inserts.
-  SeedIndexCache one_set(topo, {.capacity_per_node = 16});
-  for (std::size_t i = 0; i < 16; ++i)
-    one_set.insert(0, seeds[i], {SeedHit{0, 0, 0}}, 1);
-  std::ostringstream os2(std::ios::binary);
-  one_set.save(os2);
-  SeedIndexCache half(topo, {.capacity_per_node = 8});
-  std::istringstream is2(os2.str(), std::ios::binary);
-  half.load(is2);
-  for (std::size_t i = 0; i < 16; ++i) {
-    out.clear();
-    EXPECT_EQ(half.lookup(0, seeds[i], 8, out, total), i >= 8) << "seed " << i;
-  }
-}
-
-TEST(CacheSnapshotRoundTrip, SeedSnapshotIntoALargerCapacityKeepsEverything) {
-  const Topology topo(8, 4);  // 2 nodes
-  SeedIndexCache small(topo, {.capacity_per_node = 64});
-  std::mt19937_64 rng(4);
-  std::vector<Kmer> seeds;
-  for (std::uint32_t i = 0; i < 300; ++i) {
-    seeds.push_back(*Kmer::from_ascii(random_dna(rng, 21)));
-    std::vector<SeedHit> hits(i % 4, SeedHit{i, i % 7, i * 3});
-    small.insert(static_cast<int>(i % 2), seeds.back(), hits, hits.size() + 1);
-  }
-  ASSERT_GT(small.counters().evictions, 0u);
-  std::ostringstream os(std::ios::binary);
-  small.save(os);
-  SeedIndexCache large(topo, {.capacity_per_node = std::size_t{1} << 16});
-  std::istringstream is(os.str(), std::ios::binary);
-  large.load(is);
-  EXPECT_EQ(large.entries(), small.entries());
-  EXPECT_EQ(large.counters(), small.counters());  // nothing dropped
-
-  // Every entry serves the same list from its new set.
-  for (const Kmer& m : seeds) {
-    for (int node = 0; node < topo.nnodes(); ++node) {
-      std::vector<SeedHit> a, b;
-      std::size_t ta = 0, tb = 0;
-      EXPECT_EQ(large.lookup(node, m, 8, b, tb),
-                small.lookup(node, m, 8, a, ta));
-      EXPECT_EQ(a, b);
-      EXPECT_EQ(ta, tb);
-    }
-  }
-  EXPECT_EQ(large.counters().hits, small.counters().hits);
-  EXPECT_GT(large.counters().hits, 0u);
-}
-
-TEST(CacheSnapshotRoundTrip, TargetLoadIntoSmallerCacheKeepsTheWarmestEntries) {
-  const Topology topo(2, 2);
-  TargetCache big(topo, {.capacity_bytes_per_node = 1000});
-  for (std::uint32_t gid = 0; gid < 10; ++gid) big.insert(0, gid, 100);
-  for (int rep = 0; rep < 3; ++rep) {
-    big.contains(0, 4);
-    big.contains(0, 8);
-  }
-
-  std::ostringstream os(std::ios::binary);
-  big.save(os);
-  TargetCache small(topo, {.capacity_bytes_per_node = 250});
-  std::istringstream is(os.str(), std::ios::binary);
-  small.load(is);
-
-  EXPECT_EQ(small.entries(), 2u);
-  EXPECT_TRUE(small.contains(0, 4));
-  EXPECT_TRUE(small.contains(0, 8));
-  EXPECT_FALSE(small.contains(0, 0));
-  EXPECT_EQ(small.counters().admission_rejects,
-            big.counters().admission_rejects + 8);
+  const auto save_bytes = [](const auto& cache) {
+    std::ostringstream os(std::ios::binary);
+    cache.save(os);
+    return os.str();
+  };
+  const auto expect_refused = [&](const auto& from, auto& into) {
+    const std::string before = save_bytes(into);
+    std::istringstream is(save_bytes(from), std::ios::binary);
+    EXPECT_THROW(into.load(is), CacheSnapshotError);
+    EXPECT_EQ(save_bytes(into), before);
+  };
+  SeedIndexCache seed64(topo, {.capacity_per_node = 64});
+  SeedIndexCache seed32(topo, {.capacity_per_node = 32});
+  fill_seed_cache_randomly(seed64, 1, 30);
+  fill_seed_cache_randomly(seed32, 1, 31);
+  expect_refused(seed64, seed32);  // 4 sets into 2
+  // 18 and 17 entries are both 2 sets (9 + 9 and 9 + 8 ways).
+  SeedIndexCache seed18(topo, {.capacity_per_node = 18});
+  SeedIndexCache seed17(topo, {.capacity_per_node = 17});
+  fill_seed_cache_randomly(seed18, 1, 32);
+  expect_refused(seed18, seed17);
+  TargetCache big(topo, {.capacity_bytes_per_node = 1u << 16});
+  TargetCache small(topo, {.capacity_bytes_per_node = 1u << 12});
+  fill_target_cache_randomly(big, 1, 33);
+  fill_target_cache_randomly(small, 1, 34);
+  expect_refused(big, small);
 }
 
 TEST(CacheSnapshotRoundTrip, KmerWordsRoundTripAndRejectCorruptEncodings) {
@@ -481,16 +356,31 @@ TEST_F(CacheSnapshotFileTest, RejectsEveryMetaMismatch) {
   fill_seed_cache_randomly(seed, topo.nnodes(), 9);
   save_caches(path("snap.mcache"), test_meta(), &seed, &target);
 
-  const auto expect_reject = [&](SnapshotMeta m, const char* why) {
-    SeedIndexCache s2(topo, {.capacity_per_node = 64});
-    TargetCache t2(topo, {.capacity_bytes_per_node = 1u << 16});
-    EXPECT_THROW(load_caches(path("snap.mcache"), m, &s2, &t2),
-                 CacheSnapshotError)
-        << why;
+  const auto save_bytes = [](const auto& cache) {
+    std::ostringstream os(std::ios::binary);
+    cache.save(os);
+    return os.str();
+  };
+  const auto expect_reject = [&](SnapshotMeta m, const char* why,
+                                 std::size_t seed_capacity = 64,
+                                 std::size_t target_capacity = 1u << 16,
+                                 const char* names = "") {
+    SeedIndexCache s2(topo, {.capacity_per_node = seed_capacity});
+    TargetCache t2(topo, {.capacity_bytes_per_node = target_capacity});
+    fill_seed_cache_randomly(s2, topo.nnodes(), 20);
+    fill_target_cache_randomly(t2, topo.nnodes(), 21);
+    const std::string s_before = save_bytes(s2);
+    const std::string t_before = save_bytes(t2);
+    try {
+      load_caches(path("snap.mcache"), m, &s2, &t2);
+      ADD_FAILURE() << why << ": snapshot was accepted";
+    } catch (const CacheSnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+          << why << ": " << e.what();
+    }
     // A rejected snapshot must leave the caches untouched.
-    EXPECT_EQ(s2.counters(), CacheCounters{}) << why;
-    EXPECT_EQ(s2.entries(), 0u) << why;
-    EXPECT_EQ(t2.entries(), 0u) << why;
+    EXPECT_EQ(save_bytes(s2), s_before) << why;
+    EXPECT_EQ(save_bytes(t2), t_before) << why;
   };
 
   SnapshotMeta m = test_meta();
@@ -509,6 +399,17 @@ TEST_F(CacheSnapshotFileTest, RejectsEveryMetaMismatch) {
   m = test_meta();
   m.reference_fingerprint ^= 1;
   expect_reject(m, "reference fingerprint mismatch");
+  // A cache is restored exactly or not at all: another capacity is refused,
+  // and the message names both.
+  expect_reject(test_meta(), "smaller seed cache", 32, 1u << 16,
+                "seed cache capacity mismatch (snapshot 64 entries per node, "
+                "session 32 entries per node)");
+  expect_reject(test_meta(), "larger seed cache", 1u << 12, 1u << 16,
+                "seed cache capacity mismatch (snapshot 64 entries per node, "
+                "session 4096 entries per node)");
+  expect_reject(test_meta(), "smaller target cache", 64, 1u << 12,
+                "target cache capacity mismatch (snapshot 65536 bytes per "
+                "node, session 4096 bytes per node)");
 }
 
 TEST_F(CacheSnapshotFileTest, RejectsMissingTruncatedAndCorruptFiles) {
@@ -571,16 +472,17 @@ TEST_F(CacheSnapshotFileTest, RejectsMissingTruncatedAndCorruptFiles) {
 TEST_F(CacheSnapshotFileTest, VersionOneSnapshotIsRefusedByName) {
   // Retired versions are refused by name before anything else is read:
   // version 2 changed the seed section's layout, version 3 the order of its
-  // cached hit lists, and version 4 the layout again (per set instead of
-  // per lock stripe). Each file is a filled current snapshot with only its
-  // version field rewritten.
+  // cached hit lists, version 4 the layout again (per set instead of per
+  // lock stripe), and version 5 added the caches' capacities to the header.
+  // Each file is a filled current snapshot with only its version field
+  // rewritten.
   const Topology topo(8, 4);
   SeedIndexCache seed(topo, {.capacity_per_node = 64});
   TargetCache target(topo, {.capacity_bytes_per_node = 1u << 16});
   fill_seed_cache_randomly(seed, topo.nnodes(), 14);
   fill_target_cache_randomly(target, topo.nnodes(), 15);
   save_caches(path("snap.mcache"), test_meta(), &seed, &target);
-  for (const std::uint32_t version : {1u, 2u, 3u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u}) {
     {
       std::fstream f(path("snap.mcache"),
                      std::ios::binary | std::ios::in | std::ios::out);

@@ -288,4 +288,14 @@ TEST(Session, TopologyMismatchIsRejected) {
                std::invalid_argument);
 }
 
+TEST(Session, ZeroMaxHitsIsRejected) {
+  // A seed that keeps no hit could never seed an alignment.
+  const auto w = make_workload(10'000, 0.5);
+  Runtime rt(Topology(4, 2));
+  const auto ref = IndexedReference::build(rt, w.contigs, small_index());
+  SessionConfig cfg = small_session();
+  cfg.max_hits_per_seed = 0;
+  EXPECT_THROW((void)AlignSession(ref, cfg), std::invalid_argument);
+}
+
 }  // namespace

@@ -148,22 +148,19 @@ TEST(ShardPlanner, BalancesWeightWithinTheLptBound) {
   std::vector<std::size_t> lens;
   for (std::size_t i = 0; i < 40; ++i) lens.push_back(100 + 137 * i % 5000);
   const auto targets = synthetic_targets(lens);
-  for (const auto model : {ShardWeight::kBases, ShardWeight::kCostModel}) {
-    ShardPlanOptions opt;
-    opt.shards = 4;
-    opt.weight = model;
-    opt.k = 21;
-    const ShardPlan plan = plan_shards(targets, opt);
-    std::uint64_t heaviest = 0;
-    for (const auto& t : targets)
-      heaviest = std::max(heaviest, target_weight(t, model, opt.k));
-    const double mean =
-        static_cast<double>(plan.total_weight()) / plan.num_shards();
-    EXPECT_LE(static_cast<double>(plan.max_weight()),
-              mean + static_cast<double>(heaviest));
-    EXPECT_GE(plan.imbalance(), 1.0);
-    EXPECT_LT(plan.imbalance(), 1.5);  // near-even for this mix
-  }
+  ShardPlanOptions opt;
+  opt.shards = 4;
+  opt.k = 21;
+  const ShardPlan plan = plan_shards(targets, opt);
+  std::uint64_t heaviest = 0;
+  for (const auto& t : targets)
+    heaviest = std::max(heaviest, target_weight(t, opt.k));
+  const double mean =
+      static_cast<double>(plan.total_weight()) / plan.num_shards();
+  EXPECT_LE(static_cast<double>(plan.max_weight()),
+            mean + static_cast<double>(heaviest));
+  EXPECT_GE(plan.imbalance(), 1.0);
+  EXPECT_LT(plan.imbalance(), 1.5);  // near-even for this mix
 }
 
 TEST(ShardPlanner, IsDeterministicAndClampsShardCount) {
@@ -181,13 +178,14 @@ TEST(ShardPlanner, IsDeterministicAndClampsShardCount) {
   EXPECT_EQ(plan_shards(targets, opt).num_shards(), 1);
 }
 
-TEST(ShardPlanner, WeightModelsChargeBasesOrSeeds) {
+TEST(ShardPlanner, TargetWeightCountsSeeds) {
   SeqRecord t;
   t.seq = std::string(100, 'A');
-  EXPECT_EQ(target_weight(t, ShardWeight::kBases, 21), 100u);
-  EXPECT_EQ(target_weight(t, ShardWeight::kCostModel, 21), 80u);  // L - k + 1
+  EXPECT_EQ(target_weight(t, 21), 80u);  // L - k + 1
+  t.seq = std::string(21, 'A');
+  EXPECT_EQ(target_weight(t, 21), 1u);
   t.seq = std::string(10, 'A');  // shorter than k: no seeds, but weight >= 1
-  EXPECT_EQ(target_weight(t, ShardWeight::kCostModel, 21), 1u);
+  EXPECT_EQ(target_weight(t, 21), 1u);
 }
 
 // ---------------------------------------------------------------------------

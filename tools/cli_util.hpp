@@ -123,13 +123,6 @@ inline align::SwIsa parse_sw_isa(const std::string& name) {
   return *isa;
 }
 
-inline shard::ShardWeight parse_shard_weight(const std::string& name) {
-  using shard::ShardWeight;
-  if (name == "cost") return ShardWeight::kCostModel;
-  if (name == "bases") return ShardWeight::kBases;
-  throw UsageError("--shard-by expects cost|bases, got '" + name + "'");
-}
-
 /// The @PG CL field: the invocation verbatim, space-separated.
 inline std::string command_line_of(int argc, char** argv) {
   std::string cl;
@@ -160,8 +153,12 @@ inline AlignerFlags aligner_flags(const Args& args) {
   icfg.aggregating_stores = !args.has("no-aggregation");
 
   core::SessionConfig& scfg = f.session;
-  scfg.max_hits_per_seed =
-      static_cast<std::size_t>(args.get_int("max-hits", 32));
+  // A seed with no hit to keep could never seed an alignment; a negative
+  // count would wrap to unlimited.
+  const long max_hits = args.get_int("max-hits", 32);
+  if (max_hits < 1)
+    throw UsageError("--max-hits must be >= 1, got " + args.get("max-hits"));
+  scfg.max_hits_per_seed = static_cast<std::size_t>(max_hits);
   scfg.exact_match = icfg.exact_match;
   scfg.seed_cache = !args.has("no-seed-cache");
   scfg.target_cache = !args.has("no-target-cache");
@@ -195,12 +192,6 @@ inline ShardFlags shard_flags(const Args& args, std::size_t target_files) {
     throw UsageError(
         "--shards conflicts with repeated --targets (one shard per file)");
   f.sharded = target_files > 1 || f.shards > 1;
-  // --shard-by steers the planner, which only runs when one collection is
-  // being split; anywhere else the flag would be a silent no-op.
-  if (args.has("shard-by") && (target_files > 1 || f.shards < 2))
-    throw UsageError(
-        "--shard-by requires --shards K (K >= 2) with a single --targets "
-        "collection");
   // --shard-parallel sizes the shard executor; without shards it would be a
   // silent no-op. 0/negative (and non-numeric, via get_int) are errors — "no
   // parallelism" is spelled --shard-parallel 1.
@@ -220,7 +211,7 @@ inline ShardFlags shard_flags(const Args& args, std::size_t target_files) {
 
 /// The sharded reference a validated sharded invocation (see shard_flags)
 /// asks for: one shard per FASTA when --targets repeats, otherwise --shards K
-/// planned over the one --targets collection by --shard-by (default cost).
+/// planned over the one --targets collection.
 /// The planner makes at most one shard per target; a smaller K than asked
 /// for is reported as a warning.
 inline shard::ShardedReference build_sharded_reference(
@@ -230,7 +221,6 @@ inline shard::ShardedReference build_sharded_reference(
     return shard::ShardedReference::build_from_fastas(rt, target_files, icfg);
   shard::ShardPlanOptions popt;
   popt.shards = static_cast<int>(args.get_int("shards", 0));
-  popt.weight = parse_shard_weight(args.get("shard-by", "cost"));
   popt.k = icfg.k;
   const auto targets = seq::read_fasta(target_files[0]);
   auto ref = shard::ShardedReference::build(

@@ -8,7 +8,7 @@
 //              [--sw-isa auto|...|help] [--no-exact]
 //              [--no-seed-cache] [--no-target-cache] [--no-aggregation]
 //              [--no-permute] [--stats]
-//              [--shards K] [--shard-by cost|bases] [--shard-parallel J]
+//              [--shards K] [--shard-parallel J]
 //              [--save-cache DIR] [--load-cache DIR] [--cache-admission]
 //              [--trace FILE.json] [--metrics FILE]
 //              [--metrics-format json|prom] [--quiet]
@@ -19,11 +19,11 @@
 // SAM file (header once). Unknown flags are an error (exit 2), not ignored.
 //
 // Sharded references: pass --shards K to split one --targets collection into
-// K balanced per-runtime index shards (planned by total bases or cost-model
-// seed weight, --shard-by), or pass --targets repeatedly for one shard per
-// FASTA. Batches then stream through a ShardedAlignSession that reconciles
-// per-shard hits into one SAM with global target ids — the "GenBank-scale"
-// screening layout where no single runtime holds the whole index.
+// K balanced per-runtime index shards (planned by cost-model seed weight),
+// or pass --targets repeatedly for one shard per FASTA. Batches then stream
+// through a ShardedAlignSession that reconciles per-shard hits into one SAM
+// with global target ids — the "GenBank-scale" screening layout where no
+// single runtime holds the whole index.
 // --shard-parallel J drives J shards concurrently per batch (default: auto,
 // min(K, hardware threads / ranks)); output is bit-identical at every J.
 //
@@ -50,7 +50,6 @@
 // observability on or off. --quiet suppresses the informational stderr lines
 // (usage errors still print).
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -81,7 +80,7 @@ constexpr const char* kUsage =
     "           [--sw-isa auto|scalar|sse2|avx2|avx512|help]\n"
     "           [--no-exact] [--no-seed-cache] [--no-target-cache]\n"
     "           [--no-aggregation] [--no-permute] [--stats]\n"
-    "           [--shards K] [--shard-by cost|bases] [--shard-parallel J]\n"
+    "           [--shards K] [--shard-parallel J]\n"
     "           [--save-cache DIR] [--load-cache DIR] [--cache-admission]\n"
     "           [--trace FILE.json] [--metrics FILE]\n"
     "           [--metrics-format json|prom] [--quiet]\n"
@@ -102,10 +101,10 @@ constexpr const char* kUsage =
     "query-length-class buckets and aligns a bucket in one inter-candidate\n"
     "SIMD sweep with traceback once it fills the tier's lanes; --sw full is\n"
     "the scalar reference DP.\n"
-    "--sw-isa (or MERA_SW_ISA in the environment) pins its dispatch tier —\n"
-    "the default auto picks the widest the CPU supports. Both kernels and\n"
-    "every tier emit bit-identical SAM. --sw-isa help (or MERA_SW_ISA=help)\n"
-    "prints the tiers this build and CPU actually support, then exits.\n"
+    "--sw-isa pins its dispatch tier — the default auto picks the widest\n"
+    "the CPU supports. Both kernels and every tier emit bit-identical SAM.\n"
+    "--sw-isa help prints the tiers this build and CPU actually support,\n"
+    "then exits.\n"
     "--trace FILE.json records a Chrome Trace Event timeline (open in\n"
     "chrome://tracing or ui.perfetto.dev); --metrics FILE dumps the metrics\n"
     "registry as JSON (--metrics-format prom for Prometheus text). Neither\n"
@@ -304,12 +303,9 @@ int main(int argc, char** argv) {
   using namespace mera;
   obs::Log::set_prefix("[meraligner] ");
   const tools::Args args(argc, argv);
-  // --sw-isa help / MERA_SW_ISA=help: answer "which tiers can this build
-  // and CPU actually run" without requiring any other flag — even a bare
-  // `MERA_SW_ISA=help meraligner` — then exit.
-  const char* isa_env = std::getenv("MERA_SW_ISA");
-  if (args.get("sw-isa") == "help" ||
-      (isa_env && std::string(isa_env) == "help")) {
+  // --sw-isa help: answer "which tiers can this build and CPU actually run"
+  // without requiring any other flag, then exit.
+  if (args.get("sw-isa") == "help") {
     std::fputs(align::isa_support_summary().c_str(), stdout);
     return 0;
   }
@@ -322,7 +318,7 @@ int main(int argc, char** argv) {
                       "max-hits", "fragment-len", "sw", "sw-isa",
                       "no-exact", "no-seed-cache", "no-target-cache",
                       "no-aggregation", "no-permute", "stats", "shards",
-                      "shard-by", "shard-parallel", "save-cache",
+                      "shard-parallel", "save-cache",
                       "load-cache", "cache-admission", "trace", "metrics",
                       "metrics-format", "quiet", "help"});
     if (args.has("quiet")) obs::Log::set_level(obs::LogLevel::kError);

@@ -7,7 +7,7 @@
 //               [--sw-isa auto|...] [--no-exact]
 //               [--no-seed-cache] [--no-target-cache] [--no-aggregation]
 //               [--no-permute] [--cache-admission]
-//               [--shards K] [--shard-by cost|bases] [--shard-parallel J]
+//               [--shards K] [--shard-parallel J]
 //               [--cache-dir DIR] [--load-cache] [--autosave SECS]
 //               [--max-frame-bytes N] [--quiet]
 //
@@ -58,7 +58,7 @@ constexpr const char* kUsage =
     "            [--sw-isa auto|scalar|sse2|avx2|avx512]\n"
     "            [--no-exact] [--no-seed-cache] [--no-target-cache]\n"
     "            [--no-aggregation] [--no-permute] [--cache-admission]\n"
-    "            [--shards K] [--shard-by cost|bases] [--shard-parallel J]\n"
+    "            [--shards K] [--shard-parallel J]\n"
     "            [--cache-dir DIR] [--load-cache] [--autosave SECS]\n"
     "            [--max-frame-bytes N] [--quiet]\n"
     "\n"
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
                       "max-hits", "fragment-len", "sw", "sw-isa",
                       "no-exact", "no-seed-cache", "no-target-cache",
                       "no-aggregation", "no-permute", "cache-admission",
-                      "shards", "shard-by", "shard-parallel", "cache-dir",
+                      "shards", "shard-parallel", "cache-dir",
                       "load-cache", "autosave", "max-frame-bytes", "quiet",
                       "help"});
     if (args.has("quiet")) obs::Log::set_level(obs::LogLevel::kError);
