@@ -1,9 +1,11 @@
 // DHT microbenches (google-benchmark): distributed seed-index construction
 // across modes and aggregation buffer sizes S (the Section III-A tuning
 // parameter; the paper uses S = 1000), lookup throughput of present and of
-// absent seeds, and the node seed cache's wall cost per lookup-or-insert.
+// absent seeds, one call at a time and pipelined as the aligner runs them,
+// and the node seed cache's wall cost per lookup-or-insert.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
 #include <optional>
 #include <random>
@@ -88,47 +90,55 @@ BENCHMARK(BM_IndexConstruction)
     ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-/// Lookup wall cost over the seeds of one sequence: a target's own (every
-/// lookup finds its seed) or one not in the index (every lookup misses, as
-/// most lookups of human reads do). Wall time, over enough lookups per run
-/// that starting the rank threads is a small part of it. `both_strands`
+/// An index over 16 random targets and the stranded seeds of one sequence:
+/// a target's own (every lookup finds its seed) or one not in the index
+/// (every lookup misses, as most lookups of human reads do).
+struct LookupBench {
+  static constexpr int kLookupsPerRun = 100000;
+  static constexpr int kK = 31;
+  pgas::Runtime rt{pgas::Topology(4, 2)};
+  SeedIndex index{rt.topo(), {kK, true, 1000}};
+  std::vector<seq::StrandedKmer> queries;
+
+  explicit LookupBench(bool present) {
+    const auto targets = make_targets(16, 4000, 5);
+    build(rt, index, targets, kK);
+    const std::string source =
+        present ? targets[3] : make_targets(1, 4000, 6)[0];
+    seq::for_each_stranded_seed(std::string_view(source), kK,
+                                [&](std::size_t, const seq::StrandedKmer& m) {
+                                  queries.push_back(m);
+                                });
+  }
+};
+
+/// Lookup wall cost, one call at a time. Wall time, over enough lookups per
+/// run that starting the rank threads is a small part of it. `both_strands`
 /// makes the aligner's call, which also returns the reverse complement's
 /// hits; otherwise one oriented seed is looked up.
 void seed_lookups(benchmark::State& state, bool present, bool both_strands) {
-  constexpr int kLookupsPerRun = 100000;
-  const auto targets = make_targets(16, 4000, 5);
-  const int k = 31;
-  pgas::Runtime rt(pgas::Topology(4, 2));
-  SeedIndex index(rt.topo(), {k, true, 1000});
-  build(rt, index, targets, k);
-
-  // Pre-extract query seeds.
-  const std::string source = present ? targets[3] : make_targets(1, 4000, 6)[0];
-  std::vector<seq::StrandedKmer> queries;
-  seq::for_each_stranded_seed(std::string_view(source), k,
-                              [&](std::size_t, const seq::StrandedKmer& m) {
-                                queries.push_back(m);
-                              });
+  LookupBench b(present);
   std::size_t qi = 0;
   std::vector<SeedHit> hits, rc_hits;
   for (auto _ : state) {
-    rt.run([&](pgas::Rank& r) {
+    b.rt.run([&](pgas::Rank& r) {
       if (r.id() != 0) return;
-      for (int i = 0; i < kLookupsPerRun; ++i) {
+      for (int i = 0; i < LookupBench::kLookupsPerRun; ++i) {
         hits.clear();
         if (both_strands) {
           rc_hits.clear();
           benchmark::DoNotOptimize(
-              index.lookup(r, queries[qi], 16, hits, &rc_hits));
+              b.index.lookup(r, b.queries[qi], 16, hits, &rc_hits));
         } else {
-          benchmark::DoNotOptimize(index.lookup(r, queries[qi].fwd, 16, hits));
+          benchmark::DoNotOptimize(
+              b.index.lookup(r, b.queries[qi].fwd, 16, hits));
         }
-        qi = (qi + 1) % queries.size();
+        qi = (qi + 1) % b.queries.size();
       }
     });
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kLookupsPerRun);
+                          LookupBench::kLookupsPerRun);
 }
 void BM_SeedLookup(benchmark::State& state) {
   seed_lookups(state, true, false);
@@ -139,9 +149,56 @@ void BM_SeedLookupAbsent(benchmark::State& state) {
 void BM_SeedLookupBothStrands(benchmark::State& state) {
   seed_lookups(state, state.range(0) != 0, true);
 }
+
+/// BM_SeedLookupBothStrands' lookups as the aligner makes them for a read
+/// that scans all of its windows: reads of 51 consecutive windows, each
+/// window probed once when it comes kBucketAhead lookups ahead (stage 1
+/// prefetch), its run head prefetched kRunAhead ahead (stage 2), then
+/// looked up in order.
+void BM_SeedLookupPipelined(benchmark::State& state) {
+  constexpr std::size_t kWindows = 51;
+  constexpr int kReadsPerRun = LookupBench::kLookupsPerRun / kWindows;
+  LookupBench b(state.range(0) != 0);
+  std::array<SeedIndex::Probe, kWindows> probes{};
+  std::size_t first = 0;  // the read's first window in b.queries
+  std::vector<SeedHit> hits, rc_hits;
+  for (auto _ : state) {
+    b.rt.run([&](pgas::Rank& r) {
+      if (r.id() != 0) return;
+      for (int n = 0; n < kReadsPerRun; ++n) {
+        if (first + kWindows > b.queries.size()) first = 0;
+        const seq::StrandedKmer* window = b.queries.data() + first;
+        const auto enter = [&](std::size_t i) {
+          probes[i] = b.index.probe(window[i]);
+          b.index.prefetch_bucket(probes[i]);
+        };
+        for (std::size_t i = 0; i < SeedIndex::kBucketAhead; ++i) enter(i);
+        for (std::size_t i = 0; i < kWindows; ++i) {
+          if (i + SeedIndex::kBucketAhead < kWindows)
+            enter(i + SeedIndex::kBucketAhead);
+          if (i + SeedIndex::kRunAhead < kWindows)
+            b.index.prefetch_run(probes[i + SeedIndex::kRunAhead]);
+          hits.clear();
+          rc_hits.clear();
+          benchmark::DoNotOptimize(
+              b.index.lookup(r, window[i], probes[i], 16, hits, &rc_hits));
+        }
+        first += kWindows;
+      }
+    });
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kReadsPerRun * static_cast<std::int64_t>(kWindows));
+}
 BENCHMARK(BM_SeedLookup)->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SeedLookupAbsent)->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SeedLookupBothStrands)
+    ->ArgName("present")
+    ->Arg(1)
+    ->Arg(0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SeedLookupPipelined)
     ->ArgName("present")
     ->Arg(1)
     ->Arg(0)

@@ -306,10 +306,9 @@ SeedIndexCache::Slot& SeedIndexCache::slot(int node) const noexcept {
 }
 
 bool SeedIndexCache::lookup(int node, const seq::Kmer& seed,
-                            std::size_t max_hits,
+                            std::uint64_t hash, std::size_t max_hits,
                             std::vector<dht::SeedHit>& out,
                             std::size_t& total) {
-  const std::uint64_t hash = seed.mixed_hash();
   const auto nd = static_cast<std::size_t>(node);
   const std::size_t in_node = detail::seed_cache_set_of(hash, nsets_);
   Slot& c = slot(node);
@@ -341,10 +340,10 @@ bool SeedIndexCache::lookup(int node, const seq::Kmer& seed,
 }
 
 void SeedIndexCache::insert(int node, const seq::Kmer& seed,
+                            std::uint64_t hash,
                             const std::vector<dht::SeedHit>& hits,
                             std::size_t total) {
   if (capacity_ == 0) return;
-  const std::uint64_t hash = seed.mixed_hash();
   const std::uint16_t tag = tag_of(hash);
   const std::size_t in_node = detail::seed_cache_set_of(hash, nsets_);
   const auto nd = static_cast<std::size_t>(node);

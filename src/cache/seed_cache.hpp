@@ -138,13 +138,33 @@ class SeedIndexCache {
   SeedIndexCache(const pgas::Topology& topo, Options opt);
 
   /// Serve a lookup from the node's cache. On hit, copies up to max_hits
-  /// locations into `out`, sets `total` and returns true.
+  /// locations into `out`, sets `total` and returns true. `hash` is
+  /// seed.mixed_hash(), computed by the caller once per seed.
+  bool lookup(int node, const seq::Kmer& seed, std::uint64_t hash,
+              std::size_t max_hits, std::vector<dht::SeedHit>& out,
+              std::size_t& total);
   bool lookup(int node, const seq::Kmer& seed, std::size_t max_hits,
-              std::vector<dht::SeedHit>& out, std::size_t& total);
+              std::vector<dht::SeedHit>& out, std::size_t& total) {
+    return lookup(node, seed, seed.mixed_hash(), max_hits, out, total);
+  }
 
-  /// Record a fetched lookup result in the node's cache.
-  void insert(int node, const seq::Kmer& seed,
+  /// Record a fetched lookup result in the node's cache; `hash` as above.
+  void insert(int node, const seq::Kmer& seed, std::uint64_t hash,
               const std::vector<dht::SeedHit>& hits, std::size_t total);
+  void insert(int node, const seq::Kmer& seed,
+              const std::vector<dht::SeedHit>& hits, std::size_t total) {
+    insert(node, seed, seed.mixed_hash(), hits, total);
+  }
+
+  /// Start loading what a lookup of the seed with mixed hash `hash` reads
+  /// first: its set's occupancy byte, and its set header for writing (the
+  /// set lock is a CAS on it, and the insert after a miss writes it too).
+  void prefetch(int node, std::uint64_t hash) const noexcept {
+    const std::size_t set = static_cast<std::size_t>(node) * nsets_ +
+                            detail::seed_cache_set_of(hash, nsets_);
+    __builtin_prefetch(table_.occupied + set);
+    __builtin_prefetch(table_.sets + set, 1);
+  }
 
   [[nodiscard]] CacheCounters counters() const;  ///< summed over nodes
   [[nodiscard]] std::size_t entries() const;     ///< summed over nodes

@@ -65,6 +65,13 @@ struct Slot {
 struct ReadSeed {
   seq::StrandedKmer seed;
   std::size_t q_off = 0;  ///< forward-strand offset
+  /// Set when the window enters the prefetch horizon (RankAligner::enter):
+  /// its index probe, its seed.fwd hash for the node cache, and whether its
+  /// owner is off-node, each computed once.
+  dht::SeedIndex::Probe probe{};
+  std::uint64_t cache_hash = 0;
+  bool off_node = false;
+  bool probed = false;
   bool looked_up = false;
   /// False after the node cache served seed.fwd: it holds one orientation,
   /// so side 1 takes a lookup of its own if the reverse pass needs it.
@@ -87,6 +94,12 @@ struct Strand {
 
 /// Per-rank aligning-phase worker (seed-and-extend with caches, the Lemma-1
 /// fast path and the max-hits threshold — the second half of Algorithm 1).
+/// A read's seed lookups run as a software pipeline: each window is hashed
+/// once when it enters the prefetch horizon (enter), its index bucket and
+/// node-cache set are prefetched then, its run head a few windows later,
+/// and the lookups themselves resolve in the order the passes ask for them
+/// (looked_up), so results, stats and modeled messages do not depend on the
+/// prefetching.
 class RankAligner {
  public:
   RankAligner(pgas::Rank& rank, BatchShared& sh)
@@ -118,8 +131,13 @@ class RankAligner {
         [&](std::size_t q_off, const seq::StrandedKmer& m) {
           seeds_.push_back({m, q_off});
         });
-    if (!seeds_.empty())
+    if (!seeds_.empty()) {
+      // The exact path looks up the first and the last window first.
+      horizon_ = 0;
+      enter(horizon_++);
+      enter(seeds_.size() - 1);
       align_seeds(sh_.use_exact && read.seq.find('N') == std::string::npos);
+    }
     slots_.emplace_back().state = Slot::State::kReadEnd;
     advance_cursor();
   }
@@ -308,30 +326,62 @@ class RankAligner {
     if (total > sh_.cfg.max_hits_per_seed) ++st_.hits_truncated;
   }
 
+  /// Window i enters the prefetch horizon: hash it once, then start loading
+  /// its index bucket and, when the node cache will see it first, its cache
+  /// set (pipeline stage 1).
+  void enter(std::size_t i) {
+    ReadSeed& s = seeds_[i];
+    if (s.probed) return;
+    s.probed = true;
+    s.probe = sh_.index.probe(s.seed);
+    s.off_node = !rank_.topo().same_node(s.probe.owner, rank_.id());
+    sh_.index.prefetch_bucket(s.probe);
+    if (sh_.scache && s.off_node) {
+      s.cache_hash = s.seed.fwd.mixed_hash();
+      sh_.scache->prefetch(rank_.node(), s.cache_hash);
+    }
+  }
+
   /// Window i after its one lookup: the node cache serves side 0 when it
   /// holds seed.fwd; otherwise the index returns both sides in one message.
+  /// Lookups resolve in the order they are asked for; while the scan over
+  /// the windows looks up window i, windows up to i + kBucketAhead enter the
+  /// horizon, and window i + kRunAhead (SeedIndex's pipeline distances),
+  /// whose bucket has landed by then, has its run head fetched (stage 2).
+  /// Windows asked for out of scan order (the exact path's last window)
+  /// only enter.
   ReadSeed& looked_up(std::size_t i) {
     ReadSeed& s = seeds_[i];
     if (s.looked_up) return s;
     s.looked_up = true;
+    if (i < horizon_) {
+      using dht::SeedIndex;
+      const std::size_t stop =
+          std::min(i + SeedIndex::kBucketAhead + 1, seeds_.size());
+      for (; horizon_ < stop; ++horizon_) enter(horizon_);
+      if (i + SeedIndex::kRunAhead < seeds_.size())
+        sh_.index.prefetch_run(seeds_[i + SeedIndex::kRunAhead].probe);
+    } else {
+      enter(i);
+    }
     ++st_.seed_lookups;
-    const int owner = sh_.index.owner_of(s.seed);
-    const bool off_node = !rank_.topo().same_node(owner, rank_.id());
     const std::size_t max_hits = sh_.cfg.max_hits_per_seed;
     scratch_.clear();
-    if (sh_.scache && off_node &&
-        sh_.scache->lookup(rank_.node(), s.seed.fwd, max_hits, scratch_,
-                           s.total[0])) {
+    if (sh_.scache && s.off_node &&
+        sh_.scache->lookup(rank_.node(), s.seed.fwd, s.cache_hash, max_hits,
+                           scratch_, s.total[0])) {
       ++st_.seed_cache_hits;
     } else {
       const double t0 = rank_.stats().comm_time_s;
       s.begin[1] = static_cast<std::uint32_t>(hits_[1].size());
-      s.total = sh_.index.lookup(rank_, s.seed, max_hits, scratch_, &hits_[1]);
+      s.total = sh_.index.lookup(rank_, s.seed, s.probe, max_hits, scratch_,
+                                 &hits_[1]);
       s.count[1] = static_cast<std::uint32_t>(hits_[1].size() - s.begin[1]);
       s.rc_known = true;
       st_.comm_lookup_s += rank_.stats().comm_time_s - t0;
-      if (sh_.scache && off_node)
-        sh_.scache->insert(rank_.node(), s.seed.fwd, scratch_, s.total[0]);
+      if (sh_.scache && s.off_node)
+        sh_.scache->insert(rank_.node(), s.seed.fwd, s.cache_hash, scratch_,
+                           s.total[0]);
     }
     keep(s, 0);
     return s;
@@ -347,13 +397,15 @@ class RankAligner {
     s.rc_known = true;
     const std::size_t max_hits = sh_.cfg.max_hits_per_seed;
     scratch_.clear();
-    if (!sh_.scache->lookup(rank_.node(), s.seed.rc, max_hits, scratch_,
+    const std::uint64_t hash = s.seed.rc.mixed_hash();
+    if (!sh_.scache->lookup(rank_.node(), s.seed.rc, hash, max_hits, scratch_,
                             s.total[1])) {
+      // seed.rc has seed.fwd's canonical form, so it has its probe too.
       const double t0 = rank_.stats().comm_time_s;
-      s.total[1] = sh_.index.lookup(rank_, {s.seed.rc, s.seed.fwd}, max_hits,
-                                    scratch_, nullptr)[0];
+      s.total[1] = sh_.index.lookup(rank_, {s.seed.rc, s.seed.fwd}, s.probe,
+                                    max_hits, scratch_, nullptr)[0];
       st_.comm_lookup_s += rank_.stats().comm_time_s - t0;
-      sh_.scache->insert(rank_.node(), s.seed.rc, scratch_, s.total[1]);
+      sh_.scache->insert(rank_.node(), s.seed.rc, hash, scratch_, s.total[1]);
     }
     keep(s, 1);
     return s;
@@ -442,6 +494,7 @@ class RankAligner {
   PipelineStats& st_;
   const seq::SeqRecord* read_ = nullptr;
   std::vector<ReadSeed> seeds_;                   ///< the read's valid windows
+  std::size_t horizon_ = 0;  ///< windows below it (in scan order) entered
   std::array<std::vector<dht::SeedHit>, 2> hits_;  ///< per side, all windows
   std::vector<dht::SeedHit> scratch_;             ///< one side of one lookup
   std::array<std::optional<Strand>, 2> strands_;  ///< forward, reverse

@@ -168,22 +168,41 @@ bool SeedIndex::palindrome(const std::array<std::uint64_t, 2>& key) const {
   return m && m->reverse_complement() == *m;
 }
 
+void SeedIndex::prefetch_bucket(const Probe& p) const noexcept {
+  const RankStore& st = stores_[static_cast<std::size_t>(p.owner)];
+  const std::size_t b = p.hash >> st.shift;
+  __builtin_prefetch(st.filter.data() + b);
+  __builtin_prefetch(st.dir.data() + b);
+  __builtin_prefetch(st.dir.data() + b + 1);
+}
+
+void SeedIndex::prefetch_run(const Probe& p) const noexcept {
+  const RankStore& st = stores_[static_cast<std::size_t>(p.owner)];
+  const std::size_t b = p.hash >> st.shift;
+  const std::uint16_t bits = filter_bits(p.hash, st.shift);
+  if ((st.filter[b] & bits) != bits || st.dir[b] == st.dir[b + 1]) return;
+  // 40-byte entries: slots start at bytes 0, 40, 16, 56, 32, 8, 48 and 24 of
+  // a line, so 4 of every 8 end on the next line.
+  const auto* head = reinterpret_cast<const char*>(st.entries.data() + st.dir[b]);
+  __builtin_prefetch(head);
+  __builtin_prefetch(head + sizeof(SeedEntry) - 1);
+}
+
 std::array<std::size_t, 2> SeedIndex::lookup(pgas::Rank& rank,
                                              const seq::StrandedKmer& seed,
+                                             const Probe& p,
                                              std::size_t max_hits,
                                              std::vector<SeedHit>& out,
                                              std::vector<SeedHit>* rc_out) const {
-  const seq::Kmer key = seed.canonical();
-  const int owner = owner_of_key(key);
-  const RankStore& st = stores_[static_cast<std::size_t>(owner)];
+  const RankStore& st = stores_[static_cast<std::size_t>(p.owner)];
   // The run's two subruns as [begin, end) entry offsets: sides[0] holds the
   // hits of seed.fwd, sides[1] those of seed.rc.
   std::array<std::pair<std::uint32_t, std::uint32_t>, 2> sides{};
   if (seed.fwd.k() == opt_.k) {
-    const std::uint64_t h = key.mixed_hash();
-    const std::size_t b = h >> st.shift;
-    const std::uint16_t bits = filter_bits(h, st.shift);
+    const std::size_t b = p.hash >> st.shift;
+    const std::uint16_t bits = filter_bits(p.hash, st.shift);
     if ((st.filter[b] & bits) == bits) {
+      const seq::Kmer key = seed.canonical();
       for (std::uint32_t i = st.dir[b]; i != st.dir[b + 1];
            i += st.entries[i].run) {
         const SeedEntry& head = st.entries[i];
@@ -219,7 +238,7 @@ std::array<std::size_t, 2> SeedIndex::lookup(pgas::Rank& rank,
       copy(1, *rc_out);
     }
   }
-  rank.charge_access(owner, lookup_transfer_bytes(copied));
+  rank.charge_access(p.owner, lookup_transfer_bytes(copied));
   return total;
 }
 

@@ -30,9 +30,25 @@
 //              bits below the bucket bits, so most absent seeds are rejected
 //              with one load.
 //
-// A lookup tests the filter bits, walks the run heads of dir[b]..dir[b + 1]
-// and copies the matching subrun's hits — for the aligner, both subruns, in
-// one message. A subrun's length is its oriented seed's total occurrence
+// A lookup of one read position is three steps, which the aligner runs as
+// a software pipeline over a read's windows:
+//
+//  * probe    — hash the window once: its canonical seed's owner rank
+//               (djb2) and mixed hash, which picks the bucket and its
+//               filter bits (probe());
+//  * prefetch — a few windows ahead, start loading the bucket's filter word
+//               and directory entries (prefetch_bucket()); a few windows
+//               later, once those have landed, test the filter and start
+//               loading the bucket's first run head, both of its cache
+//               lines when it straddles two (prefetch_run());
+//  * lookup   — test the filter bits, walk the run heads of
+//               dir[b]..dir[b + 1] and copy the matching subrun's hits — for
+//               the aligner, both subruns, in one message.
+//
+// Prefetches change no result and no modeled cost: a lookup returns and
+// charges the same with or without them.
+//
+// A subrun's length is its oriented seed's total occurrence
 // count (Section IV-A), so each strand sees exactly the hits, totals and
 // max-hits cut an index keyed on oriented seeds would give it. A palindrome
 // (a seed that is its own reverse complement, possible only for even k) has
@@ -118,9 +134,35 @@ class SeedIndex {
 
   // --- queries ---------------------------------------------------------------
 
-  /// The aligner's lookup of one read position: appends up to `max_hits`
-  /// locations of `seed.fwd` to `out` and, unless `rc_out` is null, up to
-  /// `max_hits` of `seed.rc` to `*rc_out`, each in the canonical order.
+  /// A seed's hashes, computed once per read position: the owner rank and
+  /// the mixed hash of its canonical form.
+  struct Probe {
+    std::uint64_t hash = 0;
+    int owner = 0;
+  };
+  [[nodiscard]] Probe probe(const seq::StrandedKmer& seed) const noexcept {
+    const seq::Kmer key = seed.canonical();
+    return {key.mixed_hash(), owner_of_key(key)};
+  }
+
+  /// Pipeline distances, in lookups: a caller probes and runs stage 1 for
+  /// the seed kBucketAhead lookups ahead of the one it makes, and stage 2
+  /// for the one kRunAhead ahead. (Swept over 4-16 and 2-8 on e2ebench.)
+  static constexpr std::size_t kBucketAhead = 8;
+  static constexpr std::size_t kRunAhead = 4;
+
+  /// Pipeline stage 1: start loading the probed bucket's filter word and
+  /// directory entries. Reads nothing.
+  void prefetch_bucket(const Probe& p) const noexcept;
+  /// Pipeline stage 2, after stage 1 has had time to land: if the bucket's
+  /// filter passes, start loading its first run head (both cache lines when
+  /// the 40-byte head straddles two).
+  void prefetch_run(const Probe& p) const noexcept;
+
+  /// The aligner's lookup of one read position, whose probe is `p`: appends
+  /// up to `max_hits` locations of `seed.fwd` to `out` and, unless `rc_out`
+  /// is null, up to `max_hits` of `seed.rc` to `*rc_out`, each in the
+  /// canonical order.
   /// Returns both seeds' *total* occurrence counts {fwd, rc} (0 = absent;
   /// > max_hits means the list was truncated — the Section IV-C threshold).
   /// Charges one request/response transfer, whose payload is every hit
@@ -130,9 +172,18 @@ class SeedIndex {
   /// (and sessions) without copying.
   std::array<std::size_t, 2> lookup(pgas::Rank& rank,
                                     const seq::StrandedKmer& seed,
-                                    std::size_t max_hits,
+                                    const Probe& p, std::size_t max_hits,
                                     std::vector<SeedHit>& out,
                                     std::vector<SeedHit>* rc_out) const;
+
+  /// The lookup above, probing `seed` first.
+  std::array<std::size_t, 2> lookup(pgas::Rank& rank,
+                                    const seq::StrandedKmer& seed,
+                                    std::size_t max_hits,
+                                    std::vector<SeedHit>& out,
+                                    std::vector<SeedHit>* rc_out) const {
+    return lookup(rank, seed, probe(seed), max_hits, out, rc_out);
+  }
 
   /// Look up one oriented seed: the fwd side of the lookup above.
   std::size_t lookup(pgas::Rank& rank, const seq::Kmer& seed,

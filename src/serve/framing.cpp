@@ -4,6 +4,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +16,18 @@ namespace {
 
 [[noreturn]] void fail_errno(const std::string& what) {
   throw FramingError(what + ": " + std::strerror(errno));
+}
+
+/// The low `n` bytes of `v` at `p`, least significant first.
+void put_le(unsigned char* p, std::uint64_t v, int n) noexcept {
+  for (int i = 0; i < n; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
+/// The `n`-byte little-endian integer at `p`.
+std::uint64_t get_le(const unsigned char* p, int n) noexcept {
+  std::uint64_t v = 0;
+  for (int i = 0; i < n; ++i) v |= std::uint64_t{p[i]} << (8 * i);
+  return v;
 }
 
 }  // namespace
@@ -59,38 +72,35 @@ void write_all(int fd, const void* buf, std::size_t n) {
 }
 
 std::optional<Frame> read_frame(int fd, std::uint64_t max_payload) {
-  struct Header {
-    std::uint32_t magic;
-    std::uint32_t type;
-    std::uint64_t len;
-  } h{};
-  static_assert(sizeof(Header) == 16);
-  if (!read_exact(fd, &h, sizeof h)) return std::nullopt;
-  if (h.magic != kFrameMagic) {
+  std::array<unsigned char, kFrameHeaderBytes> h{};
+  if (!read_exact(fd, h.data(), h.size())) return std::nullopt;
+  const auto magic = static_cast<std::uint32_t>(get_le(h.data(), 4));
+  const auto type = static_cast<std::uint32_t>(get_le(h.data() + 4, 4));
+  const std::uint64_t len = get_le(h.data() + 8, 8);
+  if (magic != kFrameMagic) {
     char hex[16];
-    std::snprintf(hex, sizeof hex, "0x%08x", static_cast<unsigned>(h.magic));
+    std::snprintf(hex, sizeof hex, "0x%08x", static_cast<unsigned>(magic));
     throw FramingError(std::string("bad frame magic ") + hex +
                        " — peer is not speaking the meralignerd protocol");
   }
-  if (h.len > max_payload)
-    throw FramingError("frame payload of " + std::to_string(h.len) +
+  if (len > max_payload)
+    throw FramingError("frame payload of " + std::to_string(len) +
                        " bytes exceeds the " + std::to_string(max_payload) +
                        "-byte limit");
   Frame f;
-  f.type = static_cast<FrameType>(h.type);
-  f.payload.resize(static_cast<std::size_t>(h.len));
-  if (h.len > 0 && !read_exact(fd, f.payload.data(), f.payload.size()))
+  f.type = static_cast<FrameType>(type);
+  f.payload.resize(static_cast<std::size_t>(len));
+  if (len > 0 && !read_exact(fd, f.payload.data(), f.payload.size()))
     throw FramingError("connection closed before frame payload");
   return f;
 }
 
 void write_frame(int fd, FrameType type, std::string_view payload) {
-  struct Header {
-    std::uint32_t magic;
-    std::uint32_t type;
-    std::uint64_t len;
-  } h{kFrameMagic, static_cast<std::uint32_t>(type), payload.size()};
-  write_all(fd, &h, sizeof h);
+  std::array<unsigned char, kFrameHeaderBytes> h{};
+  put_le(h.data(), kFrameMagic, 4);
+  put_le(h.data() + 4, static_cast<std::uint32_t>(type), 4);
+  put_le(h.data() + 8, payload.size(), 8);
+  write_all(fd, h.data(), h.size());
   if (!payload.empty()) write_all(fd, payload.data(), payload.size());
 }
 

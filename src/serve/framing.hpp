@@ -15,11 +15,12 @@
 // continues. A protocol violation (bad magic, oversized frame) closes the
 // connection — and only that connection.
 //
-// Frame layout (host-endian — same-machine IPC, not an interchange format):
+// Frame layout (every header field little-endian, whatever the host):
 //
 //   magic u32 ("MRSV") | type u32 | payload length u64 | payload bytes...
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -54,6 +55,8 @@ struct Frame {
 };
 
 inline constexpr std::uint32_t kFrameMagic = 0x5653524D;  // "MRSV"
+/// Bytes of a frame header: magic, type and payload length.
+inline constexpr std::size_t kFrameHeaderBytes = 16;
 /// Default per-frame payload cap — a framing error beyond it, so one
 /// garbage length prefix cannot make the daemon allocate the moon.
 inline constexpr std::uint64_t kDefaultMaxFrameBytes = 1ull << 30;

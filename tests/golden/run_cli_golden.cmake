@@ -220,6 +220,26 @@ foreach(bad 0 -1)
   endif()
 endforeach()
 
+# Integer flags take the whole value or nothing: trailing junk, a fraction
+# and an empty value are usage errors naming the flag, not a silent prefix.
+foreach(flag_value "k=31x" "max-hits=4.5" "ppn=")
+  string(REGEX REPLACE "=.*" "" flag "${flag_value}")
+  execute_process(
+    COMMAND ${CLI}
+      --targets ${WORKDIR}/contigs.fa
+      --reads ${WORKDIR}/reads.fastq
+      --k 31 --ranks 4 --ppn 2 --${flag_value}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "--${flag_value} exited ${rc}, expected usage error 2")
+  endif()
+  if(NOT err MATCHES "--${flag} expects an integer" OR NOT err MATCHES "meraligner --targets")
+    message(FATAL_ERROR "--${flag_value} did not print the usage message:\n${err}")
+  endif()
+endforeach()
+
 # The header must carry a spec-complete @PG line: program, version, and the
 # command line of the invocation that produced the file.
 file(READ ${WORKDIR}/out_full.sam full_sam)

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <map>
 #include <random>
+#include <sstream>
 #include <tuple>
 
 #include "core/align_session.hpp"
 #include "core/indexed_reference.hpp"
+#include "core/sam_writer.hpp"
 
 #include "seq/dna.hpp"
 #include "seq/genome_sim.hpp"
@@ -320,6 +323,111 @@ TEST(Pipeline, ReverseStrandExactReadsOverAnInvertedRepeat) {
     EXPECT_EQ(recs.back().t_begin, std::stoul(name.substr(1))) << name;
   }
   EXPECT_EQ(stats_b.exact_match_reads, reads_b.size());
+}
+
+TEST(Pipeline, LookupPipelineEdgeReads) {
+  // A read's lookups run as a software pipeline over its windows (probes
+  // and prefetches run ahead of the lookup the scan makes). Reads at its
+  // edges: fewer windows than the pipeline's distances (shorter than k,
+  // exactly k, k + 1), an N in the first or the last window, no window at
+  // all, and 101/150 bp reads that take the exact path forward, in reverse,
+  // or scan every window (substitutions, multi-copy seeds truncated by
+  // max_hits). Each read's records must be byte-equal to what it gives when
+  // aligned alone in a fresh session (on 2 and 4 ranks that block has fewer
+  // reads than ranks), and the work counters must add up.
+  std::mt19937_64 rng(29);
+  const auto dna = [&rng](std::size_t n) {
+    return mera::testutil::random_dna(rng, n);
+  };
+  const std::string plain = dna(4000);
+  const std::string region = dna(400);
+  std::vector<SeqRecord> targets{{"plain", plain, ""}};
+  for (const char* name : {"rep1", "rep2", "rep3"})
+    targets.push_back({name, dna(100) + region + dna(100), ""});
+
+  const auto rc = [](const std::string& x) {
+    return mera::seq::reverse_complement(x);
+  };
+  const auto mutate = [](std::string x, std::size_t every) {
+    for (std::size_t i = every / 2; i < x.size(); i += every)
+      x[i] = x[i] == 'A' ? 'C' : 'A';
+    return x;
+  };
+  const auto with_n = [](std::string x, std::size_t at) {
+    x[at] = 'N';
+    return x;
+  };
+  const std::vector<std::pair<std::string, std::string>> named{
+      {"short", plain.substr(100, 15)},
+      {"exactly_k", plain.substr(200, 21)},
+      {"k_plus_1", rc(plain.substr(300, 22))},
+      {"fwd101", plain.substr(400, 101)},
+      {"rev101", rc(plain.substr(600, 101))},
+      {"sub101", mutate(plain.substr(800, 101), 30)},
+      {"fwd150", plain.substr(1000, 150)},
+      {"rev_sub150", rc(mutate(plain.substr(1200, 150), 40))},
+      {"repeat101", region.substr(50, 101)},
+      {"repeat_rev150", rc(mutate(region.substr(120, 150), 50))},
+      {"n_first", with_n(plain.substr(1500, 101), 3)},
+      {"n_last", with_n(rc(plain.substr(1700, 150)), 147)},
+      {"all_n", std::string(101, 'N')},
+      {"junk", dna(101)},
+  };
+  std::vector<SeqRecord> reads;
+  std::map<std::string, std::string> seq_of;
+  for (const auto& [name, seq] : named) {
+    reads.push_back({name, seq, ""});
+    seq_of[name] = seq;
+  }
+
+  SessionConfig sc = small_session();
+  sc.max_hits_per_seed = 2;  // region's seeds have 3 hits
+  const auto counters = [](const PipelineStats& st) {
+    return std::array{st.seed_lookups, st.sw_calls, st.sw_cells,
+                      st.exact_match_reads, st.hits_truncated};
+  };
+  for (const int nranks : {1, 2, 4}) {
+    SCOPED_TRACE(nranks);
+    Runtime rt(Topology(nranks, 2));
+    const auto ref = IndexedReference::build(rt, targets, small_index());
+    // SAM lines per read, in emission order.
+    const auto sam_by_read = [&](const std::vector<SeqRecord>& batch,
+                                 PipelineStats& stats) {
+      AlignSession session(ref, sc);
+      VectorSink sink(rt.nranks());
+      stats = session.align_batch(rt, batch, sink).stats;
+      std::map<std::string, std::string> by_read;
+      for (const AlignmentRecord& r : sink.take()) {
+        std::ostringstream os;
+        write_sam_record(os, r, ref.targets(), seq_of.at(r.query_name));
+        by_read[r.query_name] += os.str();
+      }
+      return by_read;
+    };
+
+    PipelineStats batch_stats;
+    const auto batch = sam_by_read(reads, batch_stats);
+    std::array<std::uint64_t, 5> alone_sum{};
+    for (const SeqRecord& r : reads) {
+      PipelineStats st;
+      const auto alone = sam_by_read({r}, st);
+      EXPECT_EQ(batch.count(r.name) ? batch.at(r.name) : "",
+                alone.count(r.name) ? alone.at(r.name) : "")
+          << r.name;
+      for (std::size_t i = 0; i < alone_sum.size(); ++i)
+        alone_sum[i] += counters(st)[i];
+    }
+    EXPECT_EQ(counters(batch_stats), alone_sum);
+    // The batch reaches every path the edges are about.
+    EXPECT_GT(batch_stats.exact_match_reads, 0u);
+    EXPECT_GT(batch_stats.sw_calls, 0u);
+    EXPECT_GT(batch_stats.hits_truncated, 0u);
+    for (const char* name : {"fwd101", "rev101", "sub101", "n_first", "n_last",
+                             "repeat101", "exactly_k", "k_plus_1"})
+      EXPECT_TRUE(batch.count(name)) << name;
+    for (const char* name : {"short", "all_n", "junk"})
+      EXPECT_FALSE(batch.count(name)) << name;
+  }
 }
 
 TEST(Pipeline, CachesReduceModeledCommunication) {

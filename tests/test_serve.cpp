@@ -1,7 +1,8 @@
 // The alignment daemon (the `ctest -L serve` tier).
 //
 // Contracts under test:
-//   1. framing     — frames round-trip over a socket, clean EOF is nullopt,
+//   1. framing     — frames round-trip over a socket, headers are
+//                    little-endian on the wire, clean EOF is nullopt,
 //                    bad magic / oversize / truncation throw FramingError;
 //   2. bit-identity — a tenant's concatenated Sam payloads are byte-identical
 //                    to the stream a one-shot in-process session writes for
@@ -18,6 +19,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -271,6 +274,35 @@ TEST(ServeFraming, OversizedFrameIsRejectedBeforeAllocation) {
   serve::write_frame(sp.fds[0], FrameType::kBatch, std::string(2048, 'x'));
   EXPECT_THROW(serve::read_frame(sp.fds[1], /*max_payload=*/1024),
                FramingError);
+}
+
+TEST(ServeFraming, HeaderIsLittleEndianOnTheWire) {
+  int p[2];
+  ASSERT_EQ(::pipe(p), 0);
+  serve::write_frame(p[1], FrameType::kSam, "xyz");
+  std::array<unsigned char, serve::kFrameHeaderBytes + 3> wire{};
+  ASSERT_TRUE(serve::read_exact(p[0], wire.data(), wire.size()));
+  const std::array<unsigned char, serve::kFrameHeaderBytes> want = {
+      'M', 'R', 'S', 'V',      // magic 0x5653524D, least significant first
+      17, 0, 0, 0,             // type kSam
+      3, 0, 0, 0, 0, 0, 0, 0,  // payload length
+  };
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), wire.begin()));
+  EXPECT_EQ(std::string(wire.end() - 3, wire.end()), "xyz");
+
+  // A hand-built header with a length above 255 reads back field by field.
+  const std::string payload(0x0102, 'q');
+  std::array<unsigned char, serve::kFrameHeaderBytes> hand = {
+      'M', 'R', 'S', 'V', 2, 0, 0, 0, 0x02, 0x01, 0, 0, 0, 0, 0, 0};
+  serve::write_all(p[1], hand.data(), hand.size());
+  serve::write_all(p[1], payload.data(), payload.size());
+  ::close(p[1]);
+  const auto f = serve::read_frame(p[0]);
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->type, FrameType::kBatch);
+  EXPECT_EQ(f->payload, payload);
+  EXPECT_FALSE(serve::read_frame(p[0]).has_value());
+  ::close(p[0]);
 }
 
 TEST(ServeFraming, TruncationMidFrameIsAFramingError) {

@@ -3,7 +3,9 @@
 // sharded-reference builder that meraligner and meralignerd both use.
 #pragma once
 
+#include <charconv>
 #include <cstdlib>
+#include <system_error>
 #include <initializer_list>
 #include <map>
 #include <stdexcept>
@@ -60,15 +62,18 @@ class Args {
     const auto it = flags_.find(name);
     return it == flags_.end() ? def : it->second.back();
   }
+  /// The flag's value as a whole decimal integer: "31x", "4.5", "" or an
+  /// out-of-range value is a usage error naming the flag.
   [[nodiscard]] long get_int(const std::string& name, long def) const {
     const auto it = flags_.find(name);
     if (it == flags_.end()) return def;
-    try {
-      return std::stol(it->second.back());
-    } catch (const std::exception&) {
-      throw UsageError("flag --" + name + " expects an integer, got '" +
-                       it->second.back() + "'");
-    }
+    const std::string& s = it->second.back();
+    long v = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc{} || end != s.data() + s.size() || s.empty())
+      throw UsageError("flag --" + name + " expects an integer, got '" + s +
+                       "'");
+    return v;
   }
   [[nodiscard]] std::string require(const std::string& name) const {
     const auto it = flags_.find(name);
