@@ -8,6 +8,8 @@
 // not absolute seconds.
 #pragma once
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -16,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "align/batch_sw.hpp"
 #include "obs/clock.hpp"
 #include "seq/fasta.hpp"
 #include "seq/genome_sim.hpp"
@@ -122,6 +125,9 @@ inline void print_header(const char* title, const char* paper_ref) {
 /// Machine-readable bench output: one row per measured configuration, each a
 /// flat map of numeric metrics, written as `BENCH_<name>.json` so CI can
 /// archive per-commit perf trajectories next to the human-readable stdout.
+/// Each file is stamped with where it was measured: host name, the SW tier
+/// auto-dispatch picks there, and the build type and git sha of the build
+/// (from configure time; "unknown" outside a git checkout).
 ///
 ///   bench::JsonSummary json("fig13", "parallel shards + batch prefetch");
 ///   json.config("shards_K4_J4");
@@ -150,8 +156,17 @@ class JsonSummary {
   bool write(std::string path = "") const {
     if (path.empty()) path = "BENCH_" + name_ + ".json";
     std::ofstream out(path);
+    char host[256] = {};
+    if (::gethostname(host, sizeof host - 1) != 0)
+      std::snprintf(host, sizeof host, "unknown");
+    const char* isa = mera::align::isa_name(
+        mera::align::resolve_isa(mera::align::SwIsa::kAuto));
     out << "{\n  \"bench\": \"" << escaped(name_) << "\",\n"
         << "  \"description\": \"" << escaped(description_) << "\",\n"
+        << "  \"host\": \"" << escaped(host) << "\",\n"
+        << "  \"sw_isa\": \"" << isa << "\",\n"
+        << "  \"build_type\": \"" << escaped(MERA_BUILD_TYPE) << "\",\n"
+        << "  \"git_sha\": \"" << escaped(MERA_GIT_SHA) << "\",\n"
         << "  \"hardware_concurrency\": "
         << std::thread::hardware_concurrency() << ",\n  \"configs\": [\n";
     bool all_finite = true;

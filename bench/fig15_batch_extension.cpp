@@ -8,11 +8,11 @@
 // flanking sequence, plus a few decoys), aligned end to end (score, spans,
 // CIGAR, mismatches, gap columns) by
 //
-//   a. smith_waterman     — one pair at a time (the --sw full reference),
-//                           and
-//   b. the traced sweep   — BatchSwScorer::flush (the default --sw batch
-//                           kernel), at every dispatch tier the host
-//                           supports.
+//   a. smith_waterman     — one pair at a time (what the scalar tier,
+//                           --sw-isa scalar, runs per candidate), and
+//   b. the traced sweep   — BatchSwScorer::flush (the aligner's one
+//                           extension path), at every SIMD dispatch tier
+//                           the host supports.
 //
 // Every tier's alignments must equal smith_waterman's field for field — the
 // bench aborts otherwise, the same contract the `simd` test label enforces.
@@ -113,9 +113,9 @@ int main(int argc, char** argv) {
   const SwIsa widest = mera::align::detect_isa();
 
   // ---- traced sweep vs scalar full DP: whole alignments --------------------
-  // What the aligner's default kernel runs: every candidate aligned end to
-  // end by smith_waterman one pair at a time, and by the traced sweep one
-  // lane group at a time. Any field mismatch aborts.
+  // Every candidate aligned end to end by smith_waterman one pair at a time
+  // (the scalar tier) and by the traced sweep one lane group at a time (the
+  // SIMD tiers). Any field mismatch aborts.
   std::vector<LocalAlignment> full_dp;
   full_dp.reserve(nreads * ncand);
   double full_best_s = 0.0;

@@ -2,11 +2,13 @@
 // across modes and aggregation buffer sizes S (the Section III-A tuning
 // parameter; the paper uses S = 1000), lookup throughput of present and of
 // absent seeds, one call at a time and pipelined as the aligner runs them,
-// and the node seed cache's wall cost per lookup-or-insert.
+// on a cache-sized and a DRAM-sized index, and the node seed cache's wall
+// cost per lookup-or-insert.
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <random>
 #include <string>
@@ -90,25 +92,46 @@ BENCHMARK(BM_IndexConstruction)
     ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-/// An index over 16 random targets and the stranded seeds of one sequence:
-/// a target's own (every lookup finds its seed) or one not in the index
-/// (every lookup misses, as most lookups of human reads do).
+/// The lookup benches' index and queries. The cache-sized index holds 16
+/// random targets (64K entries) and its queries are the stranded seeds of
+/// one sequence: a target's own (every lookup finds its seed) or one not in
+/// the index (every lookup misses, as most lookups of human reads do), so
+/// every line they touch stays in cache. The DRAM-sized index holds 480
+/// targets (~1.9M entries) and its queries are the seeds of every target
+/// (or of as many absent sequences), so lookups spread over the whole index
+/// as the aligner's do on a real reference.
 struct LookupBench {
   static constexpr int kLookupsPerRun = 100000;
   static constexpr int kK = 31;
   pgas::Runtime rt{pgas::Topology(4, 2)};
   SeedIndex index{rt.topo(), {kK, true, 1000}};
-  std::vector<seq::StrandedKmer> queries;
+  std::array<std::vector<seq::StrandedKmer>, 2> queries;  ///< [present]
 
-  explicit LookupBench(bool present) {
-    const auto targets = make_targets(16, 4000, 5);
+  explicit LookupBench(bool dram) {
+    const int n = dram ? 480 : 16;
+    const auto targets = make_targets(n, 4000, 5);
     build(rt, index, targets, kK);
-    const std::string source =
-        present ? targets[3] : make_targets(1, 4000, 6)[0];
-    seq::for_each_stranded_seed(std::string_view(source), kK,
-                                [&](std::size_t, const seq::StrandedKmer& m) {
-                                  queries.push_back(m);
-                                });
+    const auto add_seeds = [](std::vector<seq::StrandedKmer>& to,
+                              const std::string& s) {
+      seq::for_each_stranded_seed(
+          std::string_view(s), kK,
+          [&](std::size_t, const seq::StrandedKmer& m) { to.push_back(m); });
+    };
+    if (dram)
+      for (const std::string& t : targets) add_seeds(queries[1], t);
+    else
+      add_seeds(queries[1], targets[3]);
+    for (const std::string& s : make_targets(dram ? n : 1, 4000, 6))
+      add_seeds(queries[0], s);
+  }
+
+  /// Built once per process: the DRAM-sized index takes longer to build
+  /// than its benches take to run.
+  static LookupBench& get(bool dram) {
+    static std::array<std::unique_ptr<LookupBench>, 2> built;
+    auto& b = built[dram ? 1 : 0];
+    if (!b) b = std::make_unique<LookupBench>(dram);
+    return *b;
   }
 };
 
@@ -116,8 +139,10 @@ struct LookupBench {
 /// run that starting the rank threads is a small part of it. `both_strands`
 /// makes the aligner's call, which also returns the reverse complement's
 /// hits; otherwise one oriented seed is looked up.
-void seed_lookups(benchmark::State& state, bool present, bool both_strands) {
-  LookupBench b(present);
+void seed_lookups(benchmark::State& state, bool present, bool both_strands,
+                  bool dram = false) {
+  LookupBench& b = LookupBench::get(dram);
+  const std::vector<seq::StrandedKmer>& queries = b.queries[present];
   std::size_t qi = 0;
   std::vector<SeedHit> hits, rc_hits;
   for (auto _ : state) {
@@ -128,12 +153,12 @@ void seed_lookups(benchmark::State& state, bool present, bool both_strands) {
         if (both_strands) {
           rc_hits.clear();
           benchmark::DoNotOptimize(
-              b.index.lookup(r, b.queries[qi], 16, hits, &rc_hits));
+              b.index.lookup(r, queries[qi], 16, hits, &rc_hits));
         } else {
           benchmark::DoNotOptimize(
-              b.index.lookup(r, b.queries[qi].fwd, 16, hits));
+              b.index.lookup(r, queries[qi].fwd, 16, hits));
         }
-        qi = (qi + 1) % b.queries.size();
+        qi = (qi + 1) % queries.size();
       }
     });
   }
@@ -147,7 +172,7 @@ void BM_SeedLookupAbsent(benchmark::State& state) {
   seed_lookups(state, false, false);
 }
 void BM_SeedLookupBothStrands(benchmark::State& state) {
-  seed_lookups(state, state.range(0) != 0, true);
+  seed_lookups(state, state.range(0) != 0, true, state.range(1) != 0);
 }
 
 /// BM_SeedLookupBothStrands' lookups as the aligner makes them for a read
@@ -158,7 +183,8 @@ void BM_SeedLookupBothStrands(benchmark::State& state) {
 void BM_SeedLookupPipelined(benchmark::State& state) {
   constexpr std::size_t kWindows = 51;
   constexpr int kReadsPerRun = LookupBench::kLookupsPerRun / kWindows;
-  LookupBench b(state.range(0) != 0);
+  LookupBench& b = LookupBench::get(state.range(1) != 0);
+  const std::vector<seq::StrandedKmer>& queries = b.queries[state.range(0) != 0];
   std::array<SeedIndex::Probe, kWindows> probes{};
   std::size_t first = 0;  // the read's first window in b.queries
   std::vector<SeedHit> hits, rc_hits;
@@ -166,8 +192,8 @@ void BM_SeedLookupPipelined(benchmark::State& state) {
     b.rt.run([&](pgas::Rank& r) {
       if (r.id() != 0) return;
       for (int n = 0; n < kReadsPerRun; ++n) {
-        if (first + kWindows > b.queries.size()) first = 0;
-        const seq::StrandedKmer* window = b.queries.data() + first;
+        if (first + kWindows > queries.size()) first = 0;
+        const seq::StrandedKmer* window = queries.data() + first;
         const auto enter = [&](std::size_t i) {
           probes[i] = b.index.probe(window[i]);
           b.index.prefetch_bucket(probes[i]);
@@ -193,15 +219,13 @@ void BM_SeedLookupPipelined(benchmark::State& state) {
 BENCHMARK(BM_SeedLookup)->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SeedLookupAbsent)->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SeedLookupBothStrands)
-    ->ArgName("present")
-    ->Arg(1)
-    ->Arg(0)
+    ->ArgNames({"present", "dram"})
+    ->ArgsProduct({{1, 0}, {0, 1}})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SeedLookupPipelined)
-    ->ArgName("present")
-    ->Arg(1)
-    ->Arg(0)
+    ->ArgNames({"present", "dram"})
+    ->ArgsProduct({{1, 0}, {0, 1}})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -21,8 +21,10 @@
 //
 // Dispatch: the widest ISA the CPU supports is probed once per scorer
 // (cpuid via __builtin_cpu_supports); ExtensionConfig::isa (--sw-isa on the
-// CLI) pins a specific tier for testing. Under MERA_FORCE_SCALAR_SW builds
-// only the scalar tier exists.
+// CLI) pins a specific tier. The scalar tier aligns each candidate with
+// smith_waterman, so `--sw-isa scalar` is the reference run every other tier
+// must reproduce. Under MERA_FORCE_SCALAR_SW builds only the scalar tier
+// exists.
 #pragma once
 
 #include <array>
@@ -69,7 +71,7 @@ enum class SwIsa : std::uint8_t { kAuto = 0, kScalar, kSse2, kAvx2, kAvx512 };
 /// and W-F wasted lanes plus one octile-histogram sample of F/W. Per-pair
 /// fallbacks (scalar tier, exotic scoring) record nothing — occupancy
 /// describes vector sweeps only. These feed the mera_sw_lane_* obs series;
-/// they live outside PipelineStats because every kernel produces identical
+/// they live outside PipelineStats because every tier produces identical
 /// PipelineStats by contract while lane shapes depend on flush timing and
 /// ISA tier.
 struct LaneStats {

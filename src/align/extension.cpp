@@ -23,10 +23,7 @@ SeedWindow project_seed_window(std::size_t query_len,
 
 std::vector<std::pair<std::string, std::string>> sw_metric_labels(
     const ExtensionConfig& cfg) {
-  return {{"kernel", kernel_name(cfg.kernel)},
-          {"isa", cfg.kernel == SwKernel::kBatch
-                      ? isa_name(resolve_isa(cfg.isa))
-                      : "native"}};
+  return {{"isa", isa_name(resolve_isa(cfg.isa))}};
 }
 
 }  // namespace mera::align

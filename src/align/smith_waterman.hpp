@@ -2,9 +2,9 @@
 //
 // This is the ground-truth kernel: exact full-DP, O(m*n) time and space,
 // with DNA match/mismatch scoring (Scoring::substitution). It runs only on
-// small windows around a located seed: as the `--sw full` kernel, as the
-// batch engine's per-pair fallback, and as the pMap-style baseline's
-// extension. The batch engine's traced SIMD sweep (batch_sw.hpp) shares its
+// small windows around a located seed: as the batch engine's scalar tier
+// (the `--sw-isa scalar` reference run) and per-pair fallback, and as the
+// pMap-style baseline's extension. The batch engine's traced SIMD sweep (batch_sw.hpp) shares its
 // traceback walk (sw_engine.hpp) and is property-tested against it field for
 // field.
 #pragma once

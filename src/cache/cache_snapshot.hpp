@@ -7,8 +7,8 @@
 // so a second process can start exactly as warm as the first one ended.
 // Persistence changes seconds, never bytes: a warm-started session emits the
 // same records and SAM stream a cold one does, it just skips the remote work
-// (tests/test_cache_persist.cpp pins this for K in {1,2,4} shards and every
-// SW kernel).
+// (tests/test_cache_persist.cpp pins this for K in {1,2,4} shards on the
+// scalar and auto SW tiers).
 //
 // A snapshot is only meaningful against the exact index it was filled from:
 // cached seed-hit lists embed the reference's fragment/target ids, and the

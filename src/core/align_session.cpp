@@ -32,20 +32,20 @@ struct BatchShared {
   cache::TargetCache* tcache;
   AlignmentSink& sink;
   std::vector<PipelineStats> stats;
-  std::vector<align::LaneStats> lane_stats;  ///< per rank, kBatch only
+  std::vector<align::LaneStats> lane_stats;  ///< per rank
   /// Per-rank traced-sweep buffers, owned by the session so they are
-  /// allocated once and reused by every batch (kBatch only).
+  /// allocated once and reused by every batch.
   std::span<align::TraceScratch> trace_scratch;
   /// The batch, already permuted when the session permutes queries.
   std::span<const seq::SeqRecord> reads;
 };
 
-/// One entry of a rank's emission log. Every candidate that reaches a
-/// kernel, every exact match and every read boundary takes a slot, in
+/// One entry of a rank's emission log. Every candidate that reaches the
+/// pooled queue, every exact match and every read boundary takes a slot, in
 /// discovery order; a cursor replays the resolved prefix into the sink. The
-/// kernel only decides WHEN a candidate's slot resolves — immediately
-/// (kFullDP) or when the pooled batch engine aligns it (kBatch) — so sink
-/// order, stats and SAM bytes are the same for every kernel.
+/// queue only decides WHEN a candidate's slot resolves (when its length-class
+/// bucket flushes), so sink order, stats and SAM bytes are the same on every
+/// ISA tier and for every flush schedule.
 struct Slot {
   enum class State : std::uint8_t { kPending, kResolved, kReadEnd };
   State state = State::kPending;
@@ -103,21 +103,17 @@ struct Strand {
 class RankAligner {
  public:
   RankAligner(pgas::Rank& rank, BatchShared& sh)
-      : rank_(rank), sh_(sh), st_(sh.stats[static_cast<std::size_t>(rank.id())]) {
-    min_score_ = sh.cfg.min_report_score >= 0
-                     ? sh.cfg.min_report_score
-                     : sh.cfg.extension.scoring.match * sh.k;
-    if (sh.cfg.extension.kernel == align::SwKernel::kBatch) {
-      align::PooledQueueConfig qcfg;
-      qcfg.scoring = sh.cfg.extension.scoring;
-      qcfg.isa = sh.cfg.extension.isa;
-      qcfg.scratch = &sh.trace_scratch[static_cast<std::size_t>(rank.id())];
-      pool_.emplace(qcfg, [this](std::uint64_t tag,
-                                 const align::LocalAlignment& aln) {
-        resolve(slots_[static_cast<std::size_t>(tag)], aln);
-      });
-    }
-  }
+      : rank_(rank),
+        sh_(sh),
+        st_(sh.stats[static_cast<std::size_t>(rank.id())]),
+        min_score_(sh.cfg.min_report_score >= 0
+                       ? sh.cfg.min_report_score
+                       : sh.cfg.extension.scoring.match * sh.k),
+        pool_({sh.cfg.extension.scoring, sh.cfg.extension.isa,
+               &sh.trace_scratch[static_cast<std::size_t>(rank.id())]},
+              [this](std::uint64_t tag, const align::LocalAlignment& aln) {
+                resolve(slots_[static_cast<std::size_t>(tag)], aln);
+              }) {}
 
   void align_read(const seq::SeqRecord& read) {
     ++st_.reads_processed;
@@ -145,10 +141,9 @@ class RankAligner {
   /// Batch end: force-score everything still pending, replay the tail of the
   /// emission log, and hand the rank's lane occupancy to the batch result.
   void finish() {
-    if (!pool_) return;
-    pool_->drain();
+    pool_.drain();
     advance_cursor();
-    sh_.lane_stats[static_cast<std::size_t>(rank_.id())] = pool_->lane_stats();
+    sh_.lane_stats[static_cast<std::size_t>(rank_.id())] = pool_.lane_stats();
   }
 
  private:
@@ -285,16 +280,11 @@ class RankAligner {
       s.reverse = q.reverse;
       s.window_begin = w.begin;
       const auto window = align::dna_codes(t.seq, w.begin, w.end - w.begin);
-      if (!pool_) {
-        resolve(s, align::smith_waterman(query, window,
-                                         sh_.cfg.extension.scoring));
-        continue;
-      }
-      // kBatch: defer the alignment into the rank's length-class-bucketed
-      // queue; the traced sweep resolves the slot when its bucket flushes.
-      // (The enqueue may flush, so `s` is not touched after it.)
-      if (!q.pooled_qid) q.pooled_qid = pool_->add_query(query);
-      pool_->enqueue(*q.pooled_qid, window, idx);
+      // Defer the alignment into the rank's length-class-bucketed queue; the
+      // traced sweep resolves the slot when its bucket flushes. (The enqueue
+      // may flush, so `s` is not touched after it.)
+      if (!q.pooled_qid) q.pooled_qid = pool_.add_query(query);
+      pool_.enqueue(*q.pooled_qid, window, idx);
     }
   }
 
@@ -499,8 +489,8 @@ class RankAligner {
   std::vector<dht::SeedHit> scratch_;             ///< one side of one lookup
   std::array<std::optional<Strand>, 2> strands_;  ///< forward, reverse
   std::unordered_set<std::uint64_t> seen_;
-  int min_score_ = 0;
-  std::optional<align::PooledExtensionQueue> pool_;  ///< kBatch only
+  int min_score_;
+  align::PooledExtensionQueue pool_;
   std::vector<Slot> slots_;         ///< emission log
   std::size_t cursor_ = 0;          ///< first unreplayed slot
   std::size_t cursor_records_ = 0;  ///< replayed records since last kReadEnd
@@ -529,40 +519,15 @@ void batch_rank_body(pgas::Rank& rank, BatchShared& sh) {
   rank.barrier();
 }
 
-/// Bridge one batch's results into the global metrics registry — the only
-/// place the per-read counters in PipelineStats meet the mutexed registry,
-/// so the hot path never pays a lookup.
+/// Bridge one batch's results into the global metrics registry, once per
+/// batch, so the per-read path never pays a registry lookup: the counters
+/// the daemon's per-tenant series repeat, then the align phase's GCUPS and
+/// the engine's lane occupancy, which only the session's series carry.
 void add_batch_metrics(const BatchResult& res, const SessionConfig& cfg) {
+  add_batch_counters(res.report, res.stats, res.seed_cache, res.target_cache,
+                     cfg.extension);
   auto& reg = obs::MetricsRegistry::global();
-  pgas::add_to_metrics(res.report);
-
-  reg.counter("mera_reads_processed_total", {}, "Reads pushed through align")
-      .add(static_cast<double>(res.stats.reads_processed));
-  reg.counter("mera_alignments_reported_total", {}, "Alignment records emitted")
-      .add(static_cast<double>(res.stats.alignments_reported));
-
-  const auto bridge_cache = [&reg](const char* which,
-                                   const cache::CacheCounters& c) {
-    const obs::Labels labels{{"cache", which}};
-    reg.counter("mera_cache_hits_total", labels, "Cache lookup hits")
-        .add(static_cast<double>(c.hits));
-    reg.counter("mera_cache_misses_total", labels, "Cache lookup misses")
-        .add(static_cast<double>(c.misses));
-    reg.counter("mera_cache_evictions_total", labels, "Cache entries evicted")
-        .add(static_cast<double>(c.evictions));
-    reg.counter("mera_cache_admission_rejects_total", labels,
-                "Inserts refused by the admission policy")
-        .add(static_cast<double>(c.admission_rejects));
-  };
-  bridge_cache("seed", res.seed_cache);
-  bridge_cache("target", res.target_cache);
-
   const obs::Labels sw_labels = align::sw_metric_labels(cfg.extension);
-  reg.counter("mera_sw_calls_total", sw_labels,
-              "Smith-Waterman extensions run")
-      .add(static_cast<double>(res.stats.sw_calls));
-  reg.counter("mera_sw_cells_total", sw_labels, "DP cells scored")
-      .add(static_cast<double>(res.stats.sw_cells));
   // Aggregate throughput of this batch's align phase: summed cells over the
   // phase's simulated parallel time (the paper's GCUPS axis).
   const double align_s = res.report.time_of("align");
@@ -573,31 +538,70 @@ void add_batch_metrics(const BatchResult& res, const SessionConfig& cfg) {
 
   // Lane occupancy of the inter-candidate engine: how full its SIMD sweeps
   // ran.
-  if (cfg.extension.kernel == align::SwKernel::kBatch) {
-    const align::LaneStats& ls = res.lane_stats;
-    const obs::Labels lane_labels{
-        {"isa", align::isa_name(align::resolve_isa(cfg.extension.isa))}};
-    reg.counter("mera_sw_lanes_filled_total", lane_labels,
-                "SIMD lanes carrying a live candidate in batch SW sweeps")
-        .add(static_cast<double>(ls.lanes_filled));
-    reg.counter("mera_sw_lanes_wasted_total", lane_labels,
-                "Idle SIMD lanes in batch SW sweeps")
-        .add(static_cast<double>(ls.lanes_wasted));
-    reg.counter("mera_sw_flushes_total", lane_labels,
-                "Batch SW flushes that scored at least one candidate")
-        .add(static_cast<double>(ls.flushes));
-    auto& occ = reg.histogram(
-        "mera_sw_lane_occupancy",
-        {0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0},
-        lane_labels, "Per-sweep SIMD lane occupancy (filled / width)");
-    for (std::size_t i = 0; i < align::LaneStats::kOccBuckets; ++i)
-      occ.observe_n((static_cast<double>(i) + 1.0) /
-                        static_cast<double>(align::LaneStats::kOccBuckets),
-                    ls.occupancy[i]);
-  }
+  const align::LaneStats& ls = res.lane_stats;
+  reg.counter("mera_sw_lanes_filled_total", sw_labels,
+              "SIMD lanes carrying a live candidate in batch SW sweeps")
+      .add(static_cast<double>(ls.lanes_filled));
+  reg.counter("mera_sw_lanes_wasted_total", sw_labels,
+              "Idle SIMD lanes in batch SW sweeps")
+      .add(static_cast<double>(ls.lanes_wasted));
+  reg.counter("mera_sw_flushes_total", sw_labels,
+              "Batch SW flushes that scored at least one candidate")
+      .add(static_cast<double>(ls.flushes));
+  auto& occ = reg.histogram(
+      "mera_sw_lane_occupancy",
+      {0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0},
+      sw_labels, "Per-sweep SIMD lane occupancy (filled / width)");
+  for (std::size_t i = 0; i < align::LaneStats::kOccBuckets; ++i)
+    occ.observe_n((static_cast<double>(i) + 1.0) /
+                      static_cast<double>(align::LaneStats::kOccBuckets),
+                  ls.occupancy[i]);
 }
 
 }  // namespace
+
+void add_batch_counters(const pgas::PhaseReport& report,
+                        const PipelineStats& stats,
+                        const cache::CacheCounters& seed_cache,
+                        const cache::CacheCounters& target_cache,
+                        const align::ExtensionConfig& extension,
+                        const obs::Labels& extra) {
+  auto& reg = obs::MetricsRegistry::global();
+  pgas::add_to_metrics(report, extra);
+  const auto with_extra = [&extra](obs::Labels labels) {
+    labels.insert(labels.end(), extra.begin(), extra.end());
+    return labels;
+  };
+
+  reg.counter("mera_reads_processed_total", extra, "Reads pushed through align")
+      .add(static_cast<double>(stats.reads_processed));
+  reg.counter("mera_alignments_reported_total", extra,
+              "Alignment records emitted")
+      .add(static_cast<double>(stats.alignments_reported));
+
+  const auto bridge_cache = [&](const char* which,
+                                const cache::CacheCounters& c) {
+    const obs::Labels labels = with_extra({{"cache", which}});
+    reg.counter("mera_cache_hits_total", labels, "Cache lookup hits")
+        .add(static_cast<double>(c.hits));
+    reg.counter("mera_cache_misses_total", labels, "Cache lookup misses")
+        .add(static_cast<double>(c.misses));
+    reg.counter("mera_cache_evictions_total", labels, "Cache entries evicted")
+        .add(static_cast<double>(c.evictions));
+    reg.counter("mera_cache_admission_rejects_total", labels,
+                "Inserts refused by the admission policy")
+        .add(static_cast<double>(c.admission_rejects));
+  };
+  bridge_cache("seed", seed_cache);
+  bridge_cache("target", target_cache);
+
+  const obs::Labels sw_labels = with_extra(align::sw_metric_labels(extension));
+  reg.counter("mera_sw_calls_total", sw_labels,
+              "Smith-Waterman extensions run")
+      .add(static_cast<double>(stats.sw_calls));
+  reg.counter("mera_sw_cells_total", sw_labels, "DP cells scored")
+      .add(static_cast<double>(stats.sw_cells));
+}
 
 AlignSession::AlignSession(IndexedReference ref, SessionConfig cfg)
     : ref_(std::move(ref)),

@@ -1,7 +1,7 @@
 // The aligning layer of the session-based aligner API.
 //
 // An AlignSession binds query-side configuration (software caches, seed
-// thresholds, SW kernel backend, load balancing) to a prebuilt
+// thresholds, SW scoring and ISA tier, load balancing) to a prebuilt
 // core::IndexedReference and aligns query batches against it, repeatedly:
 //
 //   auto ref = IndexedReference::build(rt, targets, icfg);   // pay once
@@ -22,6 +22,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "align/extension.hpp"
@@ -69,7 +70,7 @@ struct SessionConfig {
 
   // Aligning phase.
   std::size_t max_hits_per_seed = 32;  ///< Section IV-C threshold
-  align::ExtensionConfig extension{};  ///< incl. the SW kernel backend
+  align::ExtensionConfig extension{};  ///< incl. the SW ISA tier
   /// Minimum score to report; -1 = auto (match score * k, i.e. at least the
   /// seed region must align).
   int min_report_score = -1;
@@ -84,14 +85,26 @@ struct BatchResult {
   std::vector<PipelineStats> per_rank;
   cache::CacheCounters seed_cache;    ///< this batch's cache activity
   cache::CacheCounters target_cache;
-  /// SIMD lane occupancy of this batch's SwKernel::kBatch sweeps, summed
-  /// over ranks (all-zero for other kernels). Deliberately outside
-  /// PipelineStats: every kernel produces identical PipelineStats by
-  /// contract, while lane shapes depend on the engine and ISA tier.
+  /// SIMD lane occupancy of this batch's traced sweeps, summed over ranks.
+  /// Deliberately outside PipelineStats: every ISA tier produces identical
+  /// PipelineStats by contract, while lane shapes depend on the tier.
   align::LaneStats lane_stats;
 
   [[nodiscard]] double total_time_s() const { return report.total_time_s(); }
 };
+
+/// Add one batch's counters to the global metrics registry: its phase
+/// report, reads and alignments, both caches' counters and the SW calls and
+/// cells (labelled align::sw_metric_labels(extension)), every series with
+/// `extra` appended to its labels. Each session batch adds its own with no
+/// extra labels; the daemon adds each tenant's batch again under a `tenant`
+/// label.
+void add_batch_counters(
+    const pgas::PhaseReport& report, const PipelineStats& stats,
+    const cache::CacheCounters& seed_cache,
+    const cache::CacheCounters& target_cache,
+    const align::ExtensionConfig& extension,
+    const std::vector<std::pair<std::string, std::string>>& extra = {});
 
 /// How align_batch_files() walks a stream of reads-batch files.
 struct FileStreamOptions {
@@ -200,7 +213,7 @@ class AlignSession {
   SessionConfig cfg_;
   std::optional<cache::SeedIndexCache> scache_;
   std::optional<cache::TargetCache> tcache_;
-  /// One per rank: the kBatch traced sweep's buffers, reused by every batch
+  /// One per rank: the traced sweep's buffers, reused by every batch
   /// instead of being allocated per flush on the per-batch rank threads.
   std::vector<align::TraceScratch> trace_scratch_;
   cache::CacheCounters seed_base_;    // snapshot at last batch end

@@ -13,10 +13,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "align/extension.hpp"
+#include "core/align_session.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "pgas/phase_timer.hpp"
 #include "seq/fastq.hpp"
 #include "seq/seqdb.hpp"
 
@@ -394,48 +393,14 @@ void Daemon::handle_batch(Conn& conn, const std::string& tenant,
   reg.counter("mera_serve_gate_wait_seconds_total", tlabel,
               "Real seconds batches spent queued behind other tenants")
       .add(waited_s);
-  bridge_tenant_metrics(tenant, summary);
+  // The session's counters again, split per tenant: same names, one extra
+  // label. The unlabelled series keep the process-wide totals, so scrapes
+  // can slice either way.
+  core::add_batch_counters(summary.report, summary.stats, summary.seed_cache,
+                           summary.target_cache, backend_.config().extension,
+                           tlabel);
 
   write_frame(conn.fd, FrameType::kSam, bytes);
-}
-
-void Daemon::bridge_tenant_metrics(const std::string& tenant,
-                                   const BatchSummary& summary) {
-  // The PR 7 series, split per tenant: same names, same meanings, one extra
-  // label — the unlabelled series keep accumulating process-wide totals
-  // inside align_batch, so scrapes can slice either way.
-  auto& reg = obs::MetricsRegistry::global();
-  pgas::add_to_metrics(summary.report, {{"tenant", tenant}});
-  const obs::Labels tlabel{{"tenant", tenant}};
-  reg.counter("mera_reads_processed_total", tlabel,
-              "Reads pushed through align")
-      .add(static_cast<double>(summary.stats.reads_processed));
-  reg.counter("mera_alignments_reported_total", tlabel,
-              "Alignment records emitted")
-      .add(static_cast<double>(summary.stats.alignments_reported));
-  const auto bridge_cache = [&](const char* which,
-                                const cache::CacheCounters& c) {
-    const obs::Labels labels{{"cache", which}, {"tenant", tenant}};
-    reg.counter("mera_cache_hits_total", labels, "Cache lookup hits")
-        .add(static_cast<double>(c.hits));
-    reg.counter("mera_cache_misses_total", labels, "Cache lookup misses")
-        .add(static_cast<double>(c.misses));
-    reg.counter("mera_cache_evictions_total", labels, "Cache entries evicted")
-        .add(static_cast<double>(c.evictions));
-    reg.counter("mera_cache_admission_rejects_total", labels,
-                "Inserts refused by the admission policy")
-        .add(static_cast<double>(c.admission_rejects));
-  };
-  bridge_cache("seed", summary.seed_cache);
-  bridge_cache("target", summary.target_cache);
-  const core::SessionConfig& cfg = backend_.config();
-  obs::Labels sw_labels = align::sw_metric_labels(cfg.extension);
-  sw_labels.emplace_back("tenant", tenant);
-  reg.counter("mera_sw_calls_total", sw_labels,
-              "Smith-Waterman extensions run")
-      .add(static_cast<double>(summary.stats.sw_calls));
-  reg.counter("mera_sw_cells_total", sw_labels, "DP cells scored")
-      .add(static_cast<double>(summary.stats.sw_cells));
 }
 
 // ---- stats ------------------------------------------------------------------

@@ -139,8 +139,6 @@ class Daemon {
   void handle_batch(Conn& conn, const std::string& tenant,
                     std::string&& payload, std::ostringstream& sam,
                     core::SamStreamSink& sink);
-  void bridge_tenant_metrics(const std::string& tenant,
-                             const BatchSummary& summary);
   void reap_finished_connections();
 
   Backend backend_;

@@ -21,7 +21,8 @@
 // Because each shard writes into its own private collector and step 3
 // imposes a total order, the emitted stream is bit-identical at EVERY
 // shard_parallelism — the executor changes wall-clock time, never bytes
-// (tests/test_async.cpp asserts this for K in {1,2,4} and all SW kernels).
+// (tests/test_async.cpp asserts this for K in {1,2,4} on the scalar and auto
+// SW tiers).
 // Single-shard note: with K == 1 there is nothing to merge, so the per-read
 // reorder is skipped and records flow through in the shard's own discovery
 // order — same records, same rank partition, just not re-sorted.
@@ -90,8 +91,8 @@ struct ShardedBatchResult {
   core::PipelineStats stats;
   /// Each shard's own BatchResult (per-shard stats, cache deltas, report).
   std::vector<core::BatchResult> per_shard;
-  /// SwKernel::kBatch lane occupancy summed over shards (the per-shard
-  /// breakdown is in per_shard[s].lane_stats). All-zero for other kernels.
+  /// Traced-sweep lane occupancy summed over shards (the per-shard
+  /// breakdown is in per_shard[s].lane_stats).
   align::LaneStats lane_stats;
   /// Shards that actually ran concurrently for this batch (the resolved J).
   int shard_parallelism = 1;

@@ -4,8 +4,8 @@
 //   cmake --build build --target gen_cli_golden_fixtures
 //   ./build/tests/gen_cli_golden_fixtures tests/golden
 //
-// then re-baseline tests/golden/meraligner_cli.sam from the CLI output (see
-// run_cli_golden.cmake for the exact invocation and normalization).
+// then re-baseline tests/golden/meraligner_cli*.sam from the CLI output (see
+// run_cli_golden.cmake for the exact invocations and normalization).
 #include <cstdio>
 #include <string>
 
@@ -44,9 +44,20 @@ int main(int argc, char** argv) {
   write_fastq(dir + "/reads_a.fastq", {reads.begin(), mid});
   write_fastq(dir + "/reads_b.fastq", {mid, reads.end()});
 
+  // Mixed-length fixture for the emission-order scenario: read i trimmed to
+  // 61 + (i % 5) * 10 bases, so the pooled queue buckets the reads into
+  // several length classes and flushes them out of discovery order.
+  auto mixed = reads;
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    const std::size_t len = 61 + (i % 5) * 10;
+    mixed[i].seq.resize(len);
+    mixed[i].qual.resize(len);
+  }
+  write_fastq(dir + "/reads_mixed.fastq", mixed);
+
   std::printf(
-      "wrote %s/{contigs.fa, reads.fastq, reads_a.fastq, reads_b.fastq} "
-      "(%zu reads)\n",
+      "wrote %s/{contigs.fa, reads.fastq, reads_a.fastq, reads_b.fastq, "
+      "reads_mixed.fastq} (%zu reads)\n",
       dir.c_str(), reads.size());
   return 0;
 }

@@ -2,16 +2,16 @@
 #
 # Inputs (passed with -D):
 #   CLI     - path to the built meraligner_cli binary
+#   DAEMON  - path to the built meralignerd binary (flag checks only)
 #   GOLDEN  - checked-in expected SAM (tests/golden/meraligner_cli.sam)
 #   WORKDIR - scratch directory for this run
 #
 # Scenarios:
-#   1. single batch, one run per --sw kernel (full/batch) and one with no
-#      --sw flag: all must produce the SAME golden SAM — the batch kernel's
-#      traced sweep aligns each window exactly as the full-DP reference does,
-#      so kernel choice must not change output; the default (batch) kernel
-#      additionally runs pinned to the scalar --sw-isa tier. Removed kernel
-#      selectors and knobs (--sw-pool) are usage errors
+#   1. single batch, on the default (auto) ISA tier and pinned to the scalar
+#      tier (smith_waterman per candidate): both must produce the SAME golden
+#      SAM, since the traced sweep aligns each window exactly as the scalar
+#      reference does. Removed kernel selectors (--sw) and knobs (--sw-pool)
+#      are usage errors, in the CLI and in the daemon
 #   2. multi batch:   --reads reads_a --reads reads_b (one index, two batches)
 #                     -> the SAME bytes, since per-read results depend
 #                     only on the prebuilt index, not on batch boundaries
@@ -23,6 +23,9 @@
 #   6. the CLI writes no file next to its inputs: WORKDIR never holds a
 #      derived *.fastq.sdb
 #   9. even k (--k 20): the same fixtures against meraligner_cli_k20.sam
+#  10. emission order: reads_mixed.fastq (read i trimmed to 61 + (i % 5) * 10
+#      bases) with --no-exact, default and scalar tiers, against
+#      meraligner_cli_mixed.sam
 #
 # Fixtures are copied into WORKDIR so every run reads and writes scratch
 # files only; the source tree stays clean.
@@ -34,6 +37,7 @@ file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
 file(COPY ${FIXTURES}/contigs.fa ${FIXTURES}/reads.fastq
      ${FIXTURES}/reads_a.fastq ${FIXTURES}/reads_b.fastq
+     ${FIXTURES}/reads_mixed.fastq
      DESTINATION ${WORKDIR})
 
 # SAM output is byte-stable (the seed index serves hits in one canonical
@@ -87,24 +91,7 @@ function(check_no_derived_seqdb label)
   endif()
 endfunction()
 
-# --- 1. single batch, both SW kernel selectors ------------------------------
-foreach(sw full batch)
-  execute_process(
-    COMMAND ${CLI}
-      --targets ${WORKDIR}/contigs.fa
-      --reads ${WORKDIR}/reads.fastq
-      --out ${WORKDIR}/out_${sw}.sam
-      --k 31 --ranks 4 --ppn 2 --no-permute --sw ${sw}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "meraligner_cli --sw ${sw} exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
-  endif()
-  check_sam(${WORKDIR}/out_${sw}.sam "single-batch --sw ${sw}")
-endforeach()
-
-# No --sw flag: the default kernel (batch) must hit the same golden bytes.
+# --- 1. single batch, default and scalar tiers ------------------------------
 execute_process(
   COMMAND ${CLI}
     --targets ${WORKDIR}/contigs.fa
@@ -115,14 +102,13 @@ execute_process(
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "meraligner_cli without --sw exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+  message(FATAL_ERROR "meraligner_cli exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
 endif()
-check_sam(${WORKDIR}/out_default.sam "single-batch default kernel")
+check_sam(${WORKDIR}/out_default.sam "single-batch default tier")
 
-# The default batch engine pinned to its scalar tier must still hit the
-# golden bytes (the SIMD tiers are covered above via auto-dispatch; scalar is
-# the one tier auto never picks on SIMD-capable CI hosts). --sw-isa needs no
-# --sw flag now that batch is the default.
+# The scalar tier, the reference every SIMD tier reproduces, must hit the
+# same golden bytes (the SIMD tiers are covered above via auto-dispatch;
+# scalar is the one tier auto never picks on SIMD-capable CI hosts).
 execute_process(
   COMMAND ${CLI}
     --targets ${WORKDIR}/contigs.fa
@@ -138,10 +124,12 @@ endif()
 check_sam(${WORKDIR}/out_batch_scalar.sam "single-batch --sw-isa scalar")
 
 # Removed selectors are usage errors (exit 2 + usage), not silent aliases:
-# the striped and banded kernels, the --sw-pool knob, the serial
-# --no-prefetch stream and the --shard-by planner weighting no longer exist.
-foreach(removed "--sw;striped" "--sw;banded" "--sw;batch;--sw-pool;on"
-                "--no-prefetch" "--shards;3;--shard-by;bases")
+# the --sw kernel selector (full, batch, striped, banded), the --sw-pool
+# knob, the serial --no-prefetch stream and the --shard-by planner weighting
+# no longer exist.
+foreach(removed "--sw;full" "--sw;batch" "--sw;striped" "--sw;banded"
+                "--sw;batch;--sw-pool;on" "--no-prefetch"
+                "--shards;3;--shard-by;bases")
   execute_process(
     COMMAND ${CLI}
       --targets ${WORKDIR}/contigs.fa
@@ -173,13 +161,31 @@ if(NOT out MATCHES "scalar" OR NOT out MATCHES "sse2")
   message(FATAL_ERROR "--sw-isa help did not print the tier table:\n${out}")
 endif()
 
-# --sw-isa validation: unknown tier names are usage errors (exit 2 + usage),
-# and the flag is rejected with an explicit non-batch --sw kernel.
+# The daemon shares the CLI's flags: --sw is an unknown flag there too, and
+# is refused before the daemon builds an index or binds its socket.
+foreach(sw full batch)
+  execute_process(
+    COMMAND ${DAEMON}
+      --targets ${WORKDIR}/contigs.fa
+      --socket ${WORKDIR}/removed_sw.sock
+      --k 31 --ranks 4 --ppn 2 --sw ${sw}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "meralignerd --sw ${sw} exited ${rc}, expected usage error 2")
+  endif()
+  if(NOT err MATCHES "unknown flag --sw" OR NOT err MATCHES "meralignerd --targets")
+    message(FATAL_ERROR "meralignerd --sw ${sw} did not print the usage message:\n${err}")
+  endif()
+endforeach()
+
+# --sw-isa validation: unknown tier names are usage errors (exit 2 + usage).
 execute_process(
   COMMAND ${CLI}
     --targets ${WORKDIR}/contigs.fa
     --reads ${WORKDIR}/reads.fastq
-    --k 31 --ranks 4 --ppn 2 --sw batch --sw-isa mmx
+    --k 31 --ranks 4 --ppn 2 --sw-isa mmx
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
@@ -188,17 +194,6 @@ if(NOT rc EQUAL 2)
 endif()
 if(NOT err MATCHES "sw-isa" OR NOT err MATCHES "meraligner --targets")
   message(FATAL_ERROR "--sw-isa mmx did not print the usage message:\n${err}")
-endif()
-execute_process(
-  COMMAND ${CLI}
-    --targets ${WORKDIR}/contigs.fa
-    --reads ${WORKDIR}/reads.fastq
-    --k 31 --ranks 4 --ppn 2 --sw full --sw-isa scalar
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 2 OR NOT err MATCHES "requires --sw batch")
-  message(FATAL_ERROR "--sw-isa outside --sw batch was not rejected (rc=${rc}):\n${err}")
 endif()
 
 # --max-hits keeps at least one hit per seed: 0 would leave a seed nothing to
@@ -242,8 +237,8 @@ endforeach()
 
 # The header must carry a spec-complete @PG line: program, version, and the
 # command line of the invocation that produced the file.
-file(READ ${WORKDIR}/out_full.sam full_sam)
-if(NOT full_sam MATCHES "@PG\tID:merAligner\tPN:meraligner\tVN:[^\n\t]+\tCL:[^\n]*--targets")
+file(READ ${WORKDIR}/out_default.sam default_sam)
+if(NOT default_sam MATCHES "@PG\tID:merAligner\tPN:meraligner\tVN:[^\n\t]+\tCL:[^\n]*--targets")
   message(FATAL_ERROR "single-batch SAM lacks a @PG line with PN/VN/CL")
 endif()
 
@@ -676,5 +671,34 @@ endif()
 check_sam_against(${WORKDIR}/out_k20.sam ${FIXTURES}/meraligner_cli_k20.sam
                   "single batch --k 20")
 
-# Every run above, scenarios 7 to 9 included, read its FASTQ into memory.
+# --- 10. emission order on mixed read lengths -------------------------------
+# Five read lengths spread the candidates over several of the pooled queue's
+# length classes, which flush out of discovery order; the emission log must
+# still replay every record in discovery order. The fixture was generated by
+# resolving each candidate inline, as it was discovered, so it pins that
+# order on the default tier and on the scalar one. --no-exact sends every
+# candidate through Smith-Waterman.
+foreach(tier default scalar)
+  set(tier_flags)
+  if(NOT tier STREQUAL "default")
+    set(tier_flags --sw-isa ${tier})
+  endif()
+  execute_process(
+    COMMAND ${CLI}
+      --targets ${WORKDIR}/contigs.fa
+      --reads ${WORKDIR}/reads_mixed.fastq
+      --out ${WORKDIR}/out_mixed_${tier}.sam
+      --k 31 --ranks 4 --ppn 2 --no-permute --no-exact ${tier_flags}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "mixed-length ${tier} run exited with ${rc}\nstderr:\n${err}")
+  endif()
+  check_sam_against(${WORKDIR}/out_mixed_${tier}.sam
+                    ${FIXTURES}/meraligner_cli_mixed.sam
+                    "mixed-length reads, ${tier} tier")
+endforeach()
+
+# Every run above, scenarios 7 to 10 included, read its FASTQ into memory.
 check_no_derived_seqdb("all runs")

@@ -4,8 +4,8 @@
 //
 // The contract under test: concurrency changes SECONDS, never BYTES. A
 // K-shard batch driven by J pool workers must emit the records, SAM content
-// and work totals of the serial shard loop bit-for-bit, for every K and
-// every SW kernel; a prefetched file stream must emit exactly what a
+// and work totals of the serial shard loop bit-for-bit, for every K, on the
+// scalar and the auto ISA tier; a prefetched file stream must emit exactly what a
 // per-file load-then-align loop emits, in the same order.
 #include <gtest/gtest.h>
 
@@ -30,7 +30,7 @@
 namespace {
 
 using namespace mera;
-using mera::align::SwKernel;
+using mera::align::SwIsa;
 using mera::core::AlignmentRecord;
 using mera::pgas::Runtime;
 using mera::pgas::Topology;
@@ -104,9 +104,9 @@ void expect_same_deterministic_stats(const core::PipelineStats& a,
 TEST(ParallelShards, BitIdenticalToSerialForEveryKAndKernel) {
   const auto w = make_workload(25'000, 1.0);
 
-  for (const SwKernel kernel : {SwKernel::kFullDP, SwKernel::kBatch}) {
+  for (const SwIsa isa : {SwIsa::kScalar, SwIsa::kAuto}) {
     core::SessionConfig sc = cacheless_session();
-    sc.extension.kernel = kernel;
+    sc.extension.isa = isa;
 
     for (const int K : {1, 2, 4}) {
       Runtime rt(Topology(2, 2));
@@ -136,13 +136,13 @@ TEST(ParallelShards, BitIdenticalToSerialForEveryKAndKernel) {
 
       ASSERT_GT(serial.size(), 0u);
       ASSERT_EQ(parallel.size(), serial.size())
-          << "K=" << K << " kernel=" << static_cast<int>(kernel);
+          << "K=" << K << " isa=" << isa_name(isa);
       // Emission ORDER must match, not just the record set — the executor
       // may not even reorder ties.
       for (std::size_t i = 0; i < serial.size(); ++i)
         ASSERT_EQ(parallel[i], serial[i])
             << "record " << i << " K=" << K
-            << " kernel=" << static_cast<int>(kernel);
+            << " isa=" << isa_name(isa);
       EXPECT_EQ(sam_parallel, sam_serial);
       expect_same_deterministic_stats(st_parallel, st_serial);
       // Caches are off: even the modeled comm seconds must agree exactly.

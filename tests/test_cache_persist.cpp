@@ -10,7 +10,7 @@
 //                      untouched;
 //   3. bit-identity  — a warm-started session emits exactly the records,
 //                      SAM stream and work stats of a cold one, across
-//                      K in {1, 2, 4} shards and both SW kernels,
+//                      K in {1, 2, 4} shards on the scalar and auto tiers,
 //                      while doing strictly less remote-lookup work;
 //   4. counter baseline — loaded counters are cumulative session history,
 //                      and per-batch deltas report only post-load activity
@@ -48,7 +48,7 @@ namespace {
 
 using namespace mera;
 using namespace mera::cache;
-using mera::align::SwKernel;
+using mera::align::SwIsa;
 using mera::core::AlignmentRecord;
 using mera::dht::SeedHit;
 using mera::pgas::Runtime;
@@ -644,11 +644,11 @@ TEST_F(AtomicSaveTest, KillNineDuringSaveLeavesALoadableSnapshot) {
 
 using WarmStartTest = CachePersistTest;
 
-core::SessionConfig session_config(SwKernel kernel) {
+core::SessionConfig session_config(SwIsa isa) {
   core::SessionConfig sc;
   sc.seed_cache_capacity = 1u << 14;
   sc.target_cache_bytes = 8u << 20;
-  sc.extension.kernel = kernel;
+  sc.extension.isa = isa;
   return sc;
 }
 
@@ -684,16 +684,16 @@ TEST_F(WarmStartTest, MonolithicWarmStartIsBitIdenticalAllKernels) {
   Runtime rt(Topology(8, 4));  // 2 nodes: off-node lookups exist to cache
   const auto ref = core::IndexedReference::build(rt, w.contigs, small_index());
 
-  for (const SwKernel kernel : {SwKernel::kFullDP, SwKernel::kBatch}) {
-    SCOPED_TRACE("kernel=" + std::to_string(static_cast<int>(kernel)));
-    const std::string snap = path("k" + std::to_string(static_cast<int>(kernel)));
+  for (const SwIsa isa : {SwIsa::kScalar, SwIsa::kAuto}) {
+    SCOPED_TRACE(std::string("isa=") + isa_name(isa));
+    const std::string snap = path(std::string("isa_") + isa_name(isa));
 
-    core::AlignSession cold(ref, session_config(kernel));
+    core::AlignSession cold(ref, session_config(isa));
     const RunOutput cold_out = run_stream(rt, cold, ref, b1, b2);
     ASSERT_GT(cold_out.records.size(), 0u);
     cold.save_caches(rt, snap);
 
-    core::AlignSession warm(ref, session_config(kernel));
+    core::AlignSession warm(ref, session_config(isa));
     warm.load_caches(rt, snap);
     const RunOutput warm_out = run_stream(rt, warm, ref, b1, b2);
 
@@ -723,7 +723,7 @@ TEST_F(WarmStartTest, WarmStartIsBitIdenticalWhenLookupsTruncate) {
   const auto ref = core::IndexedReference::build(rt, w.contigs, small_index());
   const auto ref2 = core::IndexedReference::build(rt, w.contigs, small_index());
 
-  core::SessionConfig sc = session_config(SwKernel::kFullDP);
+  core::SessionConfig sc = session_config(SwIsa::kScalar);
   sc.max_hits_per_seed = 1;
   sc.exact_match = false;  // the clipped-to-1 candidate order must replay
 
@@ -752,11 +752,10 @@ TEST_F(WarmStartTest, ShardedWarmStartIsBitIdenticalAllKernelsAllK) {
     const auto ref =
         shard::ShardedReference::build(rt, w.contigs, K, small_index());
     ASSERT_EQ(ref.num_shards(), K);
-    for (const SwKernel kernel : {SwKernel::kFullDP, SwKernel::kBatch}) {
-      SCOPED_TRACE("K=" + std::to_string(K) +
-                   " kernel=" + std::to_string(static_cast<int>(kernel)));
-      const std::string snap = path("K" + std::to_string(K) + "_k" +
-                                    std::to_string(static_cast<int>(kernel)));
+    for (const SwIsa isa : {SwIsa::kScalar, SwIsa::kAuto}) {
+      SCOPED_TRACE("K=" + std::to_string(K) + " isa=" + isa_name(isa));
+      const std::string snap =
+          path("K" + std::to_string(K) + "_" + isa_name(isa));
 
       const auto run = [&](shard::ShardedAlignSession& session) {
         RunOutput out;
@@ -777,12 +776,12 @@ TEST_F(WarmStartTest, ShardedWarmStartIsBitIdenticalAllKernelsAllK) {
         return hits;
       };
 
-      shard::ShardedAlignSession cold(ref, session_config(kernel));
+      shard::ShardedAlignSession cold(ref, session_config(isa));
       const RunOutput cold_out = run(cold);
       ASSERT_GT(cold_out.records.size(), 0u);
       cold.save_caches(rt, snap);
 
-      shard::ShardedAlignSession warm(ref, session_config(kernel));
+      shard::ShardedAlignSession warm(ref, session_config(isa));
       warm.load_caches(rt, snap);
       const std::uint64_t hits_at_load = session_hits(warm);
       const RunOutput warm_out = run(warm);
@@ -830,7 +829,7 @@ TEST_F(WarmStartTest, LoadedCountersSeedTheSessionBaseline) {
   Runtime rt(Topology(8, 4));
   const auto ref = core::IndexedReference::build(rt, w.contigs, small_index());
 
-  core::AlignSession cold(ref, session_config(SwKernel::kFullDP));
+  core::AlignSession cold(ref, session_config(SwIsa::kScalar));
   core::CountingSink sink;
   cold.align_batch(rt, w.reads, sink);
   const auto saved_seed = cold.seed_cache_counters();
@@ -838,7 +837,7 @@ TEST_F(WarmStartTest, LoadedCountersSeedTheSessionBaseline) {
   ASSERT_GT(saved_seed.insertions, 0u);
   cold.save_caches(rt, path("snap"));
 
-  core::AlignSession warm(ref, session_config(SwKernel::kFullDP));
+  core::AlignSession warm(ref, session_config(SwIsa::kScalar));
   warm.load_caches(rt, path("snap"));
   // Decision (documented on load_caches): restored counters are cumulative
   // session history — the warm session's totals START at the saved totals...

@@ -151,11 +151,11 @@ TEST_F(IntegrationTest, EndToEndBeatsSerialIndexBaselines) {
 TEST_F(IntegrationTest, IndexConstructionScalesMappingDoesToo) {
   // merAligner's per-rank index build work shrinks with rank count
   // (Figure 8's near-linear construction scaling).
-  // The scaling claim is about per-rank work, so pin the per-candidate
-  // kFullDP kernel: the pooled SIMD default makes this workload's align
-  // phase so small that fixed per-rank overhead would dominate it.
+  // The scaling claim is about per-rank work, so pin the scalar tier
+  // (smith_waterman per candidate): the SIMD default makes this workload's
+  // align phase so small that fixed per-rank overhead would dominate it.
   core::SessionConfig sc;
-  sc.extension.kernel = mera::align::SwKernel::kFullDP;
+  sc.extension.isa = mera::align::SwIsa::kScalar;
   struct CpuMax {
     double build, align;
   };

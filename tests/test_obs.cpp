@@ -12,7 +12,7 @@
 //   - Bit-identity: a sharded --shard-parallel-style batch emits the same
 //     SAM bytes with the tracer enabled as disabled, and the registry ends
 //     up holding per-shard walls, imbalance ratios, cache counters and
-//     per-kernel SW call/cell counts.
+//     per-tier SW call/cell counts.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -479,12 +479,10 @@ TEST(ObsEndToEnd, ShardedBatchPopulatesRegistry) {
     (void)reg.value_of(name, labels, v);  // absent series reads as 0
     return v;
   };
-  // The configured (default) kernel's series: its name and resolved tier.
+  // The SW series of the default config: labelled with its resolved tier.
   const core::SessionConfig defaults;
   const Labels sw_labels{
-      {"kernel", align::kernel_name(defaults.extension.kernel)},
       {"isa", align::isa_name(align::resolve_isa(defaults.extension.isa))}};
-  ASSERT_EQ(sw_labels.front().second, "batch");
   const double calls_before = value_or_zero("mera_sw_calls_total", sw_labels);
   const double cells_before = value_or_zero("mera_sw_cells_total", sw_labels);
   const double hits_before =
@@ -508,7 +506,7 @@ TEST(ObsEndToEnd, ShardedBatchPopulatesRegistry) {
   ASSERT_TRUE(reg.value_of("mera_shard_parallelism", {}, v));
   EXPECT_EQ(v, 2.0);
 
-  // Per-kernel SW work flowed through the bridge.
+  // Per-tier SW work flowed through the bridge.
   const double calls_after = value_or_zero("mera_sw_calls_total", sw_labels);
   const double cells_after = value_or_zero("mera_sw_cells_total", sw_labels);
   EXPECT_GT(calls_after, calls_before);

@@ -10,11 +10,11 @@
 //   2. the queue calls every tag back exactly once with smith_waterman's
 //      alignment, whatever the length-class bucketing and flush thresholds
 //      do; and
-//   3. a pooled kBatch session emits byte-identical records, SAM and stats
-//      to a kFullDP session on the same reference, for K in {1,2,4} shards,
-//      on every ISA tier, on mixed-length query sets — compared in EMISSION
-//      ORDER, so any reordering by the deferred-replay machinery would fail
-//      the test.
+//   3. a pooled session on every ISA tier emits byte-identical records, SAM
+//      and stats to one on the scalar tier (smith_waterman per candidate) on
+//      the same reference, for K in {1,2,4} shards, on mixed-length query
+//      sets — compared in EMISSION ORDER, so any reordering by the
+//      deferred-replay machinery would fail the test.
 #include "align/pooled_queue.hpp"
 
 #include "test_util.hpp"
@@ -212,7 +212,7 @@ TEST(PooledQueue, AutoFlushThresholdIsTheTraceLaneWidth) {
 }
 
 // ---------------------------------------------------------------------------
-// Session-level pooled kBatch vs kFullDP bit-identity
+// Session-level bit-identity: every tier against the scalar reference
 // ---------------------------------------------------------------------------
 
 struct Workload {
@@ -256,7 +256,7 @@ mera::core::IndexConfig small_index(int k = 21) {
   return ic;
 }
 
-/// The default kernel (kBatch) at auto ISA, every candidate through SW.
+/// The default session (auto ISA), every candidate through SW.
 mera::core::SessionConfig default_session() {
   mera::core::SessionConfig sc;
   sc.seed_cache_capacity = 1u << 14;
@@ -265,18 +265,16 @@ mera::core::SessionConfig default_session() {
   return sc;
 }
 
-/// kFullDP, the reference every pooled kBatch run must reproduce.
-mera::core::SessionConfig full_session() {
+mera::core::SessionConfig tier_session(SwIsa isa) {
   mera::core::SessionConfig sc = default_session();
-  sc.extension.kernel = SwKernel::kFullDP;
+  sc.extension.isa = isa;
   return sc;
 }
 
-mera::core::SessionConfig batch_session(SwIsa isa) {
-  mera::core::SessionConfig sc = default_session();
-  sc.extension.kernel = SwKernel::kBatch;
-  sc.extension.isa = isa;
-  return sc;
+/// The scalar tier (smith_waterman per candidate), the reference every
+/// other tier must reproduce.
+mera::core::SessionConfig scalar_session() {
+  return tier_session(SwIsa::kScalar);
 }
 
 void expect_same_stats(const mera::core::PipelineStats& a,
@@ -309,7 +307,7 @@ TEST(PooledSession, PooledBatchEqualsFullDpOnEveryTier) {
   Runtime rt1(Topology(4, 2));
   const auto ref1 =
       mera::core::IndexedReference::build(rt1, w.contigs, small_index());
-  mera::core::AlignSession s1(ref1, full_session());
+  mera::core::AlignSession s1(ref1, scalar_session());
   mera::core::BatchResult b1;
   const std::string sam1 = sam_of(ref1, rt1, s1, w.reads, b1);
   ASSERT_GT(b1.stats.alignments_reported, 0u);
@@ -318,7 +316,7 @@ TEST(PooledSession, PooledBatchEqualsFullDpOnEveryTier) {
     Runtime rt2(Topology(4, 2));
     const auto ref2 =
         mera::core::IndexedReference::build(rt2, w.contigs, small_index());
-    mera::core::AlignSession s2(ref2, batch_session(isa));
+    mera::core::AlignSession s2(ref2, tier_session(isa));
     mera::core::BatchResult b2;
     const std::string sam2 = sam_of(ref2, rt2, s2, w.reads, b2);
     EXPECT_EQ(sam1, sam2) << isa_name(isa);
@@ -330,20 +328,22 @@ TEST(PooledSession, PooledBatchEqualsFullDpOnEveryTier) {
 
 TEST(PooledSession, EmissionOrderIsPreservedNotJustTheRecordSet) {
   // VectorSink::take() returns records in emission order; comparing the
-  // vectors UNSORTED proves the pooled replay machinery reproduces kFullDP's
-  // exact per-read / per-strand / per-candidate order.
+  // vectors UNSORTED proves the pooled replay machinery reproduces the
+  // scalar tier's exact per-read / per-strand / per-candidate order (and
+  // the scalar run pins discovery order itself: tests/golden's mixed-length
+  // fixture was generated by inline, unpooled resolution).
   const auto w = make_mixed_workload(20'000, 1.0, /*seed=*/21);
   Runtime rt1(Topology(4, 2));
   const auto ref =
       mera::core::IndexedReference::build(rt1, w.contigs, small_index());
-  mera::core::AlignSession s1(ref, full_session());
+  mera::core::AlignSession s1(ref, scalar_session());
   mera::core::VectorSink sink1(rt1.nranks());
   const auto r1 = s1.align_batch(rt1, w.reads, sink1);
   const auto v1 = sink1.take();
   ASSERT_GT(v1.size(), 0u);
   for (const SwIsa isa : supported_tiers()) {
     Runtime rt2(Topology(4, 2));
-    mera::core::AlignSession s2(ref, batch_session(isa));
+    mera::core::AlignSession s2(ref, tier_session(isa));
     mera::core::VectorSink sink2(rt2.nranks());
     const auto r2 = s2.align_batch(rt2, w.reads, sink2);
     const auto v2 = sink2.take();
@@ -373,24 +373,24 @@ TEST(PooledSession, PooledBatchEqualsFullDpAcrossShardCounts) {
       stats = session.align_batch(rt, w.reads, sam).stats;
       return os.str();
     };
-    mera::core::PipelineStats full_stats;
-    const std::string full_sam = run(full_session(), full_stats);
-    ASSERT_GT(full_stats.alignments_reported, 0u);
+    mera::core::PipelineStats scalar_stats;
+    const std::string scalar_sam = run(scalar_session(), scalar_stats);
+    ASSERT_GT(scalar_stats.alignments_reported, 0u);
     for (const SwIsa isa : supported_tiers()) {
       const std::string what =
           "K=" + std::to_string(shards) + " " + isa_name(isa);
       mera::core::PipelineStats stats;
-      EXPECT_EQ(full_sam, run(batch_session(isa), stats)) << what;
-      expect_same_stats(full_stats, stats, what);
+      EXPECT_EQ(scalar_sam, run(tier_session(isa), stats)) << what;
+      expect_same_stats(scalar_stats, stats, what);
     }
   }
 }
 
 // Repeat-rich 150 bp reads (a quarter of the genome is repeat copies, like
 // the wheat workload): many candidates per read, tied windows across repeat
-// copies and truncated hit lists. The DEFAULT session — no kernel named —
-// must reproduce kFullDP exactly: unsorted SAM bytes, VectorSink emission
-// order and PipelineStats, for K in {1,2,4} shards.
+// copies and truncated hit lists. The DEFAULT session — no tier named —
+// must reproduce the scalar tier exactly: unsorted SAM bytes, VectorSink
+// emission order and PipelineStats, for K in {1,2,4} shards.
 TEST(PooledSession, DefaultKernelEqualsFullDpOnRepeatRichReads) {
   mera::seq::GenomeParams gp;
   gp.length = 40'000;
@@ -407,7 +407,7 @@ TEST(PooledSession, DefaultKernelEqualsFullDpOnRepeatRichReads) {
   rp.n_rate = 0.0;
   rp.rng_seed = 101;
   const auto reads = simulate_reads(genome, rp);
-  ASSERT_EQ(default_session().extension.kernel, SwKernel::kBatch);
+  ASSERT_EQ(default_session().extension.isa, SwIsa::kAuto);
 
   for (const int shards : {1, 2, 4}) {
     Runtime rt0(Topology(4, 2));
@@ -433,17 +433,17 @@ TEST(PooledSession, DefaultKernelEqualsFullDpOnRepeatRichReads) {
       return sink.take();
     };
     const std::string what = "K=" + std::to_string(shards);
-    mera::core::PipelineStats full_stats, default_stats;
-    const std::string full_sam = sam_run(full_session(), full_stats);
-    ASSERT_GT(full_stats.alignments_reported, full_stats.reads_processed)
+    mera::core::PipelineStats scalar_stats, default_stats;
+    const std::string scalar_sam = sam_run(scalar_session(), scalar_stats);
+    ASSERT_GT(scalar_stats.alignments_reported, scalar_stats.reads_processed)
         << what << ": expected several records per read";
-    EXPECT_EQ(full_sam, sam_run(default_session(), default_stats)) << what;
-    expect_same_stats(full_stats, default_stats, what);
-    const auto v_full = vector_run(full_session());
+    EXPECT_EQ(scalar_sam, sam_run(default_session(), default_stats)) << what;
+    expect_same_stats(scalar_stats, default_stats, what);
+    const auto v_scalar = vector_run(scalar_session());
     const auto v_default = vector_run(default_session());
-    ASSERT_EQ(v_full.size(), v_default.size()) << what;
-    for (std::size_t i = 0; i < v_full.size(); ++i)
-      EXPECT_EQ(v_full[i], v_default[i]) << what << " i=" << i;
+    ASSERT_EQ(v_scalar.size(), v_default.size()) << what;
+    for (std::size_t i = 0; i < v_scalar.size(); ++i)
+      EXPECT_EQ(v_scalar[i], v_default[i]) << what << " i=" << i;
   }
 }
 

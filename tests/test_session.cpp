@@ -21,7 +21,6 @@
 namespace {
 
 using namespace mera::core;
-using mera::align::SwKernel;
 using mera::pgas::Runtime;
 using mera::pgas::Topology;
 using mera::seq::SeqRecord;
@@ -223,16 +222,17 @@ TEST(Session, SinksAgreeAndSamStreamsEveryBatch) {
 }
 
 TEST(Session, BatchBackendReportsIdenticalRecordsOnEveryIsaTier) {
-  // The inter-candidate batch engine must be a drop-in for the full-DP
-  // reference: same records in the same order, same number of SW screens,
-  // on every dispatch tier this host supports.
+  // Every dispatch tier this host supports must be a drop-in for the scalar
+  // tier (smith_waterman per candidate): same records in the same order,
+  // same number of SW screens.
   const auto w = make_workload(25'000, 1.2, /*error=*/0.01);
   Runtime rt1(Topology(4, 2));
   const auto ref1 = IndexedReference::build(rt1, w.contigs, small_index());
 
-  SessionConfig full = small_session();
-  full.exact_match = false;  // force every candidate through the SW kernel
-  AlignSession s1(ref1, full);
+  SessionConfig scalar = small_session();
+  scalar.exact_match = false;  // force every candidate through the SW kernel
+  scalar.extension.isa = mera::align::SwIsa::kScalar;
+  AlignSession s1(ref1, scalar);
   VectorSink sink1(rt1.nranks());
   const auto res1 = s1.align_batch(rt1, w.reads, sink1);
   const auto r1 = sink1.take();
@@ -244,8 +244,7 @@ TEST(Session, BatchBackendReportsIdenticalRecordsOnEveryIsaTier) {
     if (!mera::align::isa_supported(isa)) continue;
     Runtime rt2(Topology(4, 2));
     const auto ref2 = IndexedReference::build(rt2, w.contigs, small_index());
-    SessionConfig batch = full;
-    batch.extension.kernel = SwKernel::kBatch;
+    SessionConfig batch = scalar;
     batch.extension.isa = isa;
     AlignSession s2(ref2, batch);
     VectorSink sink2(rt2.nranks());
@@ -254,8 +253,7 @@ TEST(Session, BatchBackendReportsIdenticalRecordsOnEveryIsaTier) {
     ASSERT_EQ(r1.size(), r2.size()) << mera::align::isa_name(isa);
     for (std::size_t i = 0; i < r1.size(); ++i)
       ASSERT_EQ(r1[i], r2[i]) << mera::align::isa_name(isa) << " i=" << i;
-    // Batch mode defers scoring instead of extending inline, but must screen
-    // exactly the same candidate set.
+    // Every tier must screen exactly the same candidate set.
     EXPECT_EQ(res1.stats.sw_calls, res2.stats.sw_calls)
         << mera::align::isa_name(isa);
   }

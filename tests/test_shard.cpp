@@ -7,7 +7,8 @@
 // The contract that matters: with an exhaustive per-shard search (exact-match
 // short-circuit off, no seed-hit truncation), a K-shard session must be
 // bit-identical — records, SAM content, and work totals — to the equivalent
-// single-IndexedReference session, for every sink and every SW kernel.
+// single-IndexedReference session, for every sink, on the scalar reference
+// tier and the auto-dispatched one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,7 +34,7 @@ namespace {
 
 using namespace mera;
 using namespace mera::shard;
-using mera::align::SwKernel;
+using mera::align::SwIsa;
 using mera::core::AlignmentRecord;
 using mera::pgas::Runtime;
 using mera::pgas::Topology;
@@ -278,9 +279,9 @@ std::vector<AlignmentRecord> run_monolithic(const Workload& w,
 TEST(ShardedSession, OutputBitIdenticalToMonolithicSessionAllKernelsAllK) {
   const auto w = make_workload(30'000, 1.5, /*error=*/0.005);
 
-  for (const SwKernel kernel : {SwKernel::kFullDP, SwKernel::kBatch}) {
+  for (const SwIsa isa : {SwIsa::kScalar, SwIsa::kAuto}) {
     core::SessionConfig sc = exhaustive_session();
-    sc.extension.kernel = kernel;
+    sc.extension.isa = isa;
 
     core::PipelineStats mono_stats;
     auto mono = run_monolithic(w, sc, &mono_stats);
@@ -298,11 +299,11 @@ TEST(ShardedSession, OutputBitIdenticalToMonolithicSessionAllKernelsAllK) {
       sort_records(got);
 
       ASSERT_EQ(got.size(), mono.size())
-          << "K=" << K << " kernel=" << static_cast<int>(kernel);
+          << "K=" << K << " isa=" << isa_name(isa);
       for (std::size_t i = 0; i < got.size(); ++i)
         ASSERT_EQ(got[i], mono[i])
             << "record " << i << " K=" << K
-            << " kernel=" << static_cast<int>(kernel);
+            << " isa=" << isa_name(isa);
 
       // Work totals: reads counted once, per-target work summed over shards.
       EXPECT_EQ(res.stats.hits_truncated, 0u);

@@ -107,13 +107,6 @@ class Args {
   std::vector<std::string> positional_;
 };
 
-inline align::SwKernel parse_kernel(const std::string& name) {
-  using align::SwKernel;
-  if (name == "full") return SwKernel::kFullDP;
-  if (name == "batch") return SwKernel::kBatch;
-  throw UsageError("--sw expects full|batch, got '" + name + "'");
-}
-
 /// --sw-isa: validated here so a typo or a tier this machine can't run is a
 /// usage error up front, not a mid-run exception from the first batch.
 inline align::SwIsa parse_sw_isa(const std::string& name) {
@@ -145,7 +138,7 @@ struct AlignerFlags {
 };
 
 /// Map the index/session flags meraligner and meralignerd share (--k, --S,
-/// --fragment-len, --max-hits, --sw, --sw-isa, the --no-* switches and
+/// --fragment-len, --max-hits, --sw-isa, the --no-* switches and
 /// --cache-admission) onto their configs, with the tools' defaults.
 inline AlignerFlags aligner_flags(const Args& args) {
   AlignerFlags f;
@@ -168,14 +161,7 @@ inline AlignerFlags aligner_flags(const Args& args) {
   scfg.seed_cache = !args.has("no-seed-cache");
   scfg.target_cache = !args.has("no-target-cache");
   scfg.permute_queries = !args.has("no-permute");
-  scfg.extension.kernel = parse_kernel(args.get("sw", "batch"));
-  if (args.has("sw-isa")) {
-    // Only the batch kernel (the default) dispatches on ISA; with --sw full
-    // the flag would be a silent no-op.
-    if (scfg.extension.kernel != align::SwKernel::kBatch)
-      throw UsageError("--sw-isa requires --sw batch");
-    scfg.extension.isa = parse_sw_isa(args.get("sw-isa"));
-  }
+  if (args.has("sw-isa")) scfg.extension.isa = parse_sw_isa(args.get("sw-isa"));
   scfg.cache_admission = args.has("cache-admission");
   return f;
 }

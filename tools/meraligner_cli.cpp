@@ -4,8 +4,8 @@
 //   meraligner --targets contigs.fa --reads batch1.{fastq,sdb}
 //              [--reads batch2.fastq ...] [--out out.sam] [--k 51]
 //              [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]
-//              [--fragment-len 1024] [--sw batch|full]
-//              [--sw-isa auto|...|help] [--no-exact]
+//              [--fragment-len 1024] [--sw-isa auto|...|help]
+//              [--no-exact]
 //              [--no-seed-cache] [--no-target-cache] [--no-aggregation]
 //              [--no-permute] [--stats]
 //              [--shards K] [--shard-parallel J]
@@ -76,8 +76,7 @@ constexpr const char* kUsage =
     "meraligner --targets contigs.fa --reads batch1.{fastq,sdb}\n"
     "           [--reads batch2.fastq ...] [--out out.sam] [--k 51]\n"
     "           [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]\n"
-    "           [--fragment-len 1024] [--sw batch|full]\n"
-    "           [--sw-isa auto|scalar|sse2|avx2|avx512|help]\n"
+    "           [--fragment-len 1024] [--sw-isa auto|scalar|sse2|avx2|avx512|help]\n"
     "           [--no-exact] [--no-seed-cache] [--no-target-cache]\n"
     "           [--no-aggregation] [--no-permute] [--stats]\n"
     "           [--shards K] [--shard-parallel J]\n"
@@ -97,12 +96,11 @@ constexpr const char* kUsage =
     "--load-cache DIR warm-starts from such a snapshot (same reference,\n"
     "topology and cost model required). Warm runs emit the same SAM bytes\n"
     "as cold ones — only the remote-lookup work changes.\n"
-    "--sw batch (the default) pools candidates across reads into\n"
-    "query-length-class buckets and aligns a bucket in one inter-candidate\n"
-    "SIMD sweep with traceback once it fills the tier's lanes; --sw full is\n"
-    "the scalar reference DP.\n"
-    "--sw-isa pins its dispatch tier — the default auto picks the widest\n"
-    "the CPU supports. Both kernels and every tier emit bit-identical SAM.\n"
+    "Seed extension pools candidates across reads into query-length-class\n"
+    "buckets and aligns a bucket in one inter-candidate SIMD sweep with\n"
+    "traceback once it fills the tier's lanes. --sw-isa pins the dispatch\n"
+    "tier: the default auto picks the widest the CPU supports, scalar runs\n"
+    "the reference DP per candidate. Every tier emits bit-identical SAM.\n"
     "--sw-isa help prints the tiers this build and CPU actually support,\n"
     "then exits.\n"
     "--trace FILE.json records a Chrome Trace Event timeline (open in\n"
@@ -315,7 +313,7 @@ int main(int argc, char** argv) {
   }
   try {
     args.check_known({"targets", "reads", "out", "k", "ranks", "ppn", "S",
-                      "max-hits", "fragment-len", "sw", "sw-isa",
+                      "max-hits", "fragment-len", "sw-isa",
                       "no-exact", "no-seed-cache", "no-target-cache",
                       "no-aggregation", "no-permute", "stats", "shards",
                       "shard-parallel", "save-cache",

@@ -3,8 +3,8 @@
 // Usage:
 //   meralignerd --targets contigs.fa --socket /run/mera.sock
 //               [--k 51] [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]
-//               [--fragment-len 1024] [--sw batch|full]
-//               [--sw-isa auto|...] [--no-exact]
+//               [--fragment-len 1024] [--sw-isa auto|...]
+//               [--no-exact]
 //               [--no-seed-cache] [--no-target-cache] [--no-aggregation]
 //               [--no-permute] [--cache-admission]
 //               [--shards K] [--shard-parallel J]
@@ -54,8 +54,7 @@ namespace {
 constexpr const char* kUsage =
     "meralignerd --targets contigs.fa --socket /run/mera.sock\n"
     "            [--k 51] [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]\n"
-    "            [--fragment-len 1024] [--sw batch|full]\n"
-    "            [--sw-isa auto|scalar|sse2|avx2|avx512]\n"
+    "            [--fragment-len 1024] [--sw-isa auto|scalar|sse2|avx2|avx512]\n"
     "            [--no-exact] [--no-seed-cache] [--no-target-cache]\n"
     "            [--no-aggregation] [--no-permute] [--cache-admission]\n"
     "            [--shards K] [--shard-parallel J]\n"
@@ -71,9 +70,9 @@ constexpr const char* kUsage =
     "snapshots there on shutdown (and every --autosave SECS while serving,\n"
     "atomically - a crash never loses the last good snapshot); --load-cache\n"
     "warm-starts from that directory. SIGINT/SIGTERM drain gracefully.\n"
-    "--sw batch (the default) aligns candidates in pooled SIMD sweeps with\n"
-    "traceback; --sw full is the scalar reference; both kernels and every\n"
-    "--sw-isa tier emit the same SAM bytes.\n"
+    "Candidates align in pooled SIMD sweeps with traceback; --sw-isa pins\n"
+    "the tier (scalar is the reference DP) and every tier emits the same\n"
+    "SAM bytes.\n"
     "Clients can scrape the Prometheus metrics (incl. tenant= series) with\n"
     "a MetricsReq frame: meraligner_client --socket S --metrics -.";
 
@@ -89,7 +88,7 @@ int main(int argc, char** argv) {
   }
   try {
     args.check_known({"targets", "socket", "k", "ranks", "ppn", "S",
-                      "max-hits", "fragment-len", "sw", "sw-isa",
+                      "max-hits", "fragment-len", "sw-isa",
                       "no-exact", "no-seed-cache", "no-target-cache",
                       "no-aggregation", "no-permute", "cache-admission",
                       "shards", "shard-parallel", "cache-dir",
