@@ -681,7 +681,10 @@ BatchResult AlignSession::run_batch(pgas::Runtime& rt,
       reads,
   };
   rt.run([&sh](pgas::Rank& rank) { batch_rank_body(rank, sh); });
-  sink.batch_end();
+  {
+    const obs::Span flush_span("session.sink_flush", "session");
+    sink.batch_end();
+  }
 
   BatchResult res;
   res.report = rt.report();

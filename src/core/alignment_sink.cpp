@@ -65,14 +65,24 @@ SamStreamSink::SamStreamSink(std::ostream& os, std::vector<SamTarget> targets,
       pg_(std::move(pg)),
       per_rank_(static_cast<std::size_t>(nranks)) {}
 
+namespace {
+
+/// A rank buffer's chunk size, and the room a chunk must have left to take
+/// another line; a longer line just grows its chunk.
+constexpr std::size_t kChunkBytes = 32 * 1024;
+constexpr std::size_t kLineRoom = 1024;
+
+}  // namespace
+
 void SamStreamSink::emit(int rank, const seq::SeqRecord& read,
                          AlignmentRecord&& rec) {
   RankBuffer& buf = per_rank_[static_cast<std::size_t>(rank)];
-  if (buf.last_read != &read) {
-    buf.seqs.push_back(read.seq);
-    buf.last_read = &read;
-  }
-  buf.recs.push_back(Pending{std::move(rec), buf.seqs.size() - 1});
+  if (buf.chunks.empty() ||
+      buf.chunks.back().size() > kChunkBytes - kLineRoom)
+    buf.chunks.emplace_back().reserve(kChunkBytes);
+  append_sam_record(buf.chunks.back(), rec, targets_[rec.target_id].name,
+                    read.seq);
+  ++buf.records;
 }
 
 void SamStreamSink::batch_end() {
@@ -81,11 +91,9 @@ void SamStreamSink::batch_end() {
     header_written_ = true;
   }
   for (RankBuffer& buf : per_rank_) {
-    for (const Pending& p : buf.recs) {
-      write_sam_record(*os_, p.rec, targets_[p.rec.target_id].name,
-                       buf.seqs[p.qseq_idx]);
-      ++written_;
-    }
+    for (const std::string& chunk : buf.chunks)
+      os_->write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+    written_ += buf.records;
     buf = RankBuffer{};
   }
 }

@@ -29,8 +29,11 @@ class IndexedReference;
 /// emit() is called concurrently — one thread per rank, each with its own
 /// distinct `rank` id — so implementations must either be lock-free per rank
 /// (per-rank slots, as VectorSink/SamStreamSink do) or internally atomic.
-/// batch_end() runs once per batch on the driving thread after every rank has
-/// finished, which is where cross-rank, order-sensitive work belongs.
+/// Work done in emit() runs on the rank threads, in parallel (SamStreamSink
+/// formats its SAM lines there). batch_end() runs once per batch on the
+/// driving thread after every rank has finished, which is where cross-rank,
+/// order-sensitive work belongs; the rank threads are idle while it runs, so
+/// it should do as little as it can.
 class AlignmentSink {
  public:
   virtual ~AlignmentSink() = default;
@@ -78,11 +81,13 @@ class CountingSink final : public AlignmentSink {
   std::atomic<std::uint64_t> records_{0};
 };
 
-/// Streams SAM to an ostream across batches: the header is written once (on
-/// the first batch_end), then each batch appends its records in rank-major
-/// order — byte-identical to the legacy collect-then-write path for a single
-/// batch. Records are buffered per rank only until their batch ends, so
-/// memory is bounded by one batch, not the whole session.
+/// Streams SAM to an ostream across batches. emit() formats each record's
+/// SAM line on the emitting rank's thread, straight into that rank's byte
+/// buffer, so formatting runs inside the rank team. batch_end() writes the
+/// header once (on the first batch), then every rank's buffer in rank order:
+/// rank-major record order, byte-identical to the legacy collect-then-write
+/// path for a single batch. Formatted bytes live only until their batch
+/// ends, so memory is bounded by one batch, not the whole session.
 class SamStreamSink final : public AlignmentSink {
  public:
   SamStreamSink(std::ostream& os, const IndexedReference& ref,
@@ -102,19 +107,13 @@ class SamStreamSink final : public AlignmentSink {
   }
 
  private:
-  struct Pending {
-    AlignmentRecord rec;
-    std::size_t qseq_idx;  ///< into RankBuffer::seqs
-  };
-  /// A rank emits a read's records consecutively, so one stored sequence per
-  /// (rank, read) suffices — a multi-mapping read does not get one sequence
-  /// copy per alignment. Reads are distinguished by identity (their records
-  /// are stable for the whole batch), not by name, so duplicate read names
-  /// cannot alias each other's sequences.
-  struct RankBuffer {
-    std::vector<Pending> recs;
-    std::vector<std::string> seqs;  ///< forward orientation, one per read
-    const void* last_read = nullptr;
+  /// One rank's finished SAM lines of the current batch, in fixed-size
+  /// chunks: a growing batch appends a chunk instead of copying what it
+  /// holds into a buffer twice the size. Each buffer has its own cache line,
+  /// so ranks appending side by side do not share one.
+  struct alignas(64) RankBuffer {
+    std::vector<std::string> chunks;  ///< only the last one is appended to
+    std::uint64_t records = 0;
   };
 
   std::ostream* os_;

@@ -1,6 +1,11 @@
 #include "core/sam_writer.hpp"
 
+#include <array>
+#include <charconv>
+#include <cstring>
+#include <limits>
 #include <ostream>
+#include <type_traits>
 
 #include "seq/dna.hpp"
 
@@ -31,24 +36,67 @@ void write_sam_header(std::ostream& os, const TargetStore& targets,
   write_sam_header(os, sam_targets(targets), pg);
 }
 
-void write_sam_record(std::ostream& os, const AlignmentRecord& rec,
-                      const std::string& target_name,
-                      const std::string& query_seq) {
-  const unsigned flag = rec.reverse ? 0x10u : 0u;
-  // SAM stores the sequence as aligned: reverse-complement for 0x10.
-  const std::string seq =
-      rec.reverse ? seq::reverse_complement(query_seq) : query_seq;
-  os << rec.query_name << '\t' << flag << '\t' << target_name << '\t'
-     << rec.t_begin + 1 << '\t' << (rec.exact ? 60 : 30) << '\t' << rec.cigar
-     << '\t' << "*\t0\t0\t" << seq << "\t*\tAS:i:" << rec.score
-     << "\tNM:i:" << rec.mismatches << '\n';
+namespace {
+
+/// seq::complement_base for every byte: A<->T, C<->G in either case
+/// (upper-case out), anything else 'N'.
+constexpr std::array<char, 256> kComplement = [] {
+  std::array<char, 256> t{};
+  for (std::size_t c = 0; c < t.size(); ++c)
+    t[c] = seq::complement_base(static_cast<char>(c));
+  return t;
+}();
+
+/// Characters of `Int`'s widest decimal form, sign included.
+template <typename Int>
+constexpr std::size_t kMaxDigits =
+    std::numeric_limits<Int>::digits10 + 1 + std::is_signed_v<Int>;
+
+/// Bytes of a line besides its four variable-length fields: the tabs, the
+/// newline and the literal "*", "0", "AS:i:", "NM:i:" text (27 bytes), plus
+/// every integer column at its widest (flag and MAPQ take 2).
+constexpr std::size_t kFixedBytes = 27 + 2 + kMaxDigits<std::size_t> + 2 +
+                                    2 * kMaxDigits<int>;
+
+char* put(char* p, std::string_view s) {
+  std::memcpy(p, s.data(), s.size());
+  return p + s.size();
 }
 
-void write_sam_record(std::ostream& os, const AlignmentRecord& rec,
-                      const TargetStore& targets,
-                      const std::string& query_seq) {
-  write_sam_record(os, rec, targets.target_unsync(rec.target_id).name,
-                   query_seq);
+template <typename Int>
+char* put_int(char* p, Int v) {
+  return std::to_chars(p, p + kMaxDigits<Int>, v).ptr;
+}
+
+}  // namespace
+
+void append_sam_record(std::string& out, const AlignmentRecord& rec,
+                       std::string_view target_name,
+                       std::string_view query_seq) {
+  const std::size_t old = out.size();
+  out.resize(old + kFixedBytes + rec.query_name.size() + target_name.size() +
+             rec.cigar.size() + query_seq.size());
+  char* p = out.data() + old;
+  p = put(p, rec.query_name);
+  p = put(p, rec.reverse ? "\t16\t" : "\t0\t");
+  p = put(p, target_name);
+  *p++ = '\t';
+  p = put_int(p, rec.t_begin + 1);
+  p = put(p, rec.exact ? "\t60\t" : "\t30\t");
+  p = put(p, rec.cigar);
+  p = put(p, "\t*\t0\t0\t");
+  if (rec.reverse) {
+    for (auto it = query_seq.rbegin(); it != query_seq.rend(); ++it)
+      *p++ = kComplement[static_cast<unsigned char>(*it)];
+  } else {
+    p = put(p, query_seq);
+  }
+  p = put(p, "\t*\tAS:i:");
+  p = put_int(p, rec.score);
+  p = put(p, "\tNM:i:");
+  p = put_int(p, rec.mismatches);
+  *p++ = '\n';
+  out.resize(static_cast<std::size_t>(p - out.data()));
 }
 
 }  // namespace mera::core

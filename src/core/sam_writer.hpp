@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/alignment.hpp"
@@ -42,14 +43,12 @@ void write_sam_header(std::ostream& os, const std::vector<SamTarget>& targets,
 void write_sam_header(std::ostream& os, const TargetStore& targets,
                       const SamProgram& pg = {});
 
-/// One SAM line per record; `query_seq` refers to the read in its original
-/// (forward) orientation, as SAM requires seq to be stored
-/// reverse-complemented with flag 0x10 when the alignment is on the reverse
-/// strand. `target_name` is the name of the record's target sequence.
-void write_sam_record(std::ostream& os, const AlignmentRecord& rec,
-                      const std::string& target_name,
-                      const std::string& query_seq);
-void write_sam_record(std::ostream& os, const AlignmentRecord& rec,
-                      const TargetStore& targets, const std::string& query_seq);
+/// Append one SAM line (newline included) to `out`. `query_seq` is the read
+/// in its original (forward) orientation: SAM stores the sequence as aligned,
+/// so a reverse record (flag 0x10) gets its reverse complement, written
+/// straight into `out`. `target_name` is the name of the record's target.
+void append_sam_record(std::string& out, const AlignmentRecord& rec,
+                       std::string_view target_name,
+                       std::string_view query_seq);
 
 }  // namespace mera::core

@@ -1,5 +1,6 @@
 #include "seq/fastq.hpp"
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -39,6 +40,20 @@ bool is_record_start(std::string_view text, std::size_t pos) {
 
 }  // namespace
 
+std::string qname_defect(std::string_view name) {
+  if (name.empty()) return "empty name";
+  for (std::size_t i = 0; i < name.size(); ++i) {
+    const auto c = static_cast<unsigned char>(name[i]);
+    if (c < '!' || c == 0x7F) {
+      char byte[8];
+      std::snprintf(byte, sizeof byte, "0x%02X", c);
+      return std::string("name byte ") + byte + " at offset " +
+             std::to_string(i) + " cannot be in a SAM QNAME";
+    }
+  }
+  return {};
+}
+
 std::vector<SeqRecord> parse_fastq(std::string_view text) {
   std::vector<SeqRecord> out;
   std::size_t pos = fastq_next_record(text, 0);
@@ -48,6 +63,9 @@ std::vector<SeqRecord> parse_fastq(std::string_view text) {
     rec.name = std::string(text.substr(h0 + 1, h1 - h0 - 1));
     if (auto sp = rec.name.find_first_of(" \t"); sp != std::string::npos)
       rec.name.resize(sp);
+    if (const std::string why = qname_defect(rec.name); !why.empty())
+      throw std::runtime_error("FASTQ parse error: record " +
+                               std::to_string(out.size()) + ": " + why);
     std::size_t p = line_after(text, pos);
     auto [s0, s1] = line_at(text, p);
     rec.seq = std::string(text.substr(s0, s1 - s0));

@@ -13,7 +13,16 @@
 
 namespace mera::seq {
 
+/// Throws std::runtime_error naming the record (its index and the offending
+/// byte) when a record's name cannot be a SAM QNAME (see qname_defect).
 [[nodiscard]] std::vector<SeqRecord> parse_fastq(std::string_view text);
+
+/// Why `name` cannot be a SAM QNAME, or an empty string when it can. A read
+/// name becomes the first column of each of its SAM lines, so an empty name
+/// or any byte below '!' or equal to 0x7F (whitespace and control bytes such
+/// as tab, newline and NUL) would break the SAM's column and line framing.
+/// Both untrusted read edges, parse_fastq and SeqDBReader, reject such names.
+[[nodiscard]] std::string qname_defect(std::string_view name);
 
 [[nodiscard]] std::vector<SeqRecord> read_fastq(const std::string& path);
 

@@ -179,6 +179,8 @@ PackedRead SeqDBReader::decode(std::size_t i, std::string* qual) {
   take(name_len, "name_len");
   rec.name.resize(name_len);
   in_->read(rec.name.data(), name_len);
+  if (const std::string why = qname_defect(rec.name); !why.empty())
+    throw std::runtime_error("SeqDB: record " + std::to_string(i) + ": " + why);
   take(sizeof(std::uint32_t), "seq_len");
   const auto seq_len = read_pod<std::uint32_t>(*in_);
   const std::uint64_t nwords = (std::uint64_t{seq_len} + 31) / 32;

@@ -25,7 +25,8 @@
 // The reader is an untrusted edge (daemon clients send SeqDB images): every
 // header field, index entry and record length is checked against the known
 // total size before anything is read or allocated, and a violation throws a
-// std::runtime_error naming the field.
+// std::runtime_error naming the field. A record name that cannot be a SAM
+// QNAME (seq::qname_defect) is rejected the same way, naming the record.
 #pragma once
 
 #include <cstdint>

@@ -66,9 +66,15 @@ class ShardCollectorSink final : public core::AlignmentSink {
 /// Per-batch working set, reused batch to batch so the reconcile hot loop
 /// stops paying K*nranks buffer allocations plus a merge vector per read.
 struct ShardedAlignSession::ReconcileScratch {
+  /// One rank's read range: reconciled on its own, possibly concurrently
+  /// with the other ranks' ranges (hence a cache line of its own).
+  struct alignas(64) Range {
+    std::vector<std::size_t> cursor;            ///< one per shard
+    std::vector<core::AlignmentRecord> merged;  ///< one read's candidates
+    std::uint64_t reads_aligned = 0;
+  };
   std::vector<ShardCollectorSink> collected;  ///< one per shard
-  std::vector<std::size_t> cursor;            ///< one per shard
-  std::vector<core::AlignmentRecord> merged;  ///< one read's candidates
+  std::vector<Range> ranges;                  ///< one per rank
 };
 
 double ShardedBatchResult::time_parallel_s() const {
@@ -106,7 +112,6 @@ ShardedAlignSession::ShardedAlignSession(ShardedReference ref,
     sessions_.push_back(
         std::make_unique<core::AlignSession>(ref_.shard(s), per_shard));
   scratch_->collected.resize(static_cast<std::size_t>(ref_.num_shards()));
-  scratch_->cursor.resize(static_cast<std::size_t>(ref_.num_shards()));
 }
 
 ShardedAlignSession::~ShardedAlignSession() = default;
@@ -226,13 +231,14 @@ ShardedBatchResult ShardedAlignSession::run_batch(
         e.rec.target_id = ref_.to_global(s, e.rec.target_id);
     res.shard_wall_s[ss] = sw.elapsed_s();
   };
+  // Concurrent runtimes must not share barriers or phase accounting, so
+  // with J > 1 every shard gets a runtime of its own, cloned from the
+  // caller's topology and cost model, and runs as a task on the executor.
+  // Any shard failure (e.g. topology mismatch) propagates after all shards
+  // settle — earliest shard wins, like the serial loop.
+  exec::ThreadPool* pool = nullptr;
   if (J > 1) {
-    // Concurrent runtimes must not share barriers or phase accounting, so
-    // every shard gets a runtime of its own, cloned from the caller's
-    // topology and cost model. Any shard failure (e.g. topology mismatch)
-    // propagates after all shards settle — earliest shard wins, like the
-    // serial loop.
-    exec::ThreadPool* pool = cfg_.pool;
+    pool = cfg_.pool;
     if (!pool) {
       if (!pool_ || pool_->size() < J)
         pool_ = std::make_unique<exec::ThreadPool>(J);
@@ -264,32 +270,55 @@ ShardedBatchResult ShardedAlignSession::run_batch(
   res.stats.reads_aligned = 0;
 
   // ---- 3+4: reconcile per (rank, read) and emit ---------------------------
-  std::vector<std::size_t>& cursor = scratch_->cursor;
-  std::vector<core::AlignmentRecord>& merged = scratch_->merged;
+  // Each rank's read range is reconciled on its own, with its own cursors
+  // and merge scratch, and emits only as that rank — so the ranges run as
+  // parallel tasks on the shards' executor (inline without one), and the
+  // sink sees each rank's records in the serial order.
+  std::vector<ReconcileScratch::Range>& ranges = scratch_->ranges;
+  ranges.resize(static_cast<std::size_t>(nranks));
   const std::size_t n = reads.size();
-  for (int r = 0; r < nranks; ++r) {
+  auto reconcile = [&](int r) {
     const auto rr = static_cast<std::size_t>(r);
+    ReconcileScratch::Range& range = ranges[rr];
+    range.cursor.assign(static_cast<std::size_t>(nshards), 0);
+    range.reads_aligned = 0;
     const std::size_t lo = n * rr / static_cast<std::size_t>(nranks);
     const std::size_t hi = n * (rr + 1) / static_cast<std::size_t>(nranks);
-    for (auto& c : cursor) c = 0;
     for (std::size_t i = lo; i < hi; ++i) {
       const seq::SeqRecord& read = reads[i];
-      merged.clear();
+      range.merged.clear();
       for (int s = 0; s < nshards; ++s) {
         auto& entries = collected[static_cast<std::size_t>(s)].per_rank()[rr];
-        auto& c = cursor[static_cast<std::size_t>(s)];
+        auto& c = range.cursor[static_cast<std::size_t>(s)];
         while (c < entries.size() && entries[c].read == &read)
-          merged.push_back(std::move(entries[c++].rec));
+          range.merged.push_back(std::move(entries[c++].rec));
       }
-      if (!merged.empty()) ++res.stats.reads_aligned;
+      if (!range.merged.empty()) ++range.reads_aligned;
       // One shard has nothing to merge: its emission order (grouped per
       // rank, per read) is already the stream — skip the per-read reorder.
-      if (nshards > 1) std::sort(merged.begin(), merged.end(), better_hit);
-      for (core::AlignmentRecord& rec : merged)
+      if (nshards > 1)
+        std::sort(range.merged.begin(), range.merged.end(), better_hit);
+      for (core::AlignmentRecord& rec : range.merged)
         sink.emit(r, read, std::move(rec));
     }
+  };
+  {
+    const obs::Span span("shard.reconcile", "shard");
+    if (pool) {
+      exec::TaskGroup group(*pool);
+      for (int r = 0; r < nranks; ++r)
+        group.run([&reconcile, r] { reconcile(r); });
+      group.wait();
+    } else {
+      for (int r = 0; r < nranks; ++r) reconcile(r);
+    }
   }
-  sink.batch_end();
+  for (const ReconcileScratch::Range& range : ranges)
+    res.stats.reads_aligned += range.reads_aligned;
+  {
+    const obs::Span span("shard.sink_flush", "shard");
+    sink.batch_end();
+  }
   ++batches_done_;
   res.wall_s = seconds_since(wall0);
 

@@ -127,6 +127,44 @@ TEST_F(FastqTest, NamesAreTruncatedAtWhitespace) {
   EXPECT_EQ(recs[0].name, "read1");
 }
 
+TEST_F(FastqTest, NamesThatCannotBeASamQnameAreRejected) {
+  const std::string good = "@r0\nACGT\n+\nIIII\n";
+  const auto expect_rejected = [](const std::string& text,
+                                  const std::string& what) {
+    try {
+      (void)parse_fastq(text);
+      ADD_FAILURE() << "accepted; expected an error naming " << what;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  // A bare '@' header, and one whitespace cuts down to nothing.
+  expect_rejected(good + "@\nACGT\n+\nIIII\n", "record 1: empty name");
+  expect_rejected(good + good + "@ desc\nACGT\n+\nIIII\n",
+                  "record 2: empty name");
+  // Control bytes would break SAM's column and line framing.
+  expect_rejected("@a\x01" "b\nACGT\n+\nIIII\n",
+                  "record 0: name byte 0x01 at offset 1");
+  expect_rejected(good + "@ab\rc\nACGT\n+\nIIII\n",
+                  "record 1: name byte 0x0D at offset 2");
+  expect_rejected(good + "@abc\x7F\nACGT\n+\nIIII\n", "0x7F at offset 3");
+  std::string nul = "@a";
+  nul += '\0';
+  nul += "b\nACGT\n+\nIIII\n";
+  expect_rejected(nul, "record 0: name byte 0x00 at offset 1");
+
+  // Every byte from '!' to '~' is a QNAME byte, and a trailing CR is part of
+  // the line ending, not the name.
+  std::string printable;
+  for (char c = '!'; c <= '~'; ++c) printable += c;
+  const auto recs =
+      parse_fastq("@" + printable + "\nACGT\n+\nIIII\n@r1\r\nAC\n+\nII\n");
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_EQ(recs[0].name, printable);
+  EXPECT_EQ(recs[1].name, "r1");
+}
+
 TEST_F(FastqTest, NextRecordHeuristicSkipsMidRecordStarts) {
   // Position the scan start inside a record body; the scanner must find the
   // *next* record header, not the '+' or quality lines.

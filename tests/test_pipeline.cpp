@@ -7,7 +7,6 @@
 #include <limits>
 #include <map>
 #include <random>
-#include <sstream>
 #include <tuple>
 
 #include "core/align_session.hpp"
@@ -397,11 +396,10 @@ TEST(Pipeline, LookupPipelineEdgeReads) {
       VectorSink sink(rt.nranks());
       stats = session.align_batch(rt, batch, sink).stats;
       std::map<std::string, std::string> by_read;
-      for (const AlignmentRecord& r : sink.take()) {
-        std::ostringstream os;
-        write_sam_record(os, r, ref.targets(), seq_of.at(r.query_name));
-        by_read[r.query_name] += os.str();
-      }
+      for (const AlignmentRecord& r : sink.take())
+        append_sam_record(by_read[r.query_name], r,
+                          ref.targets().target_unsync(r.target_id).name,
+                          seq_of.at(r.query_name));
       return by_read;
     };
 

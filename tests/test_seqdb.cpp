@@ -270,6 +270,31 @@ TEST_F(SeqDBTest, SequenceLengthBeyondTheImageIsRejected) {
   expect_rejected(ns, "n_count");
 }
 
+TEST_F(SeqDBTest, NamesThatCannotBeASamQnameAreRejected) {
+  // The writer stores any name; the reader, an untrusted edge, refuses the
+  // ones that would break the SAM's framing, naming the record and byte.
+  const std::vector<std::pair<std::string, std::string>> cases{
+      {"", "record 1: empty name"},
+      {"a\tb", "record 1: name byte 0x09 at offset 1"},
+      {"ab\n", "record 1: name byte 0x0A at offset 2"},
+      {std::string("a\0b", 3), "record 1: name byte 0x00 at offset 1"},
+      {"read 2", "record 1: name byte 0x20 at offset 4"},
+      {"x\x7F", "record 1: name byte 0x7F at offset 1"},
+  };
+  for (const auto& [name, what] : cases) {
+    SCOPED_TRACE(what);
+    write_seqdb(path("q.sdb"), {{"ok", "ACGT", ""}, {name, "ACGT", ""}},
+                /*store_quality=*/false);
+    std::ifstream in(path("q.sdb"), std::ios::binary);
+    expect_rejected({std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>()},
+                    what);
+    SeqDBReader db(path("q.sdb"));
+    EXPECT_EQ(db.read(0).name, "ok");
+    EXPECT_THROW((void)db.read_packed(1), std::runtime_error);
+  }
+}
+
 TEST_F(SeqDBTest, EmptyDatabase) {
   write_seqdb(path("e.sdb"), {}, false);
   SeqDBReader db(path("e.sdb"));

@@ -498,6 +498,52 @@ TEST_F(ServeTest, MalformedSeqDbBatchGetsANamedErrorAndTheStreamContinues) {
   EXPECT_EQ(stats.at("corrupt").batches, 1u);
 }
 
+TEST_F(ServeTest, BadReadNameGetsAnErrorFrameAndLaterBatchesStream) {
+  const Workload w = make_workload(535, 2);
+  const std::string expected = one_shot_sam(w);
+  // A bare '@' FASTQ header, and a tab inside a SeqDB record's name: either
+  // would put a broken line into the connection's SAM stream.
+  std::vector<SeqRecord> unnamed = w.batches[0];
+  unnamed[1].name.clear();
+  std::vector<SeqRecord> tabbed = w.batches[1];
+  tabbed[0].name += "\tXX";
+
+  serve::Daemon daemon(make_backend(w), kTopo, daemon_config());
+  daemon.start();
+  std::string got;
+  {
+    Client c(daemon.socket_path());
+    c.send(FrameType::kHello, "unnamed");
+    for (const auto& [payload, what] :
+         {std::pair{fastq_text(unnamed), "record 1: empty name"},
+          std::pair{seqdb_image(path("tabbed.sdb"), tabbed),
+                    "record 0: name byte 0x09"}}) {
+      c.send(FrameType::kBatch, payload);
+      auto err = c.recv();
+      ASSERT_TRUE(err.has_value());
+      EXPECT_EQ(err->type, FrameType::kError);
+      EXPECT_NE(err->payload.find("batch rejected"), std::string::npos);
+      EXPECT_NE(err->payload.find(what), std::string::npos) << err->payload;
+    }
+    // The connection's later batches still stream, header first.
+    for (const auto& b : w.batches) {
+      c.send(FrameType::kBatch, fastq_text(b));
+      auto sam = c.recv();
+      ASSERT_TRUE(sam.has_value());
+      ASSERT_EQ(sam->type, FrameType::kSam) << sam->payload;
+      got += sam->payload;
+    }
+    c.send(FrameType::kGoodbye);
+  }
+  const auto stats = daemon.tenant_stats();
+  daemon.request_stop();
+  daemon.wait();
+  EXPECT_EQ(got, expected);
+  ASSERT_EQ(stats.count("unnamed"), 1u);
+  EXPECT_EQ(stats.at("unnamed").errors, 2u);
+  EXPECT_EQ(stats.at("unnamed").batches, 2u);
+}
+
 TEST_F(ServeTest, InvalidHelloIsRefusedWithoutKillingTheDaemon) {
   const Workload w = make_workload(606, 1);
   serve::Daemon daemon(make_backend(w), kTopo, daemon_config());

@@ -369,20 +369,29 @@ TEST(ShardedSession, ReconciledOrderIsBestScoreFirstWithinARead) {
   const auto ref = ShardedReference::build(rt, w.contigs, 2, small_index());
   ShardedAlignSession session(ref, exhaustive_session());
 
-  // Collect (read pointer, record) pairs in emission order.
+  // Collect (read pointer, record) pairs in emission order, per rank: ranks
+  // may emit concurrently (the sink contract), and each rank's reads are
+  // its own.
   class OrderSink final : public core::AlignmentSink {
    public:
-    void emit(int, const seq::SeqRecord& read, AlignmentRecord&& rec) override {
-      entries.emplace_back(&read, std::move(rec));
+    explicit OrderSink(int nranks) : per_rank(static_cast<std::size_t>(nranks)) {}
+    void emit(int rank, const seq::SeqRecord& read,
+              AlignmentRecord&& rec) override {
+      per_rank[static_cast<std::size_t>(rank)].emplace_back(&read,
+                                                            std::move(rec));
     }
-    std::vector<std::pair<const SeqRecord*, AlignmentRecord>> entries;
+    std::vector<std::vector<std::pair<const SeqRecord*, AlignmentRecord>>>
+        per_rank;
   };
-  OrderSink sink;
+  OrderSink sink(rt.nranks());
   (void)session.align_batch(rt, w.reads, sink);
-  ASSERT_GT(sink.entries.size(), 0u);
-  for (std::size_t i = 1; i < sink.entries.size(); ++i) {
-    const auto& [pread, prev] = sink.entries[i - 1];
-    const auto& [cread, cur] = sink.entries[i];
+  std::vector<std::pair<const SeqRecord*, AlignmentRecord>> entries;
+  for (auto& rank_entries : sink.per_rank)
+    for (auto& e : rank_entries) entries.push_back(std::move(e));
+  ASSERT_GT(entries.size(), 0u);
+  for (std::size_t i = 1; i < entries.size(); ++i) {
+    const auto& [pread, prev] = entries[i - 1];
+    const auto& [cread, cur] = entries[i];
     if (pread != cread) continue;  // new read: ordering restarts
     EXPECT_TRUE(std::tie(prev.score) >= std::tie(cur.score) &&
                 (prev.score != cur.score ||
